@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -143,46 +145,66 @@ def _file_instance(config, seed):
                     space=space, weight=W, f=f)
 
 
+def _checked(inst, **check_opts):
+    results, meta = instance_checks(inst, **check_opts)
+    return {"index": inst.index, "meta": meta,
+            "results": [r.as_dict() for r in results]}
+
+
+def _check_suite_instance(job):
+    """Build suite instance ``index`` and run the battery on it; a worker
+    builds its own instance, so only the seed and options are pickled."""
+    index, seed, suite_opts, check_opts = job
+    return _checked(random_instance(index, seed=seed, **suite_opts),
+                    **check_opts)
+
+
 def cmd_check(args):
     config = _load_config(args.config)
     opts = _merged(config, args, ("p", "d", "depth", "cgamma", "out",
-                                  "instances", "acceptance", "square_mode"))
+                                  "instances", "parallel", "acceptance",
+                                  "square_mode"))
     seed = _resolve_seed(args, config)
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     threshold = float(opts["cgamma"]) if opts.get("cgamma") is not None \
         else default_threshold()
-    fit_tol = float(opts.get("fit_tol", 2e-2))
-    square_mode = opts.get("square_mode", "increments")
+    check_opts = {"fit_tol": float(opts.get("fit_tol", 2e-2)),
+                  "threshold": threshold,
+                  "square_mode": opts.get("square_mode", "increments")}
+    parallel = int(opts.get("parallel", 1))
+    if parallel < 1:
+        raise ValidationError(f"--parallel must be at least 1, got {parallel}")
 
-    instances = []
     if "tree" in opts:
-        instances.append(_file_instance(opts, seed))
+        details = [_checked(_file_instance(opts, seed), **check_opts)]
     else:
         count = int(opts.get("instances", 24))
-        dims = (int(opts["d"]),) if opts.get("d") else (1, 2, 3)
-        ps = (float(opts["p"]),) if opts.get("p") else (1.5, 2.0, 3.0, 4.0)
-        depth_range = (int(opts["depth"]), int(opts["depth"])) \
-            if opts.get("depth") else (4, 12)
-        for i in range(count):
-            instances.append(random_instance(
-                i, seed=seed, depth_range=depth_range, dims=dims, ps=ps))
+        if count < 1:
+            raise ValidationError(
+                f"--instances must be at least 1, got {count}")
+        suite_opts = {
+            "dims": (int(opts["d"]),) if opts.get("d") else (1, 2, 3),
+            "ps": (float(opts["p"]),) if opts.get("p") else (1.5, 2.0, 3.0, 4.0),
+            "depth_range": (int(opts["depth"]), int(opts["depth"]))
+            if opts.get("depth") else (4, 12)}
+        jobs = [(i, seed, suite_opts, check_opts) for i in range(count)]
+        if parallel > 1:
+            ctx = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=parallel,
+                                     mp_context=ctx) as ex:
+                details = list(ex.map(_check_suite_instance, jobs))
+        else:
+            details = [_check_suite_instance(job) for job in jobs]
 
     summary = {}
-    details = []
-    for inst in instances:
-        results, meta = instance_checks(inst, fit_tol=fit_tol,
-                                        threshold=threshold,
-                                        square_mode=square_mode)
-        details.append({"index": inst.index, "meta": meta,
-                        "results": [r.as_dict() for r in results]})
-        for r in results:
-            agg = summary.setdefault(r.name, {"passed": True, "worst": None,
-                                              "bound": r.bound})
-            agg["passed"] = agg["passed"] and r.passed
-            if agg["worst"] is None or r.measured > agg["worst"]:
-                agg["worst"] = r.measured
-                agg["bound"] = r.bound
+    for r in (r for detail in details for r in detail["results"]):
+        agg = summary.setdefault(r["name"], {"passed": True, "worst": None,
+                                             "bound": r["bound"]})
+        agg["passed"] = agg["passed"] and r["passed"]
+        if agg["worst"] is None or r["measured"] > agg["worst"]:
+            agg["worst"] = r["measured"]
+            agg["bound"] = r["bound"]
 
     if opts.get("acceptance"):
         records, fit = leaf_scale_sweep(p=2.0, d=1, seed=seed)
@@ -191,7 +213,7 @@ def cmd_check(args):
             "worst": fit["slope"], "bound": scalar_target_exponent(2.0)}
 
     report = {"seed": seed, "threshold": threshold,
-              "instances": len(instances),
+              "instances": len(details),
               "summary": {k: summary[k] for k in sorted(summary)},
               "details": details}
     with open(out / "check_report.json", "w") as fh:

@@ -30,12 +30,16 @@ class EllipsoidError(RuntimeError):
         The matrix of the last iterate (shape (d, d)).
     achieved : float
         Worst certification or convergence ratio at abort time.
+    bound : float
+        The limit ``achieved`` was held to.
     """
 
-    def __init__(self, message, last_matrix=None, achieved=np.nan):
+    def __init__(self, message, last_matrix=None, achieved=np.nan,
+                 bound=np.nan):
         super().__init__(message)
         self.last_matrix = last_matrix
         self.achieved = achieved
+        self.bound = bound
 
 
 def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
@@ -235,38 +239,58 @@ class NormSampler:
 # minimum-volume enclosing ellipsoid, origin-symmetric case
 # ---------------------------------------------------------------------------
 
+def _moment(x, u):
+    """Weighted second moments sum_n u_n x_n x_n^T: (b, n, d), (b, n) ->
+    (b, d, d)."""
+    return np.swapaxes(x * u[..., None], -1, -2) @ x
+
+
+def _quad(x, s_inv):
+    """Quadratic forms x_n^T S^{-1} x_n: (b, n, d), (b, d, d) -> (b, n).
+
+    The row sum is a product with a ones vector, several times faster than
+    a reduction over a last axis of length d.
+    """
+    return ((x @ s_inv) * x) @ np.ones(x.shape[-1])
+
+
 def _design_update(xa, ua, d, target, cap):
     """Inner solver for the D-optimal design problem on an active point set.
 
     Multiplicative updates for bulk progress, then Frank-Wolfe steps with
-    away steps for the linear-rate endgame. Returns (u, S, iterations).
+    away steps for the linear-rate endgame. Each Frank-Wolfe step changes
+    S(u) by a rank-one term, so S^{-1} and g_n = x_n^T S^{-1} x_n follow by
+    Sherman-Morrison (Todd & Yildirim 2007); both are recomputed from u
+    every 256 steps. Returns (u, S, g, iterations): S is the fresh moment
+    of u, g the solver's running quadratic forms.
     """
+    rows = np.arange(xa.shape[0])
+    s_inv = np.linalg.inv(_moment(xa, ua))
+    g = _quad(xa, s_inv)
     used = 0
-    s = np.einsum("bn,bni,bnj->bij", ua, xa, xa)
     bulk = d * max(1.08, 0.5 + 0.5 * target / d)
     for _ in range(min(cap, 200)):
         used += 1
-        g = np.einsum("bni,bij,bnj->bn", xa, np.linalg.inv(s), xa)
         if np.all(g.max(axis=1) <= bulk):
             break
         ua = ua * g / d
         ua /= ua.sum(axis=1, keepdims=True)
-        s = np.einsum("bn,bni,bnj->bij", ua, xa, xa)
+        s_inv = np.linalg.inv(_moment(xa, ua))
+        g = _quad(xa, s_inv)
 
     while used < cap:
         used += 1
-        g = np.einsum("bni,bij,bnj->bn", xa, np.linalg.inv(s), xa)
         jmax = g.argmax(axis=1)
-        gmax = np.take_along_axis(g, jmax[:, None], axis=1)[:, 0]
+        gmax = g[rows, jmax]
         if np.all(gmax <= target):
             break
         gm = np.where(ua > 0.0, g, np.inf)
         jmin = gm.argmin(axis=1)
-        gmin = np.take_along_axis(gm, jmin[:, None], axis=1)[:, 0]
+        gmin = gm[rows, jmin]
         use_add = (gmax - d) >= (d - gmin)
         j = np.where(use_add, jmax, jmin)
         gj = np.where(use_add, gmax, gmin)
-        uj = np.take_along_axis(ua, j[:, None], axis=1)[:, 0]
+        uj = ua[rows, j]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_add = (gj - d) / (d * (gj - 1.0))
             cap_away = uj / np.maximum(1.0 - uj, 1e-300)
@@ -277,20 +301,23 @@ def _design_update(xa, ua, d, target, cap):
         sign = np.where(use_add, 1.0, -1.0)
         scale = np.where(use_add, 1.0 - t, 1.0 + t)
         ua *= scale[:, None]
-        idx = j[:, None]
-        np.put_along_axis(
-            ua, idx, np.take_along_axis(ua, idx, axis=1) + (sign * t)[:, None],
-            axis=1)
+        ua[rows, j] += sign * t
         np.clip(ua, 0.0, None, out=ua)
         ua /= ua.sum(axis=1, keepdims=True)
-        xj = np.take_along_axis(xa, j[:, None, None], axis=1)[:, 0, :]
-        s = scale[:, None, None] * s + (sign * t)[:, None, None] * \
-            np.einsum("bi,bj->bij", xj, xj)
         if used % 256 == 0:
-            s = np.einsum("bn,bni,bnj->bij", ua, xa, xa)
+            s_inv = np.linalg.inv(_moment(xa, ua))
+            g = _quad(xa, s_inv)
+            continue
+        # S <- scale S + sign t x_j x_j^T, by Sherman-Morrison
+        c = sign * t / scale
+        v = (s_inv @ xa[rows, j][:, :, None])[:, :, 0]
+        coef = c / (1.0 + c * gj)
+        s_inv = (s_inv - coef[:, None, None] * v[:, :, None] * v[:, None, :]) \
+            / scale[:, None, None]
+        g = (g - coef[:, None] * (xa @ v[:, :, None])[:, :, 0] ** 2) \
+            / scale[:, None]
 
-    s = np.einsum("bn,bni,bnj->bij", ua, xa, xa)
-    return ua, s, used
+    return ua, _moment(xa, ua), g, used
 
 
 def mvee_central(points, eps=2e-3, max_iter=100_000):
@@ -334,74 +361,56 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
 
     # warm start on the full cloud, then whiten by the second moment
     u_full = np.full((b, n), 1.0 / n)
-    s0 = np.einsum("bn,bni,bnj->bij", u_full, x_orig, x_orig)
+    s0 = _moment(x_orig, u_full)
     for _ in range(5):
-        g_full = np.einsum("bni,bij,bnj->bn", x_orig, np.linalg.inv(s0), x_orig)
+        g_full = _quad(x_orig, np.linalg.inv(s0))
         u_full = u_full * g_full / d
         u_full /= u_full.sum(axis=1, keepdims=True)
-        s0 = np.einsum("bn,bni,bnj->bij", u_full, x_orig, x_orig)
+        s0 = _moment(x_orig, u_full)
     vals0, vecs0 = jacobi_eigh(s0)
     vals0 = np.maximum(vals0, 1e-300)
-    white = np.einsum("bij,bj,bkj->bik", vecs0, vals0 ** -0.5, vecs0)
-    unwhite = np.einsum("bij,bj,bkj->bik", vecs0, vals0 ** 0.5, vecs0)
-    x = np.einsum("bij,bnj->bni", white, x_orig)
-    g_full = np.einsum("bni,bij,bnj->bn", x_orig, np.linalg.inv(s0), x_orig)
+    vecs0_t = np.swapaxes(vecs0, 1, 2)
+    white = (vecs0 * vals0[:, None, :] ** -0.5) @ vecs0_t
+    unwhite = (vecs0 * vals0[:, None, :] ** 0.5) @ vecs0_t
+    x = x_orig @ np.swapaxes(white, 1, 2)
+    g_full = _quad(x_orig, np.linalg.inv(s0))
 
     s_out = np.empty((b, d, d))
     kappa = np.full(b, np.inf)
-    order = np.argsort(u_full * g_full, axis=1)
-    actives = [order[i, -k:].copy() for i in range(b)]
-    weights = [np.take_along_axis(u_full, order, axis=1)[i, -k:].copy()
-               for i in range(b)]
-    for w in weights:
-        w /= w.sum()
+    # active point indices and weights of the live clouds, one row each;
+    # every live cloud holds the same number of active points, since all
+    # start with k and each round promotes min(n_promote, n - m) into each
+    act = np.argsort(u_full * g_full, axis=1)[:, -k:]
+    wts = np.take_along_axis(u_full, act, axis=1)
+    wts /= wts.sum(axis=1, keepdims=True)
 
     alive = np.arange(b)
     spent = 5
     while alive.size and spent < max_iter:
-        k_cur = max(a.size for a in (actives[i] for i in alive))
-        act = np.full((alive.size, k_cur), -1, dtype=np.intp)
-        ua = np.zeros((alive.size, k_cur))
-        for row, i in enumerate(alive):
-            m = actives[i].size
-            act[row, :m] = actives[i]
-            act[row, m:] = actives[i][0]      # pad with a repeated point
-            ua[row, :m] = weights[i]
-        ua /= ua.sum(axis=1, keepdims=True)
-        xa = np.take_along_axis(x[alive], act[:, :, None], axis=1)
+        x_alive = x[alive]
+        xa = np.take_along_axis(x_alive, act[:, :, None], axis=1)
         budget = min(4000, max_iter - spent)
-        ua, s, used = _design_update(xa, ua, d, inner_target, budget)
+        wts, s, _, used = _design_update(xa, wts, d, inner_target, budget)
         spent += used
-        for row, i in enumerate(alive):
-            m = actives[i].size
-            w = ua[row].copy()
-            # fold padded-slot weight back onto the real first point
-            w[0] += w[m:].sum()
-            weights[i] = w[:m] / w[:m].sum()
 
-        g_alive = np.einsum("bni,bij,bnj->bn", x[alive], np.linalg.inv(s),
-                            x[alive])
+        # certificates come from a fresh inverse of the fresh moment
+        g_alive = _quad(x_alive, np.linalg.inv(s))
         kap = g_alive.max(axis=1)
-        s_out[alive] = np.einsum("bij,bjk,bkl->bil", unwhite[alive], s,
-                                 unwhite[alive])
+        s_out[alive] = unwhite[alive] @ s @ unwhite[alive]
         kappa[alive] = kap
 
-        done = kap <= target
-        still = ~done
-        for row, i in enumerate(alive):
-            if done[row]:
-                continue
-            g_row = g_alive[row].copy()
-            g_row[actives[i]] = -np.inf
-            new = np.argsort(g_row)[-n_promote:]
-            new = new[np.isfinite(g_row[new])]
-            if new.size == 0:
-                continue
-            actives[i] = np.concatenate([actives[i], new])
-            w_new = np.full(new.size, 1.0 / actives[i].size)
-            w = np.concatenate([weights[i], w_new])
-            weights[i] = w / w.sum()
-        alive = alive[still]
+        still = kap > target
+        alive, act, wts, g_alive = alive[still], act[still], wts[still], \
+            g_alive[still]
+        m = act.shape[1]
+        n_new = min(n_promote, n - m)
+        if n_new:
+            np.put_along_axis(g_alive, act, -np.inf, axis=1)
+            new = np.argsort(g_alive, axis=1)[:, -n_new:]
+            act = np.concatenate([act, new], axis=1)
+            wts = np.concatenate(
+                [wts, np.full(new.shape, 1.0 / (m + n_new))], axis=1)
+            wts /= wts.sum(axis=1, keepdims=True)
 
     if alive.size:
         worst = int(alive[np.argmax(kappa[alive])])
@@ -412,11 +421,15 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
             f"ellipsoid fit did not converge within {max_iter} iterations "
             f"(max normalized support {np.max(kappa[alive]) / d:.6f}, "
             f"target {1 + eps})",
-            last_matrix=last, achieved=float(np.max(kappa[alive]) / d))
+            last_matrix=last, achieved=float(np.max(kappa[alive]) / d),
+            bound=1.0 + eps)
 
     vals, vecs = jacobi_eigh(s_out)
     vals = np.maximum(vals, 1e-300)
-    inv_sqrt = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs)
+    inv_sqrt = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    # normalize against the input cloud itself: the whitened kappa is off by
+    # the conditioning of the whitening, up to 1e-9 on eccentric clouds
+    kappa = np.max(np.sum((x_orig @ inv_sqrt) ** 2, axis=-1), axis=1)
     a = inv_sqrt / np.sqrt(kappa)[:, None, None]
     inner = np.sqrt(kappa)
     a = a.reshape(batch_shape + (d, d))
@@ -455,5 +468,5 @@ def norm_ball_reducing(rho, tol=1e-3, cert_tol=5e-2, max_iter=100_000,
         raise EllipsoidError(
             f"ellipsoid certification failed: ratio range [{lo:.6f}, {hi:.6f}] "
             f"outside [{1.0 / ((1.0 + cert_tol) * np.sqrt(d)):.6f}, {1.0 + cert_tol:.6f}]",
-            last_matrix=a, achieved=hi)
+            last_matrix=a, achieved=hi, bound=1.0 + cert_tol)
     return a

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtration import build_from_tree, cond_expect, lp_norm, martingale_of
+from .linalg import EllipsoidError, ValidationError
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
 from .principal import (build_principal_family, check_properties,
@@ -83,6 +84,9 @@ def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
     depth = int(rng.integers(depth_range[0], depth_range[1] + 1))
     d = int(dims[index % len(dims)])
     p = float(ps[(index // len(dims)) % len(ps)])
+    if d not in SPLIT:
+        raise ValidationError(
+            f"the random suite supports d in {sorted(SPLIT)}, not d = {d}")
     split_p, max_children = SPLIT[d]
     space = build_from_tree(random_tree_spec(rng, depth, split_p, max_children))
     n = space.n_leaves
@@ -167,15 +171,23 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
 
     ``square_mode`` only affects the informational square-function norm in
     the returned metadata (the domination check always uses the first-value
-    convention it is provable under).
+    convention it is provable under). A reducer fit that fails to converge
+    or to certify is reported as a failed ``reducer_certificate`` carrying
+    the achieved ratio; the checks that need the reducers are then skipped.
     """
     if threshold is None:
         threshold = default_threshold()
     space, W, p, f = inst.space, inst.weight, inst.p, inst.f
     d = W.dim
     results = []
-    pair = build_reducing_pair(space, W, p, tol=fit_tol,
-                               seed=inst.seed + inst.index)
+    try:
+        pair = build_reducing_pair(space, W, p, tol=fit_tol,
+                                   seed=inst.seed + inst.index)
+    except EllipsoidError as exc:
+        return [CheckResult("reducer_certificate", False, float(exc.achieved),
+                            float(exc.bound), str(exc))], \
+            {"depth": space.depth, "d": d, "p": p,
+             "n_leaves": space.n_leaves, "square_mode": square_mode}
 
     if pair.certificate:
         lo = min(pair.certificate["primal"]["low"],

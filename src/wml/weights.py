@@ -184,12 +184,15 @@ def _fit_reducers(space, mats, power, levels, tol, cert_tol, seed,
         ratio = np.linalg.norm(np.einsum("kij,nj->kni", fitted, held), axis=2) / hrho
         lo, hi = float(ratio.min()), float(ratio.max())
         cert = {"low": lo, "high": hi}
-        if hi > 1.0 + cert_tol or lo < 1.0 / ((1.0 + cert_tol) * np.sqrt(d)):
+        window_lo = 1.0 / ((1.0 + cert_tol) * np.sqrt(d))
+        high_side = hi > 1.0 + cert_tol
+        if high_side or lo < window_lo:
             raise EllipsoidError(
                 f"reducer certification failed: held-out ratio range "
                 f"[{lo:.6f}, {hi:.6f}] for tol {cert_tol}",
                 last_matrix=fitted[int(np.argmax(ratio.max(axis=1)))],
-                achieved=hi)
+                achieved=hi if high_side else lo,
+                bound=1.0 + cert_tol if high_side else window_lo)
         for i, key in enumerate(multis):
             for n, a in nodes[key]:
                 out[n][a] = fitted[i]

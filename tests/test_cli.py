@@ -53,6 +53,45 @@ def test_check_low_threshold_fails(tmp_path):
     assert not all(v["passed"] for v in report["summary"].values())
 
 
+def test_check_failed_fit_is_reported(tmp_path):
+    # a loose fit tolerance makes reducer certification fail: the failure
+    # is a reported check, the report is written and the exit code is 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit_tol": 0.6, "d": 3, "instances": 2}))
+    assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["summary"]["reducer_certificate"]["passed"] is False
+    failed = [r for d in report["details"] for r in d["results"]
+              if not r["passed"]]
+    assert failed and all(r["name"] == "reducer_certificate" for r in failed)
+    for r in failed:
+        assert "certification failed" in r["info"]
+        # the achieved ratio lies beyond its bound: below a low bound (< 1)
+        # or above a high bound (> 1)
+        assert (r["measured"] - r["bound"]) * (r["bound"] - 1.0) > 0.0
+
+
+def test_check_unsupported_dimension_is_usage_error(tmp_path, capsys):
+    assert run(["check", "--d", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "d = 4" in err and "[1, 2, 3]" in err
+
+
+def test_check_zero_instances_is_usage_error(tmp_path, capsys):
+    assert run(["check", "--instances", "0", "--out", str(tmp_path)]) == 1
+    assert "--instances" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_parallel_check_matches_serial(tmp_path):
+    serial, parallel = tmp_path / "s", tmp_path / "p"
+    args = ["check", "--instances", "4", "--depth", "6", "--seed", "7"]
+    assert run(args + ["--out", str(serial)]) == 0
+    assert run(args + ["--parallel", "2", "--out", str(parallel)]) == 0
+    assert (serial / "check_report.json").read_bytes() == \
+        (parallel / "check_report.json").read_bytes()
+
+
 def test_check_missing_file_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tree": str(tmp_path / "missing.json")}))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from wml.linalg import (EllipsoidError, NormSampler, ValidationError,
-                        direction_set, jacobi_eigh, mvee_central,
-                        norm_ball_reducing, spd_power, spectral_norm)
+                        _design_update, _quad, direction_set, jacobi_eigh,
+                        mvee_central, norm_ball_reducing, spd_power,
+                        spectral_norm)
 
 
 def test_jacobi_matches_lapack_oracle():
@@ -99,12 +100,75 @@ def test_mvee_central_inner_outer_certificates():
     assert inner <= np.sqrt(3.0 * (1.0 + 1e-5))    # John factor
 
 
+def _clouds(seed, b, n, d, axis_ratio):
+    """b seeded Gaussian clouds of n points, each stretched along a random
+    frame with axis lengths log-spaced from 1 to axis_ratio."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((b, n, d))
+    for i in range(b):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        out[i] = rng.standard_normal((n, d)) @ (
+            q * np.logspace(0.0, np.log10(axis_ratio), d)).T
+    return out
+
+
+def _assert_mvee_contract(pts, eps):
+    a, inner = mvee_central(pts, eps=eps)
+    d = pts.shape[-1]
+    support = np.linalg.norm(pts @ np.swapaxes(a, -1, -2), axis=-1)
+    assert np.max(support) <= 1.0 + 1e-12                  # containment
+    assert np.all(inner <= np.sqrt(d * (1.0 + eps)))       # John factor
+    assert np.allclose(a, np.swapaxes(a, -1, -2), rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+@pytest.mark.parametrize("axis_ratio", (1.0, 1e3))
+def test_mvee_contract_on_seeded_clouds(d, axis_ratio):
+    # n above the active-set size k = max(6 d (d+1), 24): violators are
+    # promoted over several rounds
+    _assert_mvee_contract(_clouds(10 * d, 3, 400, d, axis_ratio), eps=1e-3)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_mvee_contract_fewer_points_than_active_set(d):
+    # n < k: the whole cloud is active from the start
+    _assert_mvee_contract(_clouds(d, 4, d + 3, d, 1e3), eps=1e-3)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_mvee_contract_on_mixed_batch(d):
+    # one batch holds round and eccentric clouds, which converge after
+    # different numbers of promotion rounds and leave the batch at
+    # different times
+    pts = np.concatenate([direction_set(d, 400, seed=d)[None],
+                          _clouds(d + 1, 2, 400, d, 1e3),
+                          _clouds(d + 2, 1, 400, d, 1.0)])
+    _assert_mvee_contract(pts, eps=1e-4)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+@pytest.mark.parametrize("axis_ratio", (1.0, 1e3))
+@pytest.mark.parametrize("n", (None, 4))
+def test_design_update_tracks_fresh_quadratic_forms(d, axis_ratio, n):
+    # the rank-one updated g must match a fresh x^T S^{-1} x at exit
+    n = 6 * d * (d + 1) if n is None else d + n
+    xa = _clouds(100 + d, 3, n, d, axis_ratio)
+    ua = np.full(xa.shape[:2], 1.0 / n)
+    target = d * (1.0 + 5e-4)
+    u, s, g, used = _design_update(xa, ua, d, target, 4000)
+    fresh = _quad(xa, np.linalg.inv(s))
+    assert np.max(np.abs(g - fresh) / fresh) <= 1e-9
+    assert used < 4000 and np.max(fresh) <= target * (1.0 + 1e-9)
+    assert np.all(u >= 0.0) and np.allclose(u.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_mvee_nonconvergence_error_carries_state():
     pts = direction_set(2, 32)
     with pytest.raises(EllipsoidError) as err:
         mvee_central(pts, eps=1e-12, max_iter=3)
     assert err.value.last_matrix is not None
-    assert err.value.achieved > 1.0
+    assert err.value.achieved > err.value.bound == 1.0 + 1e-12
 
 
 def test_norm_sampler_validates_homogeneity():
