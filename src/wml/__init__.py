@@ -5,9 +5,8 @@ sets, sparse operators, and empirical sharp-exponent probes."""
 from .filtration import (FilteredSpace, Martingale, build_dyadic,
                          build_from_tree, cond_expect, cond_expect_leaf,
                          lp_norm, martingale_of)
-from .linalg import (EllipsoidError, NormSampler, ValidationError,
-                     jacobi_eigh, mvee_central, norm_ball_reducing,
-                     spd_power, spectral_norm)
+from .linalg import (EllipsoidError, ValidationError, jacobi_eigh,
+                     mvee_central, spd_power, spectral_norm)
 from .weights import (MatrixWeight, ReducingPair, a1_characteristic,
                       ap_characteristic, ap_equivalents, as_weight,
                       build_reducing_pair, conjugate, dual_weight,
@@ -19,9 +18,10 @@ from .operators import (SparseFamily, SparseSet, lp_weighted_norm,
 from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
                         build_principal_family, check_properties,
                         default_threshold, domination_constant,
-                        fluctuation_table, halving_check, iteration_check,
+                        fluctuation_table, iteration_check,
                         iteration_constant, sparse_domination_check,
                         tail_energy, vanish_checks)
+from .analysis import Analysis
 from .experiments import (SweepConfig, SweepRecord, exponent_fit,
                           leaf_scale_sweep, matrix_target_exponent,
                           opnorm_ascent, opnorm_power_iteration,

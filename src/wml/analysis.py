@@ -1,0 +1,88 @@
+"""The per-instance analysis context.
+
+Every check of an instance (space, W, p, f) with reducing pair is built
+from the same few quantities of g = W^{-1/p} f: its martingale, the
+reducer-normalized level averages E_n ||dual_n^{-1} g||, the fluctuation
+tables of the stopping times, the increments conjugated by W^{1/p} and the
+per-set terms ||W^{1/p} dual_{kappa2}|| of the sparse operator. An
+``Analysis`` computes g and its martingale once and each of the others the
+first time it is asked for, so that the checks share them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .filtration import cond_expect, martingale_of
+from .linalg import ValidationError, matvec, spectral_norm
+from .operators import _conjugated_diffs, _leaf_l2
+from .principal import fluctuation_table
+
+
+class Analysis:
+    """Derived quantities of the leaf function f under a reducing pair.
+
+    The pair carries the space, the weight and p. f has shape (L, d); for
+    d = 1 an (L,) array is accepted as well.
+    """
+
+    def __init__(self, pair, f):
+        self.pair = pair
+        self.space, self.weight, self.p = pair.space, pair.weight, pair.p
+        arr = np.asarray(f, dtype=float)
+        expected = (self.space.n_leaves, self.weight.dim)
+        if arr.ndim == 1 and expected[1] == 1:
+            arr = arr[:, None]
+        if arr.shape != expected:
+            raise ValidationError(
+                f"leaf function must have shape (L, d) = {expected}, "
+                f"got {np.shape(f)}")
+        self.f = arr
+        self.g = matvec(pair.wm, arr)
+        self.mart = martingale_of(self.space, self.g)
+        self._cache = {}
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def level_average(self, n):
+        """Per level-n atom: E_n ||dual_n^{-1} g||."""
+        def build():
+            dual_inv = self.space.expand(n, self.pair.dual_inv[n])
+            vals = np.linalg.norm(matvec(dual_inv, self.g), axis=1)
+            return cond_expect(self.space, vals, n)
+        return self._cached(("average", n), build)
+
+    def table(self, base):
+        """FluctuationTable of g relative to the base level."""
+        return self._cached(("table", base), lambda: fluctuation_table(
+            self.space, self.mart, self.pair.dual_inv[base],
+            self.level_average(base), base))
+
+    def conjugated(self, mode="increments"):
+        """(K, L, d) increments of g under the square-function mode,
+        conjugated by W^{1/p}."""
+        return self._cached(("conjugated", mode), lambda: _conjugated_diffs(
+            self.pair.wp, self.mart, mode))
+
+    def square(self, mode="increments"):
+        """Weighted square function S_W f per leaf."""
+        return self._cached(("square", mode),
+                            lambda: _leaf_l2(self.conjugated(mode)))
+
+    def increment_norms(self):
+        """(D, L) array of ||W^{1/p}(l) d_k g(l)|| for k = 1..D."""
+        return self._cached("increment_norms", lambda: np.linalg.norm(
+            self.conjugated(), axis=2))
+
+    def set_term(self, kappa2, leaves):
+        """Per entry of ``leaves`` (a union of level-kappa2 atoms) the sparse
+        term ||W^{1/p}(l) dual_{k2}|| E_{k2} ||dual_{k2}^{-1} g||."""
+        def build():
+            atom_of = self.space.atom_of_leaf[kappa2][leaves]
+            norms = spectral_norm(
+                self.pair.wp[leaves] @ self.pair.dual[kappa2][atom_of])
+            return norms * self.level_average(kappa2)[atom_of]
+        return self._cached(("term", kappa2, leaves.tobytes()), build)

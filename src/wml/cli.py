@@ -184,10 +184,12 @@ def cmd_check(args):
             raise ValidationError(
                 f"--instances must be at least 1, got {count}")
         suite_opts = {
-            "dims": (int(opts["d"]),) if opts.get("d") else (1, 2, 3),
-            "ps": (float(opts["p"]),) if opts.get("p") else (1.5, 2.0, 3.0, 4.0),
+            "dims": (int(opts["d"]),) if opts.get("d") is not None
+            else (1, 2, 3),
+            "ps": (float(opts["p"]),) if opts.get("p") is not None
+            else (1.5, 2.0, 3.0, 4.0),
             "depth_range": (int(opts["depth"]), int(opts["depth"]))
-            if opts.get("depth") else (4, 12)}
+            if opts.get("depth") is not None else (4, 12)}
         jobs = [(i, seed, suite_opts, check_opts) for i in range(count)]
         if parallel > 1:
             ctx = multiprocessing.get_context("spawn")

@@ -159,7 +159,8 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
     ascent directions, best value over seeded restarts.
 
     Returns an AscentResult carrying the witness; recomputing the ratio
-    from the witness reproduces the reported value.
+    from the witness reproduces the reported value. ``converged`` is False
+    when any restart stopped because it used up ``max_iter`` iterations.
     """
     W = as_weight(W)
     if pair is None:
@@ -174,6 +175,7 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
     rng = np.random.default_rng(seed)
     best = AscentResult(0.0, None, 0, restarts, True)
     total_iters = 0
+    capped = False
     for _ in range(restarts):
         f = rng.standard_normal((space.n_leaves, d))
         f /= lp_norm(space, f, p)
@@ -210,9 +212,12 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
                 step *= 0.5
             if not improved:
                 break
+        else:
+            capped = True   # this restart exhausted max_iter
         if cur > best.ratio:
             best = AscentResult(cur, f, total_iters, restarts, True)
     best.iterations = total_iters
+    best.converged = not capped
     return best
 
 

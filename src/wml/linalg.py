@@ -7,14 +7,10 @@ deterministic and identical across BLAS builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 DIRECTION_COUNTS = {1: 1, 2: 720, 3: 2048}
 DEFAULT_DIRECTIONS_HIGH_D = 8192
-MAX_SUPPORTED_DIM = 6
 
 
 class ValidationError(ValueError):
@@ -191,48 +187,6 @@ def holdout_directions(dim, n=1000, seed=1234):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, dim))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class NormSampler:
-    """Evaluator of a norm on R^dim, plus its sampling configuration.
-
-    ``func`` maps an (N, dim) array of directions to the N norm values.
-    Construction spot-checks positive homogeneity and positivity on a few
-    seeded random directions.
-    """
-
-    dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    n_directions: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1 or self.dim > MAX_SUPPORTED_DIM:
-            raise ValidationError(f"dim {self.dim} outside supported range 1..6")
-        if self.n_directions == 0:
-            object.__setattr__(
-                self, "n_directions",
-                DIRECTION_COUNTS.get(self.dim, DEFAULT_DIRECTIONS_HIGH_D))
-        rng = np.random.default_rng(self.seed)
-        e = rng.standard_normal((8, self.dim))
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
-        vals = self(e)
-        if np.any(vals <= 0.0):
-            raise ValidationError("norm evaluator not positive on unit directions")
-        lam = 1.0 + rng.random(8)
-        scaled = self(e * lam[:, None])
-        if np.max(np.abs(scaled - lam * vals) / (lam * vals)) > 1e-10:
-            raise ValidationError("norm evaluator not positively homogeneous")
-
-    def __call__(self, dirs):
-        out = np.asarray(self.func(np.asarray(dirs, dtype=float)), dtype=float)
-        if out.shape != (len(dirs),):
-            raise ValidationError("norm evaluator returned wrong shape")
-        return out
-
-    def directions(self):
-        return direction_set(self.dim, self.n_directions, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -437,36 +391,3 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     if single:
         return a[0], float(inner[0])
     return a, inner
-
-
-def norm_ball_reducing(rho, tol=1e-3, cert_tol=5e-2, max_iter=100_000,
-                       n_holdout=1000, holdout_seed=1234):
-    """SPD matrix A whose ellipsoid {x: ||Ax|| <= 1} circumscribes the unit
-    ball of ``rho`` with minimal volume (approximately).
-
-    Certifies, on a held-out direction set, that
-        ||A e|| <= (1 + cert_tol) rho(e)   and
-        rho(e) <= (1 + cert_tol) sqrt(d) ||A e||,
-    raising EllipsoidError otherwise. ``tol`` controls the Frank-Wolfe
-    convergence target d(1+eps) with eps = tol (2 + tol).
-    """
-    d = rho.dim
-    if d == 1:
-        val = float(rho(np.ones((1, 1)))[0])
-        return np.array([[val]])
-    dirs = rho.directions()
-    vals = rho(dirs)
-    if np.any(vals <= 0.0):
-        raise ValidationError("norm vanished on a sampled direction")
-    pts = dirs / vals[:, None]
-    a, _inner = mvee_central(pts, eps=tol * (2.0 + tol), max_iter=max_iter)
-
-    held = holdout_directions(d, n_holdout, holdout_seed)
-    ratio = np.linalg.norm(held @ a.T, axis=1) / rho(held)
-    hi, lo = float(np.max(ratio)), float(np.min(ratio))
-    if hi > 1.0 + cert_tol or lo < 1.0 / ((1.0 + cert_tol) * np.sqrt(d)):
-        raise EllipsoidError(
-            f"ellipsoid certification failed: ratio range [{lo:.6f}, {hi:.6f}] "
-            f"outside [{1.0 / ((1.0 + cert_tol) * np.sqrt(d)):.6f}, {1.0 + cert_tol:.6f}]",
-            last_matrix=a, achieved=hi, bound=1.0 + cert_tol)
-    return a

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import (FilteredSpace, cond_expect, cond_expect_leaf,
-                         martingale_of, lp_norm)
-from .linalg import ValidationError, matvec, spectral_norm, spd_power
+from .filtration import FilteredSpace, cond_expect, martingale_of, lp_norm
+from .linalg import ValidationError, matvec, spd_power
 from .weights import as_weight
 
 MODES = ("increments", "first_value", "with_mean")
@@ -38,10 +37,20 @@ def _diff_stack(mart, mode):
     return np.concatenate([mart.leaf_levels[:1], mart.diffs], axis=0)
 
 
+def _leaf_l2(stack):
+    """Per leaf the l2 norm over a (K, L, d) stack of increments."""
+    return np.sqrt(np.sum(stack * stack, axis=(0, 2)))
+
+
+def _conjugated_diffs(wp, mart, mode="increments"):
+    """(K, L, d) stack W^{1/p}(l) d_k g(l) of the mode's increments of the
+    martingale of g, conjugated by the leaf values wp of W^{1/p}."""
+    return np.einsum("lij,klj->kli", wp, _diff_stack(mart, mode))
+
+
 def square_fn(space, mart, mode="increments"):
     """Unweighted square function: per leaf the l2 sum of increments."""
-    diffs = _diff_stack(mart, mode)
-    return np.sqrt(np.sum(diffs * diffs, axis=(0, 2)))
+    return _leaf_l2(_diff_stack(mart, mode))
 
 
 def weighted_square_fn(space, W, p, f, pair=None, mode="increments"):
@@ -49,11 +58,8 @@ def weighted_square_fn(space, W, p, f, pair=None, mode="increments"):
     W = as_weight(W)
     wp, wm = _weight_powers(W, p, pair)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    g = matvec(wm, f)
-    mart = martingale_of(space, g)
-    diffs = _diff_stack(mart, mode)
-    conj = np.einsum("lij,klj->kli", wp, diffs)
-    return np.sqrt(np.sum(conj * conj, axis=(0, 2)))
+    mart = martingale_of(space, matvec(wm, f))
+    return _leaf_l2(_conjugated_diffs(wp, mart, mode))
 
 
 def _weight_powers(W, p, pair):
@@ -62,15 +68,14 @@ def _weight_powers(W, p, pair):
     return spd_power(W.mats, 1.0 / p), spd_power(W.mats, -1.0 / p)
 
 
-def reduced_maximal(space, W, p, pair, f):
-    """Maximal function of the reducer-normalized weighted average:
-    per leaf, max over levels n of E_n ||dual_n^{-1} W^{-1/p} f||."""
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    h = matvec(pair.wm, f)
+def reduced_maximal(an):
+    """Maximal function of the reducer-normalized weighted average of the
+    analysis context ``an``: per leaf, max over levels n of
+    E_n ||dual_n^{-1} W^{-1/p} f||."""
+    space = an.space
     best = np.full(space.n_leaves, -np.inf)
     for n in range(space.depth + 1):
-        vals = np.linalg.norm(matvec(space.expand(n, pair.dual_inv[n]), h), axis=1)
-        np.maximum(best, cond_expect_leaf(space, vals, n), out=best)
+        np.maximum(best, space.expand(n, an.level_average(n)), out=best)
     return best
 
 
@@ -109,37 +114,16 @@ class SparseFamily:
         return cls(space, (SparseSet(1, -1, 0, np.array([0])),))
 
 
-def _normalized_averages(space, pair, f):
-    """Per level n: E_n ||dual_n^{-1} W^{-1/p} f|| as a per-atom array."""
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    h = matvec(pair.wm, f)
-    cache = {}
-
-    def level(n):
-        if n not in cache:
-            vals = np.linalg.norm(
-                matvec(space.expand(n, pair.dual_inv[n]), h), axis=1)
-            cache[n] = cond_expect(space, vals, n)
-        return cache[n]
-
-    return level
-
-
-def sparse_operator(space, W, p, pair, family, r, f):
-    """Sparse operator T_{W,r} over the family:
-    per leaf (sum over containing sets of
+def sparse_operator(an, family, r):
+    """Sparse operator T_{W,r} of the analysis context ``an`` over the
+    family: per leaf (sum over containing sets of
       ||W^{1/p}(l) dual_{k2}||^r (E_{k2} ||dual_{k2}^{-1} W^{-1/p} f||)^r)^{1/r}."""
     if r < 1:
         raise ValidationError("r must be >= 1")
-    level_avg = _normalized_averages(space, pair, f)
-    acc = np.zeros(space.n_leaves)
+    acc = np.zeros(an.space.n_leaves)
     for s in family.sets:
-        leaves = s.leaf_indices(space)
-        if leaves.size == 0:
-            continue
-        atom_of = space.atom_of_leaf[s.kappa2][leaves]
-        norms = spectral_norm(pair.wp[leaves] @ pair.dual[s.kappa2][atom_of])
-        acc[leaves] += (norms * level_avg(s.kappa2)[atom_of]) ** r
+        leaves = s.leaf_indices(an.space)
+        acc[leaves] += an.set_term(s.kappa2, leaves) ** r
     return acc ** (1.0 / r)
 
 

@@ -7,8 +7,11 @@ divided by den = E_n ||dual_n^{-1} g||:
   * diff ratio at m:  (sum_{i=n+1}^{m} ||dual_n^{-1} d_i g||^2)^{1/2} / den
   * avg ratio at m:   ||dual_n^{-1} E_m g|| / den
 
-with the convention that a ratio is 0 wherever den <= 1e-14 (matching the
-vanishing-average indicator). Principal sets are produced generation by
+with the convention that a ratio is 0 wherever den = 0 (the
+vanishing-average indicator). den averages non-negative norms, so it is 0
+exactly where g vanishes on the atom, and then both numerators vanish too;
+a positive den is a genuine scale however small f or the atom is, so no
+absolute cut-off applies. Principal sets are produced generation by
 generation: the first generation stops at the first level where the
 combined ratio becomes positive, later generations at the first exceedance
 of the threshold C. Each set P lives at its stopping level kappa2(P), and
@@ -24,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import cond_expect, cond_expect_leaf, martingale_of
-from .linalg import ValidationError, matvec, spectral_norm
-from .operators import SparseFamily, SparseSet, sparse_operator, weighted_square_fn
-from .weights import as_weight
+from .linalg import ValidationError, matvec
+from .operators import SparseFamily, SparseSet, sparse_operator
 
-ZERO_DEN = 1e-14
+ZERO_SPARSE = 1e-14
 POSITIVITY = 1e-12
 INF = np.inf
 
@@ -81,30 +82,18 @@ class FluctuationTable:
 
     @property
     def ratio(self):
-        live = self.den > ZERO_DEN
+        live = self.den > 0.0
         num = np.maximum(self.diff_num, self.avg_num)
         return np.where(live, num / np.where(live, self.den, 1.0), 0.0)
 
-    def diff_ratio(self, m):
-        live = self.den > ZERO_DEN
-        return np.where(live, self.diff_num[m] / np.where(live, self.den, 1.0), 0.0)
 
-    def avg_ratio(self, m):
-        live = self.den > ZERO_DEN
-        return np.where(live, self.avg_num[m] / np.where(live, self.den, 1.0), 0.0)
-
-
-def fluctuation_table(space, W, p, pair, f, base):
-    """FluctuationTable of g = W^{-1/p} f relative to the given base level."""
+def fluctuation_table(space, mart, dual_inv, average, base):
+    """FluctuationTable relative to the base level of g, given its martingale
+    ``mart``, the level-base inverse dual reducers ``dual_inv`` (one per
+    atom) and the per-atom level averages E_base ||dual_base^{-1} g||."""
     if not 0 <= base < space.depth:
         raise ValidationError("base level must satisfy 0 <= base < depth")
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    g = matvec(pair.wm, f)
-    mart = martingale_of(space, g)
-    dual_inv = space.expand(base, pair.dual_inv[base])
-    den = cond_expect_leaf(
-        space, np.linalg.norm(matvec(dual_inv, g), axis=1), base)
-
+    dual_inv = space.expand(base, dual_inv)
     depth, n_leaves = space.depth, space.n_leaves
     diff_num = np.zeros((depth + 1, n_leaves))
     avg_num = np.zeros((depth + 1, n_leaves))
@@ -113,28 +102,8 @@ def fluctuation_table(space, W, p, pair, f, base):
         acc = acc + np.sum(matvec(dual_inv, mart.diff(m)) ** 2, axis=1)
         diff_num[m] = np.sqrt(acc)
         avg_num[m] = np.linalg.norm(matvec(dual_inv, mart.leaf_levels[m]), axis=1)
-    return FluctuationTable(base=base, den=den, diff_num=diff_num,
-                            avg_num=avg_num)
-
-
-def halving_check(space, W, p, pair, f, n, threshold, leaves):
-    """True iff, inside the level-n measurable set given by ``leaves``, the
-    exceedance event {sup_{m>n} ratio > threshold} carries at most the mass
-    of its complement."""
-    leaves = np.asarray(leaves, dtype=np.intp)
-    atoms = np.unique(space.atom_of_leaf[n][leaves])
-    covered = np.concatenate([
-        np.arange(space.offsets[n][a], space.offsets[n][a + 1]) for a in atoms
-    ]) if atoms.size else np.empty(0, dtype=np.intp)
-    if not np.array_equal(np.sort(leaves), covered):
-        raise ValidationError("set is not a union of level-n atoms")
-    if leaves.size == 0 or n >= space.depth:
-        return True  # nothing above the base level: empty supremum
-    table = fluctuation_table(space, W, p, pair, f, n)
-    sup = table.ratio[n + 1:, leaves].max(axis=0)
-    probs = space.leaf_probs[leaves]
-    return float(probs[sup > threshold].sum()) <= float(
-        probs[sup <= threshold].sum()) + 1e-15
+    return FluctuationTable(base=base, den=space.expand(base, average),
+                            diff_num=diff_num, avg_num=avg_num)
 
 
 @dataclass(frozen=True)
@@ -192,8 +161,8 @@ class PrincipalFamily:
             for s in self.sets))
 
 
-def build_principal_family(space, W, p, pair, f, threshold=None):
-    """Generation-by-generation principal sets for (space, W, p, f).
+def build_principal_family(an, threshold=None):
+    """Generation-by-generation principal sets of the analysis context ``an``.
 
     Generation 1 stops at the first level where the fluctuation ratio
     exceeds the positivity threshold 1e-12; every later generation stops at
@@ -202,22 +171,15 @@ def build_principal_family(space, W, p, pair, f, threshold=None):
     each stopping level strictly increases, so there are at most D
     generations.
     """
-    W = as_weight(W)
     if threshold is None:
         threshold = default_threshold()
-    f = np.asarray(f, dtype=float)
-    tables = {}
-
-    def table(base):
-        if base not in tables:
-            tables[base] = fluctuation_table(space, W, p, pair, f, base)
-        return tables[base]
+    space = an.space
 
     def stopping(base, leaves, cut):
         """Per leaf: first level > base with ratio > cut, else inf."""
         if base >= space.depth:
             return np.full(leaves.size, INF)
-        ratios = table(base).ratio[base + 1:, leaves]
+        ratios = an.table(base).ratio[base + 1:, leaves]
         hit = ratios > cut
         any_hit = hit.any(axis=0)
         first = base + 1 + hit.argmax(axis=0)
@@ -254,7 +216,7 @@ def build_principal_family(space, W, p, pair, f, threshold=None):
                     sets.append(ps)
         frontier = next_frontier
 
-    return PrincipalFamily(space=space, weight=W, p=p, f=f,
+    return PrincipalFamily(space=space, weight=an.weight, p=an.p, f=an.f,
                            threshold=float(threshold), sets=tuple(sets))
 
 
@@ -262,39 +224,7 @@ def build_principal_family(space, W, p, pair, f, threshold=None):
 # property checks
 # ---------------------------------------------------------------------------
 
-def _weighted_diff_norms(space, pair, f, first_value=False):
-    """(D, L) array of ||W^{1/p}(l) d_k g(l)|| for k = 1..D."""
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    g = matvec(pair.wm, f)
-    mart = martingale_of(space, g)
-    diffs = mart.first_value_diffs() if first_value else mart.diffs
-    return np.linalg.norm(np.einsum("lij,klj->kli", pair.wp, diffs), axis=2)
-
-
-def _set_term(space, pair, f, s, level_avg):
-    """Per-leaf values of ||W^{1/p} dual_{k2}|| E_{k2}||dual_{k2}^{-1} g||
-    on the leaves of the sparse or principal set s."""
-    atom_of = space.atom_of_leaf[s.kappa2][s.leaves]
-    norms = spectral_norm(pair.wp[s.leaves] @ pair.dual[s.kappa2][atom_of])
-    return norms * level_avg(s.kappa2)[atom_of]
-
-
-def _level_average_fn(space, pair, f):
-    f2 = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    h = matvec(pair.wm, f2)
-    cache = {}
-
-    def level(n):
-        if n not in cache:
-            vals = np.linalg.norm(
-                matvec(space.expand(n, pair.dual_inv[n]), h), axis=1)
-            cache[n] = cond_expect(space, vals, n)
-        return cache[n]
-
-    return level
-
-
-def check_properties(family, space, W, p, pair, f, tol=1e-10):
+def check_properties(an, family, tol=1e-10):
     """Structural and quantitative properties of the built family.
 
     Returns a dict with one boolean per property:
@@ -312,15 +242,8 @@ def check_properties(family, space, W, p, pair, f, tol=1e-10):
     informationally (the quantitative claims are stated for later
     generations; generation 1 satisfies them by the same construction).
     """
-    W = as_weight(W)
+    space, table = an.space, an.table
     C = family.threshold
-    tables = {}
-
-    def table(base):
-        if base not in tables:
-            tables[base] = fluctuation_table(space, W, p, pair, f, base)
-        return tables[base]
-
     report = {"threshold": C, "tol": tol}
     escapes = [s.escape for s in family.sets]
     all_escape = np.concatenate(escapes) if escapes else np.empty(0, dtype=np.intp)
@@ -402,67 +325,53 @@ def check_properties(family, space, W, p, pair, f, tol=1e-10):
     return report
 
 
-def tail_energy(family, space, W, p, f, m, pair=None):
-    """Per-leaf tail energy of generation m: on each set of generation m,
-    (sum_{k > kappa2} ||W^{1/p} d_k g||^2)^{1/2}; zero elsewhere or when the
-    generation is empty."""
-    W = as_weight(W)
-    if pair is None:
-        raise ValidationError("tail_energy needs the reducing pair for W^{1/p}")
-    if m > space.depth:
-        return np.zeros(space.n_leaves)
-    wnorm = _weighted_diff_norms(space, pair, f)
+def _tail_squares(an, family, m):
+    """Per leaf, on each set of generation m, sum_{k > kappa2}
+    ||W^{1/p} d_k g||^2; zero elsewhere or when the generation is empty."""
+    space = an.space
     out = np.zeros(space.n_leaves)
+    if m > space.depth:
+        return out
+    wnorm = an.increment_norms()
     for s in family.generation(m):
         if s.kappa2 < space.depth:
-            out[s.leaves] = np.sqrt(
-                np.sum(wnorm[s.kappa2:, s.leaves] ** 2, axis=0))
+            out[s.leaves] = np.sum(wnorm[s.kappa2:, s.leaves] ** 2, axis=0)
     return out
 
 
-def iteration_check(family, space, W, p, pair, f, tol=1e-10):
+def tail_energy(an, family, m):
+    """Per-leaf tail energy of generation m: on each set of generation m,
+    (sum_{k > kappa2} ||W^{1/p} d_k g||^2)^{1/2}; zero elsewhere or when the
+    generation is empty."""
+    return np.sqrt(_tail_squares(an, family, m))
+
+
+def iteration_check(an, family, tol=1e-10):
     """Verify the iterated tail-energy inequality pointwise for every cut N:
     b_1^2 <= b_N^2 + K sum_{m<=N} sum_{P_m} T(P_m) chi_{P_m}, with the
     derived K = iteration_constant(threshold); T is the squared sparse term
     of the set. Returns the report with the worst slack."""
-    W = as_weight(W)
     k_it = iteration_constant(family.threshold)
-    level_avg = _level_average_fn(space, pair, f)
-    wnorm = _weighted_diff_norms(space, pair, f)
-
-    def b_squared(m):
-        out = np.zeros(space.n_leaves)
-        for s in family.generation(m):
-            if s.kappa2 < space.depth:
-                out[s.leaves] = np.sum(wnorm[s.kappa2:, s.leaves] ** 2, axis=0)
-        return out
-
-    b1 = b_squared(1)
+    b1 = _tail_squares(an, family, 1)
     max_gen = max((s.generation for s in family.sets), default=0)
-    running = np.zeros(space.n_leaves)
+    running = np.zeros(an.space.n_leaves)
     worst = -np.inf
     for n_cut in range(1, max_gen + 2):
         for s in family.generation(n_cut):
-            vals = _set_term(space, pair, f, s, level_avg)
-            running[s.leaves] += vals ** 2
-        bn = b_squared(n_cut) if n_cut <= max_gen else np.zeros(space.n_leaves)
-        slack = b1 - bn - k_it * running
+            running[s.leaves] += an.set_term(s.kappa2, s.leaves) ** 2
+        slack = b1 - _tail_squares(an, family, n_cut) - k_it * running
         worst = max(worst, float(slack.max(initial=-np.inf)))
     scale = max(1.0, float(b1.max(initial=0.0)))
     return {"constant": k_it, "worst_slack": worst,
             "ok": bool(worst <= tol * scale), "tol": tol}
 
 
-def vanish_checks(family, space, W, p, pair, f, tol=1e-10):
+def vanish_checks(an, family, tol=1e-10):
     """(i) The weighted square function vanishes off the first generation;
     (ii) on each first-generation set there is no weighted difference energy
     below the stopping level. Returns measured maxima and booleans."""
-    W = as_weight(W)
-    s_public = weighted_square_fn(space, W, p, f, pair=pair)
-    never = family.first_stop_never()
-    off_value = float(s_public[never].max(initial=0.0))
-
-    wnorm = _weighted_diff_norms(space, pair, f)
+    off_value = float(an.square()[family.first_stop_never()].max(initial=0.0))
+    wnorm = an.increment_norms()
     below = 0.0
     for s in family.generation(1):
         if s.kappa2 >= 2:
@@ -474,7 +383,7 @@ def vanish_checks(family, space, W, p, pair, f, tol=1e-10):
             "tol": tol}
 
 
-def sparse_domination_check(space, W, p, pair, f, threshold=None, family=None):
+def sparse_domination_check(an, threshold=None, family=None):
     """Pointwise domination of the weighted square function by the r = 2
     sparse operator of the generated family.
 
@@ -484,14 +393,13 @@ def sparse_domination_check(space, W, p, pair, f, threshold=None, family=None):
     ratio, the bound, and the pass flag; a leaf where the square function
     exceeds 1e-10 while the sparse operator is below 1e-14 is a hard fail.
     """
-    W = as_weight(W)
     if threshold is None:
         threshold = default_threshold()
     if family is None:
-        family = build_principal_family(space, W, p, pair, f, threshold)
-    s_fn = weighted_square_fn(space, W, p, f, pair=pair, mode="first_value")
-    t_fn = sparse_operator(space, W, p, pair, family.to_sparse_family(), 2.0, f)
-    dead = t_fn <= ZERO_DEN
+        family = build_principal_family(an, threshold)
+    s_fn = an.square("first_value")
+    t_fn = sparse_operator(an, family.to_sparse_family(), 2.0)
+    dead = t_fn <= ZERO_SPARSE
     hard_fail = bool(np.any(dead & (s_fn > 1e-10)))
     ratio = np.where(dead, 0.0, s_fn / np.where(dead, 1.0, t_fn))
     bound = domination_constant(threshold)

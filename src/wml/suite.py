@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Analysis
 from .filtration import build_from_tree, cond_expect, lp_norm, martingale_of
 from .linalg import EllipsoidError, ValidationError
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
 from .principal import (build_principal_family, check_properties,
-                        default_threshold, fluctuation_table,
-                        iteration_check, sparse_domination_check,
-                        vanish_checks)
+                        default_threshold, iteration_check,
+                        sparse_domination_check, vanish_checks)
 from .weights import (MatrixWeight, ap_characteristic, ap_equivalents,
                       as_weight, build_reducing_pair, conjugate,
                       exchanged_pair, verify_reducing_bounds)
@@ -79,6 +79,9 @@ def random_tree_spec(rng, depth, split_p, max_children):
 def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
                     weight_sigma=1.2, heavy_tail=1.5):
     """Deterministic random instance number ``index`` of the suite."""
+    if depth_range[0] < 1:
+        raise ValidationError(
+            f"suite depths must be at least 1, got the range {depth_range}")
     child_seed = np.random.SeedSequence([seed, index])
     rng = np.random.default_rng(child_seed)
     depth = int(rng.integers(depth_range[0], depth_range[1] + 1))
@@ -101,15 +104,14 @@ def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
                     space=space, weight=weight, f=f)
 
 
-def _halving_check_all_atoms(inst, pair, threshold):
+def _halving_check_all_atoms(an, threshold):
     """Worst exceedance fraction over every (level, atom) pair: the event
     {sup_{m>n} ratio > threshold} may carry at most half of each atom.
     Covering atoms covers every level-n measurable set."""
-    space, W, p, f = inst.space, inst.weight, inst.p, inst.f
+    space = an.space
     worst = 0.0
     for n in range(space.depth):
-        table = fluctuation_table(space, W, p, pair, f, n)
-        sup = table.ratio[n + 1:].max(axis=0)
+        sup = an.table(n).ratio[n + 1:].max(axis=0)
         exceed = np.add.reduceat(space.leaf_probs * (sup > threshold),
                                  space.offsets[n][:-1])
         frac = exceed / space.atom_probs[n]
@@ -118,18 +120,18 @@ def _halving_check_all_atoms(inst, pair, threshold):
                        f"threshold {threshold:g}")
 
 
-def _holder_check(inst, pair, family, tol=1e-10):
+def _holder_check(an, family, tol=1e-10):
     """Pointwise comparison of the r = 2 sparse operator against r = 1 and
     r = p: interpolation for p > 2, plain embedding for p <= 2."""
-    space, W, p, f = inst.space, inst.weight, inst.p, inst.f
+    p = an.p
     sparse = family.to_sparse_family()
-    t2 = sparse_operator(space, W, p, pair, sparse, 2.0, f)
-    tp = sparse_operator(space, W, p, pair, sparse, p, f)
+    t2 = sparse_operator(an, sparse, 2.0)
+    tp = sparse_operator(an, sparse, p)
     if p <= 2.0:
         gap = float(np.max(t2 - tp, initial=-np.inf))
         return CheckResult("sparse_embedding", gap <= tol, gap, tol,
                            "T_2 <= T_p pointwise")
-    t1 = sparse_operator(space, W, p, pair, sparse, 1.0, f)
+    t1 = sparse_operator(an, sparse, 1.0)
     theta = p / (2.0 * p - 2.0)
     rhs = t1 ** (1.0 - theta) * tp ** theta
     gap = float(np.max(t2 - rhs * (1.0 + 1e-12), initial=-np.inf))
@@ -177,7 +179,7 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
     """
     if threshold is None:
         threshold = default_threshold()
-    space, W, p, f = inst.space, inst.weight, inst.p, inst.f
+    space, W, p = inst.space, inst.weight, inst.p
     d = W.dim
     results = []
     try:
@@ -188,6 +190,7 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
                             float(exc.bound), str(exc))], \
             {"depth": space.depth, "d": d, "p": p,
              "n_leaves": space.n_leaves, "square_mode": square_mode}
+    an = Analysis(pair, inst.f)
 
     if pair.certificate:
         lo = min(pair.certificate["primal"]["low"],
@@ -221,39 +224,38 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
     results.append(CheckResult("dual_exponent_identity", rel <= 1e-8, rel, 1e-8,
                                f"[V]={ap_dual:.6g} [W]^(q-1)={target:.6g}"))
 
-    results.append(_halving_check_all_atoms(inst, pair, threshold))
+    results.append(_halving_check_all_atoms(an, threshold))
 
-    family = build_principal_family(space, W, p, pair, f, threshold)
-    rep = check_properties(family, space, W, p, pair, f)
+    family = build_principal_family(an, threshold)
+    rep = check_properties(an, family)
     results.append(CheckResult(
         "principal_properties", rep["ok"],
         max(rep["worst_window_slack"], rep["worst_escape_slack"]), rep["tol"],
         f"max generation {rep['max_generation']}"))
 
-    it = iteration_check(family, space, W, p, pair, f)
+    it = iteration_check(an, family)
     results.append(CheckResult("tail_iteration", it["ok"], it["worst_slack"],
                                it["tol"], f"constant {it['constant']:.4g}"))
 
-    van = vanish_checks(family, space, W, p, pair, f)
+    van = vanish_checks(an, family)
     results.append(CheckResult(
         "vanishing", van["ok"],
         max(van["off_first_generation_max"], van["below_stop_max"]),
         van["tol"]))
 
-    dom = sparse_domination_check(space, W, p, pair, f, threshold, family)
+    dom = sparse_domination_check(an, threshold, family)
     results.append(CheckResult(
         "pointwise_domination", dom["ok"], dom["max_ratio"], dom["bound"],
         "hard fail" if dom["hard_fail"] else ""))
 
-    results.append(_holder_check(inst, pair, family))
+    results.append(_holder_check(an, family))
 
     if with_scalar:
         rng = np.random.default_rng(np.random.SeedSequence(
             [inst.seed, inst.index, 1]))
         results.extend(_scalar_checks(inst, rng))
 
-    square_lp = lp_norm(space, weighted_square_fn(
-        space, W, p, f, pair=pair, mode=square_mode), p)
+    square_lp = lp_norm(space, an.square(square_mode), p)
     return results, {"ap_char": ap, "max_ratio": dom["max_ratio"],
                      "q1_over_ap": q1 / ap, "q2_over_ap": q2 / ap,
                      "depth": space.depth, "d": d, "p": p,

@@ -167,36 +167,55 @@ def _fit_reducers(space, mats, power, levels, tol, cert_tol, seed,
 
     cert = {"low": np.inf, "high": -np.inf}
     if multis:
-        dirs = direction_set(d, seed=seed)
-        cums = _atom_norm_powers(space, mats, dirs, power)
         starts = np.array([k[0] for k in multis])
         stops = np.array([k[1] for k in multis])
         masses = np.array([space.leaf_probs[s:e].sum() for s, e in multis])
-        rho = ((cums[stops] - cums[starts]) / masses[:, None]) ** (1.0 / power)
-        if np.any(rho <= 0.0):
-            raise ValidationError("atom norm vanished on a sampled direction")
-        pts = dirs[None, :, :] / rho[:, :, None]
-        fitted, _ = mvee_central(pts, eps=tol * (2.0 + tol), max_iter=max_iter)
 
-        held = holdout_directions(d, n_holdout, seed + 97)
-        hcums = _atom_norm_powers(space, mats, held, power)
-        hrho = ((hcums[stops] - hcums[starts]) / masses[:, None]) ** (1.0 / power)
-        ratio = np.linalg.norm(np.einsum("kij,nj->kni", fitted, held), axis=2) / hrho
-        lo, hi = float(ratio.min()), float(ratio.max())
-        cert = {"low": lo, "high": hi}
-        window_lo = 1.0 / ((1.0 + cert_tol) * np.sqrt(d))
-        high_side = hi > 1.0 + cert_tol
-        if high_side or lo < window_lo:
-            raise EllipsoidError(
-                f"reducer certification failed: held-out ratio range "
-                f"[{lo:.6f}, {hi:.6f}] for tol {cert_tol}",
-                last_matrix=fitted[int(np.argmax(ratio.max(axis=1)))],
-                achieved=hi if high_side else lo,
-                bound=1.0 + cert_tol if high_side else window_lo)
+        def rho(dirs):
+            cums = _atom_norm_powers(space, mats, dirs, power)
+            return ((cums[stops] - cums[starts]) / masses[:, None]) ** (1.0 / power)
+
+        fitted, cert = _certified_fit(rho, d, tol, cert_tol, seed,
+                                      max_iter=max_iter, n_holdout=n_holdout)
         for i, key in enumerate(multis):
             for n, a in nodes[key]:
                 out[n][a] = fitted[i]
     return out, cert
+
+
+def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
+                   n_holdout=1000):
+    """Circumscribed Loewner ellipsoids of K norm balls on R^d, d >= 2.
+
+    ``rho`` maps an (N, d) array of unit directions to the (K, N) values of
+    the K norms. Each ball is sampled on ``direction_set(d, seed=seed)`` and
+    fitted by mvee_central to the target d(1 + eps), eps = tol (2 + tol).
+    The fit is certified on held-out directions: ||A e|| <= (1 + cert_tol)
+    rho(e) and rho(e) <= (1 + cert_tol) sqrt(d) ||A e||, or EllipsoidError
+    is raised. Returns the (K, d, d) matrices A and the worst held-out
+    ratios {"low", "high"} of ||A e|| / rho(e).
+    """
+    dirs = direction_set(d, seed=seed)
+    vals = rho(dirs)
+    if np.any(vals <= 0.0):
+        raise ValidationError("atom norm vanished on a sampled direction")
+    pts = dirs[None, :, :] / vals[:, :, None]
+    fitted, _ = mvee_central(pts, eps=tol * (2.0 + tol), max_iter=max_iter)
+
+    held = holdout_directions(d, n_holdout, seed + 97)
+    ratio = np.linalg.norm(np.einsum("kij,nj->kni", fitted, held), axis=2) \
+        / rho(held)
+    lo, hi = float(ratio.min()), float(ratio.max())
+    window_lo = 1.0 / ((1.0 + cert_tol) * np.sqrt(d))
+    high_side = hi > 1.0 + cert_tol
+    if high_side or lo < window_lo:
+        raise EllipsoidError(
+            f"reducer certification failed: held-out ratio range "
+            f"[{lo:.6f}, {hi:.6f}] for tol {cert_tol}",
+            last_matrix=fitted[int(np.argmax(ratio.max(axis=1)))],
+            achieved=hi if high_side else lo,
+            bound=1.0 + cert_tol if high_side else window_lo)
+    return fitted, {"low": lo, "high": hi}
 
 
 def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from wml.analysis import Analysis
 from wml.cli import main as cli_main
 from wml.experiments import (SweepConfig, leaf_scale_sweep,
                              matrix_target_exponent, opnorm_power_iteration,
@@ -149,11 +150,10 @@ def test_criterion_6_vanishing_and_iteration(battery):
         inst = random_instance(i, seed=SEED)
         pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2,
                                    seed=SEED + i)
-        fam = build_principal_family(inst.space, inst.weight, inst.p, pair,
-                                     inst.f)
+        an = Analysis(pair, inst.f)
+        fam = build_principal_family(an)
         for m in (inst.space.depth + 1, inst.space.depth + 3):
-            te = tail_energy(fam, inst.space, inst.weight, inst.p, inst.f, m,
-                             pair=pair)
+            te = tail_energy(an, fam, m)
             assert np.all(te == 0.0)
     print("\nPASS criterion 6: vanishing and iteration inequalities on the "
           "suite; tail energies vanish identically beyond the depth")

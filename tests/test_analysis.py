@@ -1,0 +1,77 @@
+"""The analysis context computes each derived quantity of an instance once."""
+
+import inspect
+import sys
+
+import numpy as np
+import pytest
+
+from wml import filtration, linalg, principal
+from wml.analysis import Analysis
+from wml.filtration import build_dyadic
+from wml.linalg import ValidationError
+from wml.operators import sparse_operator
+from wml.suite import instance_checks, random_instance
+from wml.weights import as_weight, build_reducing_pair
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace every binding of ``module.name`` in the wml modules by a
+    wrapper that records the bound arguments of each call."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "wml" or mod_name.startswith("wml.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_instance_checks_builds_each_table_and_martingale_once(monkeypatch):
+    tables = _count_calls(monkeypatch, principal, "fluctuation_table")
+    marts = _count_calls(monkeypatch, filtration, "martingale_of")
+    kept = []
+    for index in range(3):                     # d = 1, 2, 3
+        inst = random_instance(index, seed=7, depth_range=(8, 8))
+        kept.append(inst)
+        del marts[:]
+        results, _ = instance_checks(inst, with_scalar=False)
+        assert all(r.passed for r in results)
+        assert len(marts) == 1                 # the martingale of g
+    keys = [(id(c["space"]), c["base"]) for c in tables]
+    assert len(keys) == len(set(keys))
+    # the halving check reads every base level of every instance
+    assert set(keys) == {(id(inst.space), n) for inst in kept
+                         for n in range(inst.space.depth)}
+
+
+def test_sparse_terms_are_shared_across_exponents(monkeypatch):
+    inst = random_instance(1, seed=7, depth_range=(6, 6))
+    pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2,
+                               seed=inst.seed + inst.index)
+    an = Analysis(pair, inst.f)
+    family = principal.build_principal_family(an).to_sparse_family()
+    norms = _count_calls(monkeypatch, linalg, "spectral_norm")
+    t2 = sparse_operator(an, family, 2.0)
+    assert len(norms) == len(family.sets)
+    assert np.array_equal(sparse_operator(an, family, 2.0), t2)
+    sparse_operator(an, family, 1.0)
+    sparse_operator(an, family, inst.p)
+    assert len(norms) == len(family.sets)
+
+
+def test_analysis_rejects_function_of_the_wrong_shape():
+    sp = build_dyadic(3)
+    pair = build_reducing_pair(sp, as_weight(np.ones(8)), 2.0)
+    with pytest.raises(ValidationError, match=r"\(8, 1\).*\(8, 3\)"):
+        Analysis(pair, np.ones((8, 3)))
+    with pytest.raises(ValidationError, match=r"\(4,\)"):
+        Analysis(pair, np.ones(4))
+    assert Analysis(pair, np.ones(8)).f.shape == (8, 1)

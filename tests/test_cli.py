@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from wml.cli import main
@@ -81,6 +82,33 @@ def test_check_zero_instances_is_usage_error(tmp_path, capsys):
     assert run(["check", "--instances", "0", "--out", str(tmp_path)]) == 1
     assert "--instances" in capsys.readouterr().err
     assert not (tmp_path / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--depth", "depths must be at least 1"),
+    ("--p", "p must lie in (1, inf)"),
+    ("--d", "not d = 0"),
+], ids=["depth", "p", "d"])
+def test_check_zero_flag_reaches_validation(tmp_path, capsys, flag, message):
+    # a zero value is not the default: it is checked and rejected
+    assert run(["check", flag, "0", "--instances", "1",
+                "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_check_function_of_the_wrong_shape_is_usage_error(tmp_path, capsys):
+    # no weight file: d = 1, so an 8 x 3 function file does not fit
+    from wml.filtration import build_dyadic
+    from wml.io import save_function_csv, save_tree
+    save_tree(tmp_path / "tree.json", build_dyadic(3))
+    save_function_csv(tmp_path / "function.csv", np.ones((8, 3)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": str(tmp_path / "tree.json"),
+                               "function": str(tmp_path / "function.csv")}))
+    assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "(L, d) = (8, 1)" in err and "(8, 3)" in err
 
 
 def test_parallel_check_matches_serial(tmp_path):

@@ -135,6 +135,17 @@ def test_opnorm_ascent_matches_power_iteration():
     assert abs(res.ratio - exact) / exact < 0.02
 
 
+def test_opnorm_ascent_converged_flag():
+    rng = np.random.default_rng(2)
+    sp = build_dyadic(4)
+    W = as_weight(np.exp(rng.normal(0.0, 0.8, 16)))
+    res = opnorm_ascent(sp, W, 2.0, restarts=3, seed=3)
+    assert res.converged and res.iterations < 3 * 200
+    # two iterations cannot reach a stopping rule: every restart is capped
+    capped = opnorm_ascent(sp, W, 2.0, restarts=3, seed=3, max_iter=2)
+    assert not capped.converged and capped.iterations == 3 * 2
+
+
 def test_opnorm_ascent_grid_oracle_depth2():
     # exhaustive spherical grid over the 4-dimensional function space
     rng = np.random.default_rng(3)
@@ -179,6 +190,7 @@ def test_opnorm_ascent_witness_reproduces_ratio():
 
 def test_ascent_witness_respects_domination_chain():
     # the norm chain ||S_W f||_p <= K ||T_{W,2} f||_p holds for the witness
+    from wml.analysis import Analysis
     from wml.operators import sparse_operator
     from wml.principal import sparse_domination_check
     rng = np.random.default_rng(6)
@@ -189,10 +201,10 @@ def test_ascent_witness_respects_domination_chain():
     p = 2.0
     pair = build_reducing_pair(sp, W, p, tol=2e-2)
     res = opnorm_ascent(sp, W, p, restarts=2, seed=7, pair=pair)
-    dom = sparse_domination_check(sp, W, p, pair, res.witness)
+    an = Analysis(pair, res.witness)
+    dom = sparse_domination_check(an)
     assert dom["ok"]
-    t = sparse_operator(sp, W, p, pair, dom["family"].to_sparse_family(),
-                        2.0, res.witness)
+    t = sparse_operator(an, dom["family"].to_sparse_family(), 2.0)
     s = weighted_square_fn(sp, W, p, res.witness, pair=pair,
                            mode="first_value")
     assert lp_norm(sp, s, p) <= dom["bound"] * lp_norm(sp, t, p) + 1e-12

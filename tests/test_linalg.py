@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wml.linalg import (EllipsoidError, NormSampler, ValidationError,
-                        _design_update, _quad, direction_set, jacobi_eigh,
-                        mvee_central, norm_ball_reducing, spd_power,
-                        spectral_norm)
+from wml.linalg import (EllipsoidError, ValidationError, _design_update,
+                        _quad, direction_set, jacobi_eigh, mvee_central,
+                        spd_power, spectral_norm)
+from wml.weights import _certified_fit
 
 
 def test_jacobi_matches_lapack_oracle():
@@ -69,25 +69,29 @@ def test_spectral_norm_charpoly_oracle():
                 _charpoly_largest_singular(m), rel=1e-10)
 
 
+def _fit_one(norm):
+    """Certified fit of the unit ball of a single norm on R^2."""
+    fitted, cert = _certified_fit(lambda e: norm(e)[None], 2, tol=1e-3,
+                                  cert_tol=5e-2, seed=0)
+    assert cert["high"] <= 1.0 + 5e-2
+    return fitted[0]
+
+
 def test_mvee_euclidean_ball_is_identity():
-    rho = NormSampler(2, lambda e: np.linalg.norm(e, axis=1))
-    a = norm_ball_reducing(rho, tol=1e-3)
+    a = _fit_one(lambda e: np.linalg.norm(e, axis=1))
     assert np.max(np.abs(a - np.eye(2))) < 2e-3
 
 
 def test_mvee_linear_image():
     d_mat = np.diag([0.5, 3.0])
-    rho = NormSampler(2, lambda e: np.linalg.norm(e @ d_mat.T, axis=1))
-    a = norm_ball_reducing(rho, tol=1e-3)
+    a = _fit_one(lambda e: np.linalg.norm(e @ d_mat.T, axis=1))
     assert np.max(np.abs(a - d_mat)) < 1e-2
 
 
 def test_mvee_square_gives_circle_over_sqrt2():
     # Loewner ellipsoid of the sup-norm square is the circle of radius
     # sqrt(2), sampled on the standard 720-direction set
-    rho = NormSampler(2, lambda e: np.max(np.abs(e), axis=1))
-    assert rho.n_directions == 720
-    a = norm_ball_reducing(rho, tol=1e-3)
+    a = _fit_one(lambda e: np.max(np.abs(e), axis=1))
     assert np.max(np.abs(a - np.eye(2) / np.sqrt(2.0))) < 2e-3
 
 
@@ -169,13 +173,6 @@ def test_mvee_nonconvergence_error_carries_state():
         mvee_central(pts, eps=1e-12, max_iter=3)
     assert err.value.last_matrix is not None
     assert err.value.achieved > err.value.bound == 1.0 + 1e-12
-
-
-def test_norm_sampler_validates_homogeneity():
-    with pytest.raises(ValidationError):
-        NormSampler(2, lambda e: np.linalg.norm(e, axis=1) + 1.0)
-    with pytest.raises(ValidationError):
-        NormSampler(2, lambda e: np.linalg.norm(e, axis=1) - 10.0)
 
 
 def test_direction_counts_follow_configuration():

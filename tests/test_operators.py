@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wml.analysis import Analysis
 from wml.filtration import (build_dyadic, build_from_tree, cond_expect,
                             cond_expect_leaf, lp_norm, martingale_of)
 from wml.linalg import ValidationError, matvec
@@ -92,8 +93,8 @@ def test_operator_homogeneity():
     sw = weighted_square_fn(sp, W, 2.0, f, pair=pair)
     assert np.allclose(weighted_square_fn(sp, W, 2.0, c * f, pair=pair),
                        abs(c) * sw, rtol=1e-12)
-    mx = reduced_maximal(sp, W, 2.0, pair, f)
-    assert np.allclose(reduced_maximal(sp, W, 2.0, pair, c * f),
+    mx = reduced_maximal(Analysis(pair, f))
+    assert np.allclose(reduced_maximal(Analysis(pair, c * f)),
                        abs(c) * mx, rtol=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_reduced_maximal_is_doob_for_unweighted_scalar():
     w = as_weight(np.ones(sp.n_leaves))
     pair = build_reducing_pair(sp, w, 2.0)
     f = rng.standard_normal(sp.n_leaves)
-    got = reduced_maximal(sp, w, 2.0, pair, f)
+    got = reduced_maximal(Analysis(pair, f))
     doob = np.max([cond_expect_leaf(sp, np.abs(f), n)
                    for n in range(sp.depth + 1)], axis=0)
     assert np.max(np.abs(got - doob)) < 1e-12
@@ -117,7 +118,7 @@ def test_reduced_maximal_exhaustive_oracle():
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     pair = build_reducing_pair(sp, W, 3.0)
     f = rng.standard_normal((8, 2))
-    got = reduced_maximal(sp, W, 3.0, pair, f)
+    got = reduced_maximal(Analysis(pair, f))
     h = matvec(pair.wm, f)
     for leaf in range(8):
         best = -np.inf
@@ -135,7 +136,7 @@ def test_constant_inputs_give_constant_maximal():
     W = MatrixWeight(np.tile(np.diag([2.0, 0.5]), (4, 1, 1)))
     pair = build_reducing_pair(sp, W, 2.0)
     f = np.tile([1.0, -1.0], (4, 1))
-    vals = reduced_maximal(sp, W, 2.0, pair, f)
+    vals = reduced_maximal(Analysis(pair, f))
     assert np.ptp(vals) < 1e-10
 
 
@@ -146,11 +147,11 @@ def test_sparse_operator_whole_space_identity_weight():
     pair = build_reducing_pair(sp, W, 2.0)
     f = rng.standard_normal((sp.n_leaves, 2))
     fam = SparseFamily.whole_space(sp)
-    t = sparse_operator(sp, W, 2.0, pair, fam, 2.0, f)
+    t = sparse_operator(Analysis(pair, f), fam, 2.0)
     target = float(np.sum(sp.leaf_probs * np.linalg.norm(f, axis=1)))
     assert np.allclose(t, target, rtol=0.1)   # reducers only fit-exact
-    assert np.max(sparse_operator(sp, W, 2.0, pair, fam, 2.0,
-                                  np.zeros_like(f))) == 0.0
+    assert np.max(sparse_operator(Analysis(pair, np.zeros_like(f)), fam,
+                                  2.0)) == 0.0
 
 
 def test_sparse_operator_scalar_example():
@@ -176,7 +177,7 @@ def test_sparse_operator_scalar_matches_matrix_at_d1():
             SparseSet(1, 0, 1, np.arange(sp.n_atoms(1))),
             SparseSet(2, 1, 2, np.arange(0, sp.n_atoms(2), 2)))
     fam = SparseFamily(sp, sets)
-    a = sparse_operator(sp, as_weight(w), 2.0, pair, fam, 2.0, f[:, None])
+    a = sparse_operator(Analysis(pair, f[:, None]), fam, 2.0)
     b = sparse_operator_scalar(sp, w, 2.0, fam, 2.0, f)
     assert np.max(np.abs(a - b)) < 1e-10
 
@@ -193,16 +194,16 @@ def test_sparse_embedding_and_interpolation():
             SparseSet(2, 2, 3, np.arange(0, sp.n_atoms(3), 2)))
     fam = SparseFamily(sp, sets)
     for p in (1.5, 2.0):
-        pair = build_reducing_pair(sp, W, p)
-        t2 = sparse_operator(sp, W, p, pair, fam, 2.0, f)
-        tp = sparse_operator(sp, W, p, pair, fam, p, f)
+        an = Analysis(build_reducing_pair(sp, W, p), f)
+        t2 = sparse_operator(an, fam, 2.0)
+        tp = sparse_operator(an, fam, p)
         assert np.all(t2 <= tp + 1e-10)
     for p in (3.0, 4.0):
-        pair = build_reducing_pair(sp, W, p)
+        an = Analysis(build_reducing_pair(sp, W, p), f)
         theta = p / (2.0 * p - 2.0)
-        t1 = sparse_operator(sp, W, p, pair, fam, 1.0, f)
-        t2 = sparse_operator(sp, W, p, pair, fam, 2.0, f)
-        tp = sparse_operator(sp, W, p, pair, fam, p, f)
+        t1 = sparse_operator(an, fam, 1.0)
+        t2 = sparse_operator(an, fam, 2.0)
+        tp = sparse_operator(an, fam, p)
         rhs = t1 ** (1.0 - theta) * tp ** theta
         assert np.all(t2 <= rhs * (1.0 + 1e-12) + 1e-10)
 

@@ -4,19 +4,26 @@ import math
 import numpy as np
 import pytest
 
+from wml.analysis import Analysis
 from wml.filtration import build_dyadic, build_from_tree
 from wml.operators import weighted_square_fn
 from wml.principal import (build_principal_family, check_properties,
                            default_threshold, domination_constant,
-                           fluctuation_table, halving_check, iteration_check,
-                           iteration_constant, sparse_domination_check,
-                           tail_energy, vanish_checks)
+                           iteration_check, iteration_constant,
+                           sparse_domination_check, tail_energy,
+                           vanish_checks)
+from wml.suite import _halving_check_all_atoms
 from wml.weights import MatrixWeight, as_weight, build_reducing_pair
 
 
 def _uniform_pair(sp, p=2.0):
     w = as_weight(np.ones(sp.n_leaves))
     return w, build_reducing_pair(sp, w, p)
+
+
+def _uniform(sp, f, p=2.0):
+    """Analysis context of f under the unit scalar weight."""
+    return Analysis(_uniform_pair(sp, p)[1], f)
 
 
 def _random_instance(seed, depth=6, d=2, p=3.0, sigma=1.0):
@@ -40,37 +47,34 @@ def _random_instance(seed, depth=6, d=2, p=3.0, sigma=1.0):
         W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, 1.5, (n, 1)))
     pair = build_reducing_pair(sp, W, p, tol=2e-2)
-    return sp, W, p, pair, f
+    return sp, W, p, pair, f, Analysis(pair, f)
 
 
 def test_fluctuation_zero_function():
     sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    t = fluctuation_table(sp, w, 2.0, pair, np.zeros(4), 0)
+    t = _uniform(sp, np.zeros(4)).table(0)
     assert np.max(t.ratio) == 0.0
 
 
 def test_fluctuation_constant_function():
     sp = build_dyadic(3)
-    w, pair = _uniform_pair(sp)
-    t = fluctuation_table(sp, w, 2.0, pair, np.full(8, 4.2), 0)
+    t = _uniform(sp, np.full(8, 4.2)).table(0)
     for m in range(1, 4):
-        assert np.max(t.diff_ratio(m)) == 0.0
-        assert np.allclose(t.avg_ratio(m), 1.0, atol=1e-12)
+        assert np.max(t.diff_num[m]) == 0.0
+        assert np.allclose(t.avg_num[m] / t.den, 1.0, atol=1e-12)
 
 
 def test_fluctuation_hand_example():
     sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    t = fluctuation_table(sp, w, 2.0, pair, np.array([1.0, -1.0, 0.0, 0.0]), 0)
+    t = _uniform(sp, np.array([1.0, -1.0, 0.0, 0.0])).table(0)
     assert np.allclose(t.ratio[1], 0.0, atol=1e-12)
     assert np.allclose(t.ratio[2], [2.0, 2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_fluctuation_adapted_to_target_level():
-    sp, W, p, pair, f = _random_instance(0)
+    sp, W, p, pair, f, an = _random_instance(0)
     for base in (0, 1):
-        t = fluctuation_table(sp, W, p, pair, f, base)
+        t = an.table(base)
         for m in range(base + 1, sp.depth + 1):
             vals = t.ratio[m]
             for lo, hi in sp.atom_slices(m):
@@ -88,67 +92,49 @@ def test_default_threshold_value():
 
 def test_halving_trivial_and_constant():
     sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    f = np.full(4, 1.0)
-    assert halving_check(sp, w, 2.0, pair, f, 0, 2.0,
-                         np.array([], dtype=int))
-    assert halving_check(sp, w, 2.0, pair, f, 0, 2.0, np.arange(4))
+    for f in (np.zeros(4), np.full(4, 1.0)):
+        res = _halving_check_all_atoms(_uniform(sp, f), 2.0)
+        assert res.passed and res.measured == 0.0
 
 
 def test_halving_fails_at_zero_threshold_for_fluctuating_f():
     rng = np.random.default_rng(1)
     sp = build_dyadic(3)
-    w, pair = _uniform_pair(sp)
-    f = rng.standard_normal(8)
-    assert not halving_check(sp, w, 2.0, pair, f, 0, 0.0, np.arange(8))
+    res = _halving_check_all_atoms(_uniform(sp, rng.standard_normal(8)), 0.0)
+    assert not res.passed and res.measured > 0.5
 
 
 def test_halving_random_suite_at_default():
     for seed in range(4):
-        sp, W, p, pair, f = _random_instance(seed + 10)
-        thr = default_threshold()
-        for n in range(sp.depth):
-            for a in range(sp.n_atoms(n)):
-                lo, hi = sp.offsets[n][a], sp.offsets[n][a + 1]
-                assert halving_check(sp, W, p, pair, f, n, thr,
-                                     np.arange(lo, hi))
-
-
-def test_halving_validates_measurability():
-    sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    with pytest.raises(Exception):
-        halving_check(sp, w, 2.0, pair, np.ones(4), 1, 2.0, np.array([0]))
+        an = _random_instance(seed + 10)[-1]
+        res = _halving_check_all_atoms(an, default_threshold())
+        assert res.passed, res
 
 
 def test_family_zero_function_is_empty():
     sp = build_dyadic(3)
-    w, pair = _uniform_pair(sp)
-    fam = build_principal_family(sp, w, 2.0, pair, np.zeros(8))
+    fam = build_principal_family(_uniform(sp, np.zeros(8)))
     assert len(fam.sets) == 0
     assert len(fam.first_stop_never()) == 8
 
 
 def test_family_constant_function_single_omega_set():
     sp = build_dyadic(3)
-    w, pair = _uniform_pair(sp)
-    fam = build_principal_family(sp, w, 2.0, pair, np.full(8, 2.0),
-                                 threshold=2.0)
+    an = _uniform(sp, np.full(8, 2.0))
+    fam = build_principal_family(an, threshold=2.0)
     assert len(fam.sets) == 1
     s = fam.sets[0]
     assert (s.generation, s.kappa1, s.kappa2) == (1, 0, 1)
     assert np.array_equal(s.leaves, np.arange(8))
     assert np.array_equal(s.escape, np.arange(8))
     assert np.all(np.isinf(s.tau))
-    rep = check_properties(fam, sp, w, 2.0, pair, np.full(8, 2.0))
+    rep = check_properties(an, fam)
     assert rep["ok"]
 
 
 def test_family_hand_example():
     sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    fam = build_principal_family(sp, w, 2.0, pair,
-                                 np.array([1.0, -1.0, 0.0, 0.0]))
+    fam = build_principal_family(_uniform(sp, np.array([1.0, -1.0, 0.0, 0.0])))
     assert len(fam.sets) == 1
     s = fam.sets[0]
     assert (s.generation, s.kappa1, s.kappa2) == (1, 0, 2)
@@ -156,8 +142,8 @@ def test_family_hand_example():
 
 
 def test_generation_nesting_and_parent_links():
-    sp, W, p, pair, f = _random_instance(2, depth=8, sigma=1.4)
-    fam = build_principal_family(sp, W, p, pair, f, threshold=2.0)
+    sp, W, p, pair, f, an = _random_instance(2, depth=8, sigma=1.4)
+    fam = build_principal_family(an, threshold=2.0)
     assert any(s.generation >= 2 for s in fam.sets)
     for s in fam.sets:
         if s.generation == 1:
@@ -175,9 +161,9 @@ def test_generation_nesting_and_parent_links():
 
 
 def test_check_properties_random_and_negative_control():
-    sp, W, p, pair, f = _random_instance(3, depth=7, sigma=1.3)
-    fam = build_principal_family(sp, W, p, pair, f)
-    rep = check_properties(fam, sp, W, p, pair, f)
+    sp, W, p, pair, f, an = _random_instance(3, depth=7, sigma=1.3)
+    fam = build_principal_family(an)
+    rep = check_properties(an, fam)
     assert rep["ok"], rep
     # mutate one set: shifting its stopping level breaks measurability or
     # the window bounds
@@ -189,83 +175,79 @@ def test_check_properties_random_and_negative_control():
         atoms=np.unique(sp.atom_of_leaf[s.kappa2 - 1][s.leaves]))
     mutated[victim] = bad
     fam_bad = dataclasses.replace(fam, sets=tuple(mutated))
-    rep_bad = check_properties(fam_bad, sp, W, p, pair, f)
+    rep_bad = check_properties(an, fam_bad)
     assert not rep_bad["ok"]
 
 
 def test_tail_energy_cases():
     sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    f = np.array([1.0, -1.0, 0.0, 0.0])
-    fam = build_principal_family(sp, w, 2.0, pair, f)
+    an = _uniform(sp, np.array([1.0, -1.0, 0.0, 0.0]))
+    fam = build_principal_family(an)
     # kappa2 = 2 = depth: no further increments
-    assert np.max(tail_energy(fam, sp, w, 2.0, f, 1, pair=pair)) == 0.0
-    assert np.max(tail_energy(fam, sp, w, 2.0, f, 5, pair=pair)) == 0.0
-    fam_c = build_principal_family(sp, w, 2.0, pair, np.full(4, 3.0))
-    assert np.max(tail_energy(fam_c, sp, w, 2.0, np.full(4, 3.0), 1,
-                              pair=pair)) == 0.0
+    assert np.max(tail_energy(an, fam, 1)) == 0.0
+    assert np.max(tail_energy(an, fam, 5)) == 0.0
+    an_c = _uniform(sp, np.full(4, 3.0))
+    fam_c = build_principal_family(an_c)
+    assert np.max(tail_energy(an_c, fam_c, 1)) == 0.0
 
 
 def test_iteration_and_vanish_on_random_instances():
     for seed in (4, 5, 6):
-        sp, W, p, pair, f = _random_instance(seed, depth=7, sigma=1.2)
-        fam = build_principal_family(sp, W, p, pair, f)
-        assert iteration_check(fam, sp, W, p, pair, f)["ok"]
-        assert vanish_checks(fam, sp, W, p, pair, f)["ok"]
+        an = _random_instance(seed, depth=7, sigma=1.2)[-1]
+        fam = build_principal_family(an)
+        assert iteration_check(an, fam)["ok"]
+        assert vanish_checks(an, fam)["ok"]
 
 
 def test_domination_zero_and_constant():
     sp = build_dyadic(3)
     w, pair = _uniform_pair(sp)
-    res = sparse_domination_check(sp, w, 2.0, pair, np.zeros(8))
+    res = sparse_domination_check(Analysis(pair, np.zeros(8)))
     assert res["ok"] and res["max_ratio"] == 0.0
     # constant f: the increment square function vanishes; the first-value
     # convention used by the domination check keeps the level-1 value, so
     # the ratio is exactly 1 against the surviving sparse term
     f = np.full(8, 3.0)
     assert np.max(weighted_square_fn(sp, w, 2.0, f, pair=pair)) == 0.0
-    res = sparse_domination_check(sp, w, 2.0, pair, f)
+    res = sparse_domination_check(Analysis(pair, f))
     assert res["ok"] and res["max_ratio"] == pytest.approx(1.0, rel=1e-12)
     fam = res["family"]
     from wml.operators import sparse_operator
-    t = sparse_operator(sp, w, 2.0, pair, fam.to_sparse_family(), 2.0,
-                        np.full((8, 1), 3.0))
+    t = sparse_operator(Analysis(pair, np.full((8, 1), 3.0)),
+                        fam.to_sparse_family(), 2.0)
     assert np.min(t) > 0.0
 
 
 def test_domination_nonzero_mean_stress():
     # the level-0 mean jump must not break the domination
     sp = build_dyadic(2)
-    w, pair = _uniform_pair(sp)
-    res = sparse_domination_check(sp, w, 2.0, pair,
-                                  np.array([0.0, 0.0, 4.0, 4.0]))
+    res = sparse_domination_check(_uniform(sp, np.array([0.0, 0.0, 4.0, 4.0])))
     assert res["ok"] and not res["hard_fail"]
     assert res["max_ratio"] <= res["bound"]
 
 
 def test_domination_random_instances():
     for seed in (7, 8, 9, 10):
-        sp, W, p, pair, f = _random_instance(seed, depth=8, sigma=1.3)
-        res = sparse_domination_check(sp, W, p, pair, f)
+        an = _random_instance(seed, depth=8, sigma=1.3)[-1]
+        res = sparse_domination_check(an)
         assert res["ok"], (seed, res["max_ratio"], res["bound"])
 
 
 def test_domination_norm_chain_on_witness():
     # the L_p norms inherit the pointwise chain
     from wml.filtration import lp_norm
-    sp, W, p, pair, f = _random_instance(11)
-    res = sparse_domination_check(sp, W, p, pair, f)
+    sp, W, p, pair, f, an = _random_instance(11)
+    res = sparse_domination_check(an)
     fam = res["family"]
     from wml.operators import sparse_operator
     s = weighted_square_fn(sp, W, p, f, pair=pair, mode="first_value")
-    t = sparse_operator(sp, W, p, pair, fam.to_sparse_family(), 2.0, f)
+    t = sparse_operator(an, fam.to_sparse_family(), 2.0)
     assert lp_norm(sp, s, p) <= res["bound"] * lp_norm(sp, t, p) + 1e-12
 
 
 def test_family_export_roundtrip(tmp_path):
     from wml.io import family_to_json, save_family_json
-    sp, W, p, pair, f = _random_instance(12)
-    fam = build_principal_family(sp, W, p, pair, f, threshold=3.0)
+    fam = build_principal_family(_random_instance(12)[-1], threshold=3.0)
     data = family_to_json(fam)
     assert data["threshold"] == 3.0
     assert len(data["sets"]) == len(fam.sets)

@@ -1,0 +1,74 @@
+"""Property-based tests: the whole d = 1 battery passes on random trees
+(with chains and tiny masses), at extreme exponents, and on degenerate
+leaf functions."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wml.filtration import build_from_tree
+from wml.suite import Instance, instance_checks
+from wml.weights import as_weight
+
+MAX_DEPTH = 6
+FRACTIONS = st.one_of(st.floats(0.05, 1.0), st.sampled_from([1e-9, 1e-6, 1e-3]))
+
+
+@st.composite
+def tree_specs(draw):
+    """Nested tree spec: the root splits, deeper nodes have 0 to 3 children
+    (a single child is a chain), child masses may be tiny."""
+
+    def node(mass, level):
+        out = {"mass": mass}
+        k = draw(st.integers(2 if level == 0 else 0, 3)) if level < MAX_DEPTH else 0
+        if k:
+            fracs = draw(st.lists(FRACTIONS, min_size=k, max_size=k))
+            total = sum(fracs)
+            out["children"] = [node(mass * fr / total, level + 1)
+                               for fr in fracs]
+        return out
+
+    return node(1.0, 0)
+
+
+@st.composite
+def instances(draw, ps, f_kinds):
+    space = build_from_tree(draw(tree_specs()))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n = space.n_leaves
+    weight = as_weight(np.exp(rng.normal(0.0, draw(st.floats(0.0, 1.5)), n)))
+    kind = draw(st.sampled_from(f_kinds))
+    f = np.zeros((n, 1))
+    if kind == "leaf":
+        f[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-2.5, 1e-6, 1.0]))
+    elif kind == "gauss":
+        f = rng.standard_normal((n, 1)) * np.exp(rng.normal(0.0, 1.5, (n, 1)))
+    return Instance(index=0, seed=seed % 10_000, depth=space.depth, d=1,
+                    p=draw(st.sampled_from(ps)), space=space, weight=weight,
+                    f=f)
+
+
+def _assert_all_pass(inst):
+    results, _ = instance_checks(inst)
+    failed = [(r.name, r.measured, r.bound) for r in results if not r.passed]
+    assert not failed, (inst.p, inst.space.n_leaves, failed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(ps=(1.5, 2.0, 3.0, 4.0), f_kinds=("gauss",)))
+def test_battery_passes_on_random_trees(inst):
+    _assert_all_pass(inst)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(ps=(1.05, 8.0), f_kinds=("gauss", "leaf")))
+def test_battery_passes_at_extreme_exponents(inst):
+    _assert_all_pass(inst)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(ps=(1.05, 2.0, 8.0), f_kinds=("zero", "leaf")))
+def test_battery_passes_on_zero_and_single_leaf_functions(inst):
+    _assert_all_pass(inst)
