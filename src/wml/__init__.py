@@ -4,7 +4,7 @@ sets, sparse operators, and empirical sharp-exponent probes."""
 
 from .filtration import (FilteredSpace, Martingale, build_dyadic,
                          build_from_tree, cond_expect, cond_expect_leaf,
-                         lp_norm, martingale_of)
+                         increment_adjoint, lp_norm, martingale_of)
 from .linalg import (EllipsoidError, ValidationError, jacobi_eigh,
                      mvee_central, spd_power, spectral_norm)
 from .weights import (MatrixWeight, ReducingPair, a1_characteristic,
@@ -22,9 +22,10 @@ from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
                         iteration_constant, sparse_domination_check,
                         tail_energy, vanish_checks)
 from .analysis import Analysis
-from .experiments import (SweepConfig, SweepRecord, exponent_fit,
-                          leaf_scale_sweep, matrix_target_exponent,
-                          opnorm_ascent, opnorm_power_iteration,
+from .experiments import (SweepConfig, SweepPointError, SweepRecord,
+                          exponent_fit, leaf_scale_sweep,
+                          matrix_target_exponent, opnorm_ascent,
+                          opnorm_power_iteration,
                           power_weight, rotating_weight, run_sweep,
                           scalar_target_exponent)
 

@@ -5,7 +5,8 @@ Commands
   gen     write tree / weight / function files from a generator spec
   check   run the invariant battery on seeded random instances (or on
           files named in the config); exit 2 on any mathematical failure
-  sweep   run an exponent sweep, writing a deterministic CSV and fit JSON
+  sweep   run an exponent sweep, writing a deterministic CSV and fit JSON;
+          exit 2 when a point's reducer fit or estimator fails
   fit     re-fit an existing sweep CSV
   report  human-readable summary plus plot-ready points CSV
 
@@ -27,9 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (SweepConfig, exponent_fit, leaf_scale_sweep,
-                          matrix_target_exponent, power_weight,
-                          rotating_weight, run_sweep, scalar_target_exponent)
+from .experiments import (SweepConfig, SweepPointError, exponent_fit,
+                          leaf_scale_sweep, matrix_target_exponent,
+                          power_weight, rotating_weight, run_sweep,
+                          scalar_target_exponent)
 from .filtration import build_dyadic, build_from_tree
 from .io import (load_function_csv, load_tree, load_weight_csv,
                  read_sweep_csv, save_function_csv, save_tree,
@@ -250,7 +252,11 @@ def cmd_sweep(args):
         restarts=int(opts.get("restarts", 4)),
         seed=seed,
         fit_tol=float(opts.get("fit_tol", 2e-2)))
-    records, fit = run_sweep(cfg, parallel=int(opts.get("parallel", 1)))
+    try:
+        records, fit = run_sweep(cfg, parallel=int(opts.get("parallel", 1)))
+    except SweepPointError as exc:
+        print(f"FAIL {exc}")
+        return CHECK_FAILURE
     write_sweep_csv(out / "sweep.csv", records)
     write_fit_json(out / "fit.json", fit)
     print(f"{len(records)} records -> {out / 'sweep.csv'}")

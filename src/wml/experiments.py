@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import build_dyadic, cond_expect_leaf, lp_norm, martingale_of
+from .filtration import (build_dyadic, increment_adjoint, lp_norm,
+                         martingale_of)
 from .linalg import ValidationError, matvec
-from .operators import weighted_square_fn
+from .operators import _conjugated_diffs, _leaf_l2
 from .weights import MatrixWeight, as_weight, build_reducing_pair, ap_characteristic
 
 
@@ -104,11 +105,7 @@ def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0):
     def op(h):
         # T h = w^{-1/2} sum_k D_k(w D_k(w^{-1/2} h)); D_k self-adjoint in L2(P)
         mart = martingale_of(space, h / sw)
-        out = np.zeros_like(h)
-        for k in range(1, space.depth + 1):
-            y = w * mart.diff(k)[:, 0]
-            out += cond_expect_leaf(space, y, k) - cond_expect_leaf(space, y, k - 1)
-        return out / sw
+        return increment_adjoint(space, w * mart.diffs[:, :, 0]) / sw
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(space.n_leaves)
@@ -138,18 +135,20 @@ class AscentResult:
     converged: bool
 
 
-def _sq_gradient(space, pair, f, p):
-    """Gradient (in the probability inner product) of ||S_W f||_p^p."""
-    g = matvec(pair.wm, f)
-    mart = martingale_of(space, g)
-    conj = np.einsum("lij,klj->kli", pair.wp, mart.diffs)
-    s = np.sqrt(np.sum(conj * conj, axis=(0, 2)))
+def _ascent_point(space, pair, f):
+    """(martingale of g = W^{-1/p} f, S_W f): what both the ratio and the
+    gradient of the ascent need at f."""
+    mart = martingale_of(space, matvec(pair.wm, f))
+    return mart, _leaf_l2(_conjugated_diffs(pair.wp, mart))
+
+
+def _sq_gradient(space, pair, p, point):
+    """Gradient (in the probability inner product) of ||S_W f||_p^p at the
+    ascent point ``_ascent_point(space, pair, f)``."""
+    mart, s = point
     spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
-    wp2 = pair.wp @ pair.wp
-    acc = np.zeros_like(f)
-    for k in range(1, space.depth + 1):
-        y = spow[:, None] * matvec(wp2, mart.diff(k))
-        acc += cond_expect_leaf(space, y, k) - cond_expect_leaf(space, y, k - 1)
+    y = spow[:, None] * matvec(pair.wp @ pair.wp, mart.diffs)
+    acc = increment_adjoint(space, y)
     return p * matvec(pair.wm, acc), float(np.sum(space.leaf_probs * s ** p))
 
 
@@ -168,8 +167,9 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
     d = W.dim
 
     def ratio_of(f):
-        num = lp_norm(space, weighted_square_fn(space, W, p, f, pair=pair), p)
-        return num / lp_norm(space, f, p)
+        """||S_W f||_p / ||f||_p and the ascent point it was computed from."""
+        point = _ascent_point(space, pair, f)
+        return lp_norm(space, point[1], p) / lp_norm(space, f, p), point
 
     probs = space.leaf_probs
     rng = np.random.default_rng(seed)
@@ -179,11 +179,11 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
     for _ in range(restarts):
         f = rng.standard_normal((space.n_leaves, d))
         f /= lp_norm(space, f, p)
-        cur = ratio_of(f)
+        cur, point = ratio_of(f)
         step = 0.5
         for _ in range(max_iter):
             total_iters += 1
-            grad_phi, phi = _sq_gradient(space, pair, f, p)
+            grad_phi, phi = _sq_gradient(space, pair, p, point)
             fmag = np.linalg.norm(f, axis=1)
             grad_psi = p * np.where(fmag > 1e-300, fmag ** (p - 2.0), 0.0)[:, None] * f
             psi = float(np.sum(probs * fmag ** p))
@@ -195,17 +195,17 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
                 break
             direction /= dnorm
             h = 1e-6
-            plus = ratio_of(f + h * direction)
-            minus = ratio_of(f - h * direction)
+            plus = ratio_of(f + h * direction)[0]
+            minus = ratio_of(f - h * direction)[0]
             if (plus - minus) / (2.0 * h) <= 0.0:
                 break
             improved = False
             while step > 1e-10:
                 cand = f + step * direction
                 cand /= lp_norm(space, cand, p)
-                val = ratio_of(cand)
+                val, cand_point = ratio_of(cand)
                 if val > cur * (1.0 + 1e-12):
-                    f, cur = cand, val
+                    f, cur, point = cand, val, cand_point
                     improved = True
                     step = min(step * 2.0, 1.0)
                     break
@@ -287,6 +287,18 @@ class SweepRecord:
                   "ap_char", "ratio", "iterations", "restarts", "converged")
 
 
+class SweepPointError(RuntimeError):
+    """A sweep point whose reducer fit or norm estimator failed; carries the
+    point's ``instance_id`` and the ``reason``."""
+
+    def __init__(self, instance_id, reason):
+        super().__init__(instance_id, reason)
+        self.instance_id, self.reason = instance_id, reason
+
+    def __str__(self):
+        return f"{self.instance_id}: {self.reason}"
+
+
 def build_family_instance(config, depth, alpha, eps):
     if config.family == "power":
         if config.d != 1:
@@ -298,29 +310,37 @@ def build_family_instance(config, depth, alpha, eps):
 
 
 def sweep_point(config, index, depth, alpha, eps):
+    """SweepRecord of one grid point. A reducer fit that does not certify
+    (EllipsoidError) or a power iteration that does not converge
+    (RuntimeError) raises SweepPointError naming the point."""
     t0 = time.perf_counter()
+    instance_id = (f"{config.family}-p{config.p:g}-d{config.d}"
+                   f"-D{depth}-a{alpha:g}-e{eps:g}")
     space, W = build_family_instance(config, depth, alpha, eps)
     seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
-    pair = build_reducing_pair(space, W, config.p, tol=config.fit_tol, seed=seed)
-    ap = ap_characteristic(space, W, config.p, pair=pair)
+    try:
+        pair = build_reducing_pair(space, W, config.p, tol=config.fit_tol,
+                                   seed=seed)
+        ap = ap_characteristic(space, W, config.p, pair=pair)
 
-    estimator = config.estimator
-    if estimator == "auto":
-        estimator = "power2" if (config.d == 1 and abs(config.p - 2.0) < 1e-12) \
-            else "ascent"
-    if estimator == "power2":
-        # the weighted ratio for S equals the unweighted ratio for S_w
-        ratio = opnorm_power_iteration(space, W.scalar() if isinstance(
-            W, MatrixWeight) else W, seed=seed)
-        iters, restarts, converged = 0, 1, True
-    else:
-        res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
-                            seed=seed, pair=pair)
-        ratio, iters, restarts, converged = (res.ratio, res.iterations,
-                                             res.restarts, res.converged)
+        estimator = config.estimator
+        if estimator == "auto":
+            estimator = "power2" if (
+                config.d == 1 and abs(config.p - 2.0) < 1e-12) else "ascent"
+        if estimator == "power2":
+            # the weighted ratio for S equals the unweighted ratio for S_w
+            ratio = opnorm_power_iteration(space, W.scalar() if isinstance(
+                W, MatrixWeight) else W, seed=seed)
+            iters, restarts, converged = 0, 1, True
+        else:
+            res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
+                                seed=seed, pair=pair)
+            ratio, iters, restarts, converged = (res.ratio, res.iterations,
+                                                 res.restarts, res.converged)
+    except RuntimeError as exc:
+        raise SweepPointError(instance_id, str(exc)) from exc
     return SweepRecord(
-        instance_id=f"{config.family}-p{config.p:g}-d{config.d}"
-                    f"-D{depth}-a{alpha:g}-e{eps:g}",
+        instance_id=instance_id,
         family=config.family, p=config.p, d=config.d, depth=depth,
         alpha=alpha, eps=eps, ap_char=ap, ratio=ratio, iterations=iters,
         restarts=restarts, converged=converged,
@@ -329,13 +349,17 @@ def sweep_point(config, index, depth, alpha, eps):
 
 def run_sweep(config, parallel=1):
     """All sweep records for the config grid, in deterministic grid order,
-    plus the exponent fit over (ap_char, ratio)."""
+    plus the exponent fit over (ap_char, ratio). ``parallel`` > 1 runs the
+    points in a spawn-context process pool; the records are the same."""
     grid = config.grid()
     if not grid:
         raise ValidationError("sweep grid is empty")
     if parallel > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallel) as ex:
+        with ProcessPoolExecutor(
+                max_workers=parallel,
+                mp_context=multiprocessing.get_context("spawn")) as ex:
             records = list(ex.map(
                 _sweep_point_star,
                 [(config, i, *point) for i, point in enumerate(grid)]))

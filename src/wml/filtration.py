@@ -30,6 +30,14 @@ class FilteredSpace:
     offsets : per level, int array of atom boundaries into the leaf axis;
         level n has ``len(offsets[n]) - 1`` atoms, atom a covering leaves
         ``offsets[n][a]:offsets[n][a + 1]``.
+
+    Built once per space, the level index runs all levels in one pass over
+    the leaf axis tiled D + 1 times (copy n holds level n): ``tiled_starts``
+    are the atom starts of every level on that axis, ``tiled_atom_probs``
+    the atom probabilities in the same order, and level n owns entries
+    ``atom_base[n]:atom_base[n + 1]`` of both. ``labels`` is the (D + 1, L)
+    array of per-level atom numbers; ``atom_of_leaf[n]`` is its row n and
+    ``atom_probs[n]`` a slice of ``tiled_atom_probs``.
     """
 
     depth: int
@@ -66,21 +74,27 @@ class FilteredSpace:
         object.__setattr__(self, "leaf_probs", probs)
         object.__setattr__(self, "offsets", tuple(
             np.asarray(o, dtype=np.intp) for o in self.offsets))
-        atom_probs, atom_of_leaf, parent = [], [], []
-        for n, off in enumerate(self.offsets):
-            ap = np.add.reduceat(probs, off[:-1])
-            ap.setflags(write=False)
-            atom_probs.append(ap)
-            lab = np.repeat(np.arange(len(off) - 1), np.diff(off))
-            lab.setflags(write=False)
-            atom_of_leaf.append(lab)
-            if n == 0:
-                parent.append(np.zeros(1, dtype=np.intp))
-            else:
-                parent.append(atom_of_leaf[n - 1][off[:-1]])
-        object.__setattr__(self, "atom_probs", tuple(atom_probs))
-        object.__setattr__(self, "atom_of_leaf", tuple(atom_of_leaf))
-        object.__setattr__(self, "parent", tuple(parent))
+        atom_base = np.cumsum([0] + [len(o) - 1 for o in self.offsets])
+        tiled_starts = np.concatenate([
+            off[:-1] + n * n_leaves for n, off in enumerate(self.offsets)])
+        marks = np.zeros((self.depth + 1) * n_leaves, dtype=np.intp)
+        marks[tiled_starts] = 1
+        labels = np.cumsum(marks.reshape(self.depth + 1, n_leaves), axis=1) - 1
+        tiled_atom_probs = np.add.reduceat(np.tile(probs, self.depth + 1),
+                                           tiled_starts)
+        for a in (atom_base, tiled_starts, labels, tiled_atom_probs):
+            a.setflags(write=False)
+        parent = (np.zeros(1, dtype=np.intp),) + tuple(
+            labels[n - 1][self.offsets[n][:-1]]
+            for n in range(1, self.depth + 1))
+        for name, value in (
+                ("atom_base", atom_base), ("tiled_starts", tiled_starts),
+                ("labels", labels), ("tiled_atom_probs", tiled_atom_probs),
+                ("atom_probs", tuple(
+                    tiled_atom_probs[atom_base[n]:atom_base[n + 1]]
+                    for n in range(self.depth + 1))),
+                ("atom_of_leaf", tuple(labels)), ("parent", parent)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_leaves(self):
@@ -95,7 +109,12 @@ class FilteredSpace:
 
     def expand(self, n, atom_values):
         """Broadcast per-atom values at level n back to the leaf axis."""
-        return np.repeat(atom_values, np.diff(self.offsets[n]), axis=0)
+        return np.asarray(atom_values)[self.atom_of_leaf[n]]
+
+    def tiled_labels(self):
+        """(D + 1, L) position of each (level, leaf) atom in the tiled
+        level index."""
+        return self.labels + self.atom_base[:-1, None]
 
 
 def _leaf_array(space, f):
@@ -211,13 +230,20 @@ class Martingale:
 
     space: FilteredSpace
     leaf_values: np.ndarray          # (L, d)
-    levels: tuple                    # per level n: (n_atoms(n), d)
+    atoms: np.ndarray                # (atom_base[-1], d), levels 0..D in turn
     leaf_levels: np.ndarray          # (D + 1, L, d)
     diffs: np.ndarray                # (D, L, d); diffs[k - 1] = f_k - f_{k-1}
 
     @property
     def dim(self):
         return self.leaf_values.shape[1]
+
+    @property
+    def levels(self):
+        """Per level n the (n_atoms(n), d) atom values, as slices of atoms."""
+        base = self.space.atom_base
+        return tuple(self.atoms[base[n]:base[n + 1]]
+                     for n in range(self.space.depth + 1))
 
     def diff(self, k):
         """Increment d_k for k in 1..D."""
@@ -231,17 +257,52 @@ class Martingale:
 
 
 def martingale_of(space, f):
-    """Martingale generated by conditioning the leaf function f."""
+    """Martingale generated by conditioning the leaf function f.
+
+    Every level comes from one reduceat over the tiled level index; each
+    entry is the same sum and quotient ``cond_expect`` forms for its atom.
+    """
     arr = _leaf_array(space, f)
     flat = arr if arr.ndim == 2 else arr[:, None]
-    levels = tuple(cond_expect(space, flat, n) for n in range(space.depth + 1))
-    leaf_levels = np.stack([space.expand(n, levels[n])
-                            for n in range(space.depth + 1)])
+    tiled = np.empty((space.depth + 1,) + flat.shape)
+    tiled[:] = space.leaf_probs[:, None] * flat
+    atoms = np.add.reduceat(tiled.reshape(-1, flat.shape[1]),
+                            space.tiled_starts, axis=0) \
+        / space.tiled_atom_probs[:, None]
+    leaf_levels = atoms[space.tiled_labels()]
     diffs = leaf_levels[1:] - leaf_levels[:-1]
-    for a in (flat, leaf_levels, diffs):
+    for a in (flat, atoms, leaf_levels, diffs):
         a.setflags(write=False)
-    return Martingale(space=space, leaf_values=flat, levels=levels,
+    return Martingale(space=space, leaf_values=flat, atoms=atoms,
                       leaf_levels=leaf_levels, diffs=diffs)
+
+
+def increment_adjoint(space, y):
+    """sum_{k=1..D} (E_k - E_{k-1}) y_k for a (D, L) or (D, L, d) stack y:
+    the adjoint in L2(P) of f -> (d_1 f, ..., d_D f).
+
+    Two reduceats over the tiled level index give E_k y_k and E_{k-1} y_k
+    for all k; the terms are summed in order of k.
+    """
+    arr = np.asarray(y, dtype=float)
+    depth, n_leaves = space.depth, space.n_leaves
+    if arr.shape[:2] != (depth, n_leaves) or arr.ndim > 3:
+        raise ValidationError(
+            f"increment stack has shape {arr.shape}, "
+            f"expected ({depth}, {n_leaves}[, d])")
+    stack = arr if arr.ndim == 3 else arr[..., None]
+    weighted = (space.leaf_probs[:, None] * stack).reshape(
+        depth * n_leaves, -1)
+    starts, probs = space.tiled_starts, space.tiled_atom_probs[:, None]
+    # level k on copy k - 1: drop level 0, whose one atom starts copy 0
+    upper = np.add.reduceat(weighted, starts[1:] - n_leaves, axis=0) \
+        / probs[1:]
+    lower = np.add.reduceat(weighted, starts[:-n_leaves], axis=0) \
+        / probs[:-n_leaves]
+    at = space.tiled_labels()
+    terms = upper[at[1:] - 1] - lower[at[:-1]]
+    out = np.add.reduce(terms, axis=0, initial=0.0)
+    return out if arr.ndim == 3 else out[:, 0]
 
 
 def lp_norm(space, f, p):

@@ -44,8 +44,17 @@ def _leaf_l2(stack):
 
 def _conjugated_diffs(wp, mart, mode="increments"):
     """(K, L, d) stack W^{1/p}(l) d_k g(l) of the mode's increments of the
-    martingale of g, conjugated by the leaf values wp of W^{1/p}."""
-    return np.einsum("lij,klj->kli", wp, _diff_stack(mart, mode))
+    martingale of g, conjugated by the leaf values wp of W^{1/p}.
+
+    The product is summed column by column in index order; at d <= 2 this
+    gives the values of ``einsum("lij,klj->kli")`` (a zero may differ in
+    sign) at a fraction of its cost on small spaces.
+    """
+    diffs = _diff_stack(mart, mode)
+    out = wp[:, :, 0] * diffs[..., :1]
+    for j in range(1, wp.shape[-1]):
+        out += wp[:, :, j] * diffs[..., j:j + 1]
+    return out
 
 
 def square_fn(space, mart, mode="increments"):

@@ -1,4 +1,5 @@
-"""The analysis context computes each derived quantity of an instance once."""
+"""Each derived quantity is computed once: per instance by the analysis
+context, per ascent point by ``opnorm_ascent``."""
 
 import inspect
 import sys
@@ -6,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from wml import filtration, linalg, principal
+from wml import experiments, filtration, linalg, principal
 from wml.analysis import Analysis
+from wml.experiments import opnorm_ascent, rotating_weight
 from wml.filtration import build_dyadic
 from wml.linalg import ValidationError
 from wml.operators import sparse_operator
@@ -75,3 +77,27 @@ def test_analysis_rejects_function_of_the_wrong_shape():
     with pytest.raises(ValidationError, match=r"\(4,\)"):
         Analysis(pair, np.ones(4))
     assert Analysis(pair, np.ones(8)).f.shape == (8, 1)
+
+
+def test_ascent_builds_one_martingale_per_ratio_evaluation(monkeypatch):
+    space, W = rotating_weight(4, 2, 0.8, 0.0625)
+    pair = build_reducing_pair(space, W, 1.5, tol=2e-2, levels=[0])
+    marts = _count_calls(monkeypatch, filtration, "martingale_of")
+    norms = _count_calls(monkeypatch, filtration, "lp_norm")
+    built = []
+    gradient = experiments._sq_gradient
+
+    def counted_gradient(*args):
+        before = len(marts)
+        out = gradient(*args)
+        built.append(len(marts) - before)
+        return out
+
+    monkeypatch.setattr(experiments, "_sq_gradient", counted_gradient)
+    res = opnorm_ascent(space, W, 1.5, restarts=2, seed=0, max_iter=15,
+                        pair=pair)
+    assert res.iterations == len(built) > 0
+    assert set(built) == {0}                   # the accepted point is reused
+    # a ratio evaluation takes the norm of S_W f, the one (L,) argument
+    ratios = [c for c in norms if np.ndim(c["f"]) == 1]
+    assert len(marts) == len(ratios)

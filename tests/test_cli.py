@@ -198,6 +198,47 @@ def test_parallel_sweep_matches_serial(tmp_path):
         (parallel / "sweep.csv").read_bytes()
 
 
+def test_parallel_ascent_sweep_matches_serial(tmp_path):
+    # p = 1.5 runs the gradient-ascent estimator on every point
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 1.5, "depths": [4, 5], "alphas": [0.5],
+                               "epss": [0.25, 0.0625], "restarts": 2}))
+    serial, parallel = tmp_path / "s", tmp_path / "p"
+    args = ["sweep", "--config", str(cfg), "--seed", "6"]
+    assert run(args + ["--out", str(serial)]) == 0
+    assert run(args + ["--parallel", "2", "--out", str(parallel)]) == 0
+    assert (serial / "sweep.csv").read_bytes() == \
+        (parallel / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_sweep_failed_fit_is_reported(tmp_path, capsys, parallel):
+    # a loose fit tolerance makes reducer certification fail at the first
+    # point: a FAIL line naming the point and exit code 2, no traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "rotating", "d": 2, "p": 1.5,
+                               "depths": [4], "alphas": [0.8],
+                               "epss": [0.25], "fit_tol": 5.0}))
+    assert run(["sweep", "--config", str(cfg), "--parallel", parallel,
+                "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL rotating-p1.5-d2-D4-a0.8-e0.25: ")
+    assert "reducer certification failed" in out
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_unconverged_power_iteration_is_reported(tmp_path, capsys,
+                                                      monkeypatch):
+    from wml import experiments
+    power = experiments.opnorm_power_iteration
+    monkeypatch.setattr(experiments, "opnorm_power_iteration",
+                        lambda *a, **kw: power(*a, **kw, max_iter=2))
+    assert run(["sweep", "--seed", "3", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL power-p2-d1-D6-a0.4-e0.25: ")
+    assert "did not converge in 2 iterations" in out
+
+
 def test_check_square_mode_flag(tmp_path):
     rc = run(["check", "--instances", "2", "--seed", "7",
               "--square-mode", "with_mean", "--out", str(tmp_path)])

@@ -12,7 +12,7 @@ from wml.principal import (build_principal_family, check_properties,
                            iteration_check, iteration_constant,
                            sparse_domination_check, tail_energy,
                            vanish_checks)
-from wml.suite import _halving_check_all_atoms
+from wml.suite import _halving_check_all_atoms, _holder_check, random_instance
 from wml.weights import MatrixWeight, as_weight, build_reducing_pair
 
 
@@ -257,3 +257,16 @@ def test_family_export_roundtrip(tmp_path):
         assert raw["escape_leaves"] == s.escape.tolist()
     save_family_json(tmp_path / "family.json", fam)
     assert (tmp_path / "family.json").exists()
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+def test_holder_check_is_scale_invariant(scale):
+    # T_2, T_1 and T_p are homogeneous in f; held to an absolute 1e-10, the
+    # rounding noise of T_2 - T_p failed the embedding at scale 1e6
+    for index in range(0, 60, 3):
+        inst = random_instance(index, seed=7)
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2,
+                                   seed=inst.seed + inst.index)
+        an = Analysis(pair, scale * inst.f)
+        result = _holder_check(an, build_principal_family(an))
+        assert result.passed, (index, result)

@@ -1,12 +1,15 @@
 """Property-based tests: the whole d = 1 battery passes on random trees
 (with chains and tiny masses), at extreme exponents, and on degenerate
-leaf functions."""
+leaf functions; the one-pass martingale and adjoint kernels are bitwise
+equal to conditioning one level at a time."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wml.filtration import build_from_tree
+from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
+                            martingale_of)
+from wml.operators import _conjugated_diffs
 from wml.suite import Instance, instance_checks
 from wml.weights import as_weight
 
@@ -72,3 +75,51 @@ def test_battery_passes_at_extreme_exponents(inst):
 @given(instances(ps=(1.05, 2.0, 8.0), f_kinds=("zero", "leaf")))
 def test_battery_passes_on_zero_and_single_leaf_functions(inst):
     _assert_all_pass(inst)
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _level_on_leaves(space, f, n):
+    """Per-level oracle: cond_expect at level n, repeated over atom sizes."""
+    return np.repeat(cond_expect(space, f, n), np.diff(space.offsets[n]),
+                     axis=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_specs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_one_pass_kernels_match_per_level_conditioning(spec, d, seed):
+    space = build_from_tree(spec)
+    depth, n = space.depth, space.n_leaves
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, 2.0, (n, 1)))
+    f[rng.random(n) < 0.2] = 0.0
+    mart = martingale_of(space, f)
+    leaf_levels = np.stack([_level_on_leaves(space, f, m)
+                            for m in range(depth + 1)])
+    for m in range(depth + 1):
+        assert _bits(mart.levels[m]) == _bits(cond_expect(space, f, m))
+    assert _bits(mart.leaf_levels) == _bits(leaf_levels)
+    assert _bits(mart.diffs) == _bits(leaf_levels[1:] - leaf_levels[:-1])
+
+    y = rng.standard_normal((depth, n, d))
+    y[rng.random((depth, n, d)) < 0.2] = -0.0
+    for stack in ((y, y[:, :, 0]) if d == 1 else (y,)):
+        acc = np.zeros(stack.shape[1:])
+        for k in range(1, depth + 1):
+            acc += (_level_on_leaves(space, stack[k - 1], k)
+                    - _level_on_leaves(space, stack[k - 1], k - 1))
+        assert _bits(increment_adjoint(space, stack)) == _bits(acc)
+
+    # the conjugation's column sums give einsum's values up to d = 2; at
+    # d = 3 they may differ by the rounding of a three-term sum
+    wp = rng.standard_normal((n, d, d))
+    conj = _conjugated_diffs(wp, mart)
+    reference = np.einsum("lij,klj->kli", wp, mart.diffs)
+    if d <= 2:
+        assert np.array_equal(conj, reference)
+    else:
+        scale = np.einsum("lij,klj->kli", np.abs(wp), np.abs(mart.diffs))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(conj - reference) <= 4 * eps * scale)
