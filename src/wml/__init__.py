@@ -4,13 +4,14 @@ sets, sparse operators, and empirical sharp-exponent probes."""
 
 from .filtration import (FilteredSpace, Martingale, build_dyadic,
                          build_from_tree, cond_expect, cond_expect_leaf,
-                         increment_adjoint, lp_norm, martingale_of)
+                         increment_adjoint, level_means, lp_norm,
+                         martingale_of)
 from .linalg import (EllipsoidError, ValidationError, jacobi_eigh,
                      mvee_central, spd_power, spectral_norm)
-from .weights import (MatrixWeight, ReducingPair, a1_characteristic,
-                      ap_characteristic, ap_equivalents, as_weight,
-                      build_reducing_pair, conjugate, dual_weight,
-                      exchanged_pair, reduce_pair, verify_reducing_bounds)
+from .weights import (MatrixWeight, ReducingPair, ap_characteristic,
+                      ap_equivalents, as_weight, build_reducing_pair,
+                      conjugate, dual_weight, exchanged_pair, reducer_norms,
+                      verify_reducing_bounds)
 from .operators import (SparseFamily, SparseSet, lp_weighted_norm,
                         reduced_maximal, sparse_operator,
                         sparse_operator_scalar, square_fn,

@@ -3,18 +3,19 @@
 Every check of an instance (space, W, p, f) with reducing pair is built
 from the same few quantities of g = W^{-1/p} f: its martingale, the
 reducer-normalized level averages E_n ||dual_n^{-1} g||, the fluctuation
-tables of the stopping times, the increments conjugated by W^{1/p} and the
-per-set terms ||W^{1/p} dual_{kappa2}|| of the sparse operator. An
+tables of the stopping times and the increments conjugated by W^{1/p}. An
 ``Analysis`` computes g and its martingale once and each of the others the
-first time it is asked for, so that the checks share them.
+first time it is asked for, so that the checks share them. The per-set
+terms of the sparse operator read these averages and the pair's table of
+||W^{1/p} dual_n||, which is built once per pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .filtration import cond_expect, martingale_of
-from .linalg import ValidationError, matvec, spectral_norm
+from .filtration import level_means, martingale_of
+from .linalg import ValidationError, matvec
 from .operators import _conjugated_diffs, _leaf_l2
 from .principal import fluctuation_table
 
@@ -47,13 +48,19 @@ class Analysis:
             self._cache[key] = build()
         return self._cache[key]
 
+    def level_averages(self):
+        """E_n ||dual_n^{-1} g|| on every atom of every level n, in the tiled
+        order of the space."""
+        def build():
+            dual_inv = self.pair.tiled_dual_inv[self.space.tiled_labels()]
+            return level_means(self.space, np.linalg.norm(
+                matvec(dual_inv, self.g), axis=2))
+        return self._cached("averages", build)
+
     def level_average(self, n):
         """Per level-n atom: E_n ||dual_n^{-1} g||."""
-        def build():
-            dual_inv = self.space.expand(n, self.pair.dual_inv[n])
-            vals = np.linalg.norm(matvec(dual_inv, self.g), axis=1)
-            return cond_expect(self.space, vals, n)
-        return self._cached(("average", n), build)
+        base = self.space.atom_base
+        return self.level_averages()[base[n]:base[n + 1]]
 
     def table(self, base):
         """FluctuationTable of g relative to the base level."""
@@ -79,10 +86,8 @@ class Analysis:
 
     def set_term(self, kappa2, leaves):
         """Per entry of ``leaves`` (a union of level-kappa2 atoms) the sparse
-        term ||W^{1/p}(l) dual_{k2}|| E_{k2} ||dual_{k2}^{-1} g||."""
-        def build():
-            atom_of = self.space.atom_of_leaf[kappa2][leaves]
-            norms = spectral_norm(
-                self.pair.wp[leaves] @ self.pair.dual[kappa2][atom_of])
-            return norms * self.level_average(kappa2)[atom_of]
-        return self._cached(("term", kappa2, leaves.tobytes()), build)
+        term ||W^{1/p}(l) dual_{k2}|| E_{k2} ||dual_{k2}^{-1} g||, read from
+        the pair's table of ||W^{1/p} dual_n||."""
+        atom_of = self.space.atom_of_leaf[kappa2][leaves]
+        return self.pair.dual_norms[kappa2, leaves] \
+            * self.level_average(kappa2)[atom_of]

@@ -161,6 +161,13 @@ def _check_suite_instance(job):
                     **check_opts)
 
 
+def _parallel(opts):
+    parallel = int(opts.get("parallel", 1))
+    if parallel < 1:
+        raise ValidationError(f"--parallel must be at least 1, got {parallel}")
+    return parallel
+
+
 def cmd_check(args):
     config = _load_config(args.config)
     opts = _merged(config, args, ("p", "d", "depth", "cgamma", "out",
@@ -174,9 +181,7 @@ def cmd_check(args):
     check_opts = {"fit_tol": float(opts.get("fit_tol", 2e-2)),
                   "threshold": threshold,
                   "square_mode": opts.get("square_mode", "increments")}
-    parallel = int(opts.get("parallel", 1))
-    if parallel < 1:
-        raise ValidationError(f"--parallel must be at least 1, got {parallel}")
+    parallel = _parallel(opts)
 
     if "tree" in opts:
         details = [_checked(_file_instance(opts, seed), **check_opts)]
@@ -239,6 +244,7 @@ def cmd_sweep(args):
     config = _load_config(args.config)
     opts = _merged(config, args, ("p", "d", "out", "parallel"))
     seed = _resolve_seed(args, config)
+    parallel = _parallel(opts)
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     cfg = SweepConfig(
@@ -253,7 +259,7 @@ def cmd_sweep(args):
         seed=seed,
         fit_tol=float(opts.get("fit_tol", 2e-2)))
     try:
-        records, fit = run_sweep(cfg, parallel=int(opts.get("parallel", 1)))
+        records, fit = run_sweep(cfg, parallel=parallel)
     except SweepPointError as exc:
         print(f"FAIL {exc}")
         return CHECK_FAILURE

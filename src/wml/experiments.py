@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import (build_dyadic, increment_adjoint, lp_norm,
                          martingale_of)
-from .linalg import ValidationError, matvec
+from .linalg import ValidationError, matvec, spd_power
 from .operators import _conjugated_diffs, _leaf_l2
 from .weights import MatrixWeight, as_weight, build_reducing_pair, ap_characteristic
 
@@ -135,24 +135,25 @@ class AscentResult:
     converged: bool
 
 
-def _ascent_point(space, pair, f):
-    """(martingale of g = W^{-1/p} f, S_W f): what both the ratio and the
-    gradient of the ascent need at f."""
-    mart = martingale_of(space, matvec(pair.wm, f))
-    return mart, _leaf_l2(_conjugated_diffs(pair.wp, mart))
+def _ascent_point(space, wp, wm, f):
+    """(martingale of g = W^{-1/p} f, S_W f) for the leaf powers wp = W^{1/p}
+    and wm = W^{-1/p}: what both the ratio and the gradient of the ascent
+    need at f."""
+    mart = martingale_of(space, matvec(wm, f))
+    return mart, _leaf_l2(_conjugated_diffs(wp, mart))
 
 
-def _sq_gradient(space, pair, p, point):
+def _sq_gradient(space, wp, wm, p, point):
     """Gradient (in the probability inner product) of ||S_W f||_p^p at the
-    ascent point ``_ascent_point(space, pair, f)``."""
+    ascent point ``_ascent_point(space, wp, wm, f)``."""
     mart, s = point
     spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
-    y = spow[:, None] * matvec(pair.wp @ pair.wp, mart.diffs)
+    y = spow[:, None] * matvec(wp @ wp, mart.diffs)
     acc = increment_adjoint(space, y)
-    return p * matvec(pair.wm, acc), float(np.sum(space.leaf_probs * s ** p))
+    return p * matvec(wm, acc), float(np.sum(space.leaf_probs * s ** p))
 
 
-def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
+def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     """Heuristic lower bound on sup_f ||S_W f||_p / ||f||_p by projected
     gradient ascent on the unit sphere of L_p, finite-difference-verified
     ascent directions, best value over seeded restarts.
@@ -162,13 +163,12 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
     when any restart stopped because it used up ``max_iter`` iterations.
     """
     W = as_weight(W)
-    if pair is None:
-        pair = build_reducing_pair(space, W, p, levels=[0])
+    wp, wm = spd_power(W.mats, 1.0 / p), spd_power(W.mats, -1.0 / p)
     d = W.dim
 
     def ratio_of(f):
         """||S_W f||_p / ||f||_p and the ascent point it was computed from."""
-        point = _ascent_point(space, pair, f)
+        point = _ascent_point(space, wp, wm, f)
         return lp_norm(space, point[1], p) / lp_norm(space, f, p), point
 
     probs = space.leaf_probs
@@ -183,7 +183,7 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200, pair=None):
         step = 0.5
         for _ in range(max_iter):
             total_iters += 1
-            grad_phi, phi = _sq_gradient(space, pair, p, point)
+            grad_phi, phi = _sq_gradient(space, wp, wm, p, point)
             fmag = np.linalg.norm(f, axis=1)
             grad_psi = p * np.where(fmag > 1e-300, fmag ** (p - 2.0), 0.0)[:, None] * f
             psi = float(np.sum(probs * fmag ** p))
@@ -249,6 +249,9 @@ def exponent_fit(points):
 # sweeps
 # ---------------------------------------------------------------------------
 
+ESTIMATORS = ("auto", "power2", "ascent")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     family: str = "power"            # "power" or "rotating"
@@ -257,10 +260,16 @@ class SweepConfig:
     depths: tuple = (6, 8, 10)
     alphas: tuple = (0.5, 0.8)
     epss: tuple = (0.25, 0.0625, 0.015625, 0.00390625)
-    estimator: str = "auto"          # "auto", "power2" or "ascent"
+    estimator: str = "auto"          # one of ESTIMATORS
     restarts: int = 4
     seed: int = 0
     fit_tol: float = 2e-2            # reducer fit tolerance for d >= 2
+
+    def __post_init__(self):
+        if self.estimator not in ESTIMATORS:
+            raise ValidationError(
+                f"unknown estimator {self.estimator!r}, expected one of "
+                + ", ".join(ESTIMATORS))
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths
@@ -319,9 +328,8 @@ def sweep_point(config, index, depth, alpha, eps):
     space, W = build_family_instance(config, depth, alpha, eps)
     seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
     try:
-        pair = build_reducing_pair(space, W, config.p, tol=config.fit_tol,
-                                   seed=seed)
-        ap = ap_characteristic(space, W, config.p, pair=pair)
+        ap = ap_characteristic(build_reducing_pair(
+            space, W, config.p, tol=config.fit_tol, seed=seed))
 
         estimator = config.estimator
         if estimator == "auto":
@@ -334,7 +342,7 @@ def sweep_point(config, index, depth, alpha, eps):
             iters, restarts, converged = 0, 1, True
         else:
             res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
-                                seed=seed, pair=pair)
+                                seed=seed)
             ratio, iters, restarts, converged = (res.ratio, res.iterations,
                                                  res.restarts, res.converged)
     except RuntimeError as exc:

@@ -256,19 +256,34 @@ class Martingale:
         return out
 
 
-def martingale_of(space, f):
-    """Martingale generated by conditioning the leaf function f.
+def level_means(space, stack):
+    """Per level n, the averages of row n of a (D + 1, L) or (D + 1, L, d)
+    stack over the level-n atoms, from one reduceat over the tiled level
+    index.
 
-    Every level comes from one reduceat over the tiled level index; each
-    entry is the same sum and quotient ``cond_expect`` forms for its atom.
+    Returns the atom values of every level in tiled order, level n at
+    ``atom_base[n]:atom_base[n + 1]``; each entry is the same sum and
+    quotient ``cond_expect`` forms for its atom.
     """
+    arr = np.asarray(stack, dtype=float)
+    if arr.shape[:2] != (space.depth + 1, space.n_leaves) or arr.ndim > 3:
+        raise ValidationError(
+            f"level stack has shape {arr.shape}, "
+            f"expected ({space.depth + 1}, {space.n_leaves}[, d])")
+    flat = arr if arr.ndim == 3 else arr[..., None]
+    weighted = (space.leaf_probs[:, None] * flat).reshape(-1, flat.shape[2])
+    out = np.add.reduceat(weighted, space.tiled_starts, axis=0) \
+        / space.tiled_atom_probs[:, None]
+    return out if arr.ndim == 3 else out[:, 0]
+
+
+def martingale_of(space, f):
+    """Martingale generated by conditioning the leaf function f: the level
+    means of f repeated on every level."""
     arr = _leaf_array(space, f)
     flat = arr if arr.ndim == 2 else arr[:, None]
-    tiled = np.empty((space.depth + 1,) + flat.shape)
-    tiled[:] = space.leaf_probs[:, None] * flat
-    atoms = np.add.reduceat(tiled.reshape(-1, flat.shape[1]),
-                            space.tiled_starts, axis=0) \
-        / space.tiled_atom_probs[:, None]
+    # a copy per level: weighting a broadcast view costs more than copying
+    atoms = level_means(space, np.repeat(flat[None], space.depth + 1, axis=0))
     leaf_levels = atoms[space.tiled_labels()]
     diffs = leaf_levels[1:] - leaf_levels[:-1]
     for a in (flat, atoms, leaf_levels, diffs):

@@ -62,30 +62,19 @@ def square_fn(space, mart, mode="increments"):
     return _leaf_l2(_diff_stack(mart, mode))
 
 
-def weighted_square_fn(space, W, p, f, pair=None, mode="increments"):
+def weighted_square_fn(space, W, p, f, mode="increments"):
     """Matrix-weighted square function of the leaf function f."""
     W = as_weight(W)
-    wp, wm = _weight_powers(W, p, pair)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    mart = martingale_of(space, matvec(wm, f))
-    return _leaf_l2(_conjugated_diffs(wp, mart, mode))
-
-
-def _weight_powers(W, p, pair):
-    if pair is not None:
-        return pair.wp, pair.wm
-    return spd_power(W.mats, 1.0 / p), spd_power(W.mats, -1.0 / p)
+    mart = martingale_of(space, matvec(spd_power(W.mats, -1.0 / p), f))
+    return _leaf_l2(_conjugated_diffs(spd_power(W.mats, 1.0 / p), mart, mode))
 
 
 def reduced_maximal(an):
     """Maximal function of the reducer-normalized weighted average of the
     analysis context ``an``: per leaf, max over levels n of
     E_n ||dual_n^{-1} W^{-1/p} f||."""
-    space = an.space
-    best = np.full(space.n_leaves, -np.inf)
-    for n in range(space.depth + 1):
-        np.maximum(best, space.expand(n, an.level_average(n)), out=best)
-    return best
+    return an.level_averages()[an.space.tiled_labels()].max(axis=0)
 
 
 @dataclass(frozen=True)

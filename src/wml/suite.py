@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Analysis
-from .filtration import build_from_tree, cond_expect, lp_norm, martingale_of
+from .filtration import (build_from_tree, cond_expect, level_means, lp_norm,
+                         martingale_of)
 from .linalg import EllipsoidError, ValidationError
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
@@ -109,13 +110,10 @@ def _halving_check_all_atoms(an, threshold):
     {sup_{m>n} ratio > threshold} may carry at most half of each atom.
     Covering atoms covers every level-n measurable set."""
     space = an.space
-    worst = 0.0
+    exceed = np.zeros((space.depth + 1, space.n_leaves))
     for n in range(space.depth):
-        sup = an.table(n).ratio[n + 1:].max(axis=0)
-        exceed = np.add.reduceat(space.leaf_probs * (sup > threshold),
-                                 space.offsets[n][:-1])
-        frac = exceed / space.atom_probs[n]
-        worst = max(worst, float(frac.max()))
+        exceed[n] = an.table(n).ratio[n + 1:].max(axis=0) > threshold
+    worst = float(level_means(space, exceed).max())
     return CheckResult("mass_halving", worst <= 0.5 + 1e-12, worst, 0.5,
                        f"threshold {threshold:g}")
 
@@ -204,7 +202,7 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
             "reducer_certificate", lo >= window_lo and hi <= 1.0 + pair.cert_tol,
             lo, window_lo, f"held-out ratios in [{lo:.4f}, {hi:.4f}]"))
 
-    rep = verify_reducing_bounds(space, W, p, pair)
+    rep = verify_reducing_bounds(pair)
     results.append(CheckResult(
         "reducer_average_primal", rep["primal_ok"], rep["primal_max"],
         rep["primal_bound"]))
@@ -212,15 +210,15 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
         "reducer_average_dual", rep["dual_ok"], rep["dual_max"],
         rep["dual_bound"]))
 
-    ap = ap_characteristic(space, W, p, pair=pair)
-    q1, q2, window = ap_equivalents(space, W, p, pair)
+    ap = ap_characteristic(pair)
+    q1, q2, window = ap_equivalents(pair)
     ok = (1.0 / window <= q1 / ap <= window) and (1.0 / window <= q2 / ap <= window)
     results.append(CheckResult(
         "characteristic_equivalents", ok, max(q1 / ap, ap / q1, q2 / ap, ap / q2),
         window, f"q1/ap={q1 / ap:.3f} q2/ap={q2 / ap:.3f}"))
 
     q = conjugate(p)
-    ap_dual = ap_characteristic(space, None, q, pair=exchanged_pair(pair))
+    ap_dual = ap_characteristic(exchanged_pair(pair))
     target = ap ** (q - 1.0)
     rel = abs(ap_dual - target) / max(target, 1e-300)
     results.append(CheckResult("dual_exponent_identity", rel <= 1e-8, rel, 1e-8,

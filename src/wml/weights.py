@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .filtration import FilteredSpace, cond_expect
+from .filtration import FilteredSpace, level_means
 from .linalg import (EllipsoidError, ValidationError, direction_set,
                      holdout_directions, jacobi_eigh, mvee_central,
                      spectral_norm, spd_power, sym_inv)
@@ -107,18 +108,21 @@ def as_weight(w):
 class ReducingPair:
     """Reducing matrices of (space, W, p) at every level, plus cached powers.
 
-    primal[n], dual[n]: (n_atoms(n), d, d) SPD; *_inv are their inverses.
-    wp = W^{1/p} and wm = W^{-1/p} per leaf. ``certificate`` holds the worst
-    held-out ratios observed while fitting (empty for exact paths).
+    tiled_primal, tiled_dual: (atom_base[-1], d, d) SPD reducers of every
+    atom of every level, in the tiled order of ``space``; tiled_*_inv are
+    their inverses. primal[n], dual[n], primal_inv[n] and dual_inv[n] are
+    the (n_atoms(n), d, d) level-n slices of these arrays. wp = W^{1/p} and
+    wm = W^{-1/p} per leaf. ``certificate`` holds the worst held-out ratios
+    observed while fitting (empty for exact paths).
     """
 
     space: FilteredSpace
     weight: MatrixWeight
     p: float
-    primal: tuple
-    dual: tuple
-    primal_inv: tuple
-    dual_inv: tuple
+    tiled_primal: np.ndarray
+    tiled_dual: np.ndarray
+    tiled_primal_inv: np.ndarray
+    tiled_dual_inv: np.ndarray
     wp: np.ndarray
     wm: np.ndarray
     method: str
@@ -127,9 +131,29 @@ class ReducingPair:
     seed: int = 0
     certificate: dict = None
 
+    def __post_init__(self):
+        base = self.space.atom_base
+        for name in ("primal", "dual", "primal_inv", "dual_inv"):
+            tiled = getattr(self, "tiled_" + name)
+            object.__setattr__(self, name, tuple(
+                tiled[base[n]:base[n + 1]]
+                for n in range(self.space.depth + 1)))
+
     @property
     def q(self):
         return conjugate(self.p)
+
+    @cached_property
+    def dual_norms(self):
+        """(D + 1, L) table of ||W^{1/p}(l) dual_n(atom_n(l))||, built on
+        first use."""
+        return reducer_norms(self.space, self.wp, self.tiled_dual)
+
+
+def reducer_norms(space, leaf_mats, tiled_reducers):
+    """(D + 1, L) table of ||leaf_mats[l] R_n(atom_n(l))|| for reducers R of
+    every level in tiled order: one gather, one spectral_norm."""
+    return spectral_norm(leaf_mats @ tiled_reducers[space.tiled_labels()])
 
 
 def _atom_norm_powers(space, mats, dirs, power):
@@ -142,44 +166,40 @@ def _atom_norm_powers(space, mats, dirs, power):
     return out
 
 
-def _fit_reducers(space, mats, power, levels, tol, cert_tol, seed,
+def _fit_reducers(space, mats, power, tol, cert_tol, seed,
                   max_iter=100_000, n_holdout=1000):
-    """Ellipsoid reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}.
+    """Ellipsoid reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
+    on every atom of every level, in tiled order.
 
-    Computed once per distinct atom (atoms persisting across levels share
-    the same norm); single-leaf atoms are exactly ellipsoidal and skip the
-    fit. Returns {level: (K, d, d)} plus the worst certification ratios.
+    Computed once per distinct leaf range (atoms persisting across levels
+    share the same norm); single-leaf atoms are exactly ellipsoidal and
+    skip the fit. Returns the (atom_base[-1], d, d) reducers plus the worst
+    certification ratios.
     """
-    d = mats.shape[1]
-    nodes = {}
-    for n in levels:
-        off = space.offsets[n]
-        for a in range(len(off) - 1):
-            nodes.setdefault((int(off[a]), int(off[a + 1])), []).append((n, a))
-
-    out = {n: np.empty((space.n_atoms(n), d, d)) for n in levels}
-    singles = [k for k in nodes if k[1] - k[0] == 1]
-    multis = [k for k in nodes if k[1] - k[0] > 1]
-
-    for s, e in singles:
-        for n, a in nodes[(s, e)]:
-            out[n][a] = mats[s]
+    starts = np.concatenate([off[:-1] for off in space.offsets])
+    stops = np.concatenate([off[1:] for off in space.offsets])
+    single = stops - starts == 1
+    out = np.empty((starts.size,) + mats.shape[1:])
+    out[single] = mats[starts[single]]
 
     cert = {"low": np.inf, "high": -np.inf}
-    if multis:
-        starts = np.array([k[0] for k in multis])
-        stops = np.array([k[1] for k in multis])
-        masses = np.array([space.leaf_probs[s:e].sum() for s, e in multis])
+    multi = np.flatnonzero(~single)
+    if multi.size:
+        _, first, inverse = np.unique(
+            starts[multi] * (space.n_leaves + 1) + stops[multi],
+            return_index=True, return_inverse=True)
+        fit_starts, fit_stops = starts[multi[first]], stops[multi[first]]
+        masses = np.array([space.leaf_probs[s:e].sum()
+                           for s, e in zip(fit_starts, fit_stops)])
 
         def rho(dirs):
             cums = _atom_norm_powers(space, mats, dirs, power)
-            return ((cums[stops] - cums[starts]) / masses[:, None]) ** (1.0 / power)
+            return ((cums[fit_stops] - cums[fit_starts]) / masses[:, None]) \
+                ** (1.0 / power)
 
-        fitted, cert = _certified_fit(rho, d, tol, cert_tol, seed,
+        fitted, cert = _certified_fit(rho, mats.shape[1], tol, cert_tol, seed,
                                       max_iter=max_iter, n_holdout=n_holdout)
-        for i, key in enumerate(multis):
-            for n, a in nodes[key]:
-                out[n][a] = fitted[i]
+        out[multi] = fitted[inverse]
     return out, cert
 
 
@@ -219,8 +239,8 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
 
 
 def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,
-                        seed=0, levels=None, n_holdout=1000):
-    """Reducing pair of (space, W, p) on the requested levels (default all).
+                        seed=0, n_holdout=1000):
+    """Reducing pair of (space, W, p) on every level.
 
     method: "auto" picks the exact scalar formulas for d = 1 and the
     ellipsoid fit otherwise; "exact_p2" substitutes (E_n W)^{1/2} and
@@ -232,62 +252,52 @@ def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,
     if not 1.0 < p < np.inf:
         raise ValidationError("p must lie in (1, inf)")
     q = conjugate(p)
-    if levels is None:
-        levels = range(space.depth + 1)
-    levels = list(levels)
     d = W.dim
+    stack = (space.depth + 1, space.n_leaves)
     wp = spd_power(W.mats, 1.0 / p)
     wm = spd_power(W.mats, -1.0 / p)
     cert = {}
 
     if d == 1:
         w = W.scalar()
-        primal = {n: cond_expect(space, w, n) ** (1.0 / p) for n in levels}
-        dual = {n: cond_expect(space, w ** (-q / p), n) ** (1.0 / q)
-                for n in levels}
-        primal = {n: v[:, None, None] for n, v in primal.items()}
-        dual = {n: v[:, None, None] for n, v in dual.items()}
+        primal = level_means(space, np.broadcast_to(w, stack)) ** (1.0 / p)
+        dual = level_means(space, np.broadcast_to(w ** (-q / p), stack)) \
+            ** (1.0 / q)
+        primal, dual = primal[:, None, None], dual[:, None, None]
         method = "scalar"
     elif method == "exact_p2":
         if abs(p - 2.0) > 1e-12:
             raise ValidationError("exact_p2 reducers are only valid at p = 2")
-        winv = sym_inv(W.mats)
-        primal, dual = {}, {}
-        for n in levels:
-            avg = cond_expect(space, W.mats.reshape(space.n_leaves, -1), n)
-            primal[n] = spd_power(avg.reshape(-1, d, d), 0.5)
-            avg = cond_expect(space, winv.reshape(space.n_leaves, -1), n)
-            dual[n] = spd_power(avg.reshape(-1, d, d), 0.5)
+
+        def root_of_means(mats):
+            means = level_means(space, np.broadcast_to(
+                mats.reshape(space.n_leaves, -1), stack + (d * d,)))
+            return spd_power(means.reshape(-1, d, d), 0.5)
+
+        primal, dual = root_of_means(W.mats), root_of_means(sym_inv(W.mats))
     else:
-        primal, cp = _fit_reducers(space, wp, p, levels, tol, cert_tol, seed,
+        primal, cp = _fit_reducers(space, wp, p, tol, cert_tol, seed,
                                    n_holdout=n_holdout)
-        dual, cd = _fit_reducers(space, wm, q, levels, tol, cert_tol, seed,
+        dual, cd = _fit_reducers(space, wm, q, tol, cert_tol, seed,
                                  n_holdout=n_holdout)
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 
-    primal_t = tuple(primal[n] for n in levels)
-    dual_t = tuple(dual[n] for n in levels)
     return ReducingPair(
         space=space, weight=W, p=p,
-        primal=primal_t, dual=dual_t,
-        primal_inv=tuple(sym_inv(m) for m in primal_t),
-        dual_inv=tuple(sym_inv(m) for m in dual_t),
+        tiled_primal=primal, tiled_dual=dual,
+        tiled_primal_inv=sym_inv(primal), tiled_dual_inv=sym_inv(dual),
         wp=wp, wm=wm, method=method, tol=tol, cert_tol=cert_tol, seed=seed,
         certificate=cert)
-
-
-def reduce_pair(space, W, p, n, **kwargs):
-    """(primal, dual) reducing matrices at a single level n."""
-    pair = build_reducing_pair(space, W, p, levels=[n], **kwargs)
-    return pair.primal[0], pair.dual[0]
 
 
 def exchanged_pair(pair):
     """Reducing pair of the dual weight: primal and dual roles swap and the
     exponent becomes the conjugate."""
-    return replace(pair, p=pair.q, primal=pair.dual, dual=pair.primal,
-                   primal_inv=pair.dual_inv, dual_inv=pair.primal_inv,
+    return replace(pair, p=pair.q, tiled_primal=pair.tiled_dual,
+                   tiled_dual=pair.tiled_primal,
+                   tiled_primal_inv=pair.tiled_dual_inv,
+                   tiled_dual_inv=pair.tiled_primal_inv,
                    wp=pair.wm, wm=pair.wp)
 
 
@@ -295,12 +305,6 @@ def dual_weight(W, p):
     """The dual weight V = W^{-p'/p}; combine with exchanged_pair."""
     W = as_weight(W)
     return MatrixWeight(spd_power(W.mats, -conjugate(p) / p))
-
-
-def _leaf_level_products(space, left_leaf, right_atoms, n):
-    """spectral norms of left_leaf[l] @ right_atoms[atom(l)] per leaf."""
-    expanded = space.expand(n, right_atoms)
-    return spectral_norm(left_leaf @ expanded)
 
 
 def _average_bound_exponent(r):
@@ -311,7 +315,7 @@ def _average_bound_exponent(r):
     return r / 2.0 + 1.0 if r <= 2.0 else r
 
 
-def verify_reducing_bounds(space, W, p, pair):
+def verify_reducing_bounds(pair):
     """Conditional averages E_n ||W^{1/p} primal^{-1}||^p and
     E_n ||W^{-1/p} dual^{-1}||^{p'} per atom, against explicit constants.
 
@@ -321,24 +325,15 @@ def verify_reducing_bounds(space, W, p, pair):
     bound is d^{p/2+1} (1+tol)^p for p <= 2 and d^p (1+tol)^p for p > 2
     (conjugate exponent on the dual side). The per-vector value is reported
     as ``nominal`` for reference. Report-only."""
-    W = as_weight(W)
-    d, q = W.dim, conjugate(p)
+    space, p, q, d = pair.space, pair.p, pair.q, pair.weight.dim
     tol = pair.cert_tol if pair.method == "ellipsoid" else 0.0
-    rows = []
-    for n in range(space.depth + 1):
-        vals_p = _leaf_level_products(space, pair.wp, pair.primal_inv[n], n)
-        avg_p = cond_expect(space, vals_p ** p, n)
-        vals_q = _leaf_level_products(space, pair.wm, pair.dual_inv[n], n)
-        avg_q = cond_expect(space, vals_q ** q, n)
-        rows.append({"level": n,
-                     "primal_max": float(avg_p.max()),
-                     "dual_max": float(avg_q.max())})
+    primal_max = float(level_means(space, reducer_norms(
+        space, pair.wp, pair.tiled_primal_inv) ** p).max())
+    dual_max = float(level_means(space, reducer_norms(
+        space, pair.wm, pair.tiled_dual_inv) ** q).max())
     bound_p = d ** _average_bound_exponent(p) * (1.0 + tol) ** p
     bound_q = d ** _average_bound_exponent(q) * (1.0 + tol) ** q
-    primal_max = max(r["primal_max"] for r in rows)
-    dual_max = max(r["dual_max"] for r in rows)
     return {
-        "levels": rows,
         "primal_max": primal_max, "primal_bound": bound_p,
         "dual_max": dual_max, "dual_bound": bound_q,
         "primal_nominal": d ** (p / 2.0) * (1.0 + tol) ** p,
@@ -348,54 +343,21 @@ def verify_reducing_bounds(space, W, p, pair):
     }
 
 
-def ap_characteristic(space, W, p, pair=None, **kwargs):
+def ap_characteristic(pair):
     """A_p characteristic: max over levels and atoms of
     ||primal_n dual_n||^p."""
-    if pair is None:
-        pair = build_reducing_pair(space, as_weight(W), p, **kwargs)
-    best = 0.0
-    for n in range(space.depth + 1):
-        best = max(best, float(spectral_norm(pair.primal[n] @ pair.dual[n]).max()))
-    return best ** p
+    return float(spectral_norm(pair.tiled_primal @ pair.tiled_dual).max()) \
+        ** pair.p
 
 
-def a1_characteristic(space, W, tol=1e-3, cert_tol=5e-2, seed=0):
-    """A_1 characteristic: max over levels and leaves of
-    ||primal_n(atom) W(leaf)^{-1}|| with the p = 1 primal reducer, whose norm
-    is equivalent to e |-> E_n ||W e||."""
-    W = as_weight(W)
-    d = W.dim
-    if d == 1:
-        w = W.scalar()
-        best = 0.0
-        for n in range(space.depth + 1):
-            avg = space.expand(n, cond_expect(space, w, n))
-            best = max(best, float((avg / w).max()))
-        return best
-    levels = list(range(space.depth + 1))
-    primal, _ = _fit_reducers(space, W.mats, 1.0, levels, tol, cert_tol, seed)
-    winv = sym_inv(W.mats)
-    best = 0.0
-    for n in levels:
-        vals = spectral_norm(space.expand(n, primal[n]) @ winv)
-        best = max(best, float(vals.max()))
-    return best
-
-
-def ap_equivalents(space, W, p, pair):
+def ap_equivalents(pair):
     """The two equivalent characteristic expressions:
-      q1 = max_n max_atoms E_n(||dual_n W^{1/p}||^p)
-      q2 = (max_n max_atoms E_n(||primal_n W^{-1/p}||^{p'}))^{p/p'}
+      q1 = max_n max_atoms E_n(||W^{1/p} dual_n||^p)
+      q2 = (max_n max_atoms E_n(||W^{-1/p} primal_n||^{p'}))^{p/p'}
     together with the comparison window c(p, d) = 16 d^{max(p, p')/2}."""
-    W = as_weight(W)
-    q = conjugate(p)
-    q1 = 0.0
-    q2_inner = 0.0
-    for n in range(space.depth + 1):
-        vals = spectral_norm(space.expand(n, pair.dual[n]) @ pair.wp)
-        q1 = max(q1, float(cond_expect(space, vals ** p, n).max()))
-        vals = spectral_norm(space.expand(n, pair.primal[n]) @ pair.wm)
-        q2_inner = max(q2_inner, float(cond_expect(space, vals ** q, n).max()))
-    q2 = q2_inner ** (p / q)
-    window = 16.0 * as_weight(W).dim ** (max(p, q) / 2.0)
+    space, p, q = pair.space, pair.p, pair.q
+    q1 = float(level_means(space, pair.dual_norms ** p).max())
+    q2 = float(level_means(space, reducer_norms(
+        space, pair.wm, pair.tiled_primal) ** q).max()) ** (p / q)
+    window = 16.0 * pair.weight.dim ** (max(p, q) / 2.0)
     return q1, q2, window

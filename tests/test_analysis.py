@@ -62,11 +62,28 @@ def test_sparse_terms_are_shared_across_exponents(monkeypatch):
     family = principal.build_principal_family(an).to_sparse_family()
     norms = _count_calls(monkeypatch, linalg, "spectral_norm")
     t2 = sparse_operator(an, family, 2.0)
-    assert len(norms) == len(family.sets)
+    assert len(norms) == 1                     # the pair's whole table
     assert np.array_equal(sparse_operator(an, family, 2.0), t2)
     sparse_operator(an, family, 1.0)
     sparse_operator(an, family, inst.p)
-    assert len(norms) == len(family.sets)
+    assert len(norms) == 1
+
+
+def test_instance_checks_make_as_many_reducer_calls_at_any_depth(monkeypatch):
+    # every per-level reducer quantity is one call over all levels, so the
+    # call counts do not grow with the depth
+    norms = _count_calls(monkeypatch, linalg, "spectral_norm")
+    inverses = _count_calls(monkeypatch, linalg, "sym_inv")
+    counts = []
+    for depth in (4, 12):
+        inst = random_instance(0, seed=7, depth_range=(depth, depth))
+        assert inst.d == 1 and inst.depth == depth
+        del norms[:], inverses[:]
+        results, _ = instance_checks(inst)
+        assert all(r.passed for r in results)
+        counts.append((len(norms), len(inverses)))
+    assert counts[0] == counts[1]
+    assert counts[0][1] == 2                   # one per inverse family
 
 
 def test_analysis_rejects_function_of_the_wrong_shape():
@@ -81,7 +98,6 @@ def test_analysis_rejects_function_of_the_wrong_shape():
 
 def test_ascent_builds_one_martingale_per_ratio_evaluation(monkeypatch):
     space, W = rotating_weight(4, 2, 0.8, 0.0625)
-    pair = build_reducing_pair(space, W, 1.5, tol=2e-2, levels=[0])
     marts = _count_calls(monkeypatch, filtration, "martingale_of")
     norms = _count_calls(monkeypatch, filtration, "lp_norm")
     built = []
@@ -94,8 +110,7 @@ def test_ascent_builds_one_martingale_per_ratio_evaluation(monkeypatch):
         return out
 
     monkeypatch.setattr(experiments, "_sq_gradient", counted_gradient)
-    res = opnorm_ascent(space, W, 1.5, restarts=2, seed=0, max_iter=15,
-                        pair=pair)
+    res = opnorm_ascent(space, W, 1.5, restarts=2, seed=0, max_iter=15)
     assert res.iterations == len(built) > 0
     assert set(built) == {0}                   # the accepted point is reused
     # a ratio evaluation takes the norm of S_W f, the one (L,) argument

@@ -84,17 +84,19 @@ def test_check_zero_instances_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "check_report.json").exists()
 
 
-@pytest.mark.parametrize("flag, message", [
-    ("--depth", "depths must be at least 1"),
-    ("--p", "p must lie in (1, inf)"),
-    ("--d", "not d = 0"),
-], ids=["depth", "p", "d"])
-def test_check_zero_flag_reaches_validation(tmp_path, capsys, flag, message):
-    # a zero value is not the default: it is checked and rejected
-    assert run(["check", flag, "0", "--instances", "1",
-                "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("args, message", [
+    (["check", "--depth", "0", "--instances", "1"], "depths must be at least 1"),
+    (["check", "--p", "0", "--instances", "1"], "p must lie in (1, inf)"),
+    (["check", "--d", "0", "--instances", "1"], "not d = 0"),
+    (["sweep", "--parallel", "0"], "--parallel must be at least 1, got 0"),
+    (["sweep", "--parallel", "-1"], "--parallel must be at least 1, got -1"),
+], ids=["depth", "p", "d", "sweep-parallel-0", "sweep-parallel-negative"])
+def test_check_zero_flag_reaches_validation(tmp_path, capsys, args, message):
+    # a zero or negative value is not the default: it is checked and
+    # rejected before anything is written
+    assert run(args + ["--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "check_report.json").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_check_function_of_the_wrong_shape_is_usage_error(tmp_path, capsys):
@@ -148,6 +150,17 @@ def test_sweep_empty_grid_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depths": []}))
     assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+def test_sweep_unknown_estimator_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimator": "bogus"}))
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown estimator 'bogus'" in err
+    assert "auto, power2, ascent" in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -24,12 +24,13 @@ def test_target_exponents():
 def test_power_weight_flat_alpha():
     sp, w = power_weight(5, 0.0, 0.1)
     assert np.allclose(w.scalar(), 1.0, atol=1e-14)
-    assert ap_characteristic(sp, w, 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert ap_characteristic(build_reducing_pair(sp, w, 2.0)) == \
+        pytest.approx(1.0, abs=1e-10)
 
 
 def test_power_weight_mild_example():
     sp, w = power_weight(5, 1.0, 1.0)
-    val = ap_characteristic(sp, w, 2.0)
+    val = ap_characteristic(build_reducing_pair(sp, w, 2.0))
     assert 1.0 < val < 2.0
 
 
@@ -37,7 +38,7 @@ def test_power_weight_grows_as_eps_shrinks():
     vals = []
     for eps in (0.5, 0.1, 0.02, 0.004):
         sp, w = power_weight(6, 1.5, eps)
-        vals.append(ap_characteristic(sp, w, 2.0))
+        vals.append(ap_characteristic(build_reducing_pair(sp, w, 2.0)))
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -62,8 +63,7 @@ def test_rotating_weight_spectra_and_characteristic():
     assert np.allclose(vals, target, rtol=1e-10)
     dets = np.linalg.det(W.mats)
     assert np.allclose(dets, 1.0, rtol=1e-10)
-    assert ap_characteristic(sp, W, 2.0, pair=build_reducing_pair(
-        sp, W, 2.0, tol=2e-2)) > 1.0
+    assert ap_characteristic(build_reducing_pair(sp, W, 2.0, tol=2e-2)) > 1.0
 
 
 def test_rotating_weight_global_rotation_invariance():
@@ -74,8 +74,8 @@ def test_rotating_weight_global_rotation_invariance():
     r = np.array([[np.cos(theta), -np.sin(theta)],
                   [np.sin(theta), np.cos(theta)]])
     Wr = MatrixWeight(np.einsum("ij,ljk,mk->lim", r, W.mats, r))
-    a = ap_characteristic(sp, W, 2.0, pair=build_reducing_pair(sp, W, 2.0, tol=2e-2))
-    b = ap_characteristic(sp, Wr, 2.0, pair=build_reducing_pair(sp, Wr, 2.0, tol=2e-2))
+    a = ap_characteristic(build_reducing_pair(sp, W, 2.0, tol=2e-2))
+    b = ap_characteristic(build_reducing_pair(sp, Wr, 2.0, tol=2e-2))
     assert b == pytest.approx(a, rel=0.25)
 
 
@@ -153,8 +153,7 @@ def test_opnorm_ascent_grid_oracle_depth2():
     w = np.exp(rng.normal(0.0, 0.7, 4))
     W = as_weight(w)
     p = 3.0
-    pair = build_reducing_pair(sp, W, p)
-    res = opnorm_ascent(sp, W, p, restarts=6, seed=4, pair=pair)
+    res = opnorm_ascent(sp, W, p, restarts=6, seed=4)
 
     best = 0.0
     m = 24
@@ -168,7 +167,7 @@ def test_opnorm_ascent_grid_oracle_depth2():
                     np.sin(t1) * np.cos(t2),
                     np.sin(t1) * np.sin(t2) * np.cos(t3),
                     np.sin(t1) * np.sin(t2) * np.sin(t3)])
-                num = lp_norm(sp, weighted_square_fn(sp, W, p, f, pair=pair), p)
+                num = lp_norm(sp, weighted_square_fn(sp, W, p, f), p)
                 den = lp_norm(sp, f, p)
                 if den > 1e-12:
                     best = max(best, num / den)
@@ -181,9 +180,8 @@ def test_opnorm_ascent_witness_reproduces_ratio():
     q, _ = np.linalg.qr(rng.standard_normal((8, 2, 2)))
     lam = np.exp(rng.normal(0.0, 0.8, (8, 2)))
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
-    pair = build_reducing_pair(sp, W, 3.0)
-    res = opnorm_ascent(sp, W, 3.0, restarts=3, seed=5, pair=pair)
-    num = lp_norm(sp, weighted_square_fn(sp, W, 3.0, res.witness, pair=pair), 3.0)
+    res = opnorm_ascent(sp, W, 3.0, restarts=3, seed=5)
+    num = lp_norm(sp, weighted_square_fn(sp, W, 3.0, res.witness), 3.0)
     den = lp_norm(sp, res.witness, 3.0)
     assert num / den == pytest.approx(res.ratio, rel=1e-8)
 
@@ -200,13 +198,12 @@ def test_ascent_witness_respects_domination_chain():
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     p = 2.0
     pair = build_reducing_pair(sp, W, p, tol=2e-2)
-    res = opnorm_ascent(sp, W, p, restarts=2, seed=7, pair=pair)
+    res = opnorm_ascent(sp, W, p, restarts=2, seed=7)
     an = Analysis(pair, res.witness)
     dom = sparse_domination_check(an)
     assert dom["ok"]
     t = sparse_operator(an, dom["family"].to_sparse_family(), 2.0)
-    s = weighted_square_fn(sp, W, p, res.witness, pair=pair,
-                           mode="first_value")
+    s = weighted_square_fn(sp, W, p, res.witness, mode="first_value")
     assert lp_norm(sp, s, p) <= dom["bound"] * lp_norm(sp, t, p) + 1e-12
 
 

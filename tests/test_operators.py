@@ -90,8 +90,8 @@ def test_operator_homogeneity():
     pair = build_reducing_pair(sp, W, 2.0)
     f = rng.standard_normal((sp.n_leaves, 1))
     c = -3.7
-    sw = weighted_square_fn(sp, W, 2.0, f, pair=pair)
-    assert np.allclose(weighted_square_fn(sp, W, 2.0, c * f, pair=pair),
+    sw = weighted_square_fn(sp, W, 2.0, f)
+    assert np.allclose(weighted_square_fn(sp, W, 2.0, c * f),
                        abs(c) * sw, rtol=1e-12)
     mx = reduced_maximal(Analysis(pair, f))
     assert np.allclose(reduced_maximal(Analysis(pair, c * f)),

@@ -208,7 +208,7 @@ def test_domination_zero_and_constant():
     # convention used by the domination check keeps the level-1 value, so
     # the ratio is exactly 1 against the surviving sparse term
     f = np.full(8, 3.0)
-    assert np.max(weighted_square_fn(sp, w, 2.0, f, pair=pair)) == 0.0
+    assert np.max(weighted_square_fn(sp, w, 2.0, f)) == 0.0
     res = sparse_domination_check(Analysis(pair, f))
     assert res["ok"] and res["max_ratio"] == pytest.approx(1.0, rel=1e-12)
     fam = res["family"]
@@ -240,7 +240,7 @@ def test_domination_norm_chain_on_witness():
     res = sparse_domination_check(an)
     fam = res["family"]
     from wml.operators import sparse_operator
-    s = weighted_square_fn(sp, W, p, f, pair=pair, mode="first_value")
+    s = weighted_square_fn(sp, W, p, f, mode="first_value")
     t = sparse_operator(an, fam.to_sparse_family(), 2.0)
     assert lp_norm(sp, s, p) <= res["bound"] * lp_norm(sp, t, p) + 1e-12
 

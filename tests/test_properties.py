@@ -1,17 +1,18 @@
 """Property-based tests: the whole d = 1 battery passes on random trees
 (with chains and tiny masses), at extreme exponents, and on degenerate
-leaf functions; the one-pass martingale and adjoint kernels are bitwise
-equal to conditioning one level at a time."""
+leaf functions; the one-pass martingale, adjoint, level-mean and
+reducer-norm kernels match conditioning one level at a time."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
-                            martingale_of)
+                            level_means, martingale_of)
+from wml.linalg import spectral_norm
 from wml.operators import _conjugated_diffs
 from wml.suite import Instance, instance_checks
-from wml.weights import as_weight
+from wml.weights import as_weight, reducer_norms
 
 MAX_DEPTH = 6
 FRACTIONS = st.one_of(st.floats(0.05, 1.0), st.sampled_from([1e-9, 1e-6, 1e-3]))
@@ -123,3 +124,33 @@ def test_one_pass_kernels_match_per_level_conditioning(spec, d, seed):
         scale = np.einsum("lij,klj->kli", np.abs(wp), np.abs(mart.diffs))
         eps = np.finfo(float).eps
         assert np.all(np.abs(conj - reference) <= 4 * eps * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_specs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_level_kernels_match_per_level_loops(spec, d, seed):
+    space = build_from_tree(spec)
+    depth, n, base = space.depth, space.n_leaves, space.atom_base
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((depth + 1, n, d)) \
+        * np.exp(rng.normal(0.0, 2.0, (depth + 1, n, 1)))
+    stack[rng.random((depth + 1, n)) < 0.2] = 0.0
+    means = level_means(space, stack)
+    scalar = level_means(space, stack[..., 0])
+    for m in range(depth + 1):
+        level = slice(base[m], base[m + 1])
+        assert _bits(means[level]) == _bits(cond_expect(space, stack[m], m))
+        assert _bits(scalar[level]) == _bits(
+            cond_expect(space, stack[m, :, 0], m))
+
+    # one spectral_norm over every level: at d >= 2 the batched Jacobi
+    # sweeps may round differently from one call per level
+    leaf = rng.standard_normal((n, d, d))
+    tiled = rng.standard_normal((base[-1], d, d))
+    table = reducer_norms(space, leaf, tiled)
+    for m in range(depth + 1):
+        ref = spectral_norm(leaf @ space.expand(m, tiled[base[m]:base[m + 1]]))
+        if d == 1:
+            assert _bits(table[m]) == _bits(ref)
+        else:
+            assert np.all(np.abs(table[m] - ref) <= 1e-14 * ref)

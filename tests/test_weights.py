@@ -3,10 +3,9 @@ import pytest
 
 from wml.filtration import build_dyadic, cond_expect
 from wml.linalg import ValidationError, holdout_directions
-from wml.weights import (MatrixWeight, a1_characteristic, ap_characteristic,
-                         ap_equivalents, as_weight, build_reducing_pair,
-                         conjugate, dual_weight, exchanged_pair, reduce_pair,
-                         verify_reducing_bounds)
+from wml.weights import (MatrixWeight, ap_characteristic, ap_equivalents,
+                         as_weight, build_reducing_pair, conjugate,
+                         dual_weight, exchanged_pair, verify_reducing_bounds)
 
 
 def _random_spd_weight(rng, n, d, sigma=1.0):
@@ -42,14 +41,23 @@ def test_scalar_path_matches_closed_formulas_bitwise():
                               cond_expect(sp, w ** (-q / p), n) ** (1.0 / q))
 
 
-def test_reduce_pair_single_level():
+def test_pair_levels_are_slices_of_the_tiled_reducers():
     sp = build_dyadic(2)
     w = as_weight(np.array([4.0, 1.0, 2.0, 0.5]))
-    primal, dual = reduce_pair(sp, w, 2.0, 1)
-    assert primal.shape == (2, 1, 1)
-    full = build_reducing_pair(sp, w, 2.0)
-    assert np.array_equal(primal, full.primal[1])
-    assert np.array_equal(dual, full.dual[1])
+    pair = build_reducing_pair(sp, w, 2.0)
+    assert pair.primal[1].shape == (2, 1, 1)
+    assert np.array_equal(pair.primal[1][:, 0, 0], [2.5 ** 0.5, 1.25 ** 0.5])
+    base = sp.atom_base
+    for name in ("primal", "dual", "primal_inv", "dual_inv"):
+        tiled = getattr(pair, "tiled_" + name)
+        assert tiled.shape == (base[-1], 1, 1)
+        for n, level in enumerate(getattr(pair, name)):
+            assert np.shares_memory(level, tiled)
+            assert np.array_equal(level, tiled[base[n]:base[n + 1]])
+    swapped = exchanged_pair(pair)
+    for a, b in zip(swapped.primal + swapped.dual_inv,
+                    pair.dual + pair.primal_inv):
+        assert np.array_equal(a, b)
 
 
 def test_p2_ellipsoid_vs_exact_averaging_window():
@@ -89,7 +97,7 @@ def test_verify_reducing_bounds_scalar_exact_one():
     sp = build_dyadic(3)
     w = as_weight(np.exp(rng.normal(0.0, 1.5, sp.n_leaves)))
     pair = build_reducing_pair(sp, w, 2.5)
-    rep = verify_reducing_bounds(sp, w, 2.5, pair)
+    rep = verify_reducing_bounds(pair)
     assert rep["primal_max"] <= 1.0 + 1e-10
     assert rep["dual_max"] <= 1.0 + 1e-10
     assert rep["primal_ok"] and rep["dual_ok"]
@@ -99,7 +107,7 @@ def test_verify_reducing_bounds_identity_weight():
     sp = build_dyadic(2)
     W = MatrixWeight.identity(sp.n_leaves, 2)
     pair = build_reducing_pair(sp, W, 3.0)
-    rep = verify_reducing_bounds(sp, W, 3.0, pair)
+    rep = verify_reducing_bounds(pair)
     # both averages equal 1 up to the fit tolerance
     assert rep["primal_max"] == pytest.approx(1.0, rel=0.1)
     assert rep["dual_max"] == pytest.approx(1.0, rel=0.1)
@@ -110,17 +118,18 @@ def test_verify_reducing_bounds_random_d2_p3_example_window():
     sp = build_dyadic(3)
     W = _random_spd_weight(rng, sp.n_leaves, 2)
     pair = build_reducing_pair(sp, W, 3.0)
-    rep = verify_reducing_bounds(sp, W, 3.0, pair)
+    rep = verify_reducing_bounds(pair)
     assert rep["primal_max"] <= 2.0 ** 1.5 * 1.2
     assert rep["primal_ok"] and rep["dual_ok"]
 
 
 def test_ap_characteristic_examples():
     sp1 = build_dyadic(1)
-    assert ap_characteristic(sp1, as_weight(np.ones(2)), 2.0) == pytest.approx(
-        1.0, abs=1e-12)
+    assert ap_characteristic(build_reducing_pair(
+        sp1, as_weight(np.ones(2)), 2.0)) == pytest.approx(1.0, abs=1e-12)
     # two-atom uniform, w = (4, 1), p = 2: (E w)(E 1/w) = (5/2)(5/8)
-    val = ap_characteristic(sp1, as_weight(np.array([4.0, 1.0])), 2.0)
+    val = ap_characteristic(build_reducing_pair(
+        sp1, as_weight(np.array([4.0, 1.0])), 2.0))
     assert val == pytest.approx(25.0 / 16.0, rel=1e-12)
 
 
@@ -128,11 +137,10 @@ def test_ap_characteristic_constant_matrix_weight():
     sp = build_dyadic(2)
     w0 = np.array([[3.0, 1.0], [1.0, 2.0]])
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
-    val = ap_characteristic(sp, W, 2.0)
+    val = ap_characteristic(build_reducing_pair(sp, W, 2.0))
     assert 1.0 - 1e-9 <= val <= 1.05 ** 4 * 2.0 ** 2
-    exact = ap_characteristic(sp, W, 2.0,
-                              pair=build_reducing_pair(sp, W, 2.0,
-                                                       method="exact_p2"))
+    exact = ap_characteristic(build_reducing_pair(sp, W, 2.0,
+                                                  method="exact_p2"))
     assert exact == pytest.approx(1.0, abs=1e-10)
 
 
@@ -140,20 +148,9 @@ def test_ap_scaling_invariance():
     rng = np.random.default_rng(4)
     sp = build_dyadic(2)
     w = np.exp(rng.normal(0.0, 1.0, 4))
-    a1 = ap_characteristic(sp, as_weight(w), 3.0)
-    a2 = ap_characteristic(sp, as_weight(17.3 * w), 3.0)
+    a1 = ap_characteristic(build_reducing_pair(sp, as_weight(w), 3.0))
+    a2 = ap_characteristic(build_reducing_pair(sp, as_weight(17.3 * w), 3.0))
     assert a1 == pytest.approx(a2, rel=1e-10)
-
-
-def test_a1_characteristic_examples():
-    sp1 = build_dyadic(1)
-    assert a1_characteristic(sp1, as_weight(np.full(2, 5.0))) == pytest.approx(
-        1.0, abs=1e-12)
-    assert a1_characteristic(sp1, as_weight(np.array([4.0, 1.0]))) == \
-        pytest.approx(2.5, abs=1e-12)
-    W = MatrixWeight.identity(4, 2)
-    sp = build_dyadic(2)
-    assert a1_characteristic(sp, W) == pytest.approx(1.0, rel=0.05)
 
 
 def test_dual_weight_scalar_identities():
@@ -163,13 +160,16 @@ def test_dual_weight_scalar_identities():
     # p = 2: V = 1/w and the characteristics agree exactly
     v = dual_weight(as_weight(w), 2.0)
     assert np.allclose(v.scalar(), 1.0 / w, rtol=1e-12)
-    assert ap_characteristic(sp, v, 2.0) == pytest.approx(
-        ap_characteristic(sp, as_weight(w), 2.0), rel=1e-10)
+    assert ap_characteristic(build_reducing_pair(sp, v, 2.0)) == \
+        pytest.approx(ap_characteristic(
+            build_reducing_pair(sp, as_weight(w), 2.0)), rel=1e-10)
     # p = 3 two-atom example, both sides computed independently
     sp1 = build_dyadic(1)
     w2 = np.array([4.0, 1.0])
-    lhs = ap_characteristic(sp1, dual_weight(as_weight(w2), 3.0), 1.5)
-    rhs = ap_characteristic(sp1, as_weight(w2), 3.0) ** 0.5
+    lhs = ap_characteristic(build_reducing_pair(
+        sp1, dual_weight(as_weight(w2), 3.0), 1.5))
+    rhs = ap_characteristic(build_reducing_pair(
+        sp1, as_weight(w2), 3.0)) ** 0.5
     assert lhs == pytest.approx(rhs, rel=1e-10)
     # identity weight is self-dual
     W = MatrixWeight.identity(4, 3)
@@ -183,8 +183,8 @@ def test_exchanged_pair_exact_duality_matrix():
     p = 3.0
     q = conjugate(p)
     pair = build_reducing_pair(sp, W, p)
-    ap = ap_characteristic(sp, W, p, pair=pair)
-    ap_dual = ap_characteristic(sp, None, q, pair=exchanged_pair(pair))
+    ap = ap_characteristic(pair)
+    ap_dual = ap_characteristic(exchanged_pair(pair))
     assert ap_dual == pytest.approx(ap ** (q - 1.0), rel=1e-10)
 
 
@@ -195,23 +195,22 @@ def test_fresh_dual_fit_agrees_loosely():
     W = _random_spd_weight(rng, sp.n_leaves, 2)
     p = 3.0
     q = conjugate(p)
-    ap = ap_characteristic(sp, W, p)
+    ap = ap_characteristic(build_reducing_pair(sp, W, p))
     v = dual_weight(W, p)
-    ap_v = ap_characteristic(sp, v, q)
+    ap_v = ap_characteristic(build_reducing_pair(sp, v, q))
     assert ap_v == pytest.approx(ap ** (q - 1.0), rel=1e-2)
 
 
 def test_ap_equivalents():
     sp1 = build_dyadic(1)
     q1, q2, window = ap_equivalents(
-        sp1, as_weight(np.ones(2)), 2.0,
         build_reducing_pair(sp1, as_weight(np.ones(2)), 2.0))
     assert q1 == pytest.approx(1.0, abs=1e-12)
     assert q2 == pytest.approx(1.0, abs=1e-12)
 
     w = as_weight(np.array([4.0, 1.0]))
     pair = build_reducing_pair(sp1, w, 2.0)
-    q1, q2, _ = ap_equivalents(sp1, w, 2.0, pair)
+    q1, q2, _ = ap_equivalents(pair)
     ap = 25.0 / 16.0
     assert 0.25 <= q1 / ap <= 4.0
     assert 0.25 <= q2 / ap <= 4.0
@@ -224,8 +223,8 @@ def test_ap_equivalents_window_random_matrix():
         W = _random_spd_weight(rng, sp.n_leaves, 2)
         p = 3.0
         pair = build_reducing_pair(sp, W, p)
-        ap = ap_characteristic(sp, W, p, pair=pair)
-        q1, q2, window = ap_equivalents(sp, W, p, pair)
+        ap = ap_characteristic(pair)
+        q1, q2, window = ap_equivalents(pair)
         assert window == 16.0 * 2.0 ** (max(p, conjugate(p)) / 2.0)
         assert 1.0 / window <= q1 / ap <= window
         assert 1.0 / window <= q2 / ap <= window
