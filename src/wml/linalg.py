@@ -46,8 +46,9 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
     mats : ndarray, shape (..., d, d)
         Symmetric matrices (symmetrized internally).
     tol : float
-        Stop once the off-diagonal Frobenius mass is below ``tol`` times
-        the matrix Frobenius norm.
+        A matrix stops rotating once its off-diagonal Frobenius mass is
+        below ``tol`` times its Frobenius norm; the sweeps end when every
+        matrix has.
 
     Returns
     -------
@@ -72,12 +73,15 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
         for _ in range(max_sweeps):
             off = np.sqrt(np.maximum(np.sum(a * a, axis=(1, 2)) - np.sum(
                 np.diagonal(a, axis1=1, axis2=2) ** 2, axis=1), 0.0))
-            if np.all(off <= tol * scale):
+            # a converged matrix gets t = 0 from here on, which leaves it
+            # unchanged, so its result does not depend on its batch mates
+            done = off <= tol * scale
+            if np.all(done):
                 break
             for p in range(d - 1):
                 for q in range(p + 1, d):
                     apq = a[:, p, q]
-                    small = np.abs(apq) <= 1e-300
+                    small = done | (np.abs(apq) <= 1e-300)
                     theta = (a[:, q, q] - a[:, p, p]) / np.where(small, 1.0, 2.0 * apq)
                     with np.errstate(over="ignore"):
                         t = np.where(theta >= 0.0, 1.0, -1.0) / (
@@ -175,9 +179,7 @@ def direction_set(dim, n=None, seed=0):
         return np.stack([np.sin(phi) * np.cos(theta),
                          np.sin(phi) * np.sin(theta),
                          np.cos(phi)], axis=1)
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return holdout_directions(dim, n, seed)
 
 
 def holdout_directions(dim, n=1000, seed=1234):
@@ -211,32 +213,24 @@ def _quad(x, s_inv):
 def _design_update(xa, ua, d, target, cap):
     """Inner solver for the D-optimal design problem on an active point set.
 
-    Multiplicative updates for bulk progress, then Frank-Wolfe steps with
-    away steps for the linear-rate endgame. Each Frank-Wolfe step changes
-    S(u) by a rank-one term, so S^{-1} and g_n = x_n^T S^{-1} x_n follow by
-    Sherman-Morrison (Todd & Yildirim 2007); both are recomputed from u
-    every 256 steps. Returns (u, S, g, iterations): S is the fresh moment
-    of u, g the solver's running quadratic forms.
+    Frank-Wolfe steps with away steps (Todd & Yildirim 2007) from the given
+    weights. Each step changes S(u) by a rank-one term, so S^{-1} and
+    g_n = x_n^T S^{-1} x_n follow by Sherman-Morrison; both are recomputed
+    from u every 32 steps. A cloud with max g <= target takes no further
+    step and is left exactly as it is, so each cloud's result depends only
+    on that cloud. Returns (u, S, g, iterations): S is the fresh moment of
+    u, g the solver's running quadratic forms.
     """
     rows = np.arange(xa.shape[0])
     s_inv = np.linalg.inv(_moment(xa, ua))
     g = _quad(xa, s_inv)
     used = 0
-    bulk = d * max(1.08, 0.5 + 0.5 * target / d)
-    for _ in range(min(cap, 200)):
-        used += 1
-        if np.all(g.max(axis=1) <= bulk):
-            break
-        ua = ua * g / d
-        ua /= ua.sum(axis=1, keepdims=True)
-        s_inv = np.linalg.inv(_moment(xa, ua))
-        g = _quad(xa, s_inv)
-
     while used < cap:
         used += 1
         jmax = g.argmax(axis=1)
         gmax = g[rows, jmax]
-        if np.all(gmax <= target):
+        live = gmax > target
+        if not live.any():
             break
         gm = np.where(ua > 0.0, g, np.inf)
         jmin = gm.argmin(axis=1)
@@ -250,19 +244,19 @@ def _design_update(xa, ua, d, target, cap):
             cap_away = uj / np.maximum(1.0 - uj, 1e-300)
             t_away = np.where(gj > 1.0, np.minimum(
                 (d - gj) / (d * (gj - 1.0)), cap_away), cap_away)
-        t = np.where(use_add, t_add, t_away)
-        t = np.where(gmax <= target, 0.0, t)       # freeze converged clouds
+        t = np.where(live, np.where(use_add, t_add, t_away), 0.0)
         sign = np.where(use_add, 1.0, -1.0)
         scale = np.where(use_add, 1.0 - t, 1.0 + t)
         ua *= scale[:, None]
         ua[rows, j] += sign * t
         np.clip(ua, 0.0, None, out=ua)
-        ua /= ua.sum(axis=1, keepdims=True)
-        if used % 256 == 0:
-            s_inv = np.linalg.inv(_moment(xa, ua))
-            g = _quad(xa, s_inv)
+        ua[live] /= ua[live].sum(axis=1, keepdims=True)
+        if used % 32 == 0:
+            s_inv[live] = np.linalg.inv(_moment(xa[live], ua[live]))
+            g[live] = _quad(xa[live], s_inv[live])
             continue
-        # S <- scale S + sign t x_j x_j^T, by Sherman-Morrison
+        # S <- scale S + sign t x_j x_j^T, by Sherman-Morrison; t = 0 leaves
+        # S^{-1} and g unchanged
         c = sign * t / scale
         v = (s_inv @ xa[rows, j][:, :, None])[:, :, 0]
         coef = c / (1.0 + c * gj)
@@ -277,11 +271,12 @@ def _design_update(xa, ua, d, target, cap):
 def mvee_central(points, eps=2e-3, max_iter=100_000):
     """MVEE of the symmetric hull conv(±x_i) for stacked point clouds.
 
-    Runs multiplicative design updates plus away-step exchange steps on a
-    growing active subset of candidate contact points, verifying against
-    the full cloud and promoting the worst violators until
-    max_i x_i^T S(u)^{-1} x_i <= d (1 + eps). Clouds are whitened by their
-    warm-start second moment for conditioning.
+    Runs Frank-Wolfe steps with away steps on a growing active subset of
+    candidate contact points, verifying against the full cloud and promoting
+    the worst violators until max_i x_i^T S(u)^{-1} x_i <= d (1 + eps).
+    Clouds are whitened by their warm-start second moment for conditioning.
+    Each cloud's result depends only on that cloud, not on the other clouds
+    in the call; only the ``max_iter`` budget is shared by the batch.
 
     Parameters
     ----------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wml.linalg import (EllipsoidError, ValidationError, _design_update,
                         _quad, direction_set, jacobi_eigh, mvee_central,
-                        spd_power, spectral_norm)
+                        spd_power, spectral_norm, sym_inv)
 from wml.weights import _certified_fit
 
 
@@ -181,3 +183,59 @@ def test_direction_counts_follow_configuration():
     assert direction_set(4).shape == (8192, 4)
     norms = np.linalg.norm(direction_set(3), axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+def _assert_partition_invariant(fn, batch, labels):
+    """fn on the whole batch equals fn on each part of the partition given
+    by labels, bitwise, for every output array."""
+    whole = fn(batch)
+    whole = whole if isinstance(whole, tuple) else (whole,)
+    for k in np.unique(labels):
+        part = fn(batch[labels == k])
+        part = part if isinstance(part, tuple) else (part,)
+        for w, q in zip(whole, part):
+            assert np.array_equal(w[labels == k], q), k
+
+
+@st.composite
+def spd_batches(draw):
+    """A stack of SPD matrices in random frames, log-eigenvalues with
+    spread sigma, and a partition label per matrix."""
+    d = draw(st.sampled_from((2, 3)))
+    b = draw(st.integers(2, 16))
+    sigma = draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((b, d, d)))
+    mats = (q * np.exp(sigma * rng.standard_normal((b, 1, d)))) \
+        @ np.swapaxes(q, 1, 2)
+    mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=b,
+                                    max_size=b)))
+    return mats, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_batches())
+def test_eigen_kernels_independent_of_batch_mates(batch):
+    mats, labels = batch
+    _assert_partition_invariant(jacobi_eigh, mats, labels)
+    _assert_partition_invariant(sym_inv, mats, labels)
+    _assert_partition_invariant(lambda m: spd_power(m, 0.5), mats, labels)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_mvee_kernels_independent_of_batch_mates(d):
+    # round and eccentric clouds converge after different numbers of steps
+    # and promotion rounds; every partition of the batch, down to one cloud
+    # per call, must reproduce the batched result (the iteration count
+    # _design_update returns is the batch's, so it is left out)
+    pts = np.concatenate([_clouds(d, 3, 300, d, 1.0),
+                          _clouds(d + 7, 3, 300, d, 1e3)])
+    k = 6 * d * (d + 1)
+    for labels in (np.arange(6), np.array([0, 1, 0, 1, 0, 1]),
+                   np.array([0, 0, 0, 1, 1, 1])):
+        _assert_partition_invariant(mvee_central, pts, labels)
+        _assert_partition_invariant(
+            lambda x: _design_update(x[:, :k], np.full((len(x), k), 1.0 / k),
+                                     d, d * (1.0 + 1e-3), 4000)[:3],
+            pts, labels)
