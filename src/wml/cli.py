@@ -266,6 +266,7 @@ def cmd_sweep(args):
     write_sweep_csv(out / "sweep.csv", records)
     write_fit_json(out / "fit.json", fit)
     print(f"{len(records)} records -> {out / 'sweep.csv'}")
+    print(f"converged {sum(r.converged for r in records)}/{len(records)} points")
     print(f"slope {fit['slope']:.4f} (stderr {fit['stderr']:.4f}) "
           f"-> {out / 'fit.json'}")
     return 0

@@ -272,9 +272,15 @@ def level_means(space, stack):
             f"expected ({space.depth + 1}, {space.n_leaves}[, d])")
     flat = arr if arr.ndim == 3 else arr[..., None]
     weighted = (space.leaf_probs[:, None] * flat).reshape(-1, flat.shape[2])
-    out = np.add.reduceat(weighted, space.tiled_starts, axis=0) \
-        / space.tiled_atom_probs[:, None]
+    out = _tiled_means(space, weighted)
     return out if arr.ndim == 3 else out[:, 0]
+
+
+def _tiled_means(space, weighted):
+    """Atom averages of every level, in tiled order, from the
+    ((D + 1) L, d) tile whose copy n holds P(l) times the level-n row."""
+    return np.add.reduceat(weighted, space.tiled_starts, axis=0) \
+        / space.tiled_atom_probs[:, None]
 
 
 def martingale_of(space, f):
@@ -282,8 +288,9 @@ def martingale_of(space, f):
     means of f repeated on every level."""
     arr = _leaf_array(space, f)
     flat = arr if arr.ndim == 2 else arr[:, None]
-    # a copy per level: weighting a broadcast view costs more than copying
-    atoms = level_means(space, np.repeat(flat[None], space.depth + 1, axis=0))
+    # f is weighted once; every level reads the same weighted copy
+    atoms = _tiled_means(space, np.tile(space.leaf_probs[:, None] * flat,
+                                        (space.depth + 1, 1)))
     leaf_levels = atoms[space.tiled_labels()]
     diffs = leaf_levels[1:] - leaf_levels[:-1]
     for a in (flat, atoms, leaf_levels, diffs):
@@ -324,6 +331,12 @@ def lp_norm(space, f, p):
     """(sum_leaves P(l) |f(l)|^p)^(1/p) with the euclidean vector norm."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    arr = _leaf_array(space, f)
-    mag = np.abs(arr) if arr.ndim == 1 else np.linalg.norm(arr, axis=1)
+    return _lp_norm(space, _leaf_array(space, f), p)
+
+
+def _lp_norm(space, f, p):
+    """``lp_norm`` of an (L,) or (L, d) float array without validating it,
+    for arrays the library built itself. The euclidean norm is summed as
+    ``np.linalg.norm(axis=1)`` sums it, so the values are bitwise equal."""
+    mag = np.abs(f) if f.ndim == 1 else np.sqrt(np.sum(f * f, axis=1))
     return float(np.sum(space.leaf_probs * mag ** p) ** (1.0 / p))

@@ -217,6 +217,9 @@ def test_criterion_8_exponent_probes():
                               alphas=(alpha,), epss=(2.0 ** -depth,),
                               restarts=3, seed=SEED)
             recs.append(sweep_point(cfg, i, depth, alpha, 2.0 ** -depth))
+        if p == 1.5:
+            # the power method's stopping test certified every estimate
+            assert all(r.converged for r in recs), p
         from wml.experiments import exponent_fit
         slope, _, _ = exponent_fit([(r.ap_char, r.ratio) for r in recs])
         target = scalar_target_exponent(p)
@@ -232,6 +235,7 @@ def test_criterion_8_exponent_probes():
                           alphas=(alpha,), epss=(2.0 ** -depth,),
                           restarts=3, seed=SEED)
         recs.append(sweep_point(cfg, i, depth, alpha, 2.0 ** -depth))
+    assert all(r.converged for r in recs)
     from wml.experiments import exponent_fit
     mslope, _, _ = exponent_fit([(r.ap_char, r.ratio) for r in recs])
     mtarget = matrix_target_exponent(1.5)

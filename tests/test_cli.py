@@ -211,14 +211,15 @@ def test_parallel_sweep_matches_serial(tmp_path):
         (parallel / "sweep.csv").read_bytes()
 
 
-def test_parallel_ascent_sweep_matches_serial(tmp_path):
-    # p = 1.5 runs the gradient-ascent estimator on every point
+def test_parallel_ascent_sweep_matches_serial(tmp_path, capsys):
+    # p = 1.5 runs the power-method estimator on every point
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 1.5, "depths": [4, 5], "alphas": [0.5],
                                "epss": [0.25, 0.0625], "restarts": 2}))
     serial, parallel = tmp_path / "s", tmp_path / "p"
     args = ["sweep", "--config", str(cfg), "--seed", "6"]
     assert run(args + ["--out", str(serial)]) == 0
+    assert "converged 4/4 points" in capsys.readouterr().out
     assert run(args + ["--parallel", "2", "--out", str(parallel)]) == 0
     assert (serial / "sweep.csv").read_bytes() == \
         (parallel / "sweep.csv").read_bytes()

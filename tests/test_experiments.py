@@ -6,7 +6,7 @@ from wml.experiments import (SweepConfig, exponent_fit, leaf_scale_sweep,
                              opnorm_power_iteration, power_weight,
                              rotating_weight, run_sweep, scalar_target_exponent)
 from wml.filtration import build_dyadic, cond_expect_leaf, lp_norm, martingale_of
-from wml.linalg import ValidationError
+from wml.linalg import ValidationError, spd_power
 from wml.operators import weighted_square_fn
 from wml.weights import (MatrixWeight, ap_characteristic, as_weight,
                          build_reducing_pair)
@@ -147,43 +147,100 @@ def test_opnorm_ascent_converged_flag():
 
 
 def test_opnorm_ascent_grid_oracle_depth2():
-    # exhaustive spherical grid over the 4-dimensional function space
+    # exhaustive spherical grid over the 4-dimensional function space, for
+    # the projected ascent (p = 3) and the power method (p = 1.5)
     rng = np.random.default_rng(3)
     sp = build_dyadic(2)
     w = np.exp(rng.normal(0.0, 0.7, 4))
     W = as_weight(w)
-    p = 3.0
-    res = opnorm_ascent(sp, W, p, restarts=6, seed=4)
-
-    best = 0.0
     m = 24
     th = np.linspace(0.0, np.pi, m)
     ph = np.linspace(0.0, 2.0 * np.pi, 2 * m, endpoint=False)
-    for t1 in th:
-        for t2 in th:
-            for t3 in ph:
-                f = np.array([
-                    np.cos(t1),
-                    np.sin(t1) * np.cos(t2),
-                    np.sin(t1) * np.sin(t2) * np.cos(t3),
-                    np.sin(t1) * np.sin(t2) * np.sin(t3)])
-                num = lp_norm(sp, weighted_square_fn(sp, W, p, f), p)
-                den = lp_norm(sp, f, p)
-                if den > 1e-12:
-                    best = max(best, num / den)
-    assert res.ratio >= best * 0.99
+    for p in (3.0, 1.5):
+        res = opnorm_ascent(sp, W, p, restarts=6, seed=4)
+        best = 0.0
+        for t1 in th:
+            for t2 in th:
+                for t3 in ph:
+                    f = np.array([
+                        np.cos(t1),
+                        np.sin(t1) * np.cos(t2),
+                        np.sin(t1) * np.sin(t2) * np.cos(t3),
+                        np.sin(t1) * np.sin(t2) * np.sin(t3)])
+                    num = lp_norm(sp, weighted_square_fn(sp, W, p, f), p)
+                    den = lp_norm(sp, f, p)
+                    if den > 1e-12:
+                        best = max(best, num / den)
+        assert res.ratio >= best * 0.99, p
+
+
+def _random_matrix_weight(rng, depth):
+    n = 2 ** depth
+    q, _ = np.linalg.qr(rng.standard_normal((n, 2, 2)))
+    lam = np.exp(rng.normal(0.0, 0.8, (n, 2)))
+    return MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+
+
+def _witness_ratio(sp, W, p, f):
+    return (lp_norm(sp, weighted_square_fn(sp, W, p, f), p)
+            / lp_norm(sp, f, p))
 
 
 def test_opnorm_ascent_witness_reproduces_ratio():
     rng = np.random.default_rng(4)
     sp = build_dyadic(3)
-    q, _ = np.linalg.qr(rng.standard_normal((8, 2, 2)))
-    lam = np.exp(rng.normal(0.0, 0.8, (8, 2)))
-    W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
-    res = opnorm_ascent(sp, W, 3.0, restarts=3, seed=5)
-    num = lp_norm(sp, weighted_square_fn(sp, W, 3.0, res.witness), 3.0)
-    den = lp_norm(sp, res.witness, 3.0)
-    assert num / den == pytest.approx(res.ratio, rel=1e-8)
+    W = _random_matrix_weight(rng, 3)
+    for p in (3.0, 1.5):
+        res = opnorm_ascent(sp, W, p, restarts=3, seed=5)
+        assert _witness_ratio(sp, W, p, res.witness) == pytest.approx(
+            res.ratio, rel=1e-8), p
+
+
+def test_power_method_capped_in_exponent_two_phase():
+    # start 0 runs out of iterations before its exponent-2 phase ends: the
+    # start is unconverged and still reports the p-ratio of its witness
+    sp, W = rotating_weight(5, 2, 0.8, 0.0625)
+    full = opnorm_ascent(sp, W, 1.5, restarts=1, seed=0)
+    assert full.converged and full.iterations > 4
+    res = opnorm_ascent(sp, W, 1.5, restarts=1, seed=0, max_iter=3)
+    assert not res.converged and res.iterations == 3
+    assert _witness_ratio(sp, W, 1.5, res.witness) == pytest.approx(
+        res.ratio, rel=1e-12)
+
+
+def test_power_method_start_zero_passes_through_exponent_two():
+    # from the seed-1 random start alone the p = 1.5 iteration stops at a
+    # stationary value near 1.63; through the L2 top singular vector it
+    # reaches the best value that eight starts find
+    sp, W = rotating_weight(6, 2, 0.4, 0.25)
+    one = opnorm_ascent(sp, W, 1.5, restarts=1, seed=1)
+    many = opnorm_ascent(sp, W, 1.5, restarts=8, seed=1)
+    assert one.converged and many.converged
+    assert one.ratio >= many.ratio * (1.0 - 1e-9)
+
+
+def test_power_method_dense_oracle_p2_d2():
+    # top singular value of the dense matrix of T f = (W^{1/2} d_k W^{-1/2} f)_k
+    # from L2(P; R^2) into L2(P; l2), per level from cond_expect_leaf
+    rng = np.random.default_rng(8)
+    sp = build_dyadic(3)
+    W = _random_matrix_weight(rng, 3)
+    wp, wm = spd_power(W.mats, 0.5), spd_power(W.mats, -0.5)
+    sqp = np.sqrt(sp.leaf_probs)
+    columns = []
+    for leaf in range(8):
+        for j in range(2):
+            e = np.zeros((8, 2))
+            e[leaf, j] = 1.0 / sqp[leaf]
+            g = np.einsum("lij,lj->li", wm, e)
+            levels = [cond_expect_leaf(sp, g, n) for n in range(4)]
+            tf = [np.einsum("lij,lj->li", wp, levels[k] - levels[k - 1])
+                  for k in range(1, 4)]
+            columns.append(np.concatenate([sqp[:, None] * t for t in tf]).ravel())
+    top = np.linalg.svd(np.array(columns).T, compute_uv=False)[0]
+    res = opnorm_ascent(sp, W, 2.0, restarts=3, seed=1)
+    assert res.converged
+    assert res.ratio == pytest.approx(top, rel=1e-9)
 
 
 def test_ascent_witness_respects_domination_chain():
