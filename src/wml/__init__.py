@@ -12,9 +12,7 @@ from .weights import (MatrixWeight, ReducingPair, ap_characteristic,
                       ap_equivalents, as_weight, build_reducing_pair,
                       conjugate, dual_weight, exchanged_pair, reducer_norms,
                       verify_reducing_bounds)
-from .operators import (SparseFamily, SparseSet, lp_weighted_norm,
-                        reduced_maximal, sparse_operator,
-                        sparse_operator_scalar, square_fn,
+from .operators import (lp_weighted_norm, sparse_operator, square_fn,
                         weighted_cond_expect, weighted_square_fn)
 from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
                         build_principal_family, check_properties,
@@ -28,6 +26,6 @@ from .experiments import (SweepConfig, SweepPointError, SweepRecord,
                           matrix_target_exponent, opnorm_ascent,
                           opnorm_power_iteration,
                           power_weight, rotating_weight, run_sweep,
-                          scalar_target_exponent)
+                          scalar_target_exponent, sweep_fit)
 
 __version__ = "0.1.0"

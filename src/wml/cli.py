@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (SweepConfig, SweepPointError, exponent_fit,
-                          leaf_scale_sweep, matrix_target_exponent,
-                          power_weight, rotating_weight, run_sweep,
-                          scalar_target_exponent)
+from .experiments import (SweepConfig, SweepPointError, leaf_scale_sweep,
+                          matrix_target_exponent, power_weight,
+                          rotating_weight, run_sweep, scalar_target_exponent,
+                          sweep_fit)
 from .filtration import build_dyadic, build_from_tree
 from .io import (load_function_csv, load_tree, load_weight_csv,
                  read_sweep_csv, save_function_csv, save_tree,
@@ -240,8 +240,18 @@ def cmd_check(args):
     return CHECK_FAILURE if failed else 0
 
 
+# every key that ``wml sweep`` reads from its config
+SWEEP_KEYS = ("family", "p", "d", "depths", "alphas", "epss", "restarts",
+              "seed", "fit_tol", "out", "parallel")
+
+
 def cmd_sweep(args):
     config = _load_config(args.config)
+    unknown = sorted(set(config) - set(SWEEP_KEYS))
+    if unknown:
+        raise ValidationError(
+            f"unknown sweep config key {', '.join(map(repr, unknown))}; "
+            f"expected one of {', '.join(SWEEP_KEYS)}")
     opts = _merged(config, args, ("p", "d", "out", "parallel"))
     seed = _resolve_seed(args, config)
     parallel = _parallel(opts)
@@ -254,7 +264,6 @@ def cmd_sweep(args):
         depths=tuple(opts.get("depths", (6, 8, 10))),
         alphas=tuple(opts.get("alphas", (0.4, 0.6, 0.8, 0.95))),
         epss=tuple(opts.get("epss", (0.25, 0.015625))),
-        estimator=opts.get("estimator", "auto"),
         restarts=int(opts.get("restarts", 4)),
         seed=seed,
         fit_tol=float(opts.get("fit_tol", 2e-2)))
@@ -272,34 +281,31 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_fit(args):
-    config = _load_config(args.config)
-    opts = _merged(config, args, ("csv", "out"))
+def _csv_fit(args):
+    """(rows of the --csv sweep CSV, their sweep_fit, output directory)
+    for the fit and report commands."""
+    opts = _merged(_load_config(args.config), args, ("csv", "out"))
     if "csv" not in opts:
-        raise ValidationError("fit needs --csv pointing at a sweep CSV")
+        raise ValidationError(
+            f"{args.command} needs --csv pointing at a sweep CSV")
     rows = read_sweep_csv(opts["csv"])
-    slope, intercept, stderr = exponent_fit(
-        [(r["ap_char"], r["ratio"]) for r in rows])
-    fit = {"slope": slope, "intercept": intercept, "stderr": stderr,
-           "n": len(rows)}
+    fit = sweep_fit((r["ap_char"], r["ratio"]) for r in rows)
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
+    return rows, fit, out
+
+
+def cmd_fit(args):
+    rows, fit, out = _csv_fit(args)
     write_fit_json(out / "fit.json", fit)
-    print(f"slope {slope:.6f} intercept {intercept:.6f} "
-          f"stderr {stderr:.6f} n {len(rows)}")
+    print(f"slope {fit['slope']:.6f} intercept {fit['intercept']:.6f} "
+          f"stderr {fit['stderr']:.6f} n {fit['n']}")
     return 0
 
 
 def cmd_report(args):
-    config = _load_config(args.config)
-    opts = _merged(config, args, ("csv", "out"))
-    if "csv" not in opts:
-        raise ValidationError("report needs --csv pointing at a sweep CSV")
-    rows = read_sweep_csv(opts["csv"])
-    slope, intercept, stderr = exponent_fit(
-        [(r["ap_char"], r["ratio"]) for r in rows])
-    out = Path(opts.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    rows, fit, out = _csv_fit(args)
+    slope, intercept, stderr = fit["slope"], fit["intercept"], fit["stderr"]
 
     by_family = {}
     for r in rows:

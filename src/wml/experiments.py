@@ -283,11 +283,16 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     return best
 
 
+class DegenerateFitError(ValidationError):
+    """An exponent fit over characteristics that do not vary."""
+
+
 def exponent_fit(points):
     """Least-squares fit of log(ratio) against log(ap_char).
 
     Returns (slope, intercept, stderr of the slope); needs >= 3 points with
-    positive coordinates and non-degenerate x variance.
+    positive coordinates and non-degenerate x variance (DegenerateFitError
+    otherwise).
     """
     pts = [(float(a), float(r)) for a, r in points]
     if len(pts) < 3:
@@ -298,7 +303,7 @@ def exponent_fit(points):
     y = np.log([r for _, r in pts])
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx <= 1e-30 * max(1.0, float(np.sum(x * x))):
-        raise ValidationError("degenerate characteristic variance in fit")
+        raise DegenerateFitError("degenerate characteristic variance in fit")
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
@@ -307,12 +312,23 @@ def exponent_fit(points):
     return slope, intercept, stderr
 
 
+def sweep_fit(points):
+    """The {"slope", "intercept", "stderr", "n"} record of a sweep's
+    (ap_char, ratio) points. A flat family, whose characteristics all
+    coincide, gets slope 0 and the mean log ratio as intercept."""
+    points = list(points)
+    try:
+        slope, intercept, stderr = exponent_fit(points)
+    except DegenerateFitError:
+        slope, stderr = 0.0, 0.0
+        intercept = float(np.mean(np.log([max(r, 1e-300) for _, r in points])))
+    return {"slope": slope, "intercept": intercept, "stderr": stderr,
+            "n": len(points)}
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
-
-ESTIMATORS = ("auto", "power2", "ascent")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -322,16 +338,9 @@ class SweepConfig:
     depths: tuple = (6, 8, 10)
     alphas: tuple = (0.5, 0.8)
     epss: tuple = (0.25, 0.0625, 0.015625, 0.00390625)
-    estimator: str = "auto"          # one of ESTIMATORS
     restarts: int = 4
     seed: int = 0
     fit_tol: float = 2e-2            # reducer fit tolerance for d >= 2
-
-    def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise ValidationError(
-                f"unknown estimator {self.estimator!r}, expected one of "
-                + ", ".join(ESTIMATORS))
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths
@@ -392,15 +401,9 @@ def sweep_point(config, index, depth, alpha, eps):
     try:
         ap = ap_characteristic(build_reducing_pair(
             space, W, config.p, tol=config.fit_tol, seed=seed))
-
-        estimator = config.estimator
-        if estimator == "auto":
-            estimator = "power2" if (
-                config.d == 1 and abs(config.p - 2.0) < 1e-12) else "ascent"
-        if estimator == "power2":
+        if config.d == 1 and abs(config.p - 2.0) < 1e-12:
             # the weighted ratio for S equals the unweighted ratio for S_w
-            ratio = opnorm_power_iteration(space, W.scalar() if isinstance(
-                W, MatrixWeight) else W, seed=seed)
+            ratio = opnorm_power_iteration(space, W.scalar(), seed=seed)
             iters, restarts, converged = 0, 1, True
         else:
             res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
@@ -419,8 +422,8 @@ def sweep_point(config, index, depth, alpha, eps):
 
 def run_sweep(config, parallel=1):
     """All sweep records for the config grid, in deterministic grid order,
-    plus the exponent fit over (ap_char, ratio). ``parallel`` > 1 runs the
-    points in a spawn-context process pool; the records are the same."""
+    plus their sweep_fit. ``parallel`` > 1 runs the points in a
+    spawn-context process pool; the records are the same."""
     grid = config.grid()
     if not grid:
         raise ValidationError("sweep grid is empty")
@@ -435,17 +438,7 @@ def run_sweep(config, parallel=1):
                 [(config, i, *point) for i, point in enumerate(grid)]))
     else:
         records = [sweep_point(config, i, *point) for i, point in enumerate(grid)]
-    try:
-        fit = exponent_fit([(r.ap_char, r.ratio) for r in records])
-        fit_dict = {"slope": fit[0], "intercept": fit[1], "stderr": fit[2],
-                    "n": len(records)}
-    except ValidationError:
-        # flat family: all characteristics coincide, slope 0 by convention
-        fit_dict = {"slope": 0.0,
-                    "intercept": float(np.mean(np.log(
-                        [max(r.ratio, 1e-300) for r in records]))),
-                    "stderr": 0.0, "n": len(records)}
-    return records, fit_dict
+    return records, sweep_fit((r.ap_char, r.ratio) for r in records)
 
 
 def _sweep_point_star(args):
@@ -465,6 +458,4 @@ def leaf_scale_sweep(p=2.0, d=1, depths=(6, 8, 10),
                           alphas=(alpha,), epss=(eps,), restarts=restarts,
                           seed=seed, fit_tol=fit_tol)
         records.append(sweep_point(cfg, i, depth, alpha, eps))
-    fit = exponent_fit([(r.ap_char, r.ratio) for r in records])
-    return records, {"slope": fit[0], "intercept": fit[1], "stderr": fit[2],
-                     "n": len(records)}
+    return records, sweep_fit((r.ap_char, r.ratio) for r in records)

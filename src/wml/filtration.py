@@ -103,10 +103,6 @@ class FilteredSpace:
     def n_atoms(self, n):
         return len(self.offsets[n]) - 1
 
-    def atom_slices(self, n):
-        off = self.offsets[n]
-        return [(int(off[a]), int(off[a + 1])) for a in range(len(off) - 1)]
-
     def expand(self, n, atom_values):
         """Broadcast per-atom values at level n back to the leaf axis."""
         return np.asarray(atom_values)[self.atom_of_leaf[n]]

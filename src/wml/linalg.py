@@ -220,6 +220,9 @@ def _design_update(xa, ua, d, target, cap):
     step and is left exactly as it is, so each cloud's result depends only
     on that cloud. Returns (u, S, g, iterations): S is the fresh moment of
     u, g the solver's running quadratic forms.
+
+    The weights ``ua`` are rescaled in place, and the returned u is that
+    same array: a caller that needs the starting weights keeps a copy.
     """
     rows = np.arange(xa.shape[0])
     s_inv = np.linalg.inv(_moment(xa, ua))

@@ -16,11 +16,9 @@ The ``mode`` argument selects what the k = 1 summand is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .filtration import FilteredSpace, cond_expect, martingale_of, lp_norm
+from .filtration import cond_expect, lp_norm, martingale_of
 from .linalg import ValidationError, matvec, spd_power
 from .weights import as_weight
 
@@ -70,77 +68,19 @@ def weighted_square_fn(space, W, p, f, mode="increments"):
     return _leaf_l2(_conjugated_diffs(spd_power(W.mats, 1.0 / p), mart, mode))
 
 
-def reduced_maximal(an):
-    """Maximal function of the reducer-normalized weighted average of the
-    analysis context ``an``: per leaf, max over levels n of
-    E_n ||dual_n^{-1} W^{-1/p} f||."""
-    return an.level_averages()[an.space.tiled_labels()].max(axis=0)
-
-
-@dataclass(frozen=True)
-class SparseSet:
-    """One member of a sparse family: a union of level-kappa2 atoms."""
-
-    generation: int
-    kappa1: int
-    kappa2: int
-    atoms: np.ndarray  # level-kappa2 atom indices, sorted
-
-    def leaf_indices(self, space):
-        off = space.offsets[self.kappa2]
-        return np.concatenate([np.arange(off[a], off[a + 1]) for a in self.atoms])
-
-
-@dataclass(frozen=True)
-class SparseFamily:
-    """A list of sparse sets over a common space."""
-
-    space: FilteredSpace
-    sets: tuple
-
-    def __post_init__(self):
-        for s in self.sets:
-            if s.kappa1 >= s.kappa2:
-                raise ValidationError("sparse set needs kappa1 < kappa2")
-            if s.kappa2 > self.space.depth or np.any(
-                    s.atoms >= self.space.n_atoms(s.kappa2)):
-                raise ValidationError("sparse set atoms outside the space")
-
-    @classmethod
-    def whole_space(cls, space):
-        """The single set Omega viewed at level 0 (kappa2 = 0)."""
-        return cls(space, (SparseSet(1, -1, 0, np.array([0])),))
-
-
 def sparse_operator(an, family, r):
     """Sparse operator T_{W,r} of the analysis context ``an`` over the
     family: per leaf (sum over containing sets of
-      ||W^{1/p}(l) dual_{k2}||^r (E_{k2} ||dual_{k2}^{-1} W^{-1/p} f||)^r)^{1/r}."""
+      ||W^{1/p}(l) dual_{k2}||^r (E_{k2} ||dual_{k2}^{-1} W^{-1/p} f||)^r)^{1/r}.
+
+    ``family`` needs only ``sets`` whose members carry ``kappa2`` and
+    ``leaves``, the sorted leaf indices of a union of level-kappa2 atoms:
+    a PrincipalFamily is one."""
     if r < 1:
         raise ValidationError("r must be >= 1")
     acc = np.zeros(an.space.n_leaves)
     for s in family.sets:
-        leaves = s.leaf_indices(an.space)
-        acc[leaves] += an.set_term(s.kappa2, leaves) ** r
-    return acc ** (1.0 / r)
-
-
-def sparse_operator_scalar(space, w, p, family, r, f):
-    """Scalar sparse operator:
-    per leaf (sum over sets of w^{r/p}(l) (E_{k2} |w^{-1/p} f|)^r)^{1/r}."""
-    w = np.asarray(w, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if w.ndim != 1:
-        raise ValidationError("scalar sparse operator needs a d = 1 weight")
-    normalized = np.abs(w ** (-1.0 / p) * f)
-    acc = np.zeros(space.n_leaves)
-    cache = {}
-    for s in family.sets:
-        leaves = s.leaf_indices(space)
-        if s.kappa2 not in cache:
-            cache[s.kappa2] = cond_expect(space, normalized, s.kappa2)
-        atom_of = space.atom_of_leaf[s.kappa2][leaves]
-        acc[leaves] += w[leaves] ** (r / p) * cache[s.kappa2][atom_of] ** r
+        acc[s.leaves] += an.set_term(s.kappa2, s.leaves) ** r
     return acc ** (1.0 / r)
 
 

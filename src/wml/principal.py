@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ValidationError, matvec
-from .operators import SparseFamily, SparseSet, sparse_operator
+from .operators import sparse_operator
 
 ZERO_SPARSE = 1e-14
 POSITIVITY = 1e-12
@@ -155,11 +155,6 @@ class PrincipalFamily:
         mask[taken] = False
         return np.nonzero(mask)[0]
 
-    def to_sparse_family(self):
-        return SparseFamily(self.space, tuple(
-            SparseSet(s.generation, s.kappa1, s.kappa2, s.atoms)
-            for s in self.sets))
-
 
 def build_principal_family(an, threshold=None):
     """Generation-by-generation principal sets of the analysis context ``an``.
@@ -250,14 +245,8 @@ def check_properties(an, family, tol=1e-10):
     report["escape_disjoint"] = bool(
         np.unique(all_escape).size == all_escape.size)
 
-    measurable = True
-    for s in family.sets:
-        off = space.offsets[s.kappa2]
-        covered = np.concatenate([np.arange(off[a], off[a + 1])
-                                  for a in s.atoms])
-        if not np.array_equal(covered, s.leaves):
-            measurable = False
-    report["measurable"] = measurable
+    report["measurable"] = all(np.array_equal(np.flatnonzero(np.isin(
+        space.atom_of_leaf[s.kappa2], s.atoms)), s.leaves) for s in family.sets)
 
     def window_values(s):
         t = table(s.kappa1)
@@ -398,7 +387,7 @@ def sparse_domination_check(an, threshold=None, family=None):
     if family is None:
         family = build_principal_family(an, threshold)
     s_fn = an.square("first_value")
-    t_fn = sparse_operator(an, family.to_sparse_family(), 2.0)
+    t_fn = sparse_operator(an, family, 2.0)
     dead = t_fn <= ZERO_SPARSE
     hard_fail = bool(np.any(dead & (s_fn > 1e-10)))
     ratio = np.where(dead, 0.0, s_fn / np.where(dead, 1.0, t_fn))

@@ -123,15 +123,14 @@ def _holder_check(an, family, tol=1e-10):
     r = p: interpolation for p > 2, plain embedding for p <= 2. Both sides
     are homogeneous in f, so the gap is held to tol * max(1, max T_p)."""
     p = an.p
-    sparse = family.to_sparse_family()
-    t2 = sparse_operator(an, sparse, 2.0)
-    tp = sparse_operator(an, sparse, p)
+    t2 = sparse_operator(an, family, 2.0)
+    tp = sparse_operator(an, family, p)
     bound = tol * max(1.0, float(np.max(tp, initial=0.0)))
     if p <= 2.0:
         gap = float(np.max(t2 - tp, initial=-np.inf))
         return CheckResult("sparse_embedding", gap <= bound, gap, bound,
                            "T_2 <= T_p pointwise")
-    t1 = sparse_operator(an, sparse, 1.0)
+    t1 = sparse_operator(an, family, 1.0)
     theta = p / (2.0 * p - 2.0)
     rhs = t1 ** (1.0 - theta) * tp ** theta
     gap = float(np.max(t2 - rhs * (1.0 + 1e-12), initial=-np.inf))

@@ -59,7 +59,7 @@ def test_sparse_terms_are_shared_across_exponents(monkeypatch):
     pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2,
                                seed=inst.seed + inst.index)
     an = Analysis(pair, inst.f)
-    family = principal.build_principal_family(an).to_sparse_family()
+    family = principal.build_principal_family(an)
     norms = _count_calls(monkeypatch, linalg, "spectral_norm")
     t2 = sparse_operator(an, family, 2.0)
     assert len(norms) == 1                     # the pair's whole table

@@ -158,8 +158,7 @@ def test_sweep_unknown_estimator_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "unknown estimator 'bogus'" in err
-    assert "auto, power2, ascent" in err
+    assert "unknown sweep config key 'estimator'" in err
     assert not (out / "sweep.csv").exists()
 
 
@@ -185,6 +184,21 @@ def test_fit_on_synthetic_slope_one(tmp_path):
     assert rc == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_reproduces_flat_sweep_fit(tmp_path):
+    # a flat family gets slope 0 from the sweep, and the refit of its CSV
+    # applies the same convention
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": [0.0]}))
+    sweep, refit = tmp_path / "s", tmp_path / "f"
+    assert run(["sweep", "--config", str(cfg), "--out", str(sweep)]) == 0
+    assert json.loads((sweep / "fit.json").read_text())["slope"] == 0.0
+    csv = str(sweep / "sweep.csv")
+    assert run(["fit", "--csv", csv, "--out", str(refit)]) == 0
+    assert (refit / "fit.json").read_bytes() == \
+        (sweep / "fit.json").read_bytes()
+    assert run(["report", "--csv", csv, "--out", str(refit)]) == 0
 
 
 def test_report_names_target_exponent(tmp_path, capsys):

@@ -148,7 +148,8 @@ def test_opnorm_ascent_converged_flag():
 
 def test_opnorm_ascent_grid_oracle_depth2():
     # exhaustive spherical grid over the 4-dimensional function space, for
-    # the projected ascent (p = 3) and the power method (p = 1.5)
+    # the projected ascent (p = 3) and the power method (p = 1.5); the grid
+    # is evaluated as one batch through dense increment matrices
     rng = np.random.default_rng(3)
     sp = build_dyadic(2)
     w = np.exp(rng.normal(0.0, 0.7, 4))
@@ -156,21 +157,26 @@ def test_opnorm_ascent_grid_oracle_depth2():
     m = 24
     th = np.linspace(0.0, np.pi, m)
     ph = np.linspace(0.0, 2.0 * np.pi, 2 * m, endpoint=False)
+    t1, t2, t3 = (a.ravel() for a in np.meshgrid(th, th, ph, indexing="ij"))
+    grid = np.stack([np.cos(t1),
+                     np.sin(t1) * np.cos(t2),
+                     np.sin(t1) * np.sin(t2) * np.cos(t3),
+                     np.sin(t1) * np.sin(t2) * np.sin(t3)], axis=1)
+    # level_mat[n] @ f = E_n f on the leaf axis
+    level_mat = np.array([np.stack([cond_expect_leaf(sp, e, n)
+                                    for e in np.eye(4)], axis=1)
+                          for n in range(3)])
+    incr = level_mat[1:] - level_mat[:-1]
+    probs = sp.leaf_probs
     for p in (3.0, 1.5):
         res = opnorm_ascent(sp, W, p, restarts=6, seed=4)
-        best = 0.0
-        for t1 in th:
-            for t2 in th:
-                for t3 in ph:
-                    f = np.array([
-                        np.cos(t1),
-                        np.sin(t1) * np.cos(t2),
-                        np.sin(t1) * np.sin(t2) * np.cos(t3),
-                        np.sin(t1) * np.sin(t2) * np.sin(t3)])
-                    num = lp_norm(sp, weighted_square_fn(sp, W, p, f), p)
-                    den = lp_norm(sp, f, p)
-                    if den > 1e-12:
-                        best = max(best, num / den)
+        d = np.einsum("kij,nj->kni", incr, grid * w ** (-1.0 / p))
+        s = np.sqrt(np.sum((w ** (1.0 / p) * d) ** 2, axis=0))
+        for f, sf in zip(grid[::997], s[::997]):
+            assert np.allclose(sf, weighted_square_fn(sp, W, p, f), atol=1e-12)
+        num = np.sum(probs * s ** p, axis=1) ** (1.0 / p)
+        den = np.sum(probs * np.abs(grid) ** p, axis=1) ** (1.0 / p)
+        best = np.max(num[den > 1e-12] / den[den > 1e-12])
         assert res.ratio >= best * 0.99, p
 
 
@@ -259,7 +265,7 @@ def test_ascent_witness_respects_domination_chain():
     an = Analysis(pair, res.witness)
     dom = sparse_domination_check(an)
     assert dom["ok"]
-    t = sparse_operator(an, dom["family"].to_sparse_family(), 2.0)
+    t = sparse_operator(an, dom["family"], 2.0)
     s = weighted_square_fn(sp, W, p, res.witness, mode="first_value")
     assert lp_norm(sp, s, p) <= dom["bound"] * lp_norm(sp, t, p) + 1e-12
 

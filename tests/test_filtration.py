@@ -101,7 +101,8 @@ def test_cond_expect_brute_force_oracle():
     f = rng.standard_normal((sp.n_leaves, 2))
     for n in range(sp.depth + 1):
         got = cond_expect(sp, f, n)
-        for a, (lo, hi) in enumerate(sp.atom_slices(n)):
+        off = sp.offsets[n]
+        for a, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
             num = sum(sp.leaf_probs[i] * f[i] for i in range(lo, hi))
             den = sum(sp.leaf_probs[i] for i in range(lo, hi))
             assert np.allclose(got[a], num / den, atol=1e-12)

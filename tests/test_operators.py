@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,7 @@ from wml.analysis import Analysis
 from wml.filtration import (build_dyadic, build_from_tree, cond_expect,
                             cond_expect_leaf, lp_norm, martingale_of)
 from wml.linalg import ValidationError, matvec
-from wml.operators import (SparseFamily, SparseSet, lp_weighted_norm,
-                           reduced_maximal, sparse_operator,
-                           sparse_operator_scalar, square_fn,
+from wml.operators import (lp_weighted_norm, sparse_operator, square_fn,
                            weighted_cond_expect, weighted_square_fn)
 from wml.weights import MatrixWeight, as_weight, build_reducing_pair
 
@@ -21,6 +21,32 @@ def _random_space(rng, depth=5):
             out["children"] = [node(mass * f, lvl + 1) for f in frac]
         return out
     return build_from_tree(node(1.0, 0))
+
+
+def _family(space, *sets):
+    """A family as sparse_operator reads it, from (kappa2, atoms) pairs:
+    each set carries kappa2 and the sorted leaves of its level-kappa2 atoms."""
+    def leaves(kappa2, atoms):
+        off = space.offsets[kappa2]
+        return np.concatenate([np.arange(off[a], off[a + 1]) for a in atoms])
+    return SimpleNamespace(sets=tuple(
+        SimpleNamespace(kappa2=k, leaves=leaves(k, atoms)) for k, atoms in sets))
+
+
+def _sparse_operator_scalar(space, w, p, family, r, f):
+    """d = 1 oracle of the sparse operator without reducers:
+    per leaf (sum over sets of w^{r/p}(l) (E_{k2} |w^{-1/p} f|)^r)^{1/r}."""
+    normalized = np.abs(w ** (-1.0 / p) * f)
+    acc = np.zeros(space.n_leaves)
+    for s in family.sets:
+        avg = cond_expect_leaf(space, normalized, s.kappa2)[s.leaves]
+        acc[s.leaves] += w[s.leaves] ** (r / p) * avg ** r
+    return acc ** (1.0 / r)
+
+
+def _reduced_maximal(an):
+    """Per leaf, max over levels n of E_n ||dual_n^{-1} W^{-1/p} f||."""
+    return an.level_averages()[an.space.tiled_labels()].max(axis=0)
 
 
 def test_square_fn_examples():
@@ -93,8 +119,8 @@ def test_operator_homogeneity():
     sw = weighted_square_fn(sp, W, 2.0, f)
     assert np.allclose(weighted_square_fn(sp, W, 2.0, c * f),
                        abs(c) * sw, rtol=1e-12)
-    mx = reduced_maximal(Analysis(pair, f))
-    assert np.allclose(reduced_maximal(Analysis(pair, c * f)),
+    mx = _reduced_maximal(Analysis(pair, f))
+    assert np.allclose(_reduced_maximal(Analysis(pair, c * f)),
                        abs(c) * mx, rtol=1e-12)
 
 
@@ -104,7 +130,7 @@ def test_reduced_maximal_is_doob_for_unweighted_scalar():
     w = as_weight(np.ones(sp.n_leaves))
     pair = build_reducing_pair(sp, w, 2.0)
     f = rng.standard_normal(sp.n_leaves)
-    got = reduced_maximal(Analysis(pair, f))
+    got = _reduced_maximal(Analysis(pair, f))
     doob = np.max([cond_expect_leaf(sp, np.abs(f), n)
                    for n in range(sp.depth + 1)], axis=0)
     assert np.max(np.abs(got - doob)) < 1e-12
@@ -118,7 +144,7 @@ def test_reduced_maximal_exhaustive_oracle():
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     pair = build_reducing_pair(sp, W, 3.0)
     f = rng.standard_normal((8, 2))
-    got = reduced_maximal(Analysis(pair, f))
+    got = _reduced_maximal(Analysis(pair, f))
     h = matvec(pair.wm, f)
     for leaf in range(8):
         best = -np.inf
@@ -136,7 +162,7 @@ def test_constant_inputs_give_constant_maximal():
     W = MatrixWeight(np.tile(np.diag([2.0, 0.5]), (4, 1, 1)))
     pair = build_reducing_pair(sp, W, 2.0)
     f = np.tile([1.0, -1.0], (4, 1))
-    vals = reduced_maximal(Analysis(pair, f))
+    vals = _reduced_maximal(Analysis(pair, f))
     assert np.ptp(vals) < 1e-10
 
 
@@ -146,7 +172,7 @@ def test_sparse_operator_whole_space_identity_weight():
     W = MatrixWeight.identity(sp.n_leaves, 2)
     pair = build_reducing_pair(sp, W, 2.0)
     f = rng.standard_normal((sp.n_leaves, 2))
-    fam = SparseFamily.whole_space(sp)
+    fam = _family(sp, (0, [0]))   # Omega at level 0
     t = sparse_operator(Analysis(pair, f), fam, 2.0)
     target = float(np.sum(sp.leaf_probs * np.linalg.norm(f, axis=1)))
     assert np.allclose(t, target, rtol=0.1)   # reducers only fit-exact
@@ -156,15 +182,17 @@ def test_sparse_operator_whole_space_identity_weight():
 
 def test_sparse_operator_scalar_example():
     sp = build_dyadic(1)
-    fam = SparseFamily(sp, (SparseSet(1, -1, 0, np.array([0])),))
+    fam = _family(sp, (0, [0]))   # Omega at level 0
     w = np.array([4.0, 1.0])
     f = np.array([1.0, 0.0])
-    t = sparse_operator_scalar(sp, w, 2.0, fam, 2.0, f)
     # E|w^{-1/2} f| = 1/4; leaf 0 carries w^{r/p} = 4 -> value 1/2
-    assert t[0] == pytest.approx(0.5, abs=1e-14)
-    assert t[1] == pytest.approx(0.25, abs=1e-14)
-    assert np.max(sparse_operator_scalar(sp, w, 2.0, fam, 2.0,
-                                         np.zeros(2))) == 0.0
+    t = _sparse_operator_scalar(sp, w, 2.0, fam, 2.0, f)
+    assert t == pytest.approx([0.5, 0.25], abs=1e-14)
+    an = Analysis(build_reducing_pair(sp, as_weight(w), 2.0), f)
+    assert sparse_operator(an, fam, 2.0) == pytest.approx([0.5, 0.25],
+                                                          abs=1e-14)
+    assert np.max(_sparse_operator_scalar(sp, w, 2.0, fam, 2.0,
+                                          np.zeros(2))) == 0.0
 
 
 def test_sparse_operator_scalar_matches_matrix_at_d1():
@@ -173,12 +201,10 @@ def test_sparse_operator_scalar_matches_matrix_at_d1():
     w = np.exp(rng.normal(0.0, 1.0, sp.n_leaves))
     pair = build_reducing_pair(sp, as_weight(w), 2.0)
     f = rng.standard_normal(sp.n_leaves)
-    sets = (SparseSet(1, -1, 0, np.array([0])),
-            SparseSet(1, 0, 1, np.arange(sp.n_atoms(1))),
-            SparseSet(2, 1, 2, np.arange(0, sp.n_atoms(2), 2)))
-    fam = SparseFamily(sp, sets)
+    fam = _family(sp, (0, [0]), (1, range(sp.n_atoms(1))),
+                  (2, range(0, sp.n_atoms(2), 2)))
     a = sparse_operator(Analysis(pair, f[:, None]), fam, 2.0)
-    b = sparse_operator_scalar(sp, w, 2.0, fam, 2.0, f)
+    b = _sparse_operator_scalar(sp, w, 2.0, fam, 2.0, f)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -189,10 +215,8 @@ def test_sparse_embedding_and_interpolation():
     lam = np.exp(rng.normal(0.0, 1.0, (sp.n_leaves, 2)))
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     f = rng.standard_normal((sp.n_leaves, 2))
-    sets = (SparseSet(1, -1, 0, np.array([0])),
-            SparseSet(1, 0, 2, np.arange(sp.n_atoms(2))),
-            SparseSet(2, 2, 3, np.arange(0, sp.n_atoms(3), 2)))
-    fam = SparseFamily(sp, sets)
+    fam = _family(sp, (0, [0]), (2, range(sp.n_atoms(2))),
+                  (3, range(0, sp.n_atoms(3), 2)))
     for p in (1.5, 2.0):
         an = Analysis(build_reducing_pair(sp, W, p), f)
         t2 = sparse_operator(an, fam, 2.0)
@@ -206,14 +230,6 @@ def test_sparse_embedding_and_interpolation():
         tp = sparse_operator(an, fam, p)
         rhs = t1 ** (1.0 - theta) * tp ** theta
         assert np.all(t2 <= rhs * (1.0 + 1e-12) + 1e-10)
-
-
-def test_sparse_family_validation():
-    sp = build_dyadic(2)
-    with pytest.raises(ValidationError):
-        SparseFamily(sp, (SparseSet(1, 2, 1, np.array([0])),))
-    with pytest.raises(ValidationError):
-        SparseFamily(sp, (SparseSet(1, 0, 2, np.array([7])),))
 
 
 def test_weighted_cond_expect_examples():
