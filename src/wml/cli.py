@@ -72,6 +72,25 @@ def _load_config(path):
     return cfg
 
 
+def _reject_unknown(config, keys, command):
+    """Usage error naming every config key that ``command`` does not read;
+    a key "a.b" admits the key b of a nested object under a, and a given a
+    must then be such an object."""
+    given = set(config)
+    for key, val in config.items():
+        if not any(k.startswith(key + ".") for k in keys) or not val:
+            continue
+        if not isinstance(val, dict):
+            raise ValidationError(
+                f"{command} config key {key!r} must be a JSON object")
+        given |= {f"{key}.{sub}" for sub in val}
+    unknown = sorted(given - set(keys))
+    if unknown:
+        raise ValidationError(
+            f"unknown {command} config key {', '.join(map(repr, unknown))}; "
+            f"expected one of {', '.join(keys)}")
+
+
 def _merged(config, args, keys):
     out = dict(config)
     for key in keys:
@@ -81,8 +100,15 @@ def _merged(config, args, keys):
     return out
 
 
+# every key that ``wml gen`` reads from its config, nested ones as "a.b"
+GEN_KEYS = ("kind", "depth", "d", "p", "seed", "out", "weight",
+            "weight.family", "weight.alpha", "weight.eps", "weight.sigma",
+            "function", "function.kind", "function.d")
+
+
 def cmd_gen(args):
     config = _load_config(args.config)
+    _reject_unknown(config, GEN_KEYS, "gen")
     opts = _merged(config, args, ("depth", "d", "p", "out"))
     seed = _resolve_seed(args, config)
     out = Path(opts.get("out", "."))
@@ -121,6 +147,9 @@ def cmd_gen(args):
 
     fspec = opts.get("function")
     if fspec:
+        if fspec.get("kind", "gaussian") != "gaussian":
+            raise ValidationError(
+                f"unknown function kind {fspec['kind']!r}; expected gaussian")
         fd = int(fspec.get("d", d))
         values = rng.standard_normal((space.n_leaves, fd))
         save_function_csv(out / "function.csv", values)
@@ -168,8 +197,24 @@ def _parallel(opts):
     return parallel
 
 
+# every key that ``wml check`` reads from its config; tree, weight and
+# function name the files of a file instance
+CHECK_KEYS = ("instances", "p", "d", "depth", "cgamma", "fit_tol", "seed",
+              "out", "parallel", "acceptance", "square_mode", "tree",
+              "weight", "function")
+
+
+def _nearness(r):
+    """Orders a check's results by how near their bound they come: failures
+    first, then the larger measured value of an upper-bounded check or the
+    smaller of a lower-bounded one."""
+    return (not r["passed"],
+            r["measured"] if r["side"] == "upper" else -r["measured"])
+
+
 def cmd_check(args):
     config = _load_config(args.config)
+    _reject_unknown(config, CHECK_KEYS, "check")
     opts = _merged(config, args, ("p", "d", "depth", "cgamma", "out",
                                   "instances", "parallel", "acceptance",
                                   "square_mode"))
@@ -206,14 +251,14 @@ def cmd_check(args):
         else:
             details = [_check_suite_instance(job) for job in jobs]
 
-    summary = {}
+    summary, shown = {}, {}
     for r in (r for detail in details for r in detail["results"]):
-        agg = summary.setdefault(r["name"], {"passed": True, "worst": None,
-                                             "bound": r["bound"]})
+        agg = summary.setdefault(r["name"], {"passed": True})
         agg["passed"] = agg["passed"] and r["passed"]
-        if agg["worst"] is None or r["measured"] > agg["worst"]:
-            agg["worst"] = r["measured"]
-            agg["bound"] = r["bound"]
+        if r["name"] not in shown or \
+                _nearness(r) > _nearness(shown[r["name"]]):
+            shown[r["name"]] = r
+            agg["worst"], agg["bound"] = r["measured"], r["bound"]
 
     if opts.get("acceptance"):
         records, fit = leaf_scale_sweep(p=2.0, d=1, seed=seed)
@@ -247,11 +292,7 @@ SWEEP_KEYS = ("family", "p", "d", "depths", "alphas", "epss", "restarts",
 
 def cmd_sweep(args):
     config = _load_config(args.config)
-    unknown = sorted(set(config) - set(SWEEP_KEYS))
-    if unknown:
-        raise ValidationError(
-            f"unknown sweep config key {', '.join(map(repr, unknown))}; "
-            f"expected one of {', '.join(SWEEP_KEYS)}")
+    _reject_unknown(config, SWEEP_KEYS, "sweep")
     opts = _merged(config, args, ("p", "d", "out", "parallel"))
     seed = _resolve_seed(args, config)
     parallel = _parallel(opts)

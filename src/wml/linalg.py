@@ -207,7 +207,9 @@ def _quad(x, s_inv):
     The row sum is a product with a ones vector, several times faster than
     a reduction over a last axis of length d.
     """
-    return ((x @ s_inv) * x) @ np.ones(x.shape[-1])
+    y = x @ s_inv
+    y *= x
+    return y @ np.ones(x.shape[-1])
 
 
 def _design_update(xa, ua, d, target, cap):
@@ -324,7 +326,6 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     vecs0_t = np.swapaxes(vecs0, 1, 2)
     white = (vecs0 * vals0[:, None, :] ** -0.5) @ vecs0_t
     unwhite = (vecs0 * vals0[:, None, :] ** 0.5) @ vecs0_t
-    x = x_orig @ np.swapaxes(white, 1, 2)
     g_full = _quad(x_orig, np.linalg.inv(s0))
 
     s_out = np.empty((b, d, d))
@@ -335,18 +336,23 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     act = np.argsort(u_full * g_full, axis=1)[:, -k:]
     wts = np.take_along_axis(u_full, act, axis=1)
     wts /= wts.sum(axis=1, keepdims=True)
+    del u_full, g_full
 
+    # x holds the whitened points of the live clouds only. It is built
+    # after the warm start's full-cloud arrays are released, and each round
+    # drops its quadratic forms before the next: with the input cloud and
+    # _quad's product that keeps the peak at three (b, n, d) arrays
+    x = x_orig @ np.swapaxes(white, 1, 2)
     alive = np.arange(b)
     spent = 5
     while alive.size and spent < max_iter:
-        x_alive = x[alive]
-        xa = np.take_along_axis(x_alive, act[:, :, None], axis=1)
+        xa = np.take_along_axis(x, act[:, :, None], axis=1)
         budget = min(4000, max_iter - spent)
         wts, s, _, used = _design_update(xa, wts, d, inner_target, budget)
         spent += used
 
         # certificates come from a fresh inverse of the fresh moment
-        g_alive = _quad(x_alive, np.linalg.inv(s))
+        g_alive = _quad(x, np.linalg.inv(s))
         kap = g_alive.max(axis=1)
         s_out[alive] = unwhite[alive] @ s @ unwhite[alive]
         kappa[alive] = kap
@@ -354,6 +360,8 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
         still = kap > target
         alive, act, wts, g_alive = alive[still], act[still], wts[still], \
             g_alive[still]
+        if not still.all():
+            x = x[still]
         m = act.shape[1]
         n_new = min(n_promote, n - m)
         if n_new:
@@ -363,6 +371,7 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
             wts = np.concatenate(
                 [wts, np.full(new.shape, 1.0 / (m + n_new))], axis=1)
             wts /= wts.sum(axis=1, keepdims=True)
+        del g_alive
 
     if alive.size:
         worst = int(alive[np.argmax(kappa[alive])])
@@ -381,7 +390,9 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     inv_sqrt = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
     # normalize against the input cloud itself: the whitened kappa is off by
     # the conditioning of the whitening, up to 1e-9 on eccentric clouds
-    kappa = np.max(np.sum((x_orig @ inv_sqrt) ** 2, axis=-1), axis=1)
+    y = x_orig @ inv_sqrt
+    np.square(y, out=y)
+    kappa = np.max(np.sum(y, axis=-1), axis=1)
     a = inv_sqrt / np.sqrt(kappa)[:, None, None]
     inner = np.sqrt(kappa)
     a = a.reshape(batch_shape + (d, d))

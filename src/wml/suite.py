@@ -48,16 +48,20 @@ class Instance:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: ``measured`` against ``bound``, which is an upper bound
+    (side "upper") or a lower bound (side "lower")."""
+
     name: str
     passed: bool
     measured: float
     bound: float
     info: str = ""
+    side: str = "upper"
 
     def as_dict(self):
         return {"name": self.name, "passed": self.passed,
                 "measured": self.measured, "bound": self.bound,
-                "info": self.info}
+                "info": self.info, "side": self.side}
 
 
 def random_tree_spec(rng, depth, split_p, max_children):
@@ -185,8 +189,10 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
         pair = build_reducing_pair(space, W, p, tol=fit_tol,
                                    seed=inst.seed + inst.index)
     except EllipsoidError as exc:
+        # the achieved value lies past its bound, on the bound's side
+        side = "lower" if exc.achieved < exc.bound else "upper"
         return [CheckResult("reducer_certificate", False, float(exc.achieved),
-                            float(exc.bound), str(exc))], \
+                            float(exc.bound), str(exc), side)], \
             {"depth": space.depth, "d": d, "p": p,
              "n_leaves": space.n_leaves, "square_mode": square_mode}
     an = Analysis(pair, inst.f)
@@ -199,7 +205,8 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
         window_lo = 1.0 / ((1.0 + pair.cert_tol) * math.sqrt(d))
         results.append(CheckResult(
             "reducer_certificate", lo >= window_lo and hi <= 1.0 + pair.cert_tol,
-            lo, window_lo, f"held-out ratios in [{lo:.4f}, {hi:.4f}]"))
+            lo, window_lo, f"held-out ratios in [{lo:.4f}, {hi:.4f}]",
+            "lower"))
 
     rep = verify_reducing_bounds(pair)
     results.append(CheckResult(

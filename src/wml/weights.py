@@ -156,33 +156,58 @@ def reducer_norms(space, leaf_mats, tiled_reducers):
     return spectral_norm(leaf_mats @ tiled_reducers[space.tiled_labels()])
 
 
+def _norms(mats, dirs):
+    """(K, N) table of ||mats[k] u_n|| for (K, d, d) mats and (N, d) dirs.
+
+    y[k, i, n] is accumulated in place from the column products
+    t_j = mats[k, i, j] u_n[j] in the order einsum("lij,nj->lni") adds
+    them: j = 0, 1, ... except (t0 + t2) + t1 at d = 3. Then y is squared in
+    place and summed over i in index order, as np.linalg.norm does, so the
+    table is bitwise that of norm(einsum(...), axis=2). A BLAS product
+    mats @ dirs.T is faster at d = 3 but rounds differently, which flips
+    Frank-Wolfe ties among the +-u pairs of the d = 2 direction set.
+    """
+    d = dirs.shape[1]
+    order = (0, 2, 1) if d == 3 else tuple(range(d))
+    y = mats[:, :, order[0], None] * dirs[:, order[0]]
+    for j in order[1:]:
+        y += mats[:, :, j, None] * dirs[:, j]
+    np.square(y, out=y)
+    out = y.sum(axis=1)
+    return np.sqrt(out, out=out)
+
+
 def _atom_norm_powers(space, mats, dirs, power):
     """Per (leaf, direction) values ||mats[l] u||**power and their prefix sums
     weighted by leaf probabilities: returns (L + 1, N) cumulative array."""
-    norms = np.linalg.norm(np.einsum("lij,nj->lni", mats, dirs), axis=2)
-    weighted = space.leaf_probs[:, None] * norms ** power
+    weighted = _norms(mats, dirs)
+    weighted **= power
+    weighted *= space.leaf_probs[:, None]
     out = np.zeros((space.n_leaves + 1, dirs.shape[0]))
     np.cumsum(weighted, axis=0, out=out[1:])
     return out
 
 
-def _fit_reducers(space, mats, power, tol, cert_tol, seed,
-                  max_iter=100_000, n_holdout=1000):
+def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
+                  n_holdout=1000):
     """Ellipsoid reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
-    on every atom of every level, in tiled order.
+    on every atom of every level, in tiled order, for each (mats, power)
+    of ``sides``.
 
     Computed once per distinct leaf range (atoms persisting across levels
     share the same norm); single-leaf atoms are exactly ellipsoidal and
-    skip the fit. Returns the (atom_base[-1], d, d) reducers plus the worst
-    certification ratios.
+    skip the fit. The sides share their leaf ranges and direction sets, so
+    all their clouds go through one _certified_fit call. Returns a list of
+    (atom_base[-1], d, d) reducers and a list of worst certification
+    ratios, one of each per side.
     """
     starts = np.concatenate([off[:-1] for off in space.offsets])
     stops = np.concatenate([off[1:] for off in space.offsets])
     single = stops - starts == 1
-    out = np.empty((starts.size,) + mats.shape[1:])
-    out[single] = mats[starts[single]]
+    # a single-leaf atom's reducer is its leaf matrix; the others are fitted
+    outs = [mats[starts] for mats, _ in sides]
 
-    cert = {"low": np.inf, "high": -np.inf}
+    certs = [{"low": np.inf, "high": -np.inf} for _ in sides]
     multi = np.flatnonzero(~single)
     if multi.size:
         _, first, inverse = np.unique(
@@ -193,49 +218,66 @@ def _fit_reducers(space, mats, power, tol, cert_tol, seed,
                            for s, e in zip(fit_starts, fit_stops)])
 
         def rho(dirs):
-            cums = _atom_norm_powers(space, mats, dirs, power)
-            return ((cums[fit_stops] - cums[fit_starts]) / masses[:, None]) \
-                ** (1.0 / power)
+            vals = np.empty((len(sides), fit_starts.size, dirs.shape[0]))
+            for row, (mats, power) in zip(vals, sides):
+                cums = _atom_norm_powers(space, mats, dirs, power)
+                row[...] = ((cums[fit_stops] - cums[fit_starts])
+                            / masses[:, None]) ** (1.0 / power)
+            return vals
 
-        fitted, cert = _certified_fit(rho, mats.shape[1], tol, cert_tol, seed,
-                                      max_iter=max_iter, n_holdout=n_holdout)
-        out[multi] = fitted[inverse]
-    return out, cert
+        fitted, certs = _certified_fit(
+            rho, sides[0][0].shape[1], tol, cert_tol, seed,
+            max_iter=max_iter, n_holdout=n_holdout)
+        for out, fit in zip(outs, fitted):
+            out[multi] = fit[inverse]
+    return outs, certs
 
 
 def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
                    n_holdout=1000):
-    """Circumscribed Loewner ellipsoids of K norm balls on R^d, d >= 2.
+    """Circumscribed Loewner ellipsoids of S x K norm balls on R^d, d >= 2.
 
-    ``rho`` maps an (N, d) array of unit directions to the (K, N) values of
-    the K norms. Each ball is sampled on ``direction_set(d, seed=seed)`` and
-    fitted by mvee_central to the target d(1 + eps), eps = tol (2 + tol).
-    The fit is certified on held-out directions: ||A e|| <= (1 + cert_tol)
-    rho(e) and rho(e) <= (1 + cert_tol) sqrt(d) ||A e||, or EllipsoidError
-    is raised. Returns the (K, d, d) matrices A and the worst held-out
-    ratios {"low", "high"} of ||A e|| / rho(e).
+    ``rho`` maps an (N, d) array of unit directions to the (S, K, N) values
+    of the norms, S sides of K norms each. Each ball is sampled on
+    ``direction_set(d, seed=seed)`` and all S K are fitted in one
+    mvee_central call to the target d(1 + eps), eps = tol (2 + tol). A
+    cloud's fit does not depend on the others in the call; only the
+    ``max_iter`` budget is shared, so a fit that runs out of it fails with
+    the EllipsoidError of the whole call. The fit is certified on held-out
+    directions, side by side in order: ||A e|| <= (1 + cert_tol) rho(e)
+    and rho(e) <= (1 + cert_tol) sqrt(d) ||A e||, or EllipsoidError is
+    raised for the first side that fails. Returns the (S, K, d, d)
+    matrices A and, per side, the worst held-out ratios {"low", "high"} of
+    ||A e|| / rho(e).
     """
     dirs = direction_set(d, seed=seed)
     vals = rho(dirs)
     if np.any(vals <= 0.0):
         raise ValidationError("atom norm vanished on a sampled direction")
-    pts = dirs[None, :, :] / vals[:, :, None]
+    # release each working array once used: the fit of all sides at once
+    # is the memory peak of an instance
+    pts = dirs / vals[..., None]
+    del vals
     fitted, _ = mvee_central(pts, eps=tol * (2.0 + tol), max_iter=max_iter)
+    del pts
 
     held = holdout_directions(d, n_holdout, seed + 97)
-    ratio = np.linalg.norm(np.einsum("kij,nj->kni", fitted, held), axis=2) \
-        / rho(held)
-    lo, hi = float(ratio.min()), float(ratio.max())
+    ratios = _norms(fitted.reshape(-1, d, d), held).reshape(
+        fitted.shape[:2] + (-1,)) / rho(held)
     window_lo = 1.0 / ((1.0 + cert_tol) * np.sqrt(d))
-    high_side = hi > 1.0 + cert_tol
-    if high_side or lo < window_lo:
-        raise EllipsoidError(
-            f"reducer certification failed: held-out ratio range "
-            f"[{lo:.6f}, {hi:.6f}] for tol {cert_tol}",
-            last_matrix=fitted[int(np.argmax(ratio.max(axis=1)))],
-            achieved=hi if high_side else lo,
-            bound=1.0 + cert_tol if high_side else window_lo)
-    return fitted, {"low": lo, "high": hi}
+    certs = []
+    for side, ratio in zip(fitted, ratios):
+        lo, hi = float(ratio.min()), float(ratio.max())
+        high_side = hi > 1.0 + cert_tol
+        if high_side or lo < window_lo:
+            raise EllipsoidError(
+                f"reducer certification failed: held-out ratio range "
+                f"[{lo:.6f}, {hi:.6f}] for tol {cert_tol}",
+                last_matrix=side[int(np.argmax(ratio.max(axis=1)))],
+                achieved=hi if high_side else lo,
+                bound=1.0 + cert_tol if high_side else window_lo)
+        certs.append({"low": lo, "high": hi})
+    return fitted, certs
 
 
 def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,
@@ -243,8 +285,9 @@ def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,
     """Reducing pair of (space, W, p) on every level.
 
     method: "auto" picks the exact scalar formulas for d = 1 and the
-    ellipsoid fit otherwise; "exact_p2" substitutes (E_n W)^{1/2} and
-    (E_n W^{-1})^{1/2}, valid only at p = 2 (cross-check oracle).
+    ellipsoid fit otherwise, one fit for the primal and dual sides
+    together; "exact_p2" substitutes (E_n W)^{1/2} and (E_n W^{-1})^{1/2},
+    valid only at p = 2 (cross-check oracle).
     """
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
@@ -276,10 +319,9 @@ def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,
 
         primal, dual = root_of_means(W.mats), root_of_means(sym_inv(W.mats))
     else:
-        primal, cp = _fit_reducers(space, wp, p, tol, cert_tol, seed,
-                                   n_holdout=n_holdout)
-        dual, cd = _fit_reducers(space, wm, q, tol, cert_tol, seed,
-                                 n_holdout=n_holdout)
+        (primal, dual), (cp, cd) = _fit_reducers(
+            space, [(wp, p), (wm, q)], tol, cert_tol, seed,
+            n_holdout=n_holdout)
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 

@@ -162,6 +162,47 @@ def test_sweep_unknown_estimator_is_usage_error(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_check_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": 1, "instnaces": 5}))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown check config key 'instnaces'" in err
+    assert not (out / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    # nested weight / function spec keys are checked as well
+    ({"depth": 3, "kindd": "random",
+      "weight": {"family": "power", "alpah": 0.2}},
+     "unknown gen config key 'kindd', 'weight.alpah'"),
+    ({"depth": 3, "weight": "weight.csv"},
+     "gen config key 'weight' must be a JSON object"),
+])
+def test_gen_unknown_config_key_is_usage_error(tmp_path, capsys, config,
+                                               message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_summary_shows_smallest_low_ratio(tmp_path):
+    # the held-out ratio of reducer_certificate is bounded from below, so
+    # the summary shows the instance with the smaller one
+    rc = run(["check", "--instances", "2", "--d", "2", "--depth", "4",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    lows = [r["measured"] for d in report["details"] for r in d["results"]
+            if r["name"] == "reducer_certificate"]
+    assert len(lows) == 2 and lows[0] != lows[1]
+    assert report["summary"]["reducer_certificate"]["worst"] == min(lows)
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("WML_SEED", "13")
     out1 = tmp_path / "env"

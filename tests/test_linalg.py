@@ -73,10 +73,10 @@ def test_spectral_norm_charpoly_oracle():
 
 def _fit_one(norm):
     """Certified fit of the unit ball of a single norm on R^2."""
-    fitted, cert = _certified_fit(lambda e: norm(e)[None], 2, tol=1e-3,
-                                  cert_tol=5e-2, seed=0)
+    fitted, (cert,) = _certified_fit(lambda e: norm(e)[None, None], 2,
+                                     tol=1e-3, cert_tol=5e-2, seed=0)
     assert cert["high"] <= 1.0 + 5e-2
-    return fitted[0]
+    return fitted[0, 0]
 
 
 def test_mvee_euclidean_ball_is_identity():

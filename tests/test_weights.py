@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wml import weights
 from wml.filtration import build_dyadic, cond_expect
-from wml.linalg import ValidationError, holdout_directions
-from wml.weights import (MatrixWeight, ap_characteristic, ap_equivalents,
-                         as_weight, build_reducing_pair, conjugate,
-                         dual_weight, exchanged_pair, verify_reducing_bounds)
+from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
+                        mvee_central)
+from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _certified_fit,
+                         _fit_reducers, _norms, ap_characteristic,
+                         ap_equivalents, as_weight, build_reducing_pair,
+                         conjugate, dual_weight, exchanged_pair,
+                         verify_reducing_bounds)
 
 
 def _random_spd_weight(rng, n, d, sigma=1.0):
@@ -246,3 +254,103 @@ def test_john_sandwich_on_random_directions():
     tol = pair.cert_tol
     assert ratio.max() <= 1.0 + tol
     assert ratio.min() >= 1.0 / ((1.0 + tol) ** 2 * np.sqrt(3.0))
+
+
+def _norms_reference(mats, dirs):
+    """||mats[k] u_n|| one entry at a time in the order _norms documents:
+    column products added j = 0, 1, ... (0, 2, 1 at d = 3), squares added
+    in index order."""
+    k_count, d = mats.shape[:2]
+    order = (0, 2, 1) if d == 3 else range(d)
+    out = np.empty((k_count, dirs.shape[0]))
+    for k in range(k_count):
+        for n, u in enumerate(dirs):
+            total = 0.0
+            for i in range(d):
+                y = 0.0
+                for j in order:
+                    y += float(mats[k, i, j]) * float(u[j])
+                total += y * y
+            out[k, n] = math.sqrt(total)
+    return out
+
+
+@st.composite
+def _norm_tables(draw):
+    """SPD stacks in random frames whose eigenvalue ratios reach down to
+    EIG_CLIP_RATIO, scaled over many decades, and random unit directions."""
+    d = draw(st.sampled_from((2, 3)))
+    k_count = draw(st.integers(1, 6))
+    n_dirs = draw(st.integers(1, 40))
+    floor = draw(st.sampled_from((1.0, 1e-3, EIG_CLIP_RATIO)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((k_count, d, d)))
+    lam = np.exp(rng.uniform(np.log(floor), 0.0, (k_count, d)))
+    lam[:, 0] = floor
+    lam *= 10.0 ** rng.uniform(-6.0, 6.0, (k_count, 1))
+    mats = np.einsum("kij,kj,klj->kil", q, lam, q)
+    dirs = rng.standard_normal((n_dirs, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return mats, dirs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_norm_tables())
+def test_norms_kernel_matches_reference_order_and_einsum(table):
+    mats, dirs = table
+    got = _norms(mats, dirs)
+    assert got.tobytes() == _norms_reference(mats, dirs).tobytes()
+    # against einsum + norm, whose summation order depends on the host: a
+    # reordered sum is within a few ulp of the scale |mats| |u|
+    ein = np.linalg.norm(np.einsum("lij,nj->lni", mats, dirs), axis=2)
+    scale = np.linalg.norm(np.einsum("lij,nj->lni", np.abs(mats),
+                                     np.abs(dirs)), axis=2)
+    assert np.all(np.abs(got - ein) <= 4.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_pair_fits_both_sides_in_one_mvee_call(monkeypatch, d):
+    rng = np.random.default_rng(40 + d)
+    sp = build_dyadic(3)
+    W = _random_spd_weight(rng, sp.n_leaves, d)
+    p = 3.0
+    calls = []
+
+    def counted(points, *args, **kwargs):
+        calls.append(np.shape(points))
+        return mvee_central(points, *args, **kwargs)
+
+    monkeypatch.setattr(weights, "mvee_central", counted)
+    pair = build_reducing_pair(sp, W, p, tol=2e-2, seed=5)
+    assert len(calls) == 1 and calls[0][0] == 2
+    # each side fitted alone gives the same bytes
+    for side, mats, power in (("primal", pair.wp, p),
+                              ("dual", pair.wm, pair.q)):
+        (alone,), (cert,) = _fit_reducers(sp, [(mats, power)], 2e-2, 5e-2, 5)
+        assert alone.tobytes() == getattr(pair, "tiled_" + side).tobytes()
+        assert cert == pair.certificate[side]
+    assert len(calls) == 3
+
+
+def test_failed_certification_reports_first_failing_side():
+    # a loose fit fails a tight window, on the low side for ``skew`` and on
+    # the high side for ``wide``; ``sup`` passes. A stacked fit reports the
+    # first failing side exactly as if that side had been fitted alone
+    sup = lambda e: np.max(np.abs(e), axis=1)
+    skew = lambda e: np.abs(e) @ np.array([1.0, 3.0])
+    wide = lambda e: np.max(np.abs(e) * np.array([1.0, 5.0]), axis=1)
+
+    def failure(*norms):
+        with pytest.raises(EllipsoidError) as err:
+            _certified_fit(lambda e: np.stack([n(e)[None] for n in norms]),
+                           2, tol=0.6, cert_tol=1e-6, seed=0)
+        return err.value
+
+    for norms, alone in (((skew, wide), skew), ((wide, skew), wide),
+                         ((sup, skew), skew), ((sup, wide), wide)):
+        both, ref = failure(*norms), failure(alone)
+        assert (both.achieved, both.bound, str(both)) == \
+            (ref.achieved, ref.bound, str(ref))
+        assert both.last_matrix.tobytes() == ref.last_matrix.tobytes()
+    assert failure(skew).achieved < failure(skew).bound < 1.0
+    assert failure(wide).achieved > failure(wide).bound > 1.0
