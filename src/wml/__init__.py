@@ -22,10 +22,9 @@ from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
                         tail_energy, vanish_checks)
 from .analysis import Analysis
 from .experiments import (SweepConfig, SweepPointError, SweepRecord,
-                          exponent_fit, leaf_scale_sweep,
-                          matrix_target_exponent, opnorm_ascent,
-                          opnorm_power_iteration,
-                          power_weight, rotating_weight, run_sweep,
-                          scalar_target_exponent, sweep_fit)
+                          exponent_fit, matrix_target_exponent, opnorm_ascent,
+                          opnorm_power_iteration, power_weight,
+                          rotating_weight, run_sweep, scalar_target_exponent,
+                          sweep_fit)
 
 __version__ = "0.1.0"

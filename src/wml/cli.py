@@ -11,9 +11,10 @@ Commands
   report  human-readable summary plus plot-ready points CSV
 
 Options come from a JSON config file (--config) with flag overrides; flags
-win. The seed resolution order is: --seed flag, config value, WML_SEED
-environment variable, default 7. Exit codes: 0 success, 1 usage or config
-error, 2 invariant failure.
+win. OPTIONS declares each command's config keys and their types, FLAGS
+the keys that are also flags. The seed resolution order is: --seed flag,
+config value, WML_SEED environment variable, default 7. Exit codes: 0
+success, 1 usage or config error, 2 invariant failure.
 """
 
 from __future__ import annotations
@@ -28,15 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (SweepConfig, SweepPointError, leaf_scale_sweep,
-                          matrix_target_exponent, power_weight,
-                          rotating_weight, run_sweep, scalar_target_exponent,
-                          sweep_fit)
+from .experiments import (SweepConfig, SweepPointError, matrix_target_exponent,
+                          power_weight, rotating_weight, run_sweep,
+                          scalar_target_exponent, sweep_fit)
 from .filtration import build_dyadic, build_from_tree
 from .io import (load_function_csv, load_tree, load_weight_csv,
                  read_sweep_csv, save_function_csv, save_tree,
                  save_weight_csv, write_fit_json, write_sweep_csv)
 from .linalg import ValidationError
+from .operators import MODES
 from .principal import default_threshold
 from .suite import Instance, instance_checks, random_instance
 from .weights import as_weight
@@ -51,72 +52,102 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _resolve_seed(args, config):
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get("WML_SEED")
-    if env is not None:
-        return int(env)
-    return 7
+# every config key of each command and its type: a tuple (t,) is a JSON
+# list of t, a dict the keys of a nested JSON object
+OPTIONS = {
+    "gen": {"kind": str, "depth": int, "d": int, "seed": int, "out": str,
+            "weight": {"family": str, "alpha": float, "eps": float,
+                       "sigma": float},
+            "function": {"kind": str, "d": int}},
+    # tree, weight and function name the files of a file instance
+    "check": {"instances": int, "p": float, "d": int, "depth": int,
+              "cgamma": float, "fit_tol": float, "seed": int, "out": str,
+              "parallel": int, "acceptance": bool, "square_mode": str,
+              "tree": str, "weight": str, "function": str},
+    "sweep": {"family": str, "p": float, "d": int, "depths": (int,),
+              "alphas": (float,), "epss": (float,), "restarts": int,
+              "seed": int, "fit_tol": float, "out": str, "parallel": int},
+    "fit": {"csv": str, "out": str},
+    "report": {"csv": str, "out": str},
+}
+# the config keys that are also flags (--square-mode for square_mode)
+FLAGS = {
+    "gen": ("seed", "out", "depth", "d"),
+    "check": ("seed", "out", "p", "d", "depth", "cgamma", "instances",
+              "parallel", "acceptance", "square_mode"),
+    "sweep": ("seed", "out", "p", "d", "parallel"),
+    "fit": ("out", "csv"),
+    "report": ("out", "csv"),
+}
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config file must contain a JSON object")
-    return cfg
+def _typed(command, key, kind, value):
+    """Config value ``value`` of ``key`` as ``kind``: a tuple (t,) takes a
+    JSON list of t, a dict a JSON object of its keys, str only a string,
+    and no kind takes null. Anything else is a usage error naming the key."""
+    if isinstance(kind, dict) and isinstance(value, dict):
+        return {sub: _typed(command, f"{key}.{sub}", kind[sub], val)
+                for sub, val in value.items()}
+    if isinstance(kind, tuple) and isinstance(value, list):
+        return tuple(_typed(command, key, kind[0], v) for v in value)
+    try:
+        if isinstance(kind, type) and value is not None and \
+                (kind is str) == isinstance(value, str):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    name = "a JSON object" if isinstance(kind, dict) else \
+        f"a list of {kind[0].__name__}" if isinstance(kind, tuple) else \
+        kind.__name__
+    raise ValidationError(
+        f"{command} config key {key!r} must be {name}, got {value!r}")
 
 
-def _reject_unknown(config, keys, command):
-    """Usage error naming every config key that ``command`` does not read;
-    a key "a.b" admits the key b of a nested object under a, and a given a
-    must then be such an object."""
-    given = set(config)
-    for key, val in config.items():
-        if not any(k.startswith(key + ".") for k in keys) or not val:
-            continue
-        if not isinstance(val, dict):
-            raise ValidationError(
-                f"{command} config key {key!r} must be a JSON object")
-        given |= {f"{key}.{sub}" for sub in val}
-    unknown = sorted(given - set(keys))
+def _keys(obj):
+    """The keys of a JSON object, those of an object value as "a.b"."""
+    return [f"{key}.{sub}" if sub else key for key, val in obj.items()
+            for sub in ("", *(val if isinstance(val, dict) else ()))]
+
+
+def _options(args):
+    """The command's options: its --config object, checked against
+    OPTIONS[command] and converted to the declared types, with the given
+    flags laid over it. --instances and --parallel must be at least 1."""
+    command, table = args.command, OPTIONS[args.command]
+    config = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValidationError("config file must contain a JSON object")
+    unknown = sorted(set(_keys(config)) - set(_keys(table)))
     if unknown:
         raise ValidationError(
             f"unknown {command} config key {', '.join(map(repr, unknown))}; "
-            f"expected one of {', '.join(keys)}")
+            f"expected one of {', '.join(_keys(table))}")
+    opts = {key: _typed(command, key, table[key], val)
+            for key, val in config.items()}
+    opts.update((key, getattr(args, key)) for key in FLAGS[command]
+                if getattr(args, key) is not None)
+    for key in ("instances", "parallel"):
+        if opts.get(key, 1) < 1:
+            raise ValidationError(
+                f"--{key} must be at least 1, got {opts[key]}")
+    return opts
 
 
-def _merged(config, args, keys):
-    out = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
-
-
-# every key that ``wml gen`` reads from its config, nested ones as "a.b"
-GEN_KEYS = ("kind", "depth", "d", "p", "seed", "out", "weight",
-            "weight.family", "weight.alpha", "weight.eps", "weight.sigma",
-            "function", "function.kind", "function.d")
+def _seed(opts):
+    """--seed flag, config value, WML_SEED environment variable, then 7."""
+    return opts["seed"] if "seed" in opts else int(os.environ.get("WML_SEED", 7))
 
 
 def cmd_gen(args):
-    config = _load_config(args.config)
-    _reject_unknown(config, GEN_KEYS, "gen")
-    opts = _merged(config, args, ("depth", "d", "p", "out"))
-    seed = _resolve_seed(args, config)
+    opts = _options(args)
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     kind = opts.get("kind", "dyadic")
-    depth = int(opts.get("depth", 4))
-    d = int(opts.get("d", 1))
-    rng = np.random.default_rng(seed)
+    depth, d = opts.get("depth", 4), opts.get("d", 1)
+    rng = np.random.default_rng(_seed(opts))
 
     if kind == "dyadic":
         space = build_dyadic(depth)
@@ -131,14 +162,14 @@ def cmd_gen(args):
     wspec = opts.get("weight")
     if wspec:
         family = wspec.get("family", "power")
-        alpha = float(wspec.get("alpha", 0.5))
-        eps = float(wspec.get("eps", 2.0 ** -depth))
+        alpha = wspec.get("alpha", 0.5)
+        eps = wspec.get("eps", 2.0 ** -depth)
         if family == "power":
             space, W = power_weight(depth, alpha, eps)
         elif family == "rotating":
             space, W = rotating_weight(depth, d, alpha, eps)
         elif family == "lognormal":
-            sigma = float(wspec.get("sigma", 1.0))
+            sigma = wspec.get("sigma", 1.0)
             W = as_weight(np.exp(rng.normal(0.0, sigma, space.n_leaves)))
         else:
             raise ValidationError(f"unknown weight family {family!r}")
@@ -150,8 +181,7 @@ def cmd_gen(args):
         if fspec.get("kind", "gaussian") != "gaussian":
             raise ValidationError(
                 f"unknown function kind {fspec['kind']!r}; expected gaussian")
-        fd = int(fspec.get("d", d))
-        values = rng.standard_normal((space.n_leaves, fd))
+        values = rng.standard_normal((space.n_leaves, fspec.get("d", d)))
         save_function_csv(out / "function.csv", values)
         written.append(out / "function.csv")
 
@@ -160,20 +190,19 @@ def cmd_gen(args):
     return 0
 
 
-def _file_instance(config, seed):
-    space = load_tree(config["tree"])
-    W = load_weight_csv(config["weight"]) if "weight" in config else \
+def _file_instance(opts, seed):
+    space = load_tree(opts["tree"])
+    W = load_weight_csv(opts["weight"]) if "weight" in opts else \
         as_weight(np.ones(space.n_leaves))
-    if "function" in config:
-        f = np.asarray(load_function_csv(config["function"]), dtype=float)
+    if "function" in opts:
+        f = np.asarray(load_function_csv(opts["function"]), dtype=float)
         if f.ndim == 1:
             f = f[:, None]
     else:
         f = np.random.default_rng(seed).standard_normal(
             (space.n_leaves, W.dim))
-    p = float(config.get("p", 2.0))
-    return Instance(index=0, seed=seed, depth=space.depth, d=W.dim, p=p,
-                    space=space, weight=W, f=f)
+    return Instance(index=0, seed=seed, depth=space.depth, d=W.dim,
+                    p=opts.get("p", 2.0), space=space, weight=W, f=f)
 
 
 def _checked(inst, **check_opts):
@@ -190,62 +219,41 @@ def _check_suite_instance(job):
                     **check_opts)
 
 
-def _parallel(opts):
-    parallel = int(opts.get("parallel", 1))
-    if parallel < 1:
-        raise ValidationError(f"--parallel must be at least 1, got {parallel}")
-    return parallel
-
-
-# every key that ``wml check`` reads from its config; tree, weight and
-# function name the files of a file instance
-CHECK_KEYS = ("instances", "p", "d", "depth", "cgamma", "fit_tol", "seed",
-              "out", "parallel", "acceptance", "square_mode", "tree",
-              "weight", "function")
-
-
 def _nearness(r):
     """Orders a check's results by how near their bound they come: failures
-    first, then the larger measured value of an upper-bounded check or the
-    smaller of a lower-bounded one."""
-    return (not r["passed"],
-            r["measured"] if r["side"] == "upper" else -r["measured"])
+    first, then the larger measured / bound of an upper-bounded check or
+    the smaller of a lower-bounded one."""
+    assert r["bound"] > 0.0, r
+    ratio = r["measured"] / r["bound"]
+    return (not r["passed"], ratio if r["side"] == "upper" else -ratio)
 
 
 def cmd_check(args):
-    config = _load_config(args.config)
-    _reject_unknown(config, CHECK_KEYS, "check")
-    opts = _merged(config, args, ("p", "d", "depth", "cgamma", "out",
-                                  "instances", "parallel", "acceptance",
-                                  "square_mode"))
-    seed = _resolve_seed(args, config)
+    opts = _options(args)
+    seed = _seed(opts)
+    suite_only = [k for k in ("instances", "d", "depth", "parallel")
+                  if k in opts and "tree" in opts]
+    if suite_only:
+        raise ValidationError("check on the files of 'tree' takes no "
+                              f"{', '.join(suite_only)}")
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    threshold = float(opts["cgamma"]) if opts.get("cgamma") is not None \
-        else default_threshold()
-    check_opts = {"fit_tol": float(opts.get("fit_tol", 2e-2)),
-                  "threshold": threshold,
-                  "square_mode": opts.get("square_mode", "increments")}
-    parallel = _parallel(opts)
+    threshold = opts.get("cgamma", default_threshold())
+    check_opts = {"threshold": threshold, **{
+        k: opts[k] for k in ("fit_tol", "square_mode") if k in opts}}
 
     if "tree" in opts:
         details = [_checked(_file_instance(opts, seed), **check_opts)]
     else:
-        count = int(opts.get("instances", 24))
-        if count < 1:
-            raise ValidationError(
-                f"--instances must be at least 1, got {count}")
-        suite_opts = {
-            "dims": (int(opts["d"]),) if opts.get("d") is not None
-            else (1, 2, 3),
-            "ps": (float(opts["p"]),) if opts.get("p") is not None
-            else (1.5, 2.0, 3.0, 4.0),
-            "depth_range": (int(opts["depth"]), int(opts["depth"]))
-            if opts.get("depth") is not None else (4, 12)}
-        jobs = [(i, seed, suite_opts, check_opts) for i in range(count)]
-        if parallel > 1:
+        # a given d, p or depth is the suite's only one
+        suite_opts = {name: (opts[key],) * n for key, name, n in (
+            ("d", "dims", 1), ("p", "ps", 1), ("depth", "depth_range", 2))
+            if key in opts}
+        jobs = [(i, seed, suite_opts, check_opts)
+                for i in range(opts.get("instances", 24))]
+        if opts.get("parallel", 1) > 1:
             ctx = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=parallel,
+            with ProcessPoolExecutor(max_workers=opts["parallel"],
                                      mp_context=ctx) as ex:
                 details = list(ex.map(_check_suite_instance, jobs))
         else:
@@ -261,7 +269,7 @@ def cmd_check(args):
             agg["worst"], agg["bound"] = r["measured"], r["bound"]
 
     if opts.get("acceptance"):
-        records, fit = leaf_scale_sweep(p=2.0, d=1, seed=seed)
+        _, fit = run_sweep(SweepConfig(epss=None, seed=seed))
         summary["slope_window_p2"] = {
             "passed": 0.75 <= fit["slope"] <= 1.05,
             "worst": fit["slope"], "bound": scalar_target_exponent(2.0)}
@@ -285,31 +293,14 @@ def cmd_check(args):
     return CHECK_FAILURE if failed else 0
 
 
-# every key that ``wml sweep`` reads from its config
-SWEEP_KEYS = ("family", "p", "d", "depths", "alphas", "epss", "restarts",
-              "seed", "fit_tol", "out", "parallel")
-
-
 def cmd_sweep(args):
-    config = _load_config(args.config)
-    _reject_unknown(config, SWEEP_KEYS, "sweep")
-    opts = _merged(config, args, ("p", "d", "out", "parallel"))
-    seed = _resolve_seed(args, config)
-    parallel = _parallel(opts)
+    opts = _options(args)
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    cfg = SweepConfig(
-        family=opts.get("family", "power"),
-        p=float(opts.get("p", 2.0)),
-        d=int(opts.get("d", 1)),
-        depths=tuple(opts.get("depths", (6, 8, 10))),
-        alphas=tuple(opts.get("alphas", (0.4, 0.6, 0.8, 0.95))),
-        epss=tuple(opts.get("epss", (0.25, 0.015625))),
-        restarts=int(opts.get("restarts", 4)),
-        seed=seed,
-        fit_tol=float(opts.get("fit_tol", 2e-2)))
+    cfg = SweepConfig(seed=_seed(opts), **{
+        k: v for k, v in opts.items() if k not in ("seed", "out", "parallel")})
     try:
-        records, fit = run_sweep(cfg, parallel=parallel)
+        records, fit = run_sweep(cfg, parallel=opts.get("parallel", 1))
     except SweepPointError as exc:
         print(f"FAIL {exc}")
         return CHECK_FAILURE
@@ -325,7 +316,7 @@ def cmd_sweep(args):
 def _csv_fit(args):
     """(rows of the --csv sweep CSV, their sweep_fit, output directory)
     for the fit and report commands."""
-    opts = _merged(_load_config(args.config), args, ("csv", "out"))
+    opts = _options(args)
     if "csv" not in opts:
         raise ValidationError(
             f"{args.command} needs --csv pointing at a sweep CSV")
@@ -383,44 +374,19 @@ def build_parser():
     parser = _Parser(prog="wml", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = dict(config=(("--config",), {"type": str, "default": None}),
-                  seed=(("--seed",), {"type": int, "default": None}),
-                  out=(("--out",), {"type": str, "default": None}))
-
-    def add(name, func, extra=()):
+    for name, func in (("gen", cmd_gen), ("check", cmd_check),
+                       ("sweep", cmd_sweep), ("fit", cmd_fit),
+                       ("report", cmd_report)):
         sp = sub.add_parser(name)
-        for flag, kw in common.values():
-            sp.add_argument(*flag, **kw)
-        for flag, kw in extra:
-            sp.add_argument(flag, **kw)
+        sp.add_argument("--config", type=str, default=None)
+        for key in FLAGS[name]:
+            kind = OPTIONS[name][key]
+            kw = {"action": "store_true"} if kind is bool else {"type": kind}
+            if key == "square_mode":
+                kw["choices"] = MODES
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=None, **kw)
         sp.set_defaults(func=func)
-        return sp
-
-    add("gen", cmd_gen, extra=[
-        ("--depth", {"type": int, "default": None}),
-        ("--d", {"type": int, "default": None}),
-        ("--p", {"type": float, "default": None}),
-    ])
-    add("check", cmd_check, extra=[
-        ("--p", {"type": float, "default": None}),
-        ("--d", {"type": int, "default": None}),
-        ("--depth", {"type": int, "default": None}),
-        ("--cgamma", {"type": float, "default": None}),
-        ("--instances", {"type": int, "default": None}),
-        ("--parallel", {"type": int, "default": None}),
-        ("--acceptance", {"action": "store_true", "default": None}),
-        ("--square-mode", {"type": str, "default": None,
-                           "choices": ("increments", "first_value",
-                                       "with_mean"),
-                           "dest": "square_mode"}),
-    ])
-    add("sweep", cmd_sweep, extra=[
-        ("--p", {"type": float, "default": None}),
-        ("--d", {"type": int, "default": None}),
-        ("--parallel", {"type": int, "default": None}),
-    ])
-    add("fit", cmd_fit, extra=[("--csv", {"type": str, "default": None})])
-    add("report", cmd_report, extra=[("--csv", {"type": str, "default": None})])
     return parser
 
 

@@ -336,15 +336,17 @@ class SweepConfig:
     p: float = 2.0
     d: int = 1
     depths: tuple = (6, 8, 10)
-    alphas: tuple = (0.5, 0.8)
-    epss: tuple = (0.25, 0.0625, 0.015625, 0.00390625)
+    alphas: tuple = (0.4, 0.6, 0.8, 0.95)
+    epss: tuple | None = (0.25, 0.015625)   # None: 2^-depth, the leaf width
     restarts: int = 4
     seed: int = 0
     fit_tol: float = 2e-2            # reducer fit tolerance for d >= 2
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths
-                for alpha in self.alphas for eps in self.epss]
+                for alpha in self.alphas
+                for eps in ((2.0 ** -depth,) if self.epss is None
+                            else self.epss)]
 
 
 @dataclass(frozen=True)
@@ -443,19 +445,3 @@ def run_sweep(config, parallel=1):
 
 def _sweep_point_star(args):
     return sweep_point(*args)
-
-
-def leaf_scale_sweep(p=2.0, d=1, depths=(6, 8, 10),
-                     alphas=(0.4, 0.6, 0.8, 0.95), family="power",
-                     restarts=4, seed=0, fit_tol=2e-2):
-    """Sweep with eps tied to the leaf width 2^-depth of each point, the
-    self-similar regime where the characteristic is active at all scales."""
-    records = []
-    points = [(depth, alpha) for depth in depths for alpha in alphas]
-    for i, (depth, alpha) in enumerate(points):
-        eps = 2.0 ** -depth
-        cfg = SweepConfig(family=family, p=p, d=d, depths=(depth,),
-                          alphas=(alpha,), epss=(eps,), restarts=restarts,
-                          seed=seed, fit_tol=fit_tol)
-        records.append(sweep_point(cfg, i, depth, alpha, eps))
-    return records, sweep_fit((r.ap_char, r.ratio) for r in records)

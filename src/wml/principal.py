@@ -339,7 +339,8 @@ def iteration_check(an, family, tol=1e-10):
     """Verify the iterated tail-energy inequality pointwise for every cut N:
     b_1^2 <= b_N^2 + K sum_{m<=N} sum_{P_m} T(P_m) chi_{P_m}, with the
     derived K = iteration_constant(threshold); T is the squared sparse term
-    of the set. Returns the report with the worst slack."""
+    of the set. Returns the report with the worst slack and the bound it
+    is held to, tol * max(1, max b_1^2)."""
     k_it = iteration_constant(family.threshold)
     b1 = _tail_squares(an, family, 1)
     max_gen = max((s.generation for s in family.sets), default=0)
@@ -350,9 +351,9 @@ def iteration_check(an, family, tol=1e-10):
             running[s.leaves] += an.set_term(s.kappa2, s.leaves) ** 2
         slack = b1 - _tail_squares(an, family, n_cut) - k_it * running
         worst = max(worst, float(slack.max(initial=-np.inf)))
-    scale = max(1.0, float(b1.max(initial=0.0)))
+    bound = tol * max(1.0, float(b1.max(initial=0.0)))
     return {"constant": k_it, "worst_slack": worst,
-            "ok": bool(worst <= tol * scale), "tol": tol}
+            "ok": bool(worst <= bound), "bound": bound}
 
 
 def vanish_checks(an, family, tol=1e-10):

@@ -170,7 +170,7 @@ def _scalar_checks(inst, rng, tol_identity=1e-12, tol_conj=1e-10):
     return out
 
 
-def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
+def instance_checks(inst, fit_tol=2e-2, threshold=None,
                     square_mode="increments"):
     """Run the full battery on one instance; returns a list of CheckResult.
 
@@ -241,7 +241,7 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
 
     it = iteration_check(an, family)
     results.append(CheckResult("tail_iteration", it["ok"], it["worst_slack"],
-                               it["tol"], f"constant {it['constant']:.4g}"))
+                               it["bound"], f"constant {it['constant']:.4g}"))
 
     van = vanish_checks(an, family)
     results.append(CheckResult(
@@ -256,10 +256,9 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None, with_scalar=True,
 
     results.append(_holder_check(an, family))
 
-    if with_scalar:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [inst.seed, inst.index, 1]))
-        results.extend(_scalar_checks(inst, rng))
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [inst.seed, inst.index, 1]))
+    results.extend(_scalar_checks(inst, rng))
 
     square_lp = lp_norm(space, an.square(square_mode), p)
     return results, {"ap_char": ap, "max_ratio": dom["max_ratio"],

@@ -13,9 +13,9 @@ import pytest
 
 from wml.analysis import Analysis
 from wml.cli import main as cli_main
-from wml.experiments import (SweepConfig, leaf_scale_sweep,
-                             matrix_target_exponent, opnorm_power_iteration,
-                             scalar_target_exponent, sweep_point)
+from wml.experiments import (SweepConfig, matrix_target_exponent,
+                             opnorm_power_iteration, run_sweep,
+                             scalar_target_exponent)
 from wml.filtration import build_dyadic, cond_expect_leaf, martingale_of
 from wml.linalg import holdout_directions
 from wml.principal import (build_principal_family, default_threshold,
@@ -175,8 +175,9 @@ def test_criterion_7_sparse_comparisons(battery):
 
 def test_criterion_8_exponent_probes():
     # slope window at p = 2 on the self-similar power family
-    records, fit = leaf_scale_sweep(p=2.0, d=1, depths=(6, 8, 10),
-                                    alphas=(0.4, 0.6, 0.8, 0.95), seed=SEED)
+    records, fit = run_sweep(SweepConfig(p=2.0, d=1, depths=(6, 8, 10),
+                                         alphas=(0.4, 0.6, 0.8, 0.95),
+                                         epss=None, seed=SEED))
     assert len(records) >= 12
     aps = [r.ap_char for r in records]
     assert min(aps) >= 1.0 - 1e-9 and max(aps) <= 1e3
@@ -210,34 +211,24 @@ def test_criterion_8_exponent_probes():
     # ~10^3): the measured growth never exceeds the target exponent + 0.1
     wide_slopes = {}
     for p in (2.0, 1.5, 3.0, 4.0):
-        recs = []
-        for i, (depth, alpha) in enumerate(
-                (d_, a_) for d_ in (6, 8, 10) for a_ in (0.8, 1.4, 2.0)):
-            cfg = SweepConfig(family="power", p=p, d=1, depths=(depth,),
-                              alphas=(alpha,), epss=(2.0 ** -depth,),
-                              restarts=3, seed=SEED)
-            recs.append(sweep_point(cfg, i, depth, alpha, 2.0 ** -depth))
+        recs, wide = run_sweep(SweepConfig(
+            family="power", p=p, d=1, depths=(6, 8, 10),
+            alphas=(0.8, 1.4, 2.0), epss=None, restarts=3, seed=SEED))
         if p == 1.5:
             # the power method's stopping test certified every estimate
             assert all(r.converged for r in recs), p
-        from wml.experiments import exponent_fit
-        slope, _, _ = exponent_fit([(r.ap_char, r.ratio) for r in recs])
+        slope = wide["slope"]
         target = scalar_target_exponent(p)
         assert slope <= target + 0.1, (p, slope, target)
         wide_slopes[p] = (slope, max(r.ap_char for r in recs))
     assert wide_slopes[2.0][1] >= 100.0
 
     # matrix family upper consistency at d = 2, p = 1.5
-    recs = []
-    for i, (depth, alpha) in enumerate(
-            (d_, a_) for d_ in (4, 5, 6) for a_ in (0.6, 1.0)):
-        cfg = SweepConfig(family="rotating", p=1.5, d=2, depths=(depth,),
-                          alphas=(alpha,), epss=(2.0 ** -depth,),
-                          restarts=3, seed=SEED)
-        recs.append(sweep_point(cfg, i, depth, alpha, 2.0 ** -depth))
+    recs, matrix = run_sweep(SweepConfig(
+        family="rotating", p=1.5, d=2, depths=(4, 5, 6), alphas=(0.6, 1.0),
+        epss=None, restarts=3, seed=SEED))
     assert all(r.converged for r in recs)
-    from wml.experiments import exponent_fit
-    mslope, _, _ = exponent_fit([(r.ap_char, r.ratio) for r in recs])
+    mslope = matrix["slope"]
     mtarget = matrix_target_exponent(1.5)
     assert mslope <= mtarget + 0.1, (mslope, mtarget)
 

@@ -11,7 +11,7 @@ from wml import filtration, linalg, principal
 from wml.analysis import Analysis
 from wml.experiments import opnorm_ascent, rotating_weight
 from wml.filtration import build_dyadic
-from wml.linalg import ValidationError
+from wml.linalg import ValidationError, matvec, spd_power
 from wml.operators import sparse_operator
 from wml.suite import instance_checks, random_instance
 from wml.weights import as_weight, build_reducing_pair
@@ -44,9 +44,12 @@ def test_instance_checks_builds_each_table_and_martingale_once(monkeypatch):
         inst = random_instance(index, seed=7, depth_range=(8, 8))
         kept.append(inst)
         del marts[:]
-        results, _ = instance_checks(inst, with_scalar=False)
+        results, _ = instance_checks(inst)
         assert all(r.passed for r in results)
-        assert len(marts) == 1                 # the martingale of g
+        # the scalar checks build martingales of their own functions
+        g = matvec(spd_power(inst.weight.mats, -1.0 / inst.p), inst.f)
+        assert sum(np.shape(c["f"]) == g.shape and np.allclose(c["f"], g)
+                   for c in marts) == 1        # the martingale of g
     keys = [(id(c["space"]), c["base"]) for c in tables]
     assert len(keys) == len(set(keys))
     # the halving check reads every base level of every instance

@@ -331,3 +331,87 @@ def test_unknown_command_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--depth", "3", "--p", "5"],
+    ["fit", "--seed", "3", "--csv", "sweep.csv"],
+    ["report", "--seed", "3", "--csv", "sweep.csv"],
+], ids=["gen-p", "fit-seed", "report-seed"])
+def test_flag_that_no_command_reads_is_usage_error(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_and_report_reject_unknown_config_key(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"csv": "sweep.csv", "seed": 3}))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"unknown {command} config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("gen", {"depth": "abc"}, "gen config key 'depth' must be int, got 'abc'"),
+    ("gen", {"weight": {"alpha": [1]}},
+     "gen config key 'weight.alpha' must be float, got [1]"),
+    ("sweep", {"restarts": "x"}, "sweep config key 'restarts' must be int"),
+    ("sweep", {"epss": None},
+     "sweep config key 'epss' must be a list of float, got None"),
+    ("check", {"instances": [3]}, "check config key 'instances' must be int"),
+], ids=["gen-depth", "gen-weight-alpha", "sweep-restarts", "sweep-epss-null",
+        "check-instances"])
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, command,
+                                                   config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, keys, named", [
+    (["--instances", "5", "--d", "3", "--depth", "9", "--parallel", "2"], {},
+     "instances, d, depth, parallel"),
+    ([], {"instances": 5}, "instances"),
+    (["--depth", "9"], {"parallel": 2}, "depth, parallel"),
+], ids=["flags", "key", "flag-and-key"])
+def test_check_on_files_rejects_suite_options(tmp_path, capsys, flags, keys,
+                                              named):
+    from wml.filtration import build_dyadic
+    from wml.io import save_tree
+    save_tree(tmp_path / "tree.json", build_dyadic(3))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": str(tmp_path / "tree.json"), **keys}))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]
+               + flags) == 1
+    assert f"takes no {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_summary_shows_result_nearest_its_bound(tmp_path, monkeypatch):
+    # instance 0 has the larger upper-bounded and the smaller lower-bounded
+    # measured value, but instance 1 comes nearer its bound on both sides
+    from wml import cli
+    from wml.suite import CheckResult
+    synthetic = {0: [CheckResult("up", True, 3.4, 98.5),
+                     CheckResult("low", True, 0.2, 0.1, side="lower")],
+                 1: [CheckResult("up", True, 1.0, 1.0 + 1e-12),
+                     CheckResult("low", True, 0.9, 0.5, side="lower")]}
+    monkeypatch.setattr(cli, "instance_checks",
+                        lambda inst, **kw: (synthetic[inst.index], {}))
+    assert run(["check", "--instances", "2", "--depth", "4",
+                "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "check_report.json").read_text())[
+        "summary"]
+    assert summary["up"] == {"passed": True, "worst": 1.0,
+                             "bound": 1.0 + 1e-12}
+    assert summary["low"] == {"passed": True, "worst": 0.9, "bound": 0.5}

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from wml.experiments import (SweepConfig, exponent_fit, leaf_scale_sweep,
+from wml.experiments import (SweepConfig, SweepRecord, exponent_fit,
                              matrix_target_exponent, opnorm_ascent,
                              opnorm_power_iteration, power_weight,
-                             rotating_weight, run_sweep, scalar_target_exponent)
+                             rotating_weight, run_sweep, scalar_target_exponent,
+                             sweep_fit, sweep_point)
 from wml.filtration import build_dyadic, cond_expect_leaf, lp_norm, martingale_of
 from wml.linalg import ValidationError, spd_power
 from wml.operators import weighted_square_fn
@@ -322,7 +323,31 @@ def test_run_sweep_rejects_empty_grid():
 
 
 def test_leaf_scale_sweep_slope_window():
-    records, fit = leaf_scale_sweep(p=2.0, d=1, depths=(5, 7),
-                                    alphas=(0.4, 0.7, 0.95), seed=2)
+    records, fit = run_sweep(SweepConfig(p=2.0, d=1, depths=(5, 7),
+                                         alphas=(0.4, 0.7, 0.95), epss=None,
+                                         seed=2))
     assert len(records) == 6
     assert 0.6 <= fit["slope"] <= 1.1
+
+
+@pytest.mark.parametrize("family, p, d", [("power", 2.0, 1),
+                                          ("rotating", 1.5, 2)])
+def test_leaf_width_sweep_matches_per_point_loop(family, p, d):
+    # epss = None ties eps to the leaf width 2^-depth; the oracle is the
+    # per-point loop that gives each (depth, alpha) its own one-point config
+    cfg = SweepConfig(family=family, p=p, d=d, depths=(3, 4),
+                      alphas=(0.5, 0.9), epss=None, restarts=2, seed=5)
+    records, fit = run_sweep(cfg)
+    oracle = []
+    for i, (depth, alpha) in enumerate(
+            (depth, alpha) for depth in (3, 4) for alpha in (0.5, 0.9)):
+        eps = 2.0 ** -depth
+        one = SweepConfig(family=family, p=p, d=d, depths=(depth,),
+                          alphas=(alpha,), epss=(eps,), restarts=2, seed=5)
+        oracle.append(sweep_point(one, i, depth, alpha, eps))
+    assert len(records) == len(oracle) == 4
+    for rec, ref in zip(records, oracle):
+        assert rec.eps == 2.0 ** -rec.depth
+        for field in SweepRecord.CSV_FIELDS:
+            assert getattr(rec, field) == getattr(ref, field), field
+    assert fit == sweep_fit((r.ap_char, r.ratio) for r in oracle)

@@ -9,10 +9,12 @@ from wml.filtration import build_dyadic, build_from_tree
 from wml.operators import weighted_square_fn
 from wml.principal import (build_principal_family, check_properties,
                            default_threshold, domination_constant,
-                           iteration_check, iteration_constant,
+                           _tail_squares, iteration_check,
+                           iteration_constant,
                            sparse_domination_check, tail_energy,
                            vanish_checks)
-from wml.suite import _halving_check_all_atoms, _holder_check, random_instance
+from wml.suite import (_halving_check_all_atoms, _holder_check,
+                       instance_checks, random_instance)
 from wml.weights import MatrixWeight, as_weight, build_reducing_pair
 
 
@@ -198,6 +200,21 @@ def test_iteration_and_vanish_on_random_instances():
         fam = build_principal_family(an)
         assert iteration_check(an, fam)["ok"]
         assert vanish_checks(an, fam)["ok"]
+
+
+def test_tail_iteration_reports_the_bound_it_enforces():
+    # the slack is held to tol * max(1, max b_1^2), and the check reports
+    # that bound
+    for index in range(6):
+        inst = random_instance(index, seed=7)
+        results, _ = instance_checks(inst)
+        it = next(r for r in results if r.name == "tail_iteration")
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2,
+                                   seed=inst.seed + inst.index)
+        an = Analysis(pair, inst.f)
+        b1 = _tail_squares(an, build_principal_family(an), 1)
+        assert it.bound == 1e-10 * max(1.0, float(b1.max()))
+        assert it.passed == (it.measured <= it.bound)
 
 
 def test_domination_zero_and_constant():
