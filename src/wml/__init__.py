@@ -17,9 +17,9 @@ from .operators import (lp_weighted_norm, sparse_operator, square_fn,
 from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
                         build_principal_family, check_properties,
                         default_threshold, domination_constant,
-                        fluctuation_table, iteration_check,
-                        iteration_constant, sparse_domination_check,
-                        tail_energy, vanish_checks)
+                        fluctuation_table, fluctuation_tables,
+                        iteration_check, iteration_constant,
+                        sparse_domination_check, tail_energy, vanish_checks)
 from .analysis import Analysis
 from .experiments import (SweepConfig, SweepPointError, SweepRecord,
                           exponent_fit, matrix_target_exponent, opnorm_ascent,

@@ -5,8 +5,10 @@ from the same few quantities of g = W^{-1/p} f: its martingale, the
 reducer-normalized level averages E_n ||dual_n^{-1} g||, the fluctuation
 tables of the stopping times and the increments conjugated by W^{1/p}. An
 ``Analysis`` computes g and its martingale once and each of the others the
-first time it is asked for, so that the checks share them. The per-set
-terms of the sparse operator read these averages and the pair's table of
+first time it is asked for, so that the checks share them. The fluctuation
+tables of all base levels come from one ``fluctuation_tables`` call, and
+the table of one base is a view of its row. The per-set terms of the
+sparse operator read these averages and the pair's table of
 ||W^{1/p} dual_n||, which is built once per pair.
 """
 
@@ -15,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .filtration import level_means, martingale_of
-from .linalg import ValidationError, matvec
+from .linalg import ValidationError, _squared_norms, matvec
 from .operators import _conjugated_diffs, _leaf_l2
-from .principal import fluctuation_table
+from .principal import fluctuation_table, fluctuation_tables
 
 
 class Analysis:
@@ -48,25 +50,34 @@ class Analysis:
             self._cache[key] = build()
         return self._cache[key]
 
+    def dual_inv(self):
+        """(D + 1, L, d, d) inverse dual reducer of each leaf's atom at
+        every level."""
+        return self._cached("dual_inv", lambda: self.pair.tiled_dual_inv[
+            self.space.tiled_labels()])
+
     def level_averages(self):
         """E_n ||dual_n^{-1} g|| on every atom of every level n, in the tiled
         order of the space."""
-        def build():
-            dual_inv = self.pair.tiled_dual_inv[self.space.tiled_labels()]
-            return level_means(self.space, np.linalg.norm(
-                matvec(dual_inv, self.g), axis=2))
-        return self._cached("averages", build)
+        return self._cached("averages", lambda: level_means(
+            self.space, np.sqrt(_squared_norms(self.dual_inv(), self.g))))
 
     def level_average(self, n):
         """Per level-n atom: E_n ||dual_n^{-1} g||."""
         base = self.space.atom_base
         return self.level_averages()[base[n]:base[n + 1]]
 
+    def tables(self):
+        """FluctuationTable of g at every base level, from one
+        ``fluctuation_tables`` call."""
+        return self._cached("tables", lambda: fluctuation_tables(
+            self.space, self.mart, self.dual_inv(), self.level_averages()))
+
     def table(self, base):
-        """FluctuationTable of g relative to the base level."""
+        """FluctuationTable of g relative to the base level: a view of row
+        ``base`` of ``tables()``."""
         return self._cached(("table", base), lambda: fluctuation_table(
-            self.space, self.mart, self.pair.dual_inv[base],
-            self.level_average(base), base))
+            self.space, self.tables(), base))
 
     def conjugated(self, mode="increments"):
         """(K, L, d) increments of g under the square-function mode,

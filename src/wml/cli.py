@@ -138,16 +138,24 @@ def _options(args):
 
 def _seed(opts):
     """--seed flag, config value, WML_SEED environment variable, then 7."""
-    return opts["seed"] if "seed" in opts else int(os.environ.get("WML_SEED", 7))
+    if "seed" in opts:
+        return opts["seed"]
+    value = os.environ.get("WML_SEED", "7")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(
+            f"environment variable WML_SEED must be an integer, got {value!r}"
+        ) from None
 
 
 def cmd_gen(args):
     opts = _options(args)
+    rng = np.random.default_rng(_seed(opts))
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     kind = opts.get("kind", "dyadic")
     depth, d = opts.get("depth", 4), opts.get("d", 1)
-    rng = np.random.default_rng(_seed(opts))
 
     if kind == "dyadic":
         space = build_dyadic(depth)
@@ -236,6 +244,12 @@ def cmd_check(args):
     if suite_only:
         raise ValidationError("check on the files of 'tree' takes no "
                               f"{', '.join(suite_only)}")
+    files_only = [k for k in ("weight", "function")
+                  if k in opts and "tree" not in opts]
+    if files_only:
+        raise ValidationError(
+            f"check takes {', '.join(map(repr, files_only))} only with "
+            "'tree', which names the instance's tree file")
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     threshold = opts.get("cgamma", default_threshold())
@@ -295,10 +309,10 @@ def cmd_check(args):
 
 def cmd_sweep(args):
     opts = _options(args)
-    out = Path(opts.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
     cfg = SweepConfig(seed=_seed(opts), **{
         k: v for k, v in opts.items() if k not in ("seed", "out", "parallel")})
+    out = Path(opts.get("out", "."))
+    out.mkdir(parents=True, exist_ok=True)
     try:
         records, fit = run_sweep(cfg, parallel=opts.get("parallel", 1))
     except SweepPointError as exc:

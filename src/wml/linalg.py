@@ -2,7 +2,10 @@
 
 Everything here operates on stacks of small (d <= 6) symmetric matrices.
 Eigen-decompositions use a batched cyclic Jacobi sweep so results are
-deterministic and identical across BLAS builds.
+deterministic and identical across BLAS builds. The smallest sizes skip
+the batch machinery: a 1 x 1 matrix is its own eigenvalue, ``spd_power``
+of 1 x 1 matrices is an elementwise power, and ``spectral_norm`` of 2 x 2
+matrices takes the top eigenvalue of the Gram matrix in closed form.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
     -------
     (vals, vecs) : eigenvalues ascending, orthonormal columns, so that
         ``mats = vecs @ diag(vals) @ vecs.T``.
+
+    1 x 1 matrices return their entry and ones, without a sweep; the values
+    are bitwise those of the batch path wherever its symmetrization
+    a + a^T does not overflow.
     """
     a = np.asarray(mats, dtype=float)
     single = a.ndim == 2
@@ -63,42 +70,44 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
     d = a.shape[-1]
     if a.shape[-2] != d:
         raise ValidationError(f"expected square matrices, got {a.shape[-2:]}")
+    if d == 1:
+        vals, vecs = a[..., 0].copy(), np.ones_like(a)
+        return (vals[0], vecs[0]) if single else (vals, vecs)
     a = a.reshape(-1, d, d).copy()
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     b = a.shape[0]
     v = np.tile(np.eye(d), (b, 1, 1))
 
-    if d > 1:
-        scale = np.sqrt(np.sum(a * a, axis=(1, 2))) + 1e-300
-        for _ in range(max_sweeps):
-            off = np.sqrt(np.maximum(np.sum(a * a, axis=(1, 2)) - np.sum(
-                np.diagonal(a, axis1=1, axis2=2) ** 2, axis=1), 0.0))
-            # a converged matrix gets t = 0 from here on, which leaves it
-            # unchanged, so its result does not depend on its batch mates
-            done = off <= tol * scale
-            if np.all(done):
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = a[:, p, q]
-                    small = done | (np.abs(apq) <= 1e-300)
-                    theta = (a[:, q, q] - a[:, p, p]) / np.where(small, 1.0, 2.0 * apq)
-                    with np.errstate(over="ignore"):
-                        t = np.where(theta >= 0.0, 1.0, -1.0) / (
-                            np.abs(theta) + np.sqrt(1.0 + theta * theta))
-                    t = np.where(small, 0.0, t)
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = (t * c)[:, None]
-                    c = c[:, None]
-                    col_p, col_q = a[:, :, p].copy(), a[:, :, q].copy()
-                    a[:, :, p] = c[:, 0, None] * col_p - s[:, 0, None] * col_q
-                    a[:, :, q] = s[:, 0, None] * col_p + c[:, 0, None] * col_q
-                    row_p, row_q = a[:, p, :].copy(), a[:, q, :].copy()
-                    a[:, p, :] = c * row_p - s * row_q
-                    a[:, q, :] = s * row_p + c * row_q
-                    vcol_p, vcol_q = v[:, :, p].copy(), v[:, :, q].copy()
-                    v[:, :, p] = c * vcol_p - s * vcol_q
-                    v[:, :, q] = s * vcol_p + c * vcol_q
+    scale = np.sqrt(np.sum(a * a, axis=(1, 2))) + 1e-300
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.maximum(np.sum(a * a, axis=(1, 2)) - np.sum(
+            np.diagonal(a, axis1=1, axis2=2) ** 2, axis=1), 0.0))
+        # a converged matrix gets t = 0 from here on, which leaves it
+        # unchanged, so its result does not depend on its batch mates
+        done = off <= tol * scale
+        if np.all(done):
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[:, p, q]
+                small = done | (np.abs(apq) <= 1e-300)
+                theta = (a[:, q, q] - a[:, p, p]) / np.where(small, 1.0, 2.0 * apq)
+                with np.errstate(over="ignore"):
+                    t = np.where(theta >= 0.0, 1.0, -1.0) / (
+                        np.abs(theta) + np.sqrt(1.0 + theta * theta))
+                t = np.where(small, 0.0, t)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = (t * c)[:, None]
+                c = c[:, None]
+                col_p, col_q = a[:, :, p].copy(), a[:, :, q].copy()
+                a[:, :, p] = c[:, 0, None] * col_p - s[:, 0, None] * col_q
+                a[:, :, q] = s[:, 0, None] * col_p + c[:, 0, None] * col_q
+                row_p, row_q = a[:, p, :].copy(), a[:, q, :].copy()
+                a[:, p, :] = c * row_p - s * row_q
+                a[:, q, :] = s * row_p + c * row_q
+                vcol_p, vcol_q = v[:, :, p].copy(), v[:, :, q].copy()
+                v[:, :, p] = c * vcol_p - s * vcol_q
+                v[:, :, q] = s * vcol_p + c * vcol_q
 
     vals = np.diagonal(a, axis1=1, axis2=2).copy()
     order = np.argsort(vals, axis=1, kind="stable")
@@ -124,33 +133,79 @@ def spd_power(mats, alpha):
     """Real power M**alpha of symmetric positive-definite matrices.
 
     Computed through the Jacobi eigen-decomposition; raises ValidationError
-    on asymmetric or non-positive-definite input.
+    on asymmetric or non-positive-definite input. 1 x 1 matrices are raised
+    to the power entrywise, with the same positivity check and bitwise the
+    values of the eigen-decomposition path, which they do not call.
     """
-    a = _check_symmetric(mats, what="spd_power input")
+    a = np.asarray(mats, dtype=float)
+    if a.shape[-2:] == (1, 1):
+        _check_positive(a)
+        return a ** alpha
+    a = _check_symmetric(a, what="spd_power input")
     vals, vecs = jacobi_eigh(a)
-    if np.any(vals <= 0.0):
-        raise ValidationError(
-            f"matrix not positive definite (min eigenvalue {np.min(vals):.3e})")
+    _check_positive(vals)
     powered = vals ** alpha
     return np.einsum("...ij,...j,...kj->...ik", vecs, powered, vecs)
 
 
+def _check_positive(vals):
+    if np.any(vals <= 0.0):
+        raise ValidationError(
+            f"matrix not positive definite (min eigenvalue {np.min(vals):.3e})")
+
+
 def sym_inv(mats):
-    """Inverse of symmetric positive-definite matrices (Jacobi based)."""
+    """Inverse of symmetric positive-definite matrices: ``spd_power`` at
+    exponent -1."""
     return spd_power(mats, -1.0)
 
 
 def spectral_norm(mats):
-    """Largest singular value of (stacked) square matrices."""
+    """Largest singular value of (stacked) square matrices: the square root
+    of the top eigenvalue of the Gram matrix M^T M.
+
+    For 2 x 2 matrices that eigenvalue is (x + z)/2 + hypot((x - z)/2, y)
+    for the Gram entries [[x, y], [y, z]], without calling ``jacobi_eigh``;
+    both terms are non-negative, so the sum does not cancel. Other sizes
+    take it from ``jacobi_eigh``.
+    """
     a = np.asarray(mats, dtype=float)
     gram = np.swapaxes(a, -1, -2) @ a
-    vals, _ = jacobi_eigh(gram)
-    return np.sqrt(np.maximum(vals[..., -1], 0.0))
+    if gram.shape[-2:] == (2, 2):
+        x, y, z = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+        top = 0.5 * (x + z) + np.hypot(0.5 * (x - z), y)
+    else:
+        top = jacobi_eigh(gram)[0][..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def matvec(mats, vecs):
     """Apply stacked (d, d) matrices to stacked d-vectors."""
     return np.einsum("...ij,...j->...i", mats, vecs)
+
+
+def _squared_norms(mats, vecs):
+    """||mats @ vecs||^2 for (..., d, d) mats and (..., d) vecs that
+    broadcast against each other, without einsum's cost on broadcast
+    stacks.
+
+    Component i of the product adds the column products t_j = mats[i, j]
+    vecs[j] in the order ``matvec``'s einsum adds them: j = 0, 1, ...
+    except (t0 + t2) + t1 at d = 3. The squares are then added in index
+    order, as ``np.linalg.norm`` adds them. So at d = 1 the values are
+    bitwise the squares of norm(matvec(mats, vecs)), and at d >= 2 they
+    are wherever einsum keeps that order.
+    """
+    d = vecs.shape[-1]
+    order = (0, 2, 1) if d == 3 else tuple(range(d))
+    out = None
+    for i in range(d):
+        y = mats[..., i, order[0]] * vecs[..., order[0]]
+        for j in order[1:]:
+            y += mats[..., i, j] * vecs[..., j]
+        y *= y
+        out = y if out is None else np.add(out, y, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

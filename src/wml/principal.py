@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError, matvec
+from .linalg import ValidationError, _squared_norms
 from .operators import sparse_operator
 
 ZERO_SPARSE = 1e-14
@@ -68,42 +68,63 @@ def domination_constant(threshold):
 
 @dataclass(frozen=True)
 class FluctuationTable:
-    """Numerators and denominator of both fluctuation ratios at one base.
+    """Numerators, denominator and ratio of both fluctuation ratios.
 
-    diff_num[m], avg_num[m] are per-leaf numerators for target level m
-    (rows 0..base are zero); den is the per-leaf denominator. ``ratio``
-    combines both numerators and applies the vanishing-den convention.
+    At one base level: diff_num[m], avg_num[m] are per-leaf numerators for
+    target level m (rows 0..base are zero), den is the per-leaf denominator
+    and ratio[m] combines both numerators under the vanishing-den
+    convention (0 wherever den is). The tables of every base at once, as
+    ``fluctuation_tables`` builds them, have base None and a leading axis
+    over the bases 0..D-1 on each array.
     """
 
-    base: int
+    base: int | None
     den: np.ndarray        # (L,)
     diff_num: np.ndarray   # (D + 1, L)
     avg_num: np.ndarray    # (D + 1, L)
-
-    @property
-    def ratio(self):
-        live = self.den > 0.0
-        num = np.maximum(self.diff_num, self.avg_num)
-        return np.where(live, num / np.where(live, self.den, 1.0), 0.0)
+    ratio: np.ndarray      # (D + 1, L)
 
 
-def fluctuation_table(space, mart, dual_inv, average, base):
-    """FluctuationTable relative to the base level of g, given its martingale
-    ``mart``, the level-base inverse dual reducers ``dual_inv`` (one per
-    atom) and the per-atom level averages E_base ||dual_base^{-1} g||."""
+def fluctuation_tables(space, mart, dual_inv, averages):
+    """FluctuationTable of g at every base level, in one pass over the
+    target levels.
+
+    ``mart`` is the martingale of g, ``dual_inv`` the (D + 1, L, d, d) stack
+    of the inverse dual reducers of each leaf's atom at every level (the
+    tiled inverse dual reducers gathered by ``tiled_labels()``) and
+    ``averages`` the level averages E_n ||dual_n^{-1} g|| in tiled order.
+    Target level m fills column m of the tables of every base n < m at
+    once, so each table fills only its triangle m > base and no temporary
+    is larger than (D, L). The values at each base are those of building
+    its table alone: bitwise at d = 1, within rounding at d >= 2.
+    """
+    depth, n_leaves = space.depth, space.n_leaves
+    den = averages[space.tiled_labels()[:depth]]
+    diff_num = np.zeros((depth, depth + 1, n_leaves))
+    avg_num = np.zeros((depth, depth + 1, n_leaves))
+    acc = np.zeros((depth, n_leaves))
+    for m in range(1, depth + 1):
+        inv = dual_inv[:m]
+        acc[:m] += _squared_norms(inv, mart.diff(m))
+        np.sqrt(acc[:m], out=diff_num[:m, m])
+        np.sqrt(_squared_norms(inv, mart.leaf_levels[m]), out=avg_num[:m, m])
+    live = (den > 0.0)[:, None]
+    ratio = np.maximum(diff_num, avg_num)
+    np.divide(ratio, np.where(live, den[:, None], 1.0), out=ratio)
+    np.copyto(ratio, 0.0, where=~live)
+    return FluctuationTable(base=None, den=den, diff_num=diff_num,
+                            avg_num=avg_num, ratio=ratio)
+
+
+def fluctuation_table(space, tables, base):
+    """FluctuationTable relative to one base level: row ``base`` of the
+    tables of every base that ``fluctuation_tables`` built, as views."""
     if not 0 <= base < space.depth:
         raise ValidationError("base level must satisfy 0 <= base < depth")
-    dual_inv = space.expand(base, dual_inv)
-    depth, n_leaves = space.depth, space.n_leaves
-    diff_num = np.zeros((depth + 1, n_leaves))
-    avg_num = np.zeros((depth + 1, n_leaves))
-    acc = np.zeros(n_leaves)
-    for m in range(base + 1, depth + 1):
-        acc = acc + np.sum(matvec(dual_inv, mart.diff(m)) ** 2, axis=1)
-        diff_num[m] = np.sqrt(acc)
-        avg_num[m] = np.linalg.norm(matvec(dual_inv, mart.leaf_levels[m]), axis=1)
-    return FluctuationTable(base=base, den=space.expand(base, average),
-                            diff_num=diff_num, avg_num=avg_num)
+    return FluctuationTable(base=base, den=tables.den[base],
+                            diff_num=tables.diff_num[base],
+                            avg_num=tables.avg_num[base],
+                            ratio=tables.ratio[base])
 
 
 @dataclass(frozen=True)

@@ -112,11 +112,13 @@ def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
 def _halving_check_all_atoms(an, threshold):
     """Worst exceedance fraction over every (level, atom) pair: the event
     {sup_{m>n} ratio > threshold} may carry at most half of each atom.
-    Covering atoms covers every level-n measurable set."""
+    Covering atoms covers every level-n measurable set. The ratio tables
+    are zero at m <= n and the ratios non-negative, so the max of row n
+    over all m exceeds the threshold exactly when its max over m > n does;
+    level D has no m > D and never exceeds."""
     space = an.space
     exceed = np.zeros((space.depth + 1, space.n_leaves))
-    for n in range(space.depth):
-        exceed[n] = an.table(n).ratio[n + 1:].max(axis=0) > threshold
+    exceed[:-1] = an.tables().ratio.max(axis=1) > threshold
     worst = float(level_means(space, exceed).max())
     return CheckResult("mass_halving", worst <= 0.5 + 1e-12, worst, 0.5,
                        f"threshold {threshold:g}")

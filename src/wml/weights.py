@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .filtration import FilteredSpace, level_means
-from .linalg import (EllipsoidError, ValidationError, direction_set,
-                     holdout_directions, jacobi_eigh, mvee_central,
-                     spectral_norm, spd_power, sym_inv)
+from .linalg import (EllipsoidError, ValidationError, _squared_norms,
+                     direction_set, holdout_directions, jacobi_eigh,
+                     mvee_central, spectral_norm, spd_power, sym_inv)
 
 EIG_CLIP_RATIO = 1e-10
 
@@ -159,22 +159,13 @@ def reducer_norms(space, leaf_mats, tiled_reducers):
 def _norms(mats, dirs):
     """(K, N) table of ||mats[k] u_n|| for (K, d, d) mats and (N, d) dirs.
 
-    y[k, i, n] is accumulated in place from the column products
-    t_j = mats[k, i, j] u_n[j] in the order einsum("lij,nj->lni") adds
-    them: j = 0, 1, ... except (t0 + t2) + t1 at d = 3. Then y is squared in
-    place and summed over i in index order, as np.linalg.norm does, so the
-    table is bitwise that of norm(einsum(...), axis=2). A BLAS product
-    mats @ dirs.T is faster at d = 3 but rounds differently, which flips
-    Frank-Wolfe ties among the +-u pairs of the d = 2 direction set.
+    The products and squares are summed in the order ``_squared_norms``
+    documents, so the table is bitwise that of norm(einsum("lij,nj->lni"))
+    on hosts where einsum adds the column products in that order. A BLAS
+    product mats @ dirs.T is faster at d = 3 but rounds differently, which
+    flips Frank-Wolfe ties among the +-u pairs of the d = 2 direction set.
     """
-    d = dirs.shape[1]
-    order = (0, 2, 1) if d == 3 else tuple(range(d))
-    y = mats[:, :, order[0], None] * dirs[:, order[0]]
-    for j in order[1:]:
-        y += mats[:, :, j, None] * dirs[:, j]
-    np.square(y, out=y)
-    out = y.sum(axis=1)
-    return np.sqrt(out, out=out)
+    return np.sqrt(_squared_norms(mats[:, None], dirs))
 
 
 def _atom_norm_powers(space, mats, dirs, power):

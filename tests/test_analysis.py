@@ -37,23 +37,26 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_instance_checks_builds_each_table_and_martingale_once(monkeypatch):
-    tables = _count_calls(monkeypatch, principal, "fluctuation_table")
+    kernels = _count_calls(monkeypatch, principal, "fluctuation_tables")
+    views = _count_calls(monkeypatch, principal, "fluctuation_table")
     marts = _count_calls(monkeypatch, filtration, "martingale_of")
     kept = []
     for index in range(3):                     # d = 1, 2, 3
         inst = random_instance(index, seed=7, depth_range=(8, 8))
         kept.append(inst)
-        del marts[:]
+        del marts[:], kernels[:]
         results, _ = instance_checks(inst)
         assert all(r.passed for r in results)
+        # every base level's table comes from one kernel call
+        assert len(kernels) == 1 and kernels[0]["space"] is inst.space
         # the scalar checks build martingales of their own functions
         g = matvec(spd_power(inst.weight.mats, -1.0 / inst.p), inst.f)
         assert sum(np.shape(c["f"]) == g.shape and np.allclose(c["f"], g)
                    for c in marts) == 1        # the martingale of g
-    keys = [(id(c["space"]), c["base"]) for c in tables]
-    assert len(keys) == len(set(keys))
-    # the halving check reads every base level of every instance
-    assert set(keys) == {(id(inst.space), n) for inst in kept
+    # the principal family reads one view per (space, base) it needs
+    keys = [(id(c["space"]), c["base"]) for c in views]
+    assert keys and len(keys) == len(set(keys))
+    assert set(keys) <= {(id(inst.space), n) for inst in kept
                          for n in range(inst.space.depth)}
 
 

@@ -213,6 +213,32 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["sweep", "check", "gen"])
+def test_non_integer_seed_env_is_usage_error(tmp_path, monkeypatch, capsys,
+                                             command):
+    monkeypatch.setenv("WML_SEED", "abc")
+    out = tmp_path / "out"
+    assert run([command, "--out", str(out)]) == 1
+    assert "WML_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+    # a --seed flag is read first, so the variable is not consulted
+    assert run(["gen", "--seed", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"weight": "nonexistent.csv", "function": "nope.csv"},
+     "'weight', 'function'"),
+    ({"function": "nope.csv"}, "'function'"),
+], ids=["both", "function"])
+def test_check_without_tree_rejects_file_keys(tmp_path, capsys, keys, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": 1, **keys}))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"check takes {named} only with 'tree'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_on_synthetic_slope_one(tmp_path):
     csv = tmp_path / "sweep.csv"
     lines = ["instance_id,family,p,d,depth,alpha,eps,ap_char,ratio,"

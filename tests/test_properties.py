@@ -1,18 +1,21 @@
 """Property-based tests: the whole d = 1 battery passes on random trees
 (with chains and tiny masses), at extreme exponents, and on degenerate
 leaf functions; the one-pass martingale, adjoint, level-mean and
-reducer-norm kernels match conditioning one level at a time."""
+reducer-norm kernels match conditioning one level at a time, and the
+fluctuation-table kernel matches building one base level at a time."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wml.analysis import Analysis
 from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
                             level_means, martingale_of)
-from wml.linalg import spectral_norm
+from wml.linalg import matvec, spectral_norm
 from wml.operators import _conjugated_diffs
-from wml.suite import Instance, instance_checks
-from wml.weights import as_weight, reducer_norms
+from wml.principal import fluctuation_tables
+from wml.suite import Instance, instance_checks, random_instance
+from wml.weights import as_weight, build_reducing_pair, reducer_norms
 
 MAX_DEPTH = 6
 FRACTIONS = st.one_of(st.floats(0.05, 1.0), st.sampled_from([1e-9, 1e-6, 1e-3]))
@@ -154,3 +157,93 @@ def test_level_kernels_match_per_level_loops(spec, d, seed):
             assert _bits(table[m]) == _bits(ref)
         else:
             assert np.all(np.abs(table[m] - ref) <= 1e-14 * ref)
+
+
+def _table_one_base(space, mart, dual_inv, average, base):
+    """Per-base oracle: (den, diff_num, avg_num, ratio) of one base level,
+    two matvecs and a norm per target level, given the level-base inverse
+    dual reducers and level averages (one per atom)."""
+    dual_inv = space.expand(base, dual_inv)
+    depth, n_leaves = space.depth, space.n_leaves
+    diff_num = np.zeros((depth + 1, n_leaves))
+    avg_num = np.zeros((depth + 1, n_leaves))
+    acc = np.zeros(n_leaves)
+    for m in range(base + 1, depth + 1):
+        acc = acc + np.sum(matvec(dual_inv, mart.diff(m)) ** 2, axis=1)
+        diff_num[m] = np.sqrt(acc)
+        avg_num[m] = np.linalg.norm(matvec(dual_inv, mart.leaf_levels[m]),
+                                    axis=1)
+    den = space.expand(base, average)
+    live = den > 0.0
+    num = np.maximum(diff_num, avg_num)
+    ratio = np.where(live, num / np.where(live, den, 1.0), 0.0)
+    return den, diff_num, avg_num, ratio
+
+
+def _assert_tables_match_per_base(space, mart, tiled_dual_inv, averages):
+    """fluctuation_tables against the per-base oracle at every base: bitwise
+    at d = 1, within 1e-14 relative at d >= 2."""
+    base = space.atom_base
+    tables = fluctuation_tables(space, mart,
+                                tiled_dual_inv[space.tiled_labels()], averages)
+    for n in range(space.depth):
+        level = slice(base[n], base[n + 1])
+        oracle = _table_one_base(space, mart, tiled_dual_inv[level],
+                                 averages[level], n)
+        for name, want in zip(("den", "diff_num", "avg_num", "ratio"), oracle):
+            got = getattr(tables, name)[n]
+            if mart.dim == 1:
+                assert _bits(got) == _bits(want), (n, name)
+            else:
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), \
+                    (n, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_specs(), st.integers(1, 3), st.sampled_from(("gauss", "zero",
+                                                        "constant")),
+       st.integers(0, 2 ** 32 - 1))
+def test_fluctuation_tables_match_per_base_loop(spec, d, kind, seed):
+    space = build_from_tree(spec)
+    n = space.n_leaves
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        g = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, 2.0, (n, 1)))
+        g[rng.random(n) < 0.2] = 0.0
+    else:
+        g = np.full((n, d), 0.0 if kind == "zero" else rng.normal())
+    # SPD inverse dual reducers of every atom of every level, in random
+    # frames with log-eigenvalues of spread 2
+    q, _ = np.linalg.qr(rng.standard_normal((space.atom_base[-1], d, d)))
+    tiled = (q * np.exp(2.0 * rng.standard_normal((len(q), 1, d)))) \
+        @ np.swapaxes(q, 1, 2)
+    averages = level_means(space, np.linalg.norm(
+        matvec(tiled[space.tiled_labels()], g), axis=2))
+    # a vanishing average over non-zero values (an underflowed sum) still
+    # gives ratio 0
+    averages[rng.random(averages.shape) < 0.1] = 0.0
+    _assert_tables_match_per_base(space, martingale_of(space, g), tiled,
+                                  averages)
+
+
+def test_analysis_tables_match_per_base_loop():
+    # the reducers of a fitted pair, d = 1, 2, 3, through the analysis
+    # context, which reads the level averages from its own product
+    for index in range(3):
+        inst = random_instance(index, seed=7, depth_range=(7, 7))
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p,
+                                   tol=2e-2, seed=inst.seed + inst.index)
+        an = Analysis(pair, inst.f)
+        averages = level_means(an.space, np.linalg.norm(matvec(
+            pair.tiled_dual_inv[an.space.tiled_labels()], an.g), axis=2))
+        if inst.d == 1:
+            assert _bits(an.level_averages()) == _bits(averages)
+        else:
+            assert np.all(np.abs(an.level_averages() - averages)
+                          <= 1e-14 * averages)
+        _assert_tables_match_per_base(an.space, an.mart, pair.tiled_dual_inv,
+                                      an.level_averages())
+        for n in range(an.space.depth):
+            assert an.table(n).base == n
+            assert np.shares_memory(an.table(n).ratio, an.tables().ratio)
