@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import level_means, martingale_of
 from .linalg import ValidationError, _squared_norms, matvec
-from .operators import _conjugated_diffs, _leaf_l2
+from .operators import _diff_stack, _leaf_l2
 from .principal import fluctuation_table, fluctuation_tables
 
 
@@ -82,8 +82,8 @@ class Analysis:
     def conjugated(self, mode="increments"):
         """(K, L, d) increments of g under the square-function mode,
         conjugated by W^{1/p}."""
-        return self._cached(("conjugated", mode), lambda: _conjugated_diffs(
-            self.pair.wp, self.mart, mode))
+        return self._cached(("conjugated", mode), lambda: matvec(
+            self.pair.wp, _diff_stack(self.mart, mode)))
 
     def square(self, mode="increments"):
         """Weighted square function S_W f per leaf."""

@@ -18,8 +18,8 @@ import numpy as np
 
 from .filtration import (_lp_norm, build_dyadic, increment_adjoint,
                          martingale_of)
-from .linalg import ValidationError, matvec, spd_power
-from .operators import _conjugated_diffs, _leaf_l2
+from .linalg import ValidationError, _eig_compose, matvec, spd_power
+from .operators import _leaf_l2
 from .weights import MatrixWeight, as_weight, build_reducing_pair, ap_characteristic
 
 
@@ -82,7 +82,7 @@ def rotating_weight(depth, dim, alpha, eps):
     if dim == 3:
         lam[:, 2] = 1.0
     r = _rotations(x, dim)
-    return space, MatrixWeight(np.einsum("lij,lj,lkj->lik", r, lam, r))
+    return space, MatrixWeight(_eig_compose(r, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +140,17 @@ def _ascent_point(space, wp, wm, f):
     and wm = W^{-1/p}: what both the ratio and the gradient of the ascent
     need at f."""
     mart = martingale_of(space, matvec(wm, f))
-    return mart, _leaf_l2(_conjugated_diffs(wp, mart))
+    return mart, _leaf_l2(matvec(wp, mart.diffs))
 
 
-def _sq_gradient(space, wp, wm, p, point):
+def _sq_gradient(space, w2p, wm, p, point):
     """Gradient (in the probability inner product) of ||S_W f||_p^p at the
     ascent point ``_ascent_point(space, wp, wm, f)``: p T* J_p(T f) for
     T f = (W^{1/p} d_k W^{-1/p} f)_k and J_p(y) = |y|^{p-2} y, together
-    with ||S_W f||_p^p."""
+    with ||S_W f||_p^p. w2p = W^{2/p} = wp @ wp per leaf."""
     mart, s = point
     spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
-    y = spow[:, None] * matvec(wp @ wp, mart.diffs)
+    y = spow[:, None] * matvec(w2p, mart.diffs)
     acc = increment_adjoint(space, y)
     return p * matvec(wm, acc), float(np.sum(space.leaf_probs * s ** p))
 
@@ -159,7 +159,7 @@ def _sq_gradient(space, wp, wm, p, point):
 BOYD_TOL = 1e-12
 
 
-def _boyd_start(space, wp, wm, p, f, exponents, max_iter):
+def _boyd_start(space, wp, wm, w2p, p, f, exponents, max_iter):
     """One start of Boyd's power method for T f = (W^{1/p} d_k W^{-1/p} f)_k,
     run at each exponent r of ``exponents`` in turn from where the previous
     one stopped, all sharing ``max_iter`` iterations.
@@ -177,7 +177,7 @@ def _boyd_start(space, wp, wm, p, f, exponents, max_iter):
         while iters < max_iter and not converged:
             iters += 1
             witness, point = f, _ascent_point(space, wp, wm, f)
-            grad, phi = _sq_gradient(space, wp, wm, r, point)
+            grad, phi = _sq_gradient(space, w2p, wm, r, point)
             norm = phi ** (1.0 / r)
             ratio = norm / _lp_norm(space, f, r)
             gmag = np.sqrt(np.sum(grad * grad, axis=1))
@@ -191,7 +191,7 @@ def _boyd_start(space, wp, wm, p, f, exponents, max_iter):
     return witness, ratio, iters, converged
 
 
-def _ascent_start(space, wp, wm, p, f, max_iter):
+def _ascent_start(space, wp, wm, w2p, p, f, max_iter):
     """One start of the projected gradient ascent on the unit sphere of
     L_p, with finite-difference-verified ascent directions. Returns
     (f, ratio, iterations, converged); ``converged`` is False when the
@@ -207,7 +207,7 @@ def _ascent_start(space, wp, wm, p, f, max_iter):
     cur, point = ratio_of(f)
     step = 0.5
     for iters in range(1, max_iter + 1):
-        grad_phi, phi = _sq_gradient(space, wp, wm, p, point)
+        grad_phi, phi = _sq_gradient(space, w2p, wm, p, point)
         fmag = np.linalg.norm(f, axis=1)
         grad_psi = p * np.where(fmag > 1e-300, fmag ** (p - 2.0), 0.0)[:, None] * f
         psi = float(np.sum(probs * fmag ** p))
@@ -266,16 +266,18 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
         raise ValidationError("max_iter must be >= 1")
     W = as_weight(W)
     wp, wm = spd_power(W.mats, 1.0 / p), spd_power(W.mats, -1.0 / p)
+    w2p = wp @ wp
     rng = np.random.default_rng(seed)
     best = AscentResult(0.0, None, 0, restarts, True)
     for start in range(restarts):
         f = rng.standard_normal((space.n_leaves, W.dim))
         if p <= 2.0:
             f, ratio, iters, converged = _boyd_start(
-                space, wp, wm, p, f, (2.0, p) if start == 0 else (p,), max_iter)
+                space, wp, wm, w2p, p, f, (2.0, p) if start == 0 else (p,),
+                max_iter)
         else:
-            f, ratio, iters, converged = _ascent_start(space, wp, wm, p, f,
-                                                       max_iter)
+            f, ratio, iters, converged = _ascent_start(space, wp, wm, w2p, p,
+                                                       f, max_iter)
         best.iterations += iters
         best.converged = best.converged and converged
         if ratio > best.ratio:

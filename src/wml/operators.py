@@ -12,6 +12,9 @@ The ``mode`` argument selects what the k = 1 summand is:
     artificial level-0 mean is not counted as fluctuation (the convention
     under which the stopping-time family dominates pointwise);
   * "with_mean":  increments plus a separate k = 0 term ||W^{1/p} g_0||.
+
+The conjugated increments are one ``linalg.matvec`` of the (L, d, d) leaf
+powers W^{1/p} against the (K, L, d) stack of the mode's increments.
 """
 
 from __future__ import annotations
@@ -40,21 +43,6 @@ def _leaf_l2(stack):
     return np.sqrt(np.sum(stack * stack, axis=(0, 2)))
 
 
-def _conjugated_diffs(wp, mart, mode="increments"):
-    """(K, L, d) stack W^{1/p}(l) d_k g(l) of the mode's increments of the
-    martingale of g, conjugated by the leaf values wp of W^{1/p}.
-
-    The product is summed column by column in index order; at d <= 2 this
-    gives the values of ``einsum("lij,klj->kli")`` (a zero may differ in
-    sign) at a fraction of its cost on small spaces.
-    """
-    diffs = _diff_stack(mart, mode)
-    out = wp[:, :, 0] * diffs[..., :1]
-    for j in range(1, wp.shape[-1]):
-        out += wp[:, :, j] * diffs[..., j:j + 1]
-    return out
-
-
 def square_fn(space, mart, mode="increments"):
     """Unweighted square function: per leaf the l2 sum of increments."""
     return _leaf_l2(_diff_stack(mart, mode))
@@ -65,7 +53,7 @@ def weighted_square_fn(space, W, p, f, mode="increments"):
     W = as_weight(W)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
     mart = martingale_of(space, matvec(spd_power(W.mats, -1.0 / p), f))
-    return _leaf_l2(_conjugated_diffs(spd_power(W.mats, 1.0 / p), mart, mode))
+    return _leaf_l2(matvec(spd_power(W.mats, 1.0 / p), _diff_stack(mart, mode)))
 
 
 def sparse_operator(an, family, r):

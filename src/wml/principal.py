@@ -305,15 +305,17 @@ def check_properties(an, family, tol=1e-10):
             eprob = s.escape_probability(space)
             if prob > 2.0 * eprob + tol:
                 mass_ok = False
-            escape_mask = np.zeros(space.n_leaves, dtype=bool)
-            escape_mask[s.escape] = True
-            for a in s.atoms:
-                lo, hi = space.offsets[s.kappa2][a], space.offsets[s.kappa2][a + 1]
-                pa = space.leaf_probs[lo:hi]
-                frac = float(pa[escape_mask[lo:hi]].sum() / pa.sum())
-                worst_mass = min(worst_mass, frac)
-                if frac < 0.5 - tol:
-                    mass_ok = False
+            # one reduceat over alternating atom starts and ends: its even
+            # entries are the escaped mass of each atom
+            off = space.offsets[s.kappa2]
+            bounds = np.stack([off[s.atoms], off[s.atoms + 1]], 1).ravel()
+            escaped = np.zeros(space.n_leaves + 1)
+            escaped[s.escape] = space.leaf_probs[s.escape]
+            frac = np.add.reduceat(escaped, bounds)[::2] \
+                / space.atom_probs[s.kappa2][s.atoms]
+            worst_mass = min(worst_mass, float(frac.min(initial=1.0)))
+            if np.any(frac < 0.5 - tol):
+                mass_ok = False
         else:
             gen1_window = max(gen1_window, wv)
             gen1_escape = max(gen1_escape, evv)
@@ -370,7 +372,8 @@ def iteration_check(an, family, tol=1e-10):
     for n_cut in range(1, max_gen + 2):
         for s in family.generation(n_cut):
             running[s.leaves] += an.set_term(s.kappa2, s.leaves) ** 2
-        slack = b1 - _tail_squares(an, family, n_cut) - k_it * running
+        tail = b1 if n_cut == 1 else _tail_squares(an, family, n_cut)
+        slack = b1 - tail - k_it * running
         worst = max(worst, float(slack.max(initial=-np.inf)))
     bound = tol * max(1.0, float(b1.max(initial=0.0)))
     return {"constant": k_it, "worst_slack": worst,

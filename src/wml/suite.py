@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import Analysis
 from .filtration import (build_from_tree, cond_expect, level_means, lp_norm,
                          martingale_of)
-from .linalg import EllipsoidError, ValidationError
+from .linalg import EllipsoidError, ValidationError, _eig_compose
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
 from .principal import (build_principal_family, check_properties,
@@ -103,7 +103,7 @@ def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
     else:
         q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
         lam = np.exp(rng.normal(0.0, weight_sigma, (n, d)))
-        weight = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+        weight = MatrixWeight(_eig_compose(q, lam))
     f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, heavy_tail, (n, 1)))
     return Instance(index=index, seed=seed, depth=space.depth, d=d, p=p,
                     space=space, weight=weight, f=f)
@@ -159,14 +159,14 @@ def _scalar_checks(inst, rng, tol_identity=1e-12, tol_conj=1e-10):
     err = float(np.max(np.abs(lhs - rhs)))
     out.append(CheckResult("tilted_average_identity", err <= tol_identity,
                            err, tol_identity))
-    sw = weighted_square_fn(space, as_weight(w), p, w ** (1.0 / p) * h)
-    plain = w ** (1.0 / p) * square_fn(space, martingale_of(space, h))
-    err = float(np.max(np.abs(sw - plain)))
+    weight = as_weight(w)
+    sw = weighted_square_fn(space, weight, p, w ** (1.0 / p) * h)
+    plain_h = square_fn(space, martingale_of(space, h))
+    err = float(np.max(np.abs(sw - w ** (1.0 / p) * plain_h)))
     out.append(CheckResult("conjugation_pointwise", err <= tol_conj, err,
                            tol_conj))
     lhs_n = lp_norm(space, sw, p)
-    rhs_n = lp_weighted_norm(space, as_weight(w), p,
-                             square_fn(space, martingale_of(space, h)))
+    rhs_n = lp_weighted_norm(space, weight, p, plain_h)
     err = abs(lhs_n - rhs_n) / max(rhs_n, 1e-300)
     out.append(CheckResult("conjugation_norms", err <= tol_conj, err, tol_conj))
     return out

@@ -23,9 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .filtration import FilteredSpace, level_means
-from .linalg import (EllipsoidError, ValidationError, _squared_norms,
-                     direction_set, holdout_directions, jacobi_eigh,
-                     mvee_central, spectral_norm, spd_power, sym_inv)
+from .linalg import (EllipsoidError, ValidationError, _eig_compose,
+                     _squared_norms, direction_set, holdout_directions,
+                     jacobi_eigh, mvee_central, spectral_norm, spd_power,
+                     sym_inv)
 
 EIG_CLIP_RATIO = 1e-10
 
@@ -66,7 +67,7 @@ class MatrixWeight:
             warnings.warn("weight eigenvalues clipped to keep leaves invertible",
                           RuntimeWarning, stacklevel=2)
             vals = np.maximum(vals, floor)
-            a = np.einsum("lij,lj,lkj->lik", vecs, vals, vecs)
+            a = _eig_compose(vecs, vals)
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "mats", a)
@@ -159,11 +160,10 @@ def reducer_norms(space, leaf_mats, tiled_reducers):
 def _norms(mats, dirs):
     """(K, N) table of ||mats[k] u_n|| for (K, d, d) mats and (N, d) dirs.
 
-    The products and squares are summed in the order ``_squared_norms``
-    documents, so the table is bitwise that of norm(einsum("lij,nj->lni"))
-    on hosts where einsum adds the column products in that order. A BLAS
-    product mats @ dirs.T is faster at d = 3 but rounds differently, which
-    flips Frank-Wolfe ties among the +-u pairs of the d = 2 direction set.
+    Bitwise the norm of ``matvec(mats[k], u_n)``, from ``_squared_norms``,
+    which builds no (K, N, d) product stack. A BLAS product mats @ dirs.T
+    is faster at d = 3 but rounds differently, which flips Frank-Wolfe
+    ties among the +-u pairs of the d = 2 direction set.
     """
     return np.sqrt(_squared_norms(mats[:, None], dirs))
 
@@ -271,44 +271,28 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
     return fitted, certs
 
 
-def build_reducing_pair(space, W, p, method="auto", tol=1e-3, cert_tol=5e-2,
-                        seed=0, n_holdout=1000):
-    """Reducing pair of (space, W, p) on every level.
-
-    method: "auto" picks the exact scalar formulas for d = 1 and the
-    ellipsoid fit otherwise, one fit for the primal and dual sides
-    together; "exact_p2" substitutes (E_n W)^{1/2} and (E_n W^{-1})^{1/2},
-    valid only at p = 2 (cross-check oracle).
-    """
+def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
+                        n_holdout=1000):
+    """Reducing pair of (space, W, p) on every level: the exact scalar
+    formulas for d = 1 (method "scalar"), otherwise the ellipsoid fit of
+    the primal and dual sides together (method "ellipsoid")."""
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
         raise ValidationError("weight and space disagree on the leaf count")
     if not 1.0 < p < np.inf:
         raise ValidationError("p must lie in (1, inf)")
     q = conjugate(p)
-    d = W.dim
-    stack = (space.depth + 1, space.n_leaves)
     wp = spd_power(W.mats, 1.0 / p)
     wm = spd_power(W.mats, -1.0 / p)
     cert = {}
 
-    if d == 1:
-        w = W.scalar()
+    if W.dim == 1:
+        w, stack = W.scalar(), (space.depth + 1, space.n_leaves)
         primal = level_means(space, np.broadcast_to(w, stack)) ** (1.0 / p)
         dual = level_means(space, np.broadcast_to(w ** (-q / p), stack)) \
             ** (1.0 / q)
         primal, dual = primal[:, None, None], dual[:, None, None]
         method = "scalar"
-    elif method == "exact_p2":
-        if abs(p - 2.0) > 1e-12:
-            raise ValidationError("exact_p2 reducers are only valid at p = 2")
-
-        def root_of_means(mats):
-            means = level_means(space, np.broadcast_to(
-                mats.reshape(space.n_leaves, -1), stack + (d * d,)))
-            return spd_power(means.reshape(-1, d, d), 0.5)
-
-        primal, dual = root_of_means(W.mats), root_of_means(sym_inv(W.mats))
     else:
         (primal, dual), (cp, cd) = _fit_reducers(
             space, [(wp, p), (wm, q)], tol, cert_tol, seed,

@@ -91,7 +91,7 @@ def test_criterion_3_exact_dual_identity(battery):
           f"error {worst:.2e} <= 1e-8")
 
 
-def test_criterion_4_reducer_certification(battery):
+def test_criterion_4_reducer_certification(battery, exact_p2_pair):
     collected, _ = battery
     # d = 1 takes the exact scalar path with nothing to certify
     certified = [(m, checks["reducer_certificate"]) for m, checks in collected
@@ -109,8 +109,7 @@ def test_criterion_4_reducer_certification(battery):
             continue
         mvee = build_reducing_pair(inst.space, inst.weight, 2.0, tol=2e-2,
                                    seed=SEED + i)
-        exact = build_reducing_pair(inst.space, inst.weight, 2.0,
-                                    method="exact_p2")
+        exact = exact_p2_pair(inst.space, inst.weight)
         dirs = holdout_directions(inst.d, 1000, seed=SEED + i)
         tol = 5e-2
         for n in range(inst.space.depth + 1):

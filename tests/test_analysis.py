@@ -11,7 +11,7 @@ from wml import filtration, linalg, principal
 from wml.analysis import Analysis
 from wml.experiments import opnorm_ascent, rotating_weight
 from wml.filtration import build_dyadic
-from wml.linalg import ValidationError, matvec, spd_power
+from wml.linalg import ValidationError, spd_power
 from wml.operators import sparse_operator
 from wml.suite import instance_checks, random_instance
 from wml.weights import as_weight, build_reducing_pair
@@ -49,10 +49,14 @@ def test_instance_checks_builds_each_table_and_martingale_once(monkeypatch):
         assert all(r.passed for r in results)
         # every base level's table comes from one kernel call
         assert len(kernels) == 1 and kernels[0]["space"] is inst.space
-        # the scalar checks build martingales of their own functions
-        g = matvec(spd_power(inst.weight.mats, -1.0 / inst.p), inst.f)
+        # the scalar checks build martingales of their own functions: one
+        # for the weighted square function, one for the plain one they
+        # compare it with twice
+        g = np.einsum("lij,lj->li",
+                      spd_power(inst.weight.mats, -1.0 / inst.p), inst.f)
         assert sum(np.shape(c["f"]) == g.shape and np.allclose(c["f"], g)
                    for c in marts) == 1        # the martingale of g
+        assert len(marts) == 3
     # the principal family reads one view per (space, base) it needs
     keys = [(id(c["space"]), c["base"]) for c in views]
     assert keys and len(keys) == len(set(keys))

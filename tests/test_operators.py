@@ -6,7 +6,7 @@ import pytest
 from wml.analysis import Analysis
 from wml.filtration import (build_dyadic, build_from_tree, cond_expect,
                             cond_expect_leaf, lp_norm, martingale_of)
-from wml.linalg import ValidationError, matvec
+from wml.linalg import ValidationError
 from wml.operators import (lp_weighted_norm, sparse_operator, square_fn,
                            weighted_cond_expect, weighted_square_fn)
 from wml.weights import MatrixWeight, as_weight, build_reducing_pair
@@ -145,7 +145,7 @@ def test_reduced_maximal_exhaustive_oracle():
     pair = build_reducing_pair(sp, W, 3.0)
     f = rng.standard_normal((8, 2))
     got = _reduced_maximal(Analysis(pair, f))
-    h = matvec(pair.wm, f)
+    h = np.einsum("lij,lj->li", pair.wm, f)
     for leaf in range(8):
         best = -np.inf
         for n in range(sp.depth + 1):

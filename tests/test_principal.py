@@ -7,7 +7,8 @@ import pytest
 from wml.analysis import Analysis
 from wml.filtration import build_dyadic, build_from_tree
 from wml.operators import weighted_square_fn
-from wml.principal import (build_principal_family, check_properties,
+from wml.principal import (PrincipalFamily, PrincipalSet,
+                           build_principal_family, check_properties,
                            default_threshold, domination_constant,
                            _tail_squares, iteration_check,
                            iteration_constant,
@@ -180,6 +181,36 @@ def test_check_properties_random_and_negative_control():
     fam_bad = dataclasses.replace(fam, sets=tuple(mutated))
     rep_bad = check_properties(an, fam_bad)
     assert not rep_bad["ok"]
+
+
+def test_check_properties_escape_mass_per_atom_negative_control():
+    # a generation-2 set over the four level-2 atoms of a uniform 16-leaf
+    # space escapes on 14/16, then 13/16 of its mass, so the set-level
+    # bound P(P) <= 2 P(E(P)) holds both times; only its last atom (leaves
+    # 12-15) drops from half of its own mass to a quarter
+    sp = build_dyadic(4)
+    an = _uniform(sp, np.zeros(16))
+    leaves = np.arange(16)
+    first = PrincipalSet(generation=1, kappa1=0, kappa2=1, leaves=leaves,
+                         atoms=np.arange(2), tau=np.full(16, 2.0),
+                         escape=leaves[:0], parent=-1)
+
+    def report(n_escaped):
+        second = PrincipalSet(
+            generation=2, kappa1=1, kappa2=2, leaves=leaves,
+            atoms=np.arange(4), tau=np.full(16, np.inf),
+            escape=leaves[:n_escaped], parent=0)
+        fam = PrincipalFamily(space=sp, weight=an.weight, p=an.p, f=an.f,
+                              threshold=default_threshold(),
+                              sets=(first, second))
+        return check_properties(an, fam)
+
+    rep = report(14)
+    assert rep["ok"] and rep["escape_mass"], rep
+    assert rep["worst_escape_atom_fraction"] == 0.5
+    rep = report(13)
+    assert not rep["escape_mass"] and not rep["ok"]
+    assert rep["worst_escape_atom_fraction"] == 0.25
 
 
 def test_tail_energy_cases():

@@ -12,7 +12,6 @@ from wml.analysis import Analysis
 from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
                             level_means, martingale_of)
 from wml.linalg import matvec, spectral_norm
-from wml.operators import _conjugated_diffs
 from wml.principal import fluctuation_tables
 from wml.suite import Instance, instance_checks, random_instance
 from wml.weights import as_weight, build_reducing_pair, reducer_norms
@@ -116,10 +115,11 @@ def test_one_pass_kernels_match_per_level_conditioning(spec, d, seed):
                     - _level_on_leaves(space, stack[k - 1], k - 1))
         assert _bits(increment_adjoint(space, stack)) == _bits(acc)
 
-    # the conjugation's column sums give einsum's values up to d = 2; at
-    # d = 3 they may differ by the rounding of a three-term sum
+    # the conjugation, one matvec of the leaf matrices against the
+    # increment stack, gives einsum's values up to d = 2; at d = 3 they may
+    # differ by the rounding of a three-term sum
     wp = rng.standard_normal((n, d, d))
-    conj = _conjugated_diffs(wp, mart)
+    conj = matvec(wp, mart.diffs)
     reference = np.einsum("lij,klj->kli", wp, mart.diffs)
     if d <= 2:
         assert np.array_equal(conj, reference)
@@ -161,18 +161,19 @@ def test_level_kernels_match_per_level_loops(spec, d, seed):
 
 def _table_one_base(space, mart, dual_inv, average, base):
     """Per-base oracle: (den, diff_num, avg_num, ratio) of one base level,
-    two matvecs and a norm per target level, given the level-base inverse
-    dual reducers and level averages (one per atom)."""
+    two einsum products and a norm per target level, given the level-base
+    inverse dual reducers and level averages (one per atom)."""
     dual_inv = space.expand(base, dual_inv)
     depth, n_leaves = space.depth, space.n_leaves
     diff_num = np.zeros((depth + 1, n_leaves))
     avg_num = np.zeros((depth + 1, n_leaves))
     acc = np.zeros(n_leaves)
     for m in range(base + 1, depth + 1):
-        acc = acc + np.sum(matvec(dual_inv, mart.diff(m)) ** 2, axis=1)
+        acc = acc + np.sum(np.einsum("lij,lj->li", dual_inv, mart.diff(m))
+                           ** 2, axis=1)
         diff_num[m] = np.sqrt(acc)
-        avg_num[m] = np.linalg.norm(matvec(dual_inv, mart.leaf_levels[m]),
-                                    axis=1)
+        avg_num[m] = np.linalg.norm(
+            np.einsum("lij,lj->li", dual_inv, mart.leaf_levels[m]), axis=1)
     den = space.expand(base, average)
     live = den > 0.0
     num = np.maximum(diff_num, avg_num)
@@ -218,8 +219,8 @@ def test_fluctuation_tables_match_per_base_loop(spec, d, kind, seed):
     q, _ = np.linalg.qr(rng.standard_normal((space.atom_base[-1], d, d)))
     tiled = (q * np.exp(2.0 * rng.standard_normal((len(q), 1, d)))) \
         @ np.swapaxes(q, 1, 2)
-    averages = level_means(space, np.linalg.norm(
-        matvec(tiled[space.tiled_labels()], g), axis=2))
+    averages = level_means(space, np.linalg.norm(np.einsum(
+        "klij,lj->kli", tiled[space.tiled_labels()], g), axis=2))
     # a vanishing average over non-zero values (an underflowed sum) still
     # gives ratio 0
     averages[rng.random(averages.shape) < 0.1] = 0.0
@@ -235,8 +236,9 @@ def test_analysis_tables_match_per_base_loop():
         pair = build_reducing_pair(inst.space, inst.weight, inst.p,
                                    tol=2e-2, seed=inst.seed + inst.index)
         an = Analysis(pair, inst.f)
-        averages = level_means(an.space, np.linalg.norm(matvec(
-            pair.tiled_dual_inv[an.space.tiled_labels()], an.g), axis=2))
+        averages = level_means(an.space, np.linalg.norm(np.einsum(
+            "klij,lj->kli", pair.tiled_dual_inv[an.space.tiled_labels()],
+            an.g), axis=2))
         if inst.d == 1:
             assert _bits(an.level_averages()) == _bits(averages)
         else:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wml import weights
 from wml.filtration import build_dyadic, cond_expect
 from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
-                        mvee_central)
+                        matvec, mvee_central)
 from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _certified_fit,
                          _fit_reducers, _norms, ap_characteristic,
                          ap_equivalents, as_weight, build_reducing_pair,
@@ -68,12 +68,12 @@ def test_pair_levels_are_slices_of_the_tiled_reducers():
         assert np.array_equal(a, b)
 
 
-def test_p2_ellipsoid_vs_exact_averaging_window():
+def test_p2_ellipsoid_vs_exact_averaging_window(exact_p2_pair):
     rng = np.random.default_rng(1)
     sp = build_dyadic(3)
     W = _random_spd_weight(rng, sp.n_leaves, 2)
     mvee = build_reducing_pair(sp, W, 2.0)
-    exact = build_reducing_pair(sp, W, 2.0, method="exact_p2")
+    exact = exact_p2_pair(sp, W)
     dirs = holdout_directions(2, 400, seed=5)
     tol = 0.05
     for n in range(sp.depth + 1):
@@ -141,14 +141,13 @@ def test_ap_characteristic_examples():
     assert val == pytest.approx(25.0 / 16.0, rel=1e-12)
 
 
-def test_ap_characteristic_constant_matrix_weight():
+def test_ap_characteristic_constant_matrix_weight(exact_p2_pair):
     sp = build_dyadic(2)
     w0 = np.array([[3.0, 1.0], [1.0, 2.0]])
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
     val = ap_characteristic(build_reducing_pair(sp, W, 2.0))
     assert 1.0 - 1e-9 <= val <= 1.05 ** 4 * 2.0 ** 2
-    exact = ap_characteristic(build_reducing_pair(sp, W, 2.0,
-                                                  method="exact_p2"))
+    exact = ap_characteristic(exact_p2_pair(sp, W))
     assert exact == pytest.approx(1.0, abs=1e-10)
 
 
@@ -256,12 +255,33 @@ def test_john_sandwich_on_random_directions():
     assert ratio.min() >= 1.0 / ((1.0 + tol) ** 2 * np.sqrt(3.0))
 
 
+def _column_order(d):
+    """The documented order of the column products: j = 0, 1, ..., except
+    0, 2, 1 at d = 3."""
+    return (0, 2, 1) if d == 3 else range(d)
+
+
+def _matvec_reference(mats, vecs):
+    """mats @ vecs one entry at a time: each component starts from the first
+    column product in the documented order and adds the others in turn."""
+    mats, vecs = np.broadcast_arrays(mats, vecs[..., None, :])
+    first, *rest = _column_order(mats.shape[-1])
+    out = np.empty(mats.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        row, vec = mats[idx], vecs[idx]
+        y = float(row[first]) * float(vec[first])
+        for j in rest:
+            y += float(row[j]) * float(vec[j])
+        out[idx] = y
+    return out
+
+
 def _norms_reference(mats, dirs):
     """||mats[k] u_n|| one entry at a time in the order _norms documents:
-    column products added j = 0, 1, ... (0, 2, 1 at d = 3), squares added
-    in index order."""
+    column products added in the documented order, squares added in index
+    order."""
     k_count, d = mats.shape[:2]
-    order = (0, 2, 1) if d == 3 else range(d)
+    order = _column_order(d)
     out = np.empty((k_count, dirs.shape[0]))
     for k in range(k_count):
         for n, u in enumerate(dirs):
@@ -278,8 +298,9 @@ def _norms_reference(mats, dirs):
 @st.composite
 def _norm_tables(draw):
     """SPD stacks in random frames whose eigenvalue ratios reach down to
-    EIG_CLIP_RATIO, scaled over many decades, and random unit directions."""
-    d = draw(st.sampled_from((2, 3)))
+    EIG_CLIP_RATIO, scaled over many decades, random unit directions and a
+    (K, L, d) vector stack over many decades with some signed zeros."""
+    d = draw(st.sampled_from((1, 2, 3)))
     k_count = draw(st.integers(1, 6))
     n_dirs = draw(st.integers(1, 40))
     floor = draw(st.sampled_from((1.0, 1e-3, EIG_CLIP_RATIO)))
@@ -291,13 +312,21 @@ def _norm_tables(draw):
     mats = np.einsum("kij,kj,klj->kil", q, lam, q)
     dirs = rng.standard_normal((n_dirs, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return mats, dirs
+    vecs = rng.standard_normal((draw(st.integers(1, 4)), k_count, d)) \
+        * 10.0 ** rng.uniform(-6.0, 6.0, (1, k_count, d))
+    vecs[rng.random(vecs.shape) < 0.1] = -0.0
+    return mats, dirs, vecs
 
 
 @settings(max_examples=80, deadline=None)
 @given(_norm_tables())
 def test_norms_kernel_matches_reference_order_and_einsum(table):
-    mats, dirs = table
+    mats, dirs, vecs = table
+    # matvec of (L, d, d) against (L, d) and against a broadcast (K, L, d)
+    for stack in (vecs[0], vecs):
+        got = matvec(mats, stack)
+        want = _matvec_reference(mats, stack)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     got = _norms(mats, dirs)
     assert got.tobytes() == _norms_reference(mats, dirs).tobytes()
     # against einsum + norm, whose summation order depends on the host: a
