@@ -135,7 +135,7 @@ class PrincipalSet:
     kappa1: int
     kappa2: int
     leaves: np.ndarray   # sorted leaf indices
-    atoms: np.ndarray    # level-kappa2 atom indices covering the leaves
+    atoms: np.ndarray    # sorted level-kappa2 atom indices covering the leaves
     tau: np.ndarray      # per entry of ``leaves``: next stopping level or inf
     escape: np.ndarray   # leaf indices with tau == inf (the escape part)
     parent: int          # index into PrincipalFamily.sets, -1 for generation 1
@@ -266,8 +266,17 @@ def check_properties(an, family, tol=1e-10):
     report["escape_disjoint"] = bool(
         np.unique(all_escape).size == all_escape.size)
 
-    report["measurable"] = all(np.array_equal(np.flatnonzero(np.isin(
-        space.atom_of_leaf[s.kappa2], s.atoms)), s.leaves) for s in family.sets)
+    def measurable(s):
+        # strictly increasing leaves whose labels run through each of the
+        # sorted atoms once per leaf of it are exactly the atoms' union
+        off = space.offsets[s.kappa2]
+        sizes = off[s.atoms + 1] - off[s.atoms]
+        labels = space.atom_of_leaf[s.kappa2][s.leaves]
+        return labels.size == sizes.sum() and bool(
+            np.all(np.diff(s.leaves) > 0)
+            and np.all(labels == np.repeat(s.atoms, sizes)))
+
+    report["measurable"] = all(measurable(s) for s in family.sets)
 
     def window_values(s):
         t = table(s.kappa1)

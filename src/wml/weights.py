@@ -8,10 +8,13 @@ pair at level n consists of two SPD matrices per atom:
   * the dual reducer, equivalent to e |-> (E_n ||W^{-1/p} e||^{p'})^{1/p'},
 
 where p' is the conjugate exponent. For d = 1 the exact scalar formulas
-(E_n w)^{1/p} and (E_n w^{-p'/p})^{1/p'} are used directly; for d >= 2 each
-reducer is the circumscribed Loewner ellipsoid of the corresponding norm
-ball, fitted from sampled boundary points, which pins the equivalence
-constants to (1 + tol) sqrt(d) windows.
+(E_n w)^{1/p} and (E_n w^{-p'/p})^{1/p'} are used directly. At p = 2 the
+norm balls are ellipsoids, rho(e)^2 = e^T (E_n W^{+-1}) e, and the reducers
+are exactly (E_n W)^{1/2} and (E_n W^{-1})^{1/2} (the matrix A_2 condition
+of Treil and Volberg). Otherwise, for d >= 2, each reducer is the
+circumscribed Loewner ellipsoid of the corresponding norm ball, fitted from
+sampled boundary points, which pins the equivalence constants to
+(1 + tol) sqrt(d) windows.
 """
 
 from __future__ import annotations
@@ -113,8 +116,10 @@ class ReducingPair:
     atom of every level, in the tiled order of ``space``; tiled_*_inv are
     their inverses. primal[n], dual[n], primal_inv[n] and dual_inv[n] are
     the (n_atoms(n), d, d) level-n slices of these arrays. wp = W^{1/p} and
-    wm = W^{-1/p} per leaf. ``certificate`` holds the worst held-out ratios
-    observed while fitting (empty for exact paths).
+    wm = W^{-1/p} per leaf. ``method`` names the construction: "scalar"
+    (d = 1) and "exact_p2" (p = 2, d >= 2) are exact, ||A e|| = rho(e);
+    "ellipsoid" is the certified Loewner fit. ``certificate`` holds the
+    worst held-out ratios observed while fitting (empty for exact paths).
     """
 
     space: FilteredSpace
@@ -271,11 +276,26 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
     return fitted, certs
 
 
+def _root_of_means(space, mats):
+    """(E_n mats)^{1/2} on every atom of every level, in tiled order, from
+    one level_means call."""
+    d = mats.shape[1]
+    means = level_means(space, np.broadcast_to(
+        mats.reshape(space.n_leaves, d * d),
+        (space.depth + 1, space.n_leaves, d * d)))
+    return spd_power(means.reshape(-1, d, d), 0.5)
+
+
 def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
                         n_holdout=1000):
-    """Reducing pair of (space, W, p) on every level: the exact scalar
-    formulas for d = 1 (method "scalar"), otherwise the ellipsoid fit of
-    the primal and dual sides together (method "ellipsoid")."""
+    """Reducing pair of (space, W, p) on every level.
+
+    Exact where the norm balls are ellipsoids: the scalar formulas for
+    d = 1 (method "scalar"), and primal (E_n W)^{1/2}, dual
+    (E_n W^{-1})^{1/2} for p = 2 (method "exact_p2"); neither carries a
+    certificate. Otherwise the ellipsoid fit of the primal and dual sides
+    together (method "ellipsoid"), certified on held-out directions;
+    ``tol``, ``cert_tol``, ``seed`` and ``n_holdout`` act only on the fit."""
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
         raise ValidationError("weight and space disagree on the leaf count")
@@ -293,6 +313,10 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
             ** (1.0 / q)
         primal, dual = primal[:, None, None], dual[:, None, None]
         method = "scalar"
+    elif p == 2.0:
+        primal = _root_of_means(space, W.mats)
+        dual = _root_of_means(space, sym_inv(W.mats))
+        method = "exact_p2"
     else:
         (primal, dual), (cp, cd) = _fit_reducers(
             space, [(wp, p), (wm, q)], tol, cert_tol, seed,

@@ -192,9 +192,10 @@ def test_gen_unknown_config_key_is_usage_error(tmp_path, capsys, config,
 
 def test_check_summary_shows_smallest_low_ratio(tmp_path):
     # the held-out ratio of reducer_certificate is bounded from below, so
-    # the summary shows the instance with the smaller one
-    rc = run(["check", "--instances", "2", "--d", "2", "--depth", "4",
-              "--out", str(tmp_path)])
+    # the summary shows the instance with the smaller one; p = 3, because
+    # p = 2 reducers are exact and carry no certificate
+    rc = run(["check", "--instances", "2", "--d", "2", "--p", "3",
+              "--depth", "4", "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "check_report.json").read_text())
     lows = [r["measured"] for d in report["details"] for r in d["results"]

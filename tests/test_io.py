@@ -88,6 +88,16 @@ def test_pair_json_export(tmp_path):
     assert loaded["method"] == "scalar"
 
 
+def test_pair_json_export_exact_p2(tmp_path):
+    sp = build_dyadic(2)
+    W = MatrixWeight(np.tile(np.array([[2.0, 0.5], [0.5, 1.0]]), (4, 1, 1)))
+    save_pair_json(tmp_path / "pair.json", build_reducing_pair(sp, W, 2.0))
+    loaded = json.loads((tmp_path / "pair.json").read_text())
+    assert loaded["method"] == "exact_p2"
+    assert loaded["certificate"] == {}
+    assert np.array(loaded["levels"][2]["dual"]).shape == (4, 2, 2)
+
+
 def test_sweep_csv_roundtrip(tmp_path):
     from wml.experiments import SweepConfig, run_sweep
     cfg = SweepConfig(family="power", p=2.0, d=1, depths=(4,),

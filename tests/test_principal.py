@@ -213,6 +213,29 @@ def test_check_properties_escape_mass_per_atom_negative_control():
     assert rep["worst_escape_atom_fraction"] == 0.25
 
 
+def test_check_properties_measurable_negative_control():
+    # a set over the level-2 atoms {1, 3} of a uniform 16-leaf space is
+    # measurable only with exactly their eight leaves, in increasing order
+    sp = build_dyadic(4)
+    an = _uniform(sp, np.zeros(16))
+    union = np.r_[4:8, 12:16]
+
+    def measurable(leaves):
+        s = PrincipalSet(generation=1, kappa1=0, kappa2=2, leaves=leaves,
+                         atoms=np.array([1, 3]),
+                         tau=np.full(leaves.size, np.inf), escape=leaves,
+                         parent=-1)
+        fam = PrincipalFamily(space=sp, weight=an.weight, p=an.p, f=an.f,
+                              threshold=default_threshold(), sets=(s,))
+        return check_properties(an, fam)["measurable"]
+
+    assert measurable(union)
+    for leaves in (union[1:], union[:-1], np.r_[union, 0],
+                   np.sort(np.r_[union, 8]), union[::-1],
+                   np.r_[4, 4:7, 12:16], np.r_[5, 4, 6:8, 12:16]):
+        assert not measurable(leaves), leaves
+
+
 def test_tail_energy_cases():
     sp = build_dyadic(2)
     an = _uniform(sp, np.array([1.0, -1.0, 0.0, 0.0]))

@@ -2,7 +2,10 @@
 (with chains and tiny masses), at extreme exponents, and on degenerate
 leaf functions; the one-pass martingale, adjoint, level-mean and
 reducer-norm kernels match conditioning one level at a time, and the
-fluctuation-table kernel matches building one base level at a time."""
+fluctuation-table kernel matches building one base level at a time. At
+p = 2 the reducers of a matrix weight reproduce their norms exactly."""
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,10 +14,12 @@ from hypothesis import strategies as st
 from wml.analysis import Analysis
 from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
                             level_means, martingale_of)
-from wml.linalg import matvec, spectral_norm
+from wml.linalg import holdout_directions, matvec, spectral_norm
 from wml.principal import fluctuation_tables
 from wml.suite import Instance, instance_checks, random_instance
-from wml.weights import as_weight, build_reducing_pair, reducer_norms
+from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, as_weight,
+                         build_reducing_pair, reducer_norms,
+                         verify_reducing_bounds)
 
 MAX_DEPTH = 6
 FRACTIONS = st.one_of(st.floats(0.05, 1.0), st.sampled_from([1e-9, 1e-6, 1e-3]))
@@ -249,3 +254,60 @@ def test_analysis_tables_match_per_base_loop():
         for n in range(an.space.depth):
             assert an.table(n).base == n
             assert np.shares_memory(an.table(n).ratio, an.tables().ratio)
+
+
+@st.composite
+def matrix_weights(draw):
+    """A d = 2 or 3 weight on a random tree: leaf matrices in random frames
+    whose log-eigenvalues spread up to the EIG_CLIP_RATIO clip, each leaf
+    scaled over two decades either way."""
+    space = build_from_tree(draw(tree_specs()))
+    d = draw(st.sampled_from((2, 3)))
+    spread = draw(st.floats(0.0, -np.log(EIG_CLIP_RATIO)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = space.n_leaves
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    lam = np.exp(-spread * rng.random((n, d)))
+    lam[:, 0] = np.exp(-spread)
+    lam *= 10.0 ** rng.uniform(-2.0, 2.0, (n, 1))
+    with warnings.catch_warnings():
+        # the full spread may round just past the clip
+        warnings.simplefilter("ignore", RuntimeWarning)
+        weight = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+    return space, weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_weights())
+def test_p2_reducers_are_exact(case):
+    # ||A e|| / rho(e) on held-out directions, rho(e)^2 = E_Q ||S^{1/2} e||^2
+    # from a direct norm of the leaf powers S^{1/2} = W^{1/2} (primal) and
+    # W^{-1/2} (dual) that the pair carries. The reducer is computed from
+    # the averages of S, so the ratio is 1 up to the backward error of
+    # jacobi_eigh, which stops on an off-diagonal mass it forms as a
+    # difference of squares: about d sqrt(eps) of the matrix norm, on each
+    # leaf S and on each average E_Q S. Against rho(e)^2 that error is
+    # scaled by kappa_e = E_Q ||S|| / E_Q ||S^{1/2} e||^2, which is at most
+    # the largest leaf condition number. So |ratio^2 - 1| <= 2 d^2 sqrt(eps)
+    # kappa_e, with d^2 covering the Frobenius-to-spectral norm factor.
+    space, W = case
+    d = W.dim
+    pair = build_reducing_pair(space, W, 2.0)
+    assert pair.method == "exact_p2" and pair.certificate == {}
+    dirs = holdout_directions(d, 200, seed=space.n_leaves)
+    base = space.atom_base
+    for leaf_root, tiled in ((pair.wp, pair.tiled_primal),
+                             (pair.wm, pair.tiled_dual)):
+        sq = np.linalg.norm(np.einsum("lij,nj->lni", leaf_root, dirs),
+                            axis=2) ** 2
+        top = np.linalg.norm(leaf_root, 2, axis=(1, 2)) ** 2
+        for m in range(space.depth + 1):
+            rho_sq = cond_expect(space, sq, m)
+            kappa = cond_expect(space, top, m)[:, None] / rho_sq
+            got = np.linalg.norm(np.einsum(
+                "kij,nj->kni", tiled[base[m]:base[m + 1]], dirs), axis=2)
+            err = np.abs(got ** 2 / rho_sq - 1.0)
+            assert np.all(err <= 2.0 * d ** 2 * np.sqrt(np.finfo(float).eps)
+                          * kappa), (m, float(err.max()), float(kappa.max()))
+    rep = verify_reducing_bounds(pair)
+    assert rep["primal_ok"] and rep["dual_ok"], rep

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,17 +69,21 @@ def test_pair_levels_are_slices_of_the_tiled_reducers():
         assert np.array_equal(a, b)
 
 
-def test_p2_ellipsoid_vs_exact_averaging_window(exact_p2_pair):
+def test_p2_ellipsoid_vs_exact_averaging_window():
+    # the Loewner fit at p = 2 lands in its sqrt(2) window around the
+    # exact pair on both sides
     rng = np.random.default_rng(1)
     sp = build_dyadic(3)
     W = _random_spd_weight(rng, sp.n_leaves, 2)
-    mvee = build_reducing_pair(sp, W, 2.0)
-    exact = exact_p2_pair(sp, W)
+    exact = build_reducing_pair(sp, W, 2.0)
+    assert exact.method == "exact_p2" and exact.certificate == {}
+    fitted, _ = _fit_reducers(sp, [(exact.wp, 2.0), (exact.wm, 2.0)],
+                              1e-3, 5e-2, 0)
     dirs = holdout_directions(2, 400, seed=5)
     tol = 0.05
-    for n in range(sp.depth + 1):
-        a = np.linalg.norm(np.einsum("kij,nj->kni", mvee.primal[n], dirs), axis=2)
-        b = np.linalg.norm(np.einsum("kij,nj->kni", exact.primal[n], dirs), axis=2)
+    for mvee, ref in zip(fitted, (exact.tiled_primal, exact.tiled_dual)):
+        a = np.linalg.norm(np.einsum("kij,nj->kni", mvee, dirs), axis=2)
+        b = np.linalg.norm(np.einsum("kij,nj->kni", ref, dirs), axis=2)
         ratio = a / b
         assert ratio.max() <= 1.0 + tol
         assert ratio.min() >= 1.0 / ((1.0 + tol) * np.sqrt(2.0))
@@ -141,14 +146,18 @@ def test_ap_characteristic_examples():
     assert val == pytest.approx(25.0 / 16.0, rel=1e-12)
 
 
-def test_ap_characteristic_constant_matrix_weight(exact_p2_pair):
+def test_ap_characteristic_constant_matrix_weight():
     sp = build_dyadic(2)
     w0 = np.array([[3.0, 1.0], [1.0, 2.0]])
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
-    val = ap_characteristic(build_reducing_pair(sp, W, 2.0))
+    exact = build_reducing_pair(sp, W, 2.0)
+    (primal, dual), _ = _fit_reducers(
+        sp, [(exact.wp, 2.0), (exact.wm, 2.0)], 1e-3, 5e-2, 0)
+    # ap_characteristic reads only the two reducer families
+    val = ap_characteristic(replace(exact, tiled_primal=primal,
+                                    tiled_dual=dual))
     assert 1.0 - 1e-9 <= val <= 1.05 ** 4 * 2.0 ** 2
-    exact = ap_characteristic(exact_p2_pair(sp, W))
-    assert exact == pytest.approx(1.0, abs=1e-10)
+    assert ap_characteristic(exact) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ap_scaling_invariance():
