@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import (_lp_norm, build_dyadic, increment_adjoint,
                          martingale_of)
-from .linalg import ValidationError, _eig_compose, matvec, spd_power
+from .linalg import ValidationError, _eig_compose, matvec
 from .operators import _leaf_l2
 from .weights import MatrixWeight, as_weight, build_reducing_pair, ap_characteristic
 
@@ -265,7 +265,7 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
     W = as_weight(W)
-    wp, wm = spd_power(W.mats, 1.0 / p), spd_power(W.mats, -1.0 / p)
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     w2p = wp @ wp
     rng = np.random.default_rng(seed)
     best = AscentResult(0.0, None, 0, restarts, True)

@@ -2,10 +2,14 @@
 
 Everything here operates on stacks of small (d <= 6) symmetric matrices.
 Eigen-decompositions use a batched cyclic Jacobi sweep so results are
-deterministic and identical across BLAS builds. The smallest sizes skip
-the batch machinery: a 1 x 1 matrix is its own eigenvalue, ``spd_power``
-of 1 x 1 matrices is an elementwise power, and ``spectral_norm`` of 2 x 2
+deterministic and identical across BLAS builds; a matrix stops rotating
+once the Frobenius mass of its off-diagonal entries, summed from their
+own squares, is below 1e-14 of its norm. The smallest sizes skip the
+batch machinery: a 1 x 1 matrix is its own eigenvalue, ``spd_power`` of
+1 x 1 matrices is an elementwise power, and ``spectral_norm`` of 2 x 2
 matrices takes the top eigenvalue of the Gram matrix in closed form.
+The powers of a weight's leaf matrices do not come from ``spd_power``
+but from the spectrum ``weights.MatrixWeight`` keeps.
 
 Every stacked matrix-vector product is ``matvec``, summed in the one order
 of ``_column_sum``, and every V diag(lambda) V^T is ``_eig_compose``.
@@ -52,9 +56,9 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
     mats : ndarray, shape (..., d, d)
         Symmetric matrices (symmetrized internally).
     tol : float
-        A matrix stops rotating once its off-diagonal Frobenius mass is
-        below ``tol`` times its Frobenius norm; the sweeps end when every
-        matrix has.
+        A matrix stops rotating once its off-diagonal Frobenius mass, the
+        root of the sum of the off-diagonal squares, is below ``tol``
+        times its Frobenius norm; the sweeps end when every matrix has.
 
     Returns
     -------
@@ -82,9 +86,11 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
     v = np.tile(np.eye(d), (b, 1, 1))
 
     scale = np.sqrt(np.sum(a * a, axis=(1, 2))) + 1e-300
+    off_diag = ~np.eye(d, dtype=bool)
     for _ in range(max_sweeps):
-        off = np.sqrt(np.maximum(np.sum(a * a, axis=(1, 2)) - np.sum(
-            np.diagonal(a, axis1=1, axis2=2) ** 2, axis=1), 0.0))
+        # from the off-diagonal squares: sum(a^2) - sum(diag^2) cancels and
+        # can read 0 while the off-diagonal mass is near sqrt(eps) ||A||
+        off = np.sqrt(np.sum(a[:, off_diag] ** 2, axis=1))
         # a converged matrix gets t = 0 from here on, which leaves it
         # unchanged, so its result does not depend on its batch mates
         done = off <= tol * scale

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .filtration import cond_expect, lp_norm, martingale_of
-from .linalg import ValidationError, matvec, spd_power
+from .linalg import ValidationError, matvec
 from .weights import as_weight
 
 MODES = ("increments", "first_value", "with_mean")
@@ -52,8 +52,8 @@ def weighted_square_fn(space, W, p, f, mode="increments"):
     """Matrix-weighted square function of the leaf function f."""
     W = as_weight(W)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    mart = martingale_of(space, matvec(spd_power(W.mats, -1.0 / p), f))
-    return _leaf_l2(matvec(spd_power(W.mats, 1.0 / p), _diff_stack(mart, mode)))
+    mart = martingale_of(space, matvec(W.power(-1.0 / p), f))
+    return _leaf_l2(matvec(W.power(1.0 / p), _diff_stack(mart, mode)))
 
 
 def sparse_operator(an, family, r):
@@ -85,6 +85,5 @@ def weighted_cond_expect(space, w, f, n):
 def lp_weighted_norm(space, W, p, f):
     """(sum_leaves P(l) ||W^{1/p}(l) f(l)||^p)^{1/p}."""
     W = as_weight(W)
-    wp = spd_power(W.mats, 1.0 / p)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    return lp_norm(space, matvec(wp, f), p)
+    return lp_norm(space, matvec(W.power(1.0 / p), f), p)

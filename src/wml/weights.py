@@ -15,21 +15,26 @@ of Treil and Volberg). Otherwise, for d >= 2, each reducer is the
 circumscribed Loewner ellipsoid of the corresponding norm ball, fitted from
 sampled boundary points, which pins the equivalence constants to
 (1 + tol) sqrt(d) windows.
+
+Each leaf matrix is eigen-decomposed once, when the MatrixWeight is
+built, and every power W^alpha of the leaves is ``MatrixWeight.power``
+of that spectrum. At p = 2 each side's stack of means is decomposed once
+for both its root and its inverse root.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .filtration import FilteredSpace, level_means
-from .linalg import (EllipsoidError, ValidationError, _eig_compose,
-                     _squared_norms, direction_set, holdout_directions,
-                     jacobi_eigh, mvee_central, spectral_norm, spd_power,
-                     sym_inv)
+from .linalg import (EllipsoidError, ValidationError, _check_positive,
+                     _eig_compose, _squared_norms, direction_set,
+                     holdout_directions, jacobi_eigh, mvee_central,
+                     spectral_norm, sym_inv)
 
 EIG_CLIP_RATIO = 1e-10
 
@@ -47,10 +52,15 @@ class MatrixWeight:
 
     Ingestion symmetrizes within 1e-12 and clips eigenvalues below
     EIG_CLIP_RATIO times the leaf's largest eigenvalue (with a warning), so
-    that negative powers stay representable.
+    that negative powers stay representable. The leaf spectra found there
+    are kept, read-only, as ``vals`` (L, d), ascending and clipped, and
+    ``vecs`` (L, d, d), so that every power of the weight comes from
+    ``power`` without another decomposition.
     """
 
     mats: np.ndarray
+    vals: np.ndarray = field(init=False, repr=False, compare=False)
+    vecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.mats, dtype=float)
@@ -72,8 +82,9 @@ class MatrixWeight:
             vals = np.maximum(vals, floor)
             a = _eig_compose(vecs, vals)
         a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "mats", a)
+        for name, arr in (("mats", a), ("vals", vals), ("vecs", vecs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_scalar(cls, w):
@@ -91,6 +102,14 @@ class MatrixWeight:
     @property
     def n_leaves(self):
         return self.mats.shape[0]
+
+    def power(self, alpha):
+        """W**alpha per leaf, (L, d, d), from the kept spectrum: bitwise
+        ``spd_power(mats, alpha)`` for a weight whose eigenvalues were not
+        clipped, and like it entrywise at d = 1."""
+        if self.dim == 1:
+            return self.mats ** alpha
+        return _eig_compose(self.vecs, self.vals ** alpha)
 
     def scalar(self):
         if self.dim != 1:
@@ -114,8 +133,8 @@ class ReducingPair:
 
     tiled_primal, tiled_dual: (atom_base[-1], d, d) SPD reducers of every
     atom of every level, in the tiled order of ``space``; tiled_*_inv are
-    their inverses. primal[n], dual[n], primal_inv[n] and dual_inv[n] are
-    the (n_atoms(n), d, d) level-n slices of these arrays. wp = W^{1/p} and
+    their inverses. primal[n] and dual[n] are the (n_atoms(n), d, d)
+    level-n slices of tiled_primal and tiled_dual. wp = W^{1/p} and
     wm = W^{-1/p} per leaf. ``method`` names the construction: "scalar"
     (d = 1) and "exact_p2" (p = 2, d >= 2) are exact, ||A e|| = rho(e);
     "ellipsoid" is the certified Loewner fit. ``certificate`` holds the
@@ -139,7 +158,7 @@ class ReducingPair:
 
     def __post_init__(self):
         base = self.space.atom_base
-        for name in ("primal", "dual", "primal_inv", "dual_inv"):
+        for name in ("primal", "dual"):
             tiled = getattr(self, "tiled_" + name)
             object.__setattr__(self, name, tuple(
                 tiled[base[n]:base[n + 1]]
@@ -277,13 +296,15 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
 
 
 def _root_of_means(space, mats):
-    """(E_n mats)^{1/2} on every atom of every level, in tiled order, from
-    one level_means call."""
+    """(E_n mats)^{1/2} and (E_n mats)^{-1/2} on every atom of every level,
+    in tiled order, from one level_means call and one decomposition."""
     d = mats.shape[1]
     means = level_means(space, np.broadcast_to(
         mats.reshape(space.n_leaves, d * d),
         (space.depth + 1, space.n_leaves, d * d)))
-    return spd_power(means.reshape(-1, d, d), 0.5)
+    vals, vecs = jacobi_eigh(means.reshape(-1, d, d))
+    _check_positive(vals)
+    return _eig_compose(vecs, vals ** 0.5), _eig_compose(vecs, vals ** -0.5)
 
 
 def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
@@ -302,8 +323,7 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
     if not 1.0 < p < np.inf:
         raise ValidationError("p must lie in (1, inf)")
     q = conjugate(p)
-    wp = spd_power(W.mats, 1.0 / p)
-    wm = spd_power(W.mats, -1.0 / p)
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     cert = {}
 
     if W.dim == 1:
@@ -312,22 +332,24 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
         dual = level_means(space, np.broadcast_to(w ** (-q / p), stack)) \
             ** (1.0 / q)
         primal, dual = primal[:, None, None], dual[:, None, None]
+        primal_inv, dual_inv = sym_inv(primal), sym_inv(dual)
         method = "scalar"
     elif p == 2.0:
-        primal = _root_of_means(space, W.mats)
-        dual = _root_of_means(space, sym_inv(W.mats))
+        primal, primal_inv = _root_of_means(space, W.mats)
+        dual, dual_inv = _root_of_means(space, W.power(-1.0))
         method = "exact_p2"
     else:
         (primal, dual), (cp, cd) = _fit_reducers(
             space, [(wp, p), (wm, q)], tol, cert_tol, seed,
             n_holdout=n_holdout)
+        primal_inv, dual_inv = sym_inv(primal), sym_inv(dual)
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 
     return ReducingPair(
         space=space, weight=W, p=p,
         tiled_primal=primal, tiled_dual=dual,
-        tiled_primal_inv=sym_inv(primal), tiled_dual_inv=sym_inv(dual),
+        tiled_primal_inv=primal_inv, tiled_dual_inv=dual_inv,
         wp=wp, wm=wm, method=method, tol=tol, cert_tol=cert_tol, seed=seed,
         certificate=cert)
 
@@ -345,7 +367,7 @@ def exchanged_pair(pair):
 def dual_weight(W, p):
     """The dual weight V = W^{-p'/p}; combine with exchanged_pair."""
     W = as_weight(W)
-    return MatrixWeight(spd_power(W.mats, -conjugate(p) / p))
+    return MatrixWeight(W.power(-conjugate(p) / p))
 
 
 def _average_bound_exponent(r):

@@ -12,7 +12,8 @@ from wml.analysis import Analysis
 from wml.experiments import opnorm_ascent, rotating_weight
 from wml.filtration import build_dyadic
 from wml.linalg import ValidationError, spd_power
-from wml.operators import sparse_operator
+from wml.operators import (lp_weighted_norm, sparse_operator,
+                           weighted_square_fn)
 from wml.suite import instance_checks, random_instance
 from wml.weights import as_weight, build_reducing_pair
 
@@ -94,6 +95,30 @@ def test_instance_checks_make_as_many_reducer_calls_at_any_depth(monkeypatch):
         counts.append((len(norms), len(inverses)))
     assert counts[0] == counts[1]
     assert counts[0][1] == 2                   # one per inverse family
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_weight_leaves_are_decomposed_only_at_ingestion(monkeypatch, d, p):
+    # every power of the leaf matrices comes from the spectrum MatrixWeight
+    # kept; at p = 2 the pair decomposes each side's mean stack once
+    rng = np.random.default_rng(d)
+    space = build_dyadic(4)
+    q, _ = np.linalg.qr(rng.standard_normal((space.n_leaves, d, d)))
+    lam = np.exp(rng.normal(0.0, 1.0, (space.n_leaves, d)))
+    W = as_weight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+    f = rng.standard_normal((space.n_leaves, d))
+    calls = _count_calls(monkeypatch, linalg, "jacobi_eigh")
+    build_reducing_pair(space, W, p)
+    shapes = [np.shape(c["mats"]) for c in calls]
+    assert W.mats.shape not in shapes
+    if p == 2.0:
+        assert shapes == [(space.atom_base[-1], d, d)] * 2
+    del calls[:]
+    opnorm_ascent(space, W, p, restarts=1, max_iter=5)
+    weighted_square_fn(space, W, p, f)
+    lp_weighted_norm(space, W, p, f)
+    assert not calls
 
 
 def test_analysis_rejects_function_of_the_wrong_shape():

@@ -20,6 +20,29 @@ def test_jacobi_matches_lapack_oracle():
         assert np.allclose(recon, m, atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa", (1e2, 1e5, 1e10))
+def test_jacobi_reconstructs_ill_conditioned_3x3(kappa):
+    # the sweeps stop once the off-diagonal mass is below 1e-14 (45 eps)
+    # of the Frobenius norm, at most sqrt(3) times the spectral norm, and
+    # the rotations add a few eps: V diag(vals) V^T is A within 100 eps
+    # relative. A stopping test that forms the off-diagonal mass as
+    # sum(a^2) - sum(diag^2) can read 0 near sqrt(eps) ||A||, and stopped
+    # there on a third of these matrices
+    rng = np.random.default_rng(int(np.log10(kappa)))
+    b = 2000
+    q, _ = np.linalg.qr(rng.standard_normal((b, 3, 3)))
+    lam = kappa ** -rng.random((b, 3))
+    lam[:, 0], lam[:, 1] = 1.0, 1.0 / kappa
+    a = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    vals, vecs = jacobi_eigh(a)
+    recon = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    err = np.linalg.norm(recon - a, 2, axis=(1, 2)) \
+        / np.linalg.norm(a, 2, axis=(1, 2))
+    eps = np.finfo(float).eps
+    assert err.max() <= 100.0 * eps, err.max() / eps
+
+
 def test_spd_power_identity_and_diag():
     for alpha in (-1.0, -0.5, 0.5, 2.0):
         assert np.allclose(spd_power(np.eye(3), alpha), np.eye(3), atol=1e-12)

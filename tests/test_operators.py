@@ -151,8 +151,9 @@ def test_reduced_maximal_exhaustive_oracle():
         for n in range(sp.depth + 1):
             a = sp.atom_of_leaf[n][leaf]
             lo, hi = sp.offsets[n][a], sp.offsets[n][a + 1]
-            num = sum(sp.leaf_probs[i] * np.linalg.norm(
-                pair.dual_inv[n][a] @ h[i]) for i in range(lo, hi))
+            inv = pair.tiled_dual_inv[sp.atom_base[n] + a]
+            num = sum(sp.leaf_probs[i] * np.linalg.norm(inv @ h[i])
+                      for i in range(lo, hi))
             best = max(best, num / sp.atom_probs[n][a])
         assert got[leaf] == pytest.approx(best, rel=1e-12)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wml import weights
 from wml.filtration import build_dyadic, cond_expect
 from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
-                        matvec, mvee_central)
+                        matvec, mvee_central, spd_power)
 from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _certified_fit,
                          _fit_reducers, _norms, ap_characteristic,
                          ap_equivalents, as_weight, build_reducing_pair,
@@ -36,6 +36,46 @@ def test_matrix_weight_validation():
     assert vals.min() >= 1e-10 * vals.max() * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_weight_power_is_spd_power_bitwise(d):
+    # an unclipped weight keeps the very spectrum spd_power would find, so
+    # every power it takes is bitwise the reference's
+    rng = np.random.default_rng(d)
+    W = _random_spd_weight(rng, 32, d, sigma=2.0)
+    assert not W.vals.flags.writeable and not W.vecs.flags.writeable
+    for p in (1.5, 2.0, 4.0):
+        for alpha in (1.0 / p, -1.0 / p, -1.0, -conjugate(p) / p):
+            assert W.power(alpha).tobytes() == spd_power(W.mats, alpha).tobytes()
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_weight_power_of_clipped_weight(d):
+    # half the leaves fall below the clip, the rest spread down to it, over
+    # six decades of scale. W^a W^-a is I up to the rounding of the two
+    # compositions, amplified by the condition number kappa^|a| of W^a;
+    # the largest error found on these leaves was 2.9 eps kappa^|a|
+    rng = np.random.default_rng(d)
+    n = 64
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    lam = EIG_CLIP_RATIO ** rng.random((n, d))
+    lam[:, -1] = 1.0
+    lam[:n // 2, 0] = 1e-3 * EIG_CLIP_RATIO
+    lam *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+    kappa = W.vals[:, -1] / W.vals[:, 0]
+    assert kappa.max() == pytest.approx(1.0 / EIG_CLIP_RATIO)
+    # the clipped leaf matrices were composed from this same spectrum
+    assert np.array_equal(W.power(1.0), W.mats)
+    eps = np.finfo(float).eps
+    for p in (1.5, 2.0, 4.0):
+        for alpha in (1.0 / p, -1.0 / p, -1.0):
+            err = np.linalg.norm(W.power(alpha) @ W.power(-alpha) - np.eye(d),
+                                 2, axis=(1, 2))
+            assert np.all(err <= 8.0 * d * eps * kappa ** abs(alpha)), \
+                (p, alpha, float(np.max(err / (eps * kappa ** abs(alpha)))))
+
+
 def test_scalar_path_matches_closed_formulas_bitwise():
     rng = np.random.default_rng(0)
     sp = build_dyadic(3)
@@ -57,16 +97,19 @@ def test_pair_levels_are_slices_of_the_tiled_reducers():
     assert pair.primal[1].shape == (2, 1, 1)
     assert np.array_equal(pair.primal[1][:, 0, 0], [2.5 ** 0.5, 1.25 ** 0.5])
     base = sp.atom_base
-    for name in ("primal", "dual", "primal_inv", "dual_inv"):
+    for name in ("primal", "dual"):
         tiled = getattr(pair, "tiled_" + name)
         assert tiled.shape == (base[-1], 1, 1)
         for n, level in enumerate(getattr(pair, name)):
             assert np.shares_memory(level, tiled)
             assert np.array_equal(level, tiled[base[n]:base[n + 1]])
     swapped = exchanged_pair(pair)
-    for a, b in zip(swapped.primal + swapped.dual_inv,
-                    pair.dual + pair.primal_inv):
+    for a, b in zip(swapped.primal, pair.dual):
         assert np.array_equal(a, b)
+    for n in range(sp.depth + 1):
+        level = slice(base[n], base[n + 1])
+        assert np.array_equal(swapped.tiled_dual_inv[level],
+                              pair.tiled_primal_inv[level])
 
 
 def test_p2_ellipsoid_vs_exact_averaging_window():
@@ -95,7 +138,6 @@ def test_constant_weight_reducers_near_power():
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
     p = 3.0
     pair = build_reducing_pair(sp, W, p)
-    from wml.linalg import spd_power
     target = spd_power(w0, 1.0 / p)
     dirs = holdout_directions(2, 300, seed=2)
     for n in range(sp.depth + 1):
