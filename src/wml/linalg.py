@@ -7,7 +7,8 @@ once the Frobenius mass of its off-diagonal entries, summed from their
 own squares, is below 1e-14 of its norm. The smallest sizes skip the
 batch machinery: a 1 x 1 matrix is its own eigenvalue, ``spd_power`` of
 1 x 1 matrices is an elementwise power, and ``spectral_norm`` of 2 x 2
-matrices takes the top eigenvalue of the Gram matrix in closed form.
+and 3 x 3 matrices takes the top eigenvalue of the Gram matrix in closed
+form.
 The powers of a weight's leaf matrices do not come from ``spd_power``
 but from the spectrum ``weights.MatrixWeight`` keeps.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DIRECTION_COUNTS = {1: 1, 2: 720, 3: 2048}
+DIRECTION_COUNTS = {1: 1, 2: 360, 3: 2048}
 DEFAULT_DIRECTIONS_HIGH_D = 8192
 
 
@@ -174,17 +175,79 @@ def spectral_norm(mats):
 
     For 2 x 2 matrices that eigenvalue is (x + z)/2 + hypot((x - z)/2, y)
     for the Gram entries [[x, y], [y, z]], without calling ``jacobi_eigh``;
-    both terms are non-negative, so the sum does not cancel. Other sizes
-    take it from ``jacobi_eigh``.
+    both terms are non-negative, so the sum does not cancel. 3 x 3
+    matrices take it from ``_top_eigenvalue_3x3``, also without
+    ``jacobi_eigh``, and larger ones from ``jacobi_eigh``.
     """
     a = np.asarray(mats, dtype=float)
     gram = np.swapaxes(a, -1, -2) @ a
     if gram.shape[-2:] == (2, 2):
         x, y, z = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
         top = 0.5 * (x + z) + np.hypot(0.5 * (x - z), y)
+    elif gram.shape[-2:] == (3, 3):
+        top = _top_eigenvalue_3x3(gram)
     else:
         top = jacobi_eigh(gram)[0][..., -1]
     return np.sqrt(np.maximum(top, 0.0))
+
+
+def _top_eigenvalue_3x3(g):
+    """Largest eigenvalue of stacked symmetric 3 x 3 matrices by the
+    trigonometric closed form (Smith 1961; Kopp 2008), each matrix on its
+    own.
+
+    With m the mean of the diagonal and s = ||G - m I||_F / sqrt(6), the
+    matrix B = (G - m I) / s has trace 0 and the eigenvalues
+    2 cos(phi + 2 pi k / 3), phi = arccos(det(B) / 2) / 3, so the top one
+    of G is m + 2 s cos(phi); a multiple of I has s = 0 and top eigenvalue
+    m. The top root is well conditioned in det(B) unless the top two
+    eigenvalues nearly meet, where an error of eps in det(B) moves it by
+    sqrt(eps). There, when det(B) < 0, the bottom eigenvalue is at least
+    sqrt(3) from the other two and is taken from the closed form instead,
+    and the top one comes from the compression of B to the plane
+    orthogonal to its eigenvector (``_deflated_top``).
+    """
+    shape = g.shape[:-2]
+    g = g.reshape(-1, 3, 3)
+    m = np.trace(g, axis1=1, axis2=2) / 3.0
+    b = g - m[:, None, None] * np.eye(3)
+    s = np.sqrt(np.sum(b * b, axis=(1, 2)) / 6.0)
+    b /= np.where(s > 0.0, s, 1.0)[:, None, None]
+    b00, b11, b22 = b[:, 0, 0], b[:, 1, 1], b[:, 2, 2]
+    b01, b02, b12 = b[:, 0, 1], b[:, 0, 2], b[:, 1, 2]
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12)
+                      - b01 * (b01 * b22 - b02 * b12)
+                      + b02 * (b01 * b12 - b11 * b02))
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    top = 2.0 * np.cos(phi)
+    near = half_det < 0.0
+    if np.any(near):
+        top[near] = _deflated_top(
+            b[near], 2.0 * np.cos(phi[near] + 2.0 * np.pi / 3.0))
+    return (m + s * top).reshape(shape)
+
+
+def _deflated_top(b, bottom):
+    """Top eigenvalue of stacked symmetric (n, 3, 3) b whose eigenvalue
+    ``bottom`` lies at least sqrt(3) below the other two.
+
+    The rows of b - bottom I span the plane orthogonal to the bottom
+    eigenvector v, so the longest cross product of two rows is v. The
+    compression P b P to that plane, P = I - v v^T, has the top two
+    eigenvalues of b, with mean c = tr(P b P) / 2; the entries of
+    P b P - c P are small when they nearly meet, and give their half gap
+    ||P b P - c P||_F / sqrt(2) without cancellation.
+    """
+    k = b - bottom[:, None, None] * np.eye(3)
+    cand = np.cross(k[:, [1, 2, 0]], k[:, [2, 0, 1]])
+    lengths = np.sum(cand * cand, axis=2)
+    rows, best = np.arange(len(b)), np.argmax(lengths, axis=1)
+    v = cand[rows, best] / np.sqrt(lengths[rows, best])[:, None]
+    proj = np.eye(3) - v[:, :, None] * v[:, None, :]
+    pbp = proj @ b @ proj
+    c = 0.5 * np.trace(pbp, axis1=1, axis2=2)
+    gap = pbp - c[:, None, None] * proj
+    return c + np.sqrt(0.5 * np.sum(gap * gap, axis=(1, 2)))
 
 
 def _eig_compose(vecs, vals):
@@ -195,8 +258,8 @@ def _eig_compose(vecs, vals):
 def _column_sum(term, d):
     """term(0) + ... + term(d - 1) in the one order of every stacked
     matrix-vector product: j = 0, 1, ... except (term(0) + term(2)) +
-    term(1) at d = 3. That is einsum's order, kept because the reducer
-    fits' Frank-Wolfe ties among +-u direction pairs follow its rounding."""
+    term(1) at d = 3. That is einsum's order, kept so that the products,
+    and the reducer fits built on their norms, keep their bytes."""
     order = (0, 2, 1) if d == 3 else range(d)
     out = term(order[0])
     for j in order[1:]:
@@ -233,16 +296,17 @@ def _squared_norms(mats, vecs):
 def direction_set(dim, n=None, seed=0):
     """Unit directions used to sample a norm ball boundary.
 
-    dim 2 uses equispaced angles, dim 3 a Fibonacci sphere, higher dims a
-    seeded uniform sample; for a norm only the axis ±u matters, so the sets
-    are used as if symmetrized.
+    A norm takes the same value on u and -u, so only the axis of a
+    direction matters. dim 2 takes one direction per axis, the angles
+    pi k / n on the half circle; dim 3 a Fibonacci sphere, higher dims a
+    seeded uniform sample.
     """
     if n is None:
         n = DIRECTION_COUNTS.get(dim, DEFAULT_DIRECTIONS_HIGH_D)
     if dim == 1:
         return np.ones((1, 1))
     if dim == 2:
-        ang = 2.0 * np.pi * np.arange(n) / n
+        ang = np.pi * np.arange(n) / n
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     if dim == 3:
         k = np.arange(n) + 0.5

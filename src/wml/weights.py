@@ -186,8 +186,8 @@ def _norms(mats, dirs):
 
     Bitwise the norm of ``matvec(mats[k], u_n)``, from ``_squared_norms``,
     which builds no (K, N, d) product stack. A BLAS product mats @ dirs.T
-    is faster at d = 3 but rounds differently, which flips Frank-Wolfe
-    ties among the +-u pairs of the d = 2 direction set.
+    is faster at d = 3 but rounds differently, and the reducer fits, which
+    are built on these norms, would move with it.
     """
     return np.sqrt(_squared_norms(mats[:, None], dirs))
 

@@ -151,17 +151,14 @@ def test_level_kernels_match_per_level_loops(spec, d, seed):
         assert _bits(scalar[level]) == _bits(
             cond_expect(space, stack[m, :, 0], m))
 
-    # one spectral_norm over every level: at d >= 2 the batched Jacobi
-    # sweeps may round differently from one call per level
+    # one spectral_norm over every level: up to d = 3 it is a closed form
+    # of each matrix alone, so it gives the bytes of one call per level
     leaf = rng.standard_normal((n, d, d))
     tiled = rng.standard_normal((base[-1], d, d))
     table = reducer_norms(space, leaf, tiled)
     for m in range(depth + 1):
         ref = spectral_norm(leaf @ space.expand(m, tiled[base[m]:base[m + 1]]))
-        if d == 1:
-            assert _bits(table[m]) == _bits(ref)
-        else:
-            assert np.all(np.abs(table[m] - ref) <= 1e-14 * ref)
+        assert _bits(table[m]) == _bits(ref)
 
 
 def _table_one_base(space, mart, dual_inv, average, base):

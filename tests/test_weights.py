@@ -403,6 +403,9 @@ def test_pair_fits_both_sides_in_one_mvee_call(monkeypatch, d):
     monkeypatch.setattr(weights, "mvee_central", counted)
     pair = build_reducing_pair(sp, W, p, tol=2e-2, seed=5)
     assert len(calls) == 1 and calls[0][0] == 2
+    # every atom's cloud holds one point per sampled direction: at d = 2
+    # one per axis, 360, with no +-u twins
+    assert calls[0][2:] == ({2: 360, 3: 2048}[d], d)
     # each side fitted alone gives the same bytes
     for side, mats, power in (("primal", pair.wp, p),
                               ("dual", pair.wm, pair.q)):
@@ -414,9 +417,11 @@ def test_pair_fits_both_sides_in_one_mvee_call(monkeypatch, d):
 
 def test_failed_certification_reports_first_failing_side():
     # a loose fit fails a tight window, on the low side for ``skew`` and on
-    # the high side for ``wide``; ``sup`` passes. A stacked fit reports the
-    # first failing side exactly as if that side had been fitted alone
-    sup = lambda e: np.max(np.abs(e), axis=1)
+    # the high side for ``wide``; ``ellipse`` passes: its ball is an
+    # ellipse, and the held-out ratios, in [0.9997, 1 + 1.2e-9], sit far
+    # from both edges of the window. A stacked fit reports the first
+    # failing side exactly as if that side had been fitted alone
+    ellipse = lambda e: np.linalg.norm(e * np.array([1.0, 2.0]), axis=1)
     skew = lambda e: np.abs(e) @ np.array([1.0, 3.0])
     wide = lambda e: np.max(np.abs(e) * np.array([1.0, 5.0]), axis=1)
 
@@ -427,7 +432,7 @@ def test_failed_certification_reports_first_failing_side():
         return err.value
 
     for norms, alone in (((skew, wide), skew), ((wide, skew), wide),
-                         ((sup, skew), skew), ((sup, wide), wide)):
+                         ((ellipse, skew), skew), ((ellipse, wide), wide)):
         both, ref = failure(*norms), failure(alone)
         assert (both.achieved, both.bound, str(both)) == \
             (ref.achieved, ref.bound, str(ref))
