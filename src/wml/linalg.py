@@ -353,11 +353,12 @@ def _design_update(xa, ua, d, target, cap):
     """Inner solver for the D-optimal design problem on an active point set.
 
     Frank-Wolfe steps with away steps (Todd & Yildirim 2007) from the given
-    weights. Each step changes S(u) by a rank-one term, so S^{-1} and
-    g_n = x_n^T S^{-1} x_n follow by Sherman-Morrison; both are recomputed
-    from u every 32 steps. A cloud with max g <= target takes no further
-    step and is left exactly as it is, so each cloud's result depends only
-    on that cloud. Returns (u, S, g, iterations): S is the fresh moment of
+    weights, whose support must span R^d; a point of weight 0 can enter
+    only by an add step. Each step changes S(u) by a rank-one term, so
+    S^{-1} and g_n = x_n^T S^{-1} x_n follow by Sherman-Morrison; both are
+    recomputed from u every 32 steps. A cloud with max g <= target takes no
+    further step and is left exactly as it is, so each cloud's result
+    depends only on that cloud. Returns (u, S, g, iterations): S is the fresh moment of
     u, g the solver's running quadratic forms.
 
     The weights ``ua`` are rescaled in place, and the returned u is that
@@ -366,48 +367,75 @@ def _design_update(xa, ua, d, target, cap):
     rows = np.arange(xa.shape[0])
     s_inv = np.linalg.inv(_moment(xa, ua))
     g = _quad(xa, s_inv)
+    # away candidates are the points of positive weight: g + pen with pen 0
+    # there and +inf elsewhere; a step changes the weight, and so the
+    # penalty, only at its own point j, since the others are scaled by a
+    # positive factor
+    pen = np.where(ua > 0.0, 0.0, np.inf)
     used = 0
-    while used < cap:
-        used += 1
-        jmax = g.argmax(axis=1)
-        gmax = g[rows, jmax]
-        live = gmax > target
-        if not live.any():
-            break
-        gm = np.where(ua > 0.0, g, np.inf)
-        jmin = gm.argmin(axis=1)
-        gmin = gm[rows, jmin]
-        use_add = (gmax - d) >= (d - gmin)
-        j = np.where(use_add, jmax, jmin)
-        gj = np.where(use_add, gmax, gmin)
-        uj = ua[rows, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while used < cap:
+            used += 1
+            jmax = g.argmax(axis=1)
+            gmax = g[rows, jmax]
+            live = gmax > target
+            if not live.any():
+                break
+            gm = g + pen
+            jmin = gm.argmin(axis=1)
+            gmin = gm[rows, jmin]
+            use_add = (gmax - d) >= (d - gmin)
+            j = np.where(use_add, jmax, jmin)
+            gj = np.where(use_add, gmax, gmin)
+            uj = ua[rows, j]
             t_add = (gj - d) / (d * (gj - 1.0))
             cap_away = uj / np.maximum(1.0 - uj, 1e-300)
             t_away = np.where(gj > 1.0, np.minimum(
                 (d - gj) / (d * (gj - 1.0)), cap_away), cap_away)
-        t = np.where(live, np.where(use_add, t_add, t_away), 0.0)
-        sign = np.where(use_add, 1.0, -1.0)
-        scale = np.where(use_add, 1.0 - t, 1.0 + t)
-        ua *= scale[:, None]
-        ua[rows, j] += sign * t
-        np.clip(ua, 0.0, None, out=ua)
-        ua[live] /= ua[live].sum(axis=1, keepdims=True)
-        if used % 32 == 0:
-            s_inv[live] = np.linalg.inv(_moment(xa[live], ua[live]))
-            g[live] = _quad(xa[live], s_inv[live])
-            continue
-        # S <- scale S + sign t x_j x_j^T, by Sherman-Morrison; t = 0 leaves
-        # S^{-1} and g unchanged
-        c = sign * t / scale
-        v = (s_inv @ xa[rows, j][:, :, None])[:, :, 0]
-        coef = c / (1.0 + c * gj)
-        s_inv = (s_inv - coef[:, None, None] * v[:, :, None] * v[:, None, :]) \
-            / scale[:, None, None]
-        g = (g - coef[:, None] * (xa @ v[:, :, None])[:, :, 0] ** 2) \
-            / scale[:, None]
+            t = np.where(live, np.where(use_add, t_add, t_away), 0.0)
+            sign = np.where(use_add, 1.0, -1.0)
+            scale = np.where(use_add, 1.0 - t, 1.0 + t)
+            ua *= scale[:, None]
+            # only u_j can cross zero, by rounding on a full away step
+            uj = np.maximum(ua[rows, j] + sign * t, 0.0)
+            ua[rows, j] = uj
+            pen[rows, j] = np.where(uj > 0.0, 0.0, np.inf)
+            tot = ua.sum(axis=1)
+            tot[~live] = 1.0
+            ua /= tot[:, None]
+            if used % 32 == 0:
+                s_inv[live] = np.linalg.inv(_moment(xa[live], ua[live]))
+                g[live] = _quad(xa[live], s_inv[live])
+                continue
+            # S <- scale S + sign t x_j x_j^T, by Sherman-Morrison; t = 0
+            # leaves S^{-1} and g unchanged
+            c = sign * t / scale
+            v = (s_inv @ xa[rows, j][:, :, None])[:, :, 0]
+            coef = c / (1.0 + c * gj)
+            s_inv = (s_inv - coef[:, None, None] * v[:, :, None]
+                     * v[:, None, :]) / scale[:, None, None]
+            g = (g - coef[:, None] * (xa @ v[:, :, None])[:, :, 0] ** 2) \
+                / scale[:, None]
 
     return ua, _moment(xa, ua), g, used
+
+
+def _spanning_core(x, w):
+    """Mask of d points of each (b, n, d) cloud, by pivoted Gram-Schmidt:
+    take the largest weight x residual norm, project it out of every
+    residual, and repeat. For positive weights w (b, n) the d points span
+    R^d whenever the cloud does (Kumar & Yildirim 2005)."""
+    b, n, d = x.shape
+    rows = np.arange(b)
+    res = x.copy()
+    core = np.zeros((b, n), dtype=bool)
+    for _ in range(min(d, n)):
+        r = np.linalg.norm(res, axis=2)
+        i = (w * r).argmax(axis=1)
+        core[rows, i] = True
+        q = res[rows, i] / np.maximum(r[rows, i], 1e-300)[:, None]
+        res -= (res @ q[:, :, None]) * q[:, None, :]
+    return core
 
 
 def mvee_central(points, eps=2e-3, max_iter=100_000):
@@ -417,6 +445,11 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     candidate contact points, verifying against the full cloud and promoting
     the worst violators until max_i x_i^T S(u)^{-1} x_i <= d (1 + eps).
     Clouds are whitened by their warm-start second moment for conditioning.
+    The active set starts as the top points by warm-start u g, but only a
+    spanning core of d of them (``_spanning_core``) keeps its weight; the
+    rest, like every promoted violator, enter at weight 0, so that away
+    steps need not take back mass that was never needed (Kumar & Yildirim
+    2005). Each solve on the active set stops at max g <= d (1 + 3 eps / 4).
     Each cloud's result depends only on that cloud, not on the other clouds
     in the call; only the ``max_iter`` budget is shared by the batch.
 
@@ -446,7 +479,7 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     b = x_orig.shape[0]
 
     target = d * (1.0 + eps)
-    inner_target = d * (1.0 + 0.5 * eps)
+    inner_target = d * (1.0 + 0.75 * eps)
     k = min(n, max(6 * d * (d + 1), 24))
     n_promote = min(n, max(4 * d, 8))
 
@@ -469,10 +502,10 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     kappa = np.full(b, np.inf)
     # active point indices and weights of the live clouds, one row each;
     # every live cloud holds the same number of active points, since all
-    # start with k and each round promotes min(n_promote, n - m) into each
-    act = np.argsort(u_full * g_full, axis=1)[:, -k:]
+    # start with k and each round promotes min(n_promote, n - m) into each.
+    # Only the set matters, not its order, so a partition picks it
+    act = np.argpartition(u_full * g_full, n - k, axis=1)[:, n - k:]
     wts = np.take_along_axis(u_full, act, axis=1)
-    wts /= wts.sum(axis=1, keepdims=True)
     del u_full, g_full
 
     # x holds the whitened points of the live clouds only. It is built
@@ -480,6 +513,13 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     # drops its quadratic forms before the next: with the input cloud and
     # _quad's product that keeps the peak at three (b, n, d) arrays
     x = x_orig @ np.swapaxes(white, 1, 2)
+
+    # the design starts from the warm-start weights of a spanning core of
+    # the active set, found in the whitened frame, and 0 elsewhere
+    core = _spanning_core(np.take_along_axis(x, act[:, :, None], axis=1),
+                          wts)
+    wts = np.where(core, wts, 0.0)
+    wts /= wts.sum(axis=1, keepdims=True)
     alive = np.arange(b)
     spent = 5
     while alive.size and spent < max_iter:
@@ -503,11 +543,10 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
         n_new = min(n_promote, n - m)
         if n_new:
             np.put_along_axis(g_alive, act, -np.inf, axis=1)
-            new = np.argsort(g_alive, axis=1)[:, -n_new:]
+            # the worst violators enter at weight 0, the others unchanged
+            new = np.argpartition(g_alive, n - n_new, axis=1)[:, n - n_new:]
             act = np.concatenate([act, new], axis=1)
-            wts = np.concatenate(
-                [wts, np.full(new.shape, 1.0 / (m + n_new))], axis=1)
-            wts /= wts.sum(axis=1, keepdims=True)
+            wts = np.concatenate([wts, np.zeros(new.shape)], axis=1)
         del g_alive
 
     if alive.size:

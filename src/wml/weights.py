@@ -192,15 +192,16 @@ def _norms(mats, dirs):
     return np.sqrt(_squared_norms(mats[:, None], dirs))
 
 
-def _atom_norm_powers(space, mats, dirs, power):
-    """Per (leaf, direction) values ||mats[l] u||**power and their prefix sums
-    weighted by leaf probabilities: returns (L + 1, N) cumulative array."""
-    weighted = _norms(mats, dirs)
-    weighted **= power
-    weighted *= space.leaf_probs[:, None]
-    out = np.zeros((space.n_leaves + 1, dirs.shape[0]))
-    np.cumsum(weighted, axis=0, out=out[1:])
-    return out
+def _range_sums(space, leaf_values, bounds):
+    """Sums of P(l) leaf_values[l] (L, ...) over each leaf range [start,
+    stop), from one reduceat over the interleaved bounds (start_0, stop_0,
+    start_1, ...), whose even entries are the range sums. A zero row
+    stands for stop = L. Each range is summed on its own, so a range of
+    small mass does not cancel against the leaves before it."""
+    probs = space.leaf_probs.reshape((-1,) + (1,) * (leaf_values.ndim - 1))
+    weighted = np.zeros((space.n_leaves + 1,) + leaf_values.shape[1:])
+    np.multiply(leaf_values, probs, out=weighted[:-1])
+    return np.add.reduceat(weighted, bounds, axis=0)[::2]
 
 
 def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
@@ -228,15 +229,16 @@ def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
         _, first, inverse = np.unique(
             starts[multi] * (space.n_leaves + 1) + stops[multi],
             return_index=True, return_inverse=True)
-        fit_starts, fit_stops = starts[multi[first]], stops[multi[first]]
-        masses = np.array([space.leaf_probs[s:e].sum()
-                           for s, e in zip(fit_starts, fit_stops)])
+        bounds = np.stack([starts[multi[first]], stops[multi[first]]],
+                          axis=1).ravel()
+        masses = _range_sums(space, np.ones(space.n_leaves), bounds)
 
         def rho(dirs):
-            vals = np.empty((len(sides), fit_starts.size, dirs.shape[0]))
+            vals = np.empty((len(sides), first.size, dirs.shape[0]))
             for row, (mats, power) in zip(vals, sides):
-                cums = _atom_norm_powers(space, mats, dirs, power)
-                row[...] = ((cums[fit_stops] - cums[fit_starts])
+                norms = _norms(mats, dirs)
+                norms **= power
+                row[...] = (_range_sums(space, norms, bounds)
                             / masses[:, None]) ** (1.0 / power)
             return vals
 

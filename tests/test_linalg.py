@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wml.linalg import (EllipsoidError, ValidationError, _design_update,
-                        _quad, direction_set, jacobi_eigh, mvee_central,
-                        spd_power, spectral_norm, sym_inv)
+                        _quad, _spanning_core, direction_set, jacobi_eigh,
+                        mvee_central, spd_power, spectral_norm, sym_inv)
 from wml.weights import EIG_CLIP_RATIO, _certified_fit
 
 
@@ -177,19 +177,40 @@ def test_mvee_contract_on_mixed_batch(d):
 
 
 @pytest.mark.parametrize("d", (2, 3, 5))
+def test_mvee_contract_on_degenerate_clouds(d):
+    # clouds whose warm start puts its weight on near-copies of one point:
+    # each of 60 directions repeated 4 times, and a Gaussian cloud with a
+    # cluster of 50 near-copies of one far point. The design must start
+    # from points that span R^d, not from the copies
+    rng = np.random.default_rng(40 + d)
+    repeated = np.tile(direction_set(d, 60, seed=d), (4, 1))
+    far = 30.0 * direction_set(d, 1, seed=d + 1)
+    cluster = np.concatenate([rng.standard_normal((200, d)),
+                              far + 1e-6 * rng.standard_normal((50, d))])
+    _assert_mvee_contract(repeated, eps=1e-3)
+    _assert_mvee_contract(cluster, eps=1e-3)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
 @pytest.mark.parametrize("axis_ratio", (1.0, 1e3))
 @pytest.mark.parametrize("n", (None, 4))
 def test_design_update_tracks_fresh_quadratic_forms(d, axis_ratio, n):
-    # the rank-one updated g must match a fresh x^T S^{-1} x at exit
+    # the rank-one updated g must match a fresh x^T S^{-1} x at exit, from
+    # weights on every point and from weights on the d spanning points
+    # that mvee_central starts from, where the others can enter by add
+    # steps and leave by away steps
     n = 6 * d * (d + 1) if n is None else d + n
     xa = _clouds(100 + d, 3, n, d, axis_ratio)
-    ua = np.full(xa.shape[:2], 1.0 / n)
+    uniform = np.full(xa.shape[:2], 1.0 / n)
+    sparse = np.where(_spanning_core(xa, uniform), 1.0 / d, 0.0)
     target = d * (1.0 + 5e-4)
-    u, s, g, used = _design_update(xa, ua, d, target, 4000)
-    fresh = _quad(xa, np.linalg.inv(s))
-    assert np.max(np.abs(g - fresh) / fresh) <= 1e-9
-    assert used < 4000 and np.max(fresh) <= target * (1.0 + 1e-9)
-    assert np.all(u >= 0.0) and np.allclose(u.sum(axis=1), 1.0, atol=1e-12)
+    for ua in (uniform, sparse):
+        u, s, g, used = _design_update(xa, ua, d, target, 4000)
+        fresh = _quad(xa, np.linalg.inv(s))
+        assert np.max(np.abs(g - fresh) / fresh) <= 1e-9
+        assert used < 4000 and np.max(fresh) <= target * (1.0 + 1e-9)
+        assert np.all(u >= 0.0) and np.allclose(u.sum(axis=1), 1.0,
+                                                atol=1e-12)
 
 
 def test_mvee_nonconvergence_error_carries_state():

@@ -5,6 +5,7 @@ reducer-norm kernels match conditioning one level at a time, and the
 fluctuation-table kernel matches building one base level at a time. At
 p = 2 the reducers of a matrix weight reproduce their norms exactly."""
 
+import math
 import warnings
 
 import numpy as np
@@ -17,8 +18,8 @@ from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
 from wml.linalg import holdout_directions, matvec, spectral_norm
 from wml.principal import fluctuation_tables
 from wml.suite import Instance, instance_checks, random_instance
-from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, as_weight,
-                         build_reducing_pair, reducer_norms,
+from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _range_sums,
+                         as_weight, build_reducing_pair, reducer_norms,
                          verify_reducing_bounds)
 
 MAX_DEPTH = 6
@@ -159,6 +160,30 @@ def test_level_kernels_match_per_level_loops(spec, d, seed):
     for m in range(depth + 1):
         ref = spectral_norm(leaf @ space.expand(m, tiled[base[m]:base[m + 1]]))
         assert _bits(table[m]) == _bits(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_specs(), st.integers(0, 2 ** 32 - 1))
+def test_range_sums_match_exactly_rounded_sums(spec, seed):
+    # the fit's E_Q sums: every atom's leaf range summed on its own, so a
+    # range of tiny mass after heavy leaves keeps its relative accuracy;
+    # a sum of m positive terms in any order is within (m - 1) eps of the
+    # exactly rounded math.fsum
+    space = build_from_tree(spec)
+    rng = np.random.default_rng(seed)
+    vals = np.exp(rng.normal(0.0, 2.0, (space.n_leaves, 3)))
+    starts = np.concatenate([off[:-1] for off in space.offsets])
+    stops = np.concatenate([off[1:] for off in space.offsets])
+    bounds = np.stack([starts, stops], axis=1).ravel()
+    got = _range_sums(space, vals, bounds)
+    masses = _range_sums(space, np.ones(space.n_leaves), bounds)
+    eps = np.finfo(float).eps
+    for row, mass, a, b in zip(got, masses, starts, stops):
+        terms = space.leaf_probs[a:b, None] * vals[a:b]
+        ref = np.array([math.fsum(col) for col in terms.T])
+        assert np.all(np.abs(row - ref) <= (b - a - 1) * eps * ref)
+        ref = math.fsum(space.leaf_probs[a:b])
+        assert abs(mass - ref) <= (b - a - 1) * eps * ref
 
 
 def _table_one_base(space, mart, dual_inv, average, base):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wml import weights
-from wml.filtration import build_dyadic, cond_expect
+from wml import suite, weights
+from wml.filtration import build_dyadic, build_from_tree, cond_expect
 from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
                         matvec, mvee_central, spd_power)
 from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _certified_fit,
@@ -420,9 +420,14 @@ def test_failed_certification_reports_first_failing_side():
     # the high side for ``wide``; ``ellipse`` passes: its ball is an
     # ellipse, and the held-out ratios, in [0.9997, 1 + 1.2e-9], sit far
     # from both edges of the window. A stacked fit reports the first
-    # failing side exactly as if that side had been fitted alone
+    # failing side exactly as if that side had been fitted alone. ``skew``
+    # is a hexagon: a rhombus such as |e_1| + 3|e_2| is an affine square,
+    # whose Loewner ellipse touches it at two vertices that span the
+    # plane, so a fit that starts from a spanning pair of them is exact and
+    # its low ratio 1/sqrt(2) sits on the window's edge
     ellipse = lambda e: np.linalg.norm(e * np.array([1.0, 2.0]), axis=1)
-    skew = lambda e: np.abs(e) @ np.array([1.0, 3.0])
+    skew = lambda e: np.max(np.abs(e @ np.array(
+        [[1.0, 0.0], [1.0, 1.0], [0.0, 3.0]]).T), axis=1)
     wide = lambda e: np.max(np.abs(e) * np.array([1.0, 5.0]), axis=1)
 
     def failure(*norms):
@@ -439,3 +444,22 @@ def test_failed_certification_reports_first_failing_side():
         assert both.last_matrix.tobytes() == ref.last_matrix.tobytes()
     assert failure(skew).achieved < failure(skew).bound < 1.0
     assert failure(wide).achieved > failure(wide).bound > 1.0
+
+
+def test_small_atom_norm_does_not_cancel():
+    # a 2-leaf atom of mass 2e-20 after a leaf of mass 1: a difference of
+    # prefix sums over all leaves reads its E_Q ||W^{1/p} e||^p as 0.0 on
+    # every sampled direction, although it is at least 3e-20, and the fit
+    # would stop with "atom norm vanished"; summed on its own, the range is
+    # fitted and every check of the instance is reported, and passes
+    space = build_from_tree({"mass": 1.0, "children": [
+        {"mass": 0.99999999999999998},
+        {"mass": 2e-20, "children": [{"mass": 1e-20}, {"mass": 1e-20}]}]})
+    weight = MatrixWeight(np.array([np.diag([1.0, 1.0]), np.diag([2.0, 1.0]),
+                                    np.diag([1.0, 3.0])]))
+    inst = suite.Instance(index=0, seed=7, depth=space.depth, d=2, p=3.0,
+                          space=space, weight=weight, f=np.ones((3, 2)))
+    results, _ = suite.instance_checks(inst)
+    names = [r.name for r in results]
+    assert "reducer_certificate" in names and "pointwise_domination" in names
+    assert [r.name for r in results if not r.passed] == []
