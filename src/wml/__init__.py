@@ -7,7 +7,7 @@ from .filtration import (FilteredSpace, Martingale, build_dyadic,
                          increment_adjoint, level_means, lp_norm,
                          martingale_of)
 from .linalg import (EllipsoidError, ValidationError, jacobi_eigh,
-                     mvee_central, spd_power, spectral_norm)
+                     mvee_central, spectral_norm)
 from .weights import (MatrixWeight, ReducingPair, ap_characteristic,
                       ap_equivalents, as_weight, build_reducing_pair,
                       conjugate, dual_weight, exchanged_pair, reducer_norms,

@@ -10,7 +10,9 @@ batch machinery: a 1 x 1 matrix is its own eigenvalue, ``spd_power`` of
 and 3 x 3 matrices takes the top eigenvalue of the Gram matrix in closed
 form.
 The powers of a weight's leaf matrices do not come from ``spd_power``
-but from the spectrum ``weights.MatrixWeight`` keeps.
+but from the spectrum ``weights.MatrixWeight`` keeps, and the inverse
+reducers not from ``sym_inv`` but from the decompositions that give the
+reducers; neither function has a caller in the library.
 
 Every stacked matrix-vector product is ``matvec``, summed in the one order
 of ``_column_sum``, and every V diag(lambda) V^T is ``_eig_compose``.
@@ -420,18 +422,18 @@ def _design_update(xa, ua, d, target, cap):
     return ua, _moment(xa, ua), g, used
 
 
-def _spanning_core(x, w):
+def _spanning_core(x):
     """Mask of d points of each (b, n, d) cloud, by pivoted Gram-Schmidt:
-    take the largest weight x residual norm, project it out of every
-    residual, and repeat. For positive weights w (b, n) the d points span
-    R^d whenever the cloud does (Kumar & Yildirim 2005)."""
+    take the largest residual norm, project it out of every residual, and
+    repeat. The d points span R^d whenever the cloud does (Kumar &
+    Yildirim 2005)."""
     b, n, d = x.shape
     rows = np.arange(b)
     res = x.copy()
     core = np.zeros((b, n), dtype=bool)
     for _ in range(min(d, n)):
         r = np.linalg.norm(res, axis=2)
-        i = (w * r).argmax(axis=1)
+        i = r.argmax(axis=1)
         core[rows, i] = True
         q = res[rows, i] / np.maximum(r[rows, i], 1e-300)[:, None]
         res -= (res @ q[:, :, None]) * q[:, None, :]
@@ -444,10 +446,13 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     Runs Frank-Wolfe steps with away steps on a growing active subset of
     candidate contact points, verifying against the full cloud and promoting
     the worst violators until max_i x_i^T S(u)^{-1} x_i <= d (1 + eps).
-    Clouds are whitened by their warm-start second moment for conditioning.
-    The active set starts as the top points by warm-start u g, but only a
-    spanning core of d of them (``_spanning_core``) keeps its weight; the
-    rest, like every promoted violator, enter at weight 0, so that away
+    Each cloud X (n x d) is whitened once by the Cholesky factor of its
+    uniform second moment X^T X / n, taken from the QR factorization
+    X = Q R, which does not square the condition number: the fit runs on
+    the rows of Q and maps back by R. The active set starts as the k points
+    of largest whitened norm, the leverage scores of the cloud, and a
+    spanning core of d of them (``_spanning_core``) starts with weight 1/d;
+    the rest, like every promoted violator, enter at weight 0, so that away
     steps need not take back mass that was never needed (Kumar & Yildirim
     2005). Each solve on the active set stops at max g <= d (1 + 3 eps / 4).
     Each cloud's result depends only on that cloud, not on the other clouds
@@ -459,7 +464,8 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
 
     Returns
     -------
-    (A, inner) where A has shape (..., d, d) and, per cloud,
+    (A, inner, A_inv) where A and its inverse A_inv have shape (..., d, d),
+    both from the one final eigen-decomposition, and, per cloud,
       * ||A x_i|| <= 1 for every input point (containment, exact), and
       * gauge(e) <= inner * ||A e|| for the hull gauge,
         inner <= sqrt(d(1+eps)).
@@ -468,6 +474,11 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     over any subset, the ellipsoid {x : x^T S(u)^{-1} x <= 1} sits inside the
     hull, since its support function sqrt(v^T S v) is dominated by
     max_i |x_i . v|.
+
+    Raises ValidationError for a cloud that does not span R^d: fewer than
+    d points, or a pivot |R_jj| of its QR factor at most N eps of the
+    largest, which puts its rank below d at numpy's ``matrix_rank``
+    tolerance.
     """
     x_orig = np.asarray(points, dtype=float)
     single = x_orig.ndim == 2
@@ -483,20 +494,15 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     k = min(n, max(6 * d * (d + 1), 24))
     n_promote = min(n, max(4 * d, 8))
 
-    # warm start on the full cloud, then whiten by the second moment
-    u_full = np.full((b, n), 1.0 / n)
-    s0 = _moment(x_orig, u_full)
-    for _ in range(5):
-        g_full = _quad(x_orig, np.linalg.inv(s0))
-        u_full = u_full * g_full / d
-        u_full /= u_full.sum(axis=1, keepdims=True)
-        s0 = _moment(x_orig, u_full)
-    vals0, vecs0 = jacobi_eigh(s0)
-    vals0 = np.maximum(vals0, 1e-300)
-    vecs0_t = np.swapaxes(vecs0, 1, 2)
-    white = (vecs0 * vals0[:, None, :] ** -0.5) @ vecs0_t
-    unwhite = (vecs0 * vals0[:, None, :] ** 0.5) @ vecs0_t
-    g_full = _quad(x_orig, np.linalg.inv(s0))
+    # x = Q holds the whitened points, x_orig = x R. Every |R_jj| bounds the
+    # smallest singular value of the cloud from above, and the largest
+    # from below
+    x, r = np.linalg.qr(x_orig)
+    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    if n < d or np.any(pivots.min(axis=1)
+                       <= n * np.finfo(float).eps * pivots.max(axis=1)):
+        raise ValidationError(
+            f"point cloud does not span R^{d}: its rank is below {d}")
 
     s_out = np.empty((b, d, d))
     kappa = np.full(b, np.inf)
@@ -504,34 +510,26 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
     # every live cloud holds the same number of active points, since all
     # start with k and each round promotes min(n_promote, n - m) into each.
     # Only the set matters, not its order, so a partition picks it
-    act = np.argpartition(u_full * g_full, n - k, axis=1)[:, n - k:]
-    wts = np.take_along_axis(u_full, act, axis=1)
-    del u_full, g_full
-
-    # x holds the whitened points of the live clouds only. It is built
-    # after the warm start's full-cloud arrays are released, and each round
-    # drops its quadratic forms before the next: with the input cloud and
-    # _quad's product that keeps the peak at three (b, n, d) arrays
-    x = x_orig @ np.swapaxes(white, 1, 2)
-
-    # the design starts from the warm-start weights of a spanning core of
-    # the active set, found in the whitened frame, and 0 elsewhere
-    core = _spanning_core(np.take_along_axis(x, act[:, :, None], axis=1),
-                          wts)
-    wts = np.where(core, wts, 0.0)
-    wts /= wts.sum(axis=1, keepdims=True)
+    act = np.argpartition(np.square(x) @ np.ones(d), n - k,
+                          axis=1)[:, n - k:]
+    core = _spanning_core(np.take_along_axis(x, act[:, :, None], axis=1))
+    wts = np.where(core, 1.0 / d, 0.0)
     alive = np.arange(b)
-    spent = 5
+    spent = 0
     while alive.size and spent < max_iter:
         xa = np.take_along_axis(x, act[:, :, None], axis=1)
         budget = min(4000, max_iter - spent)
         wts, s, _, used = _design_update(xa, wts, d, inner_target, budget)
         spent += used
 
-        # certificates come from a fresh inverse of the fresh moment
+        # certificates come from a fresh inverse of the fresh moment; each
+        # round drops its quadratic forms before the next, which keeps the
+        # peak at three (b, n, d) arrays with the input cloud and _quad's
+        # product
         g_alive = _quad(x, np.linalg.inv(s))
         kap = g_alive.max(axis=1)
-        s_out[alive] = unwhite[alive] @ s @ unwhite[alive]
+        r_alive = r[alive]
+        s_out[alive] = np.swapaxes(r_alive, 1, 2) @ s @ r_alive
         kappa[alive] = kap
 
         still = kap > target
@@ -563,16 +561,19 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
 
     vals, vecs = jacobi_eigh(s_out)
     vals = np.maximum(vals, 1e-300)
-    inv_sqrt = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    vecs_t = np.swapaxes(vecs, 1, 2)
+    inv_sqrt = (vecs / np.sqrt(vals)[:, None, :]) @ vecs_t
     # normalize against the input cloud itself: the whitened kappa is off by
-    # the conditioning of the whitening, up to 1e-9 on eccentric clouds
+    # the conditioning of the whitening
     y = x_orig @ inv_sqrt
     np.square(y, out=y)
-    kappa = np.max(np.sum(y, axis=-1), axis=1)
-    a = inv_sqrt / np.sqrt(kappa)[:, None, None]
+    kappa = np.max(y @ np.ones(d), axis=1)
     inner = np.sqrt(kappa)
+    a = inv_sqrt / inner[:, None, None]
+    a_inv = (vecs * np.sqrt(vals)[:, None, :]) @ vecs_t * inner[:, None, None]
     a = a.reshape(batch_shape + (d, d))
+    a_inv = a_inv.reshape(batch_shape + (d, d))
     inner = inner.reshape(batch_shape)
     if single:
-        return a[0], float(inner[0])
-    return a, inner
+        return a[0], float(inner[0]), a_inv[0]
+    return a, inner, a_inv

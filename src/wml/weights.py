@@ -18,8 +18,10 @@ sampled boundary points, which pins the equivalence constants to
 
 Each leaf matrix is eigen-decomposed once, when the MatrixWeight is
 built, and every power W^alpha of the leaves is ``MatrixWeight.power``
-of that spectrum. At p = 2 each side's stack of means is decomposed once
-for both its root and its inverse root.
+of that spectrum. No reducer is inverted by a decomposition of its own:
+at d = 1 the inverses are reciprocals, at p = 2 each side's stack of
+means is decomposed once for both its root and its inverse root, and the
+fit returns each ellipsoid's inverse from the spectrum that gives it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .filtration import FilteredSpace, level_means
 from .linalg import (EllipsoidError, ValidationError, _check_positive,
                      _eig_compose, _squared_norms, direction_set,
                      holdout_directions, jacobi_eigh, mvee_central,
-                     spectral_norm, sym_inv)
+                     spectral_norm)
 
 EIG_CLIP_RATIO = 1e-10
 
@@ -207,21 +209,24 @@ def _range_sums(space, leaf_values, bounds):
 def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
                   n_holdout=1000):
     """Ellipsoid reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
-    on every atom of every level, in tiled order, for each (mats, power)
-    of ``sides``.
+    on every atom of every level, in tiled order, and their inverses, for
+    each (mats, mats_inv, power) of ``sides``; mats_inv holds the inverses
+    of the leaf matrices.
 
     Computed once per distinct leaf range (atoms persisting across levels
     share the same norm); single-leaf atoms are exactly ellipsoidal and
     skip the fit. The sides share their leaf ranges and direction sets, so
     all their clouds go through one _certified_fit call. Returns a list of
-    (atom_base[-1], d, d) reducers and a list of worst certification
-    ratios, one of each per side.
+    (atom_base[-1], d, d) reducers, a list of their inverses and a list of
+    worst certification ratios, one of each per side.
     """
     starts = np.concatenate([off[:-1] for off in space.offsets])
     stops = np.concatenate([off[1:] for off in space.offsets])
     single = stops - starts == 1
-    # a single-leaf atom's reducer is its leaf matrix; the others are fitted
-    outs = [mats[starts] for mats, _ in sides]
+    # a single-leaf atom's reducer is its leaf matrix, and its inverse the
+    # inverse leaf matrix; the others are fitted
+    outs = [mats[starts] for mats, _, _ in sides]
+    invs = [mats_inv[starts] for _, mats_inv, _ in sides]
 
     certs = [{"low": np.inf, "high": -np.inf} for _ in sides]
     multi = np.flatnonzero(~single)
@@ -235,19 +240,20 @@ def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
 
         def rho(dirs):
             vals = np.empty((len(sides), first.size, dirs.shape[0]))
-            for row, (mats, power) in zip(vals, sides):
+            for row, (mats, _, power) in zip(vals, sides):
                 norms = _norms(mats, dirs)
                 norms **= power
                 row[...] = (_range_sums(space, norms, bounds)
                             / masses[:, None]) ** (1.0 / power)
             return vals
 
-        fitted, certs = _certified_fit(
+        fitted, fitted_inv, certs = _certified_fit(
             rho, sides[0][0].shape[1], tol, cert_tol, seed,
             max_iter=max_iter, n_holdout=n_holdout)
-        for out, fit in zip(outs, fitted):
+        for out, inv, fit, fit_inv in zip(outs, invs, fitted, fitted_inv):
             out[multi] = fit[inverse]
-    return outs, certs
+            inv[multi] = fit_inv[inverse]
+    return outs, invs, certs
 
 
 def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
@@ -264,8 +270,8 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
     directions, side by side in order: ||A e|| <= (1 + cert_tol) rho(e)
     and rho(e) <= (1 + cert_tol) sqrt(d) ||A e||, or EllipsoidError is
     raised for the first side that fails. Returns the (S, K, d, d)
-    matrices A and, per side, the worst held-out ratios {"low", "high"} of
-    ||A e|| / rho(e).
+    matrices A, their inverses from the fit's own spectrum and, per side,
+    the worst held-out ratios {"low", "high"} of ||A e|| / rho(e).
     """
     dirs = direction_set(d, seed=seed)
     vals = rho(dirs)
@@ -275,7 +281,8 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
     # is the memory peak of an instance
     pts = dirs / vals[..., None]
     del vals
-    fitted, _ = mvee_central(pts, eps=tol * (2.0 + tol), max_iter=max_iter)
+    fitted, _, fitted_inv = mvee_central(pts, eps=tol * (2.0 + tol),
+                                         max_iter=max_iter)
     del pts
 
     held = holdout_directions(d, n_holdout, seed + 97)
@@ -294,7 +301,7 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
                 achieved=hi if high_side else lo,
                 bound=1.0 + cert_tol if high_side else window_lo)
         certs.append({"low": lo, "high": hi})
-    return fitted, certs
+    return fitted, fitted_inv, certs
 
 
 def _root_of_means(space, mats):
@@ -334,17 +341,16 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
         dual = level_means(space, np.broadcast_to(w ** (-q / p), stack)) \
             ** (1.0 / q)
         primal, dual = primal[:, None, None], dual[:, None, None]
-        primal_inv, dual_inv = sym_inv(primal), sym_inv(dual)
+        primal_inv, dual_inv = 1.0 / primal, 1.0 / dual
         method = "scalar"
     elif p == 2.0:
         primal, primal_inv = _root_of_means(space, W.mats)
         dual, dual_inv = _root_of_means(space, W.power(-1.0))
         method = "exact_p2"
     else:
-        (primal, dual), (cp, cd) = _fit_reducers(
-            space, [(wp, p), (wm, q)], tol, cert_tol, seed,
+        (primal, dual), (primal_inv, dual_inv), (cp, cd) = _fit_reducers(
+            space, [(wp, wm, p), (wm, wp, q)], tol, cert_tol, seed,
             n_holdout=n_holdout)
-        primal_inv, dual_inv = sym_inv(primal), sym_inv(dual)
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 

@@ -113,9 +113,9 @@ def test_criterion_4_reducer_certification(battery):
         if inst.d == 1 or abs(inst.p - 2.0) > 1e-12:
             continue
         exact = build_reducing_pair(inst.space, inst.weight, 2.0)
-        (mvee, _), _ = _fit_reducers(
-            inst.space, [(exact.wp, 2.0), (exact.wm, 2.0)], 2e-2, 5e-2,
-            SEED + i)
+        (mvee, _), _, _ = _fit_reducers(
+            inst.space, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
+            2e-2, 5e-2, SEED + i)
         base = inst.space.atom_base
         dirs = holdout_directions(inst.d, 1000, seed=SEED + i)
         tol = 5e-2

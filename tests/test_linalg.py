@@ -96,8 +96,8 @@ def test_spectral_norm_charpoly_oracle():
 
 def _fit_one(norm):
     """Certified fit of the unit ball of a single norm on R^2."""
-    fitted, (cert,) = _certified_fit(lambda e: norm(e)[None, None], 2,
-                                     tol=1e-3, cert_tol=5e-2, seed=0)
+    fitted, _, (cert,) = _certified_fit(lambda e: norm(e)[None, None], 2,
+                                        tol=1e-3, cert_tol=5e-2, seed=0)
     assert cert["high"] <= 1.0 + 5e-2
     return fitted[0, 0]
 
@@ -123,7 +123,7 @@ def test_mvee_square_gives_circle_over_sqrt2():
 def test_mvee_central_inner_outer_certificates():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((40, 3))
-    a, inner = mvee_central(pts, eps=1e-6)
+    a, inner, _ = mvee_central(pts, eps=1e-6)
     support = np.linalg.norm(pts @ a.T, axis=1)
     assert np.max(support) <= 1.0 + 1e-12          # containment
     assert inner <= np.sqrt(3.0 * (1.0 + 1e-5))    # John factor
@@ -142,13 +142,19 @@ def _clouds(seed, b, n, d, axis_ratio):
 
 
 def _assert_mvee_contract(pts, eps):
-    a, inner = mvee_central(pts, eps=eps)
+    a, inner, a_inv = mvee_central(pts, eps=eps)
     d = pts.shape[-1]
     support = np.linalg.norm(pts @ np.swapaxes(a, -1, -2), axis=-1)
     assert np.max(support) <= 1.0 + 1e-12                  # containment
     assert np.all(inner <= np.sqrt(d * (1.0 + eps)))       # John factor
     assert np.allclose(a, np.swapaxes(a, -1, -2), rtol=0.0,
                        atol=1e-12 * np.max(np.abs(a)))
+    # the inverse comes from the same spectrum as A: A^{-1} A is I up to
+    # the rounding of two compositions V diag V^T, a few eps times the
+    # condition number of A
+    cond = np.linalg.cond(a)[..., None, None]
+    assert np.all(np.abs(a_inv @ a - np.eye(d))
+                  <= 16 * d * np.finfo(float).eps * cond)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5))
@@ -202,7 +208,7 @@ def test_design_update_tracks_fresh_quadratic_forms(d, axis_ratio, n):
     n = 6 * d * (d + 1) if n is None else d + n
     xa = _clouds(100 + d, 3, n, d, axis_ratio)
     uniform = np.full(xa.shape[:2], 1.0 / n)
-    sparse = np.where(_spanning_core(xa, uniform), 1.0 / d, 0.0)
+    sparse = np.where(_spanning_core(xa), 1.0 / d, 0.0)
     target = d * (1.0 + 5e-4)
     for ua in (uniform, sparse):
         u, s, g, used = _design_update(xa, ua, d, target, 4000)
@@ -214,11 +220,28 @@ def test_design_update_tracks_fresh_quadratic_forms(d, axis_ratio, n):
 
 
 def test_mvee_nonconvergence_error_carries_state():
-    pts = direction_set(2, 32)
+    # 33 axes: no two are orthogonal, so unlike the 32 axes pi k / 32 the
+    # regular polygon's Loewner circle is not the moment of a spanning core
+    # pair, and 3 steps cannot reach it
+    pts = direction_set(2, 33)
     with pytest.raises(EllipsoidError) as err:
         mvee_central(pts, eps=1e-12, max_iter=3)
     assert err.value.last_matrix is not None
     assert err.value.achieved > err.value.bound == 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("pts", (
+    np.outer([1.0, 2.0, -3.0, 0.5], [0.6, 0.8]),    # 4 collinear points
+    np.zeros((4, 2))))
+def test_mvee_rejects_clouds_that_do_not_span(pts):
+    # the second moment of a collinear cloud is singular only up to
+    # rounding, and its Cholesky factor exists; the rank test names the
+    # problem instead of a singular solve deep in the fit
+    with pytest.raises(ValidationError, match="does not span R\\^2"):
+        mvee_central(pts)
+    # next to a cloud that spans, it fails the whole call
+    with pytest.raises(ValidationError, match="does not span"):
+        mvee_central(np.stack([direction_set(2, 4), pts]))
 
 
 def test_direction_counts_follow_configuration():

@@ -1,9 +1,10 @@
 """Property-based tests: the whole d = 1 battery passes on random trees
 (with chains and tiny masses), at extreme exponents, and on degenerate
-leaf functions; the one-pass martingale, adjoint, level-mean and
-reducer-norm kernels match conditioning one level at a time, and the
-fluctuation-table kernel matches building one base level at a time. At
-p = 2 the reducers of a matrix weight reproduce their norms exactly."""
+leaf functions, and the d >= 2 battery reports every failure as a check;
+the one-pass martingale, adjoint, level-mean and reducer-norm kernels
+match conditioning one level at a time, and the fluctuation-table kernel
+matches building one base level at a time. At p = 2 the reducers of a
+matrix weight reproduce their norms exactly."""
 
 import math
 import warnings
@@ -297,6 +298,24 @@ def matrix_weights(draw):
         warnings.simplefilter("ignore", RuntimeWarning)
         weight = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     return space, weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_weights(), st.sampled_from((1.05, 1.5, 3.0, 8.0)),
+       st.integers(0, 2 ** 32 - 1))
+def test_matrix_battery_reports_every_failure(case, p, seed):
+    # every d >= 2 failure is a reported check: instance_checks returns on
+    # every draw, and the only check that may fail is the fit's
+    # certificate, which p near 1 and leaf spreads near the clip can break
+    # (ROADMAP item 4); the checks after it hold on the pair it certifies
+    space, W = case
+    f = np.random.default_rng(seed).standard_normal((space.n_leaves, W.dim))
+    inst = Instance(index=0, seed=seed % 10_000, depth=space.depth, d=W.dim,
+                    p=p, space=space, weight=W, f=f)
+    results, _ = instance_checks(inst)
+    failed = [(r.name, r.measured, r.bound) for r in results if not r.passed]
+    assert all(name == "reducer_certificate" for name, _, _ in failed), \
+        (p, space.n_leaves, failed)
 
 
 @settings(max_examples=60, deadline=None)

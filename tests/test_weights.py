@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wml import suite, weights
+from wml import linalg, suite, weights
 from wml.filtration import build_dyadic, build_from_tree, cond_expect
 from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
                         matvec, mvee_central, spd_power)
@@ -120,8 +120,9 @@ def test_p2_ellipsoid_vs_exact_averaging_window():
     W = _random_spd_weight(rng, sp.n_leaves, 2)
     exact = build_reducing_pair(sp, W, 2.0)
     assert exact.method == "exact_p2" and exact.certificate == {}
-    fitted, _ = _fit_reducers(sp, [(exact.wp, 2.0), (exact.wm, 2.0)],
-                              1e-3, 5e-2, 0)
+    fitted, _, _ = _fit_reducers(
+        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
+        1e-3, 5e-2, 0)
     dirs = holdout_directions(2, 400, seed=5)
     tol = 0.05
     for mvee, ref in zip(fitted, (exact.tiled_primal, exact.tiled_dual)):
@@ -193,8 +194,9 @@ def test_ap_characteristic_constant_matrix_weight():
     w0 = np.array([[3.0, 1.0], [1.0, 2.0]])
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
     exact = build_reducing_pair(sp, W, 2.0)
-    (primal, dual), _ = _fit_reducers(
-        sp, [(exact.wp, 2.0), (exact.wm, 2.0)], 1e-3, 5e-2, 0)
+    (primal, dual), _, _ = _fit_reducers(
+        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
+        1e-3, 5e-2, 0)
     # ap_characteristic reads only the two reducer families
     val = ap_characteristic(replace(exact, tiled_primal=primal,
                                     tiled_dual=dual))
@@ -407,12 +409,63 @@ def test_pair_fits_both_sides_in_one_mvee_call(monkeypatch, d):
     # one per axis, 360, with no +-u twins
     assert calls[0][2:] == ({2: 360, 3: 2048}[d], d)
     # each side fitted alone gives the same bytes
-    for side, mats, power in (("primal", pair.wp, p),
-                              ("dual", pair.wm, pair.q)):
-        (alone,), (cert,) = _fit_reducers(sp, [(mats, power)], 2e-2, 5e-2, 5)
+    for side, mats, mats_inv, power in (("primal", pair.wp, pair.wm, p),
+                                        ("dual", pair.wm, pair.wp, pair.q)):
+        (alone,), (alone_inv,), (cert,) = _fit_reducers(
+            sp, [(mats, mats_inv, power)], 2e-2, 5e-2, 5)
         assert alone.tobytes() == getattr(pair, "tiled_" + side).tobytes()
+        assert alone_inv.tobytes() == getattr(
+            pair, "tiled_" + side + "_inv").tobytes()
         assert cert == pair.certificate[side]
     assert len(calls) == 3
+
+
+def _recording(calls, fn):
+    def recorded(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return recorded
+
+
+def _sym_inv(mats):
+    """Inverses of SPD matrices from a fresh decomposition: entrywise
+    reciprocal powers at d = 1, LAPACK's inverse above."""
+    if mats.shape[-1] == 1:
+        return mats ** -1.0
+    return np.linalg.inv(mats)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_pair_inverses_match_fresh_inverses(monkeypatch, d):
+    # the inverse reducers come with the reducers, with no decomposition
+    # of their own: reciprocals at d = 1, the inverse roots at p = 2, and
+    # from the fit's spectrum or the other side's leaf power otherwise.
+    # They are the fresh inverses bitwise at d = 1, and within a few eps
+    # of the reducer's condition number above
+    calls = []
+    for module in (linalg, weights):
+        for name in ("sym_inv", "spd_power"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _recording(
+                    calls, getattr(module, name)))
+    eps = np.finfo(float).eps
+    for index in range(4):
+        inst = suite.random_instance(index, seed=11, depth_range=(6, 6),
+                                     dims=(d,))
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p,
+                                   tol=2e-2, seed=index)
+        for side in ("primal", "dual"):
+            reducers = getattr(pair, "tiled_" + side)
+            got = getattr(pair, "tiled_" + side + "_inv")
+            want = _sym_inv(reducers)
+            if d == 1:
+                assert got.tobytes() == want.tobytes()
+                continue
+            err = np.linalg.norm(got - want, 2, axis=(1, 2)) \
+                / np.linalg.norm(want, 2, axis=(1, 2))
+            bound = 8 * d * eps * np.linalg.cond(reducers)
+            assert np.all(err <= bound), (inst.p, side, np.max(err / bound))
+    assert calls == []
 
 
 def test_failed_certification_reports_first_failing_side():
