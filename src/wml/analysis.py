@@ -54,7 +54,7 @@ class Analysis:
         """(D + 1, L, d, d) inverse dual reducer of each leaf's atom at
         every level."""
         return self._cached("dual_inv", lambda: self.pair.tiled_dual_inv[
-            self.space.tiled_labels()])
+            self.space.tiled_labels])
 
     def level_averages(self):
         """E_n ||dual_n^{-1} g|| on every atom of every level n, in the tiled

@@ -136,11 +136,24 @@ class AscentResult:
 
 
 def _ascent_point(space, wp, wm, f):
-    """(martingale of g = W^{-1/p} f, S_W f) for the leaf powers wp = W^{1/p}
+    """(increments of g = W^{-1/p} f, S_W f) for the leaf powers wp = W^{1/p}
     and wm = W^{-1/p}: what both the ratio and the gradient of the ascent
-    need at f."""
-    mart = martingale_of(space, matvec(wm, f))
-    return mart, _leaf_l2(matvec(wp, mart.diffs))
+    need at f. A batch of R functions stored leaf-major as (L, R, d), with
+    (L, 1, d, d) leaf powers, takes one martingale of its (L, R d) columns
+    and gives the (D, L, R, d) increments and the (L, R) square functions."""
+    g = matvec(wm, f)
+    diffs = martingale_of(space, g.reshape(len(g), -1)).diffs
+    diffs = diffs.reshape(diffs.shape[:2] + g.shape[1:])
+    return diffs, _leaf_l2(matvec(wp, diffs))
+
+
+def _adjoint_step(space, w2p, wm, diffs, spow):
+    """W^{-1/p} T0* (spow W^{2/p} d) for the increments d of an ascent
+    point and per-leaf factors spow, with T0* the increment adjoint: one
+    ``increment_adjoint`` call, for a batch as for a single function."""
+    y = spow[..., None] * matvec(w2p, diffs)
+    acc = increment_adjoint(space, y.reshape(y.shape[:2] + (-1,)))
+    return matvec(wm, acc.reshape(y.shape[1:]))
 
 
 def _sq_gradient(space, w2p, wm, p, point):
@@ -148,47 +161,97 @@ def _sq_gradient(space, w2p, wm, p, point):
     ascent point ``_ascent_point(space, wp, wm, f)``: p T* J_p(T f) for
     T f = (W^{1/p} d_k W^{-1/p} f)_k and J_p(y) = |y|^{p-2} y, together
     with ||S_W f||_p^p. w2p = W^{2/p} = wp @ wp per leaf."""
-    mart, s = point
+    diffs, s = point
     spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
-    y = spow[:, None] * matvec(w2p, mart.diffs)
-    acc = increment_adjoint(space, y)
-    return p * matvec(wm, acc), float(np.sum(space.leaf_probs * s ** p))
+    return (p * _adjoint_step(space, w2p, wm, diffs, spow),
+            float(np.sum(space.leaf_probs * s ** p)))
 
 
 # relative gap between the ratio and Boyd's upper value at which a phase stops
 BOYD_TOL = 1e-12
 
 
-def _boyd_start(space, wp, wm, w2p, p, f, exponents, max_iter):
-    """One start of Boyd's power method for T f = (W^{1/p} d_k W^{-1/p} f)_k,
-    run at each exponent r of ``exponents`` in turn from where the previous
-    one stopped, all sharing ``max_iter`` iterations.
+def _row_mags(f):
+    """(R, L) euclidean norms of a leaf-major (L, R, d) batch, each row
+    contiguous and summed as ``_lp_norm`` sums one function."""
+    return np.sqrt(np.add.reduce(f * f, axis=2)).T.copy()
 
-    An iteration evaluates f once (one martingale, one increment adjoint)
-    and maps it to J_{r'}(T* J_r(T f)) normalized in L^r. Hölder gives
-    ratio_r(f) <= gamma = ||T* J_r(T f)||_{r'} / ||T f||_r^{r-1}
-    <= ratio_r(next f), so a phase stops once gamma - ratio <= BOYD_TOL
-    gamma. Returns (f, p-ratio of f, iterations, converged) for the last
+
+def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
+    """Boyd's power method for T f = (W^{1/p} d_k W^{-1/p} f)_k from all
+    (L, d) ``starts`` at once. Start i runs at each exponent r of
+    ``exponents[i]`` in turn from where the previous one stopped, within
+    ``max_iter`` iterations of its own.
+
+    A round evaluates every live start once, held leaf-major in one
+    (L, R, d) batch (one martingale, one increment adjoint), and maps f to
+    J_{r'}(T* J_r(T f)) normalized in L^r. Hölder gives ratio_r(f) <= gamma
+    = ||T* J_r(T f)||_{r'} / ||T f||_r^{r-1} <= ratio_r(next f), so a phase
+    stops once gamma - ratio <= BOYD_TOL gamma; a start that ends its last
+    phase or its budget leaves the batch. Columns are reduced one by one,
+    per-leaf values sit in contiguous (R, L) rows, and each run of rows that
+    share an exponent is raised at it as a scalar (numpy squares and takes
+    roots at 2 and 0.5, where an array of exponents would call pow), so a
+    start's result is bitwise the one it gets alone.
+
+    Returns per start (f, p-ratio of f, iterations, converged) for its last
     evaluated f; ``converged`` is False when the budget ran out first.
     """
-    iters = 0
-    for r in exponents:
-        converged = False
-        while iters < max_iter and not converged:
-            iters += 1
-            witness, point = f, _ascent_point(space, wp, wm, f)
-            grad, phi = _sq_gradient(space, w2p, wm, r, point)
-            norm = phi ** (1.0 / r)
-            ratio = norm / _lp_norm(space, f, r)
-            gmag = np.sqrt(np.sum(grad * grad, axis=1))
-            gamma = _lp_norm(space, gmag, r / (r - 1.0)) / (r * norm ** (r - 1.0))
+    probs = space.leaf_probs
+    wp, wm, w2p = wp[:, None], wm[:, None], w2p[:, None]
+    f = np.stack(starts, axis=1)
+    live = list(range(len(starts)))
+    phase, iters = [0] * len(starts), [0] * len(starts)
+    results = [None] * len(starts)
+    while live:
+        rs = [exponents[i][phase[i]] for i in live]
+        cuts = [j for j in range(1, len(rs)) if rs[j] != rs[j - 1]]
+        runs = [(slice(a, b), rs[a])
+                for a, b in zip([0] + cuts, cuts + [len(rs)])]
+
+        def powers(x, exponent):
+            if len(runs) == 1:
+                return x ** exponent(rs[0])
+            out = np.empty_like(x)
+            for rows, r in runs:
+                out[rows] = x[rows] ** exponent(r)
+            return out
+
+        def sums(x, exponent):
+            return np.add.reduce(probs * powers(x, exponent), axis=1)
+
+        diffs, s = _ascent_point(space, wp, wm, f)
+        s = s.T.copy()
+        spow = np.where(s > 1e-300, powers(s, lambda r: r - 2.0), 0.0)
+        grad = _adjoint_step(space, w2p, wm, diffs, spow.T) \
+            * np.array(rs)[:, None]
+        gmag = _row_mags(grad)
+        step = powers(gmag, lambda r: (2.0 - r) / (r - 1.0)).T[:, :, None] \
+            * grad
+        phi, fsum = sums(s, lambda r: r), sums(_row_mags(f), lambda r: r)
+        gsum = sums(gmag, lambda r: r / (r - 1.0))
+        ssum = sums(_row_mags(step), lambda r: r)
+        scale, keep = np.empty(len(live)), []
+        for j, (i, r) in enumerate(zip(live, rs)):
+            iters[i] += 1
+            q = r / (r - 1.0)
+            norm = float(phi[j]) ** (1.0 / r)
+            ratio = norm / float(fsum[j] ** (1.0 / r))
+            gamma = float(gsum[j] ** (1.0 / q)) / (r * norm ** (r - 1.0))
             converged = gamma - ratio <= BOYD_TOL * gamma
-            f = gmag[:, None] ** ((2.0 - r) / (r - 1.0)) * grad
-            f /= _lp_norm(space, f, r)
-        if not converged:
-            break
-    ratio = _lp_norm(space, point[1], p) / _lp_norm(space, witness, p)
-    return witness, ratio, iters, converged
+            if converged and phase[i] + 1 < len(exponents[i]):
+                phase[i], converged = phase[i] + 1, False
+            if converged or iters[i] == max_iter:
+                witness = f[:, j].copy()
+                results[i] = (witness, _lp_norm(space, s[j], p)
+                              / _lp_norm(space, witness, p), iters[i],
+                              converged)
+            else:
+                keep.append(j)
+            scale[j] = float(ssum[j] ** (1.0 / r))
+        f = (step / scale[:, None]).take(keep, axis=1)
+        live = [live[j] for j in keep]
+    return results
 
 
 def _ascent_start(space, wp, wm, w2p, p, f, max_iter):
@@ -245,13 +308,16 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     """Lower bound on sup_f ||S_W f||_p / ||f||_p, the best value over
     seeded restarts.
 
-    Every start begins at a seeded random function. For 1 < p <= 2 each
-    start runs Boyd's p-norm power method (``_boyd_start``; Boyd, Linear
-    Algebra Appl. 9, 1974; Higham, Numer. Math. 62, 1992); start 0 first
-    runs it at exponent 2, which finds the L2 top singular vector of the
-    same operator, and continues at p from there. For p > 2 each start
-    runs the projected gradient ascent (``_ascent_start``): from the same
-    starts the power method ends lower there on most tested points.
+    Every start begins at a seeded random function. For 1 < p <= 2 the
+    starts run Boyd's p-norm power method as one batch (``_boyd_batch``;
+    Boyd, Linear Algebra Appl. 9, 1974; Higham, Numer. Math. 62, 1992): a
+    round builds one martingale and one increment adjoint for all live
+    starts, and each start keeps its own iteration count, stopping test
+    and witness, bitwise as if it ran alone. Start 0 first runs the method
+    at exponent 2, which finds the L2 top singular vector of the same
+    operator, and continues at p from there. For p > 2 each start runs the
+    projected gradient ascent (``_ascent_start``): from the same starts
+    the power method ends lower there on most tested points.
 
     Returns an AscentResult carrying the witness; recomputing the ratio
     from the witness reproduces the reported value. ``iterations`` counts
@@ -262,22 +328,24 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     stationary point of the ratio (not necessarily its maximum); for p > 2
     it is the ascent finding no improving step.
     """
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
     W = as_weight(W)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     w2p = wp @ wp
     rng = np.random.default_rng(seed)
+    starts = [rng.standard_normal((space.n_leaves, W.dim))
+              for _ in range(restarts)]
+    if p <= 2.0:
+        results = _boyd_batch(space, wp, wm, w2p, p, starts,
+                              [(2.0, p)] + [(p,)] * (restarts - 1), max_iter)
+    else:
+        results = [_ascent_start(space, wp, wm, w2p, p, f, max_iter)
+                   for f in starts]
     best = AscentResult(0.0, None, 0, restarts, True)
-    for start in range(restarts):
-        f = rng.standard_normal((space.n_leaves, W.dim))
-        if p <= 2.0:
-            f, ratio, iters, converged = _boyd_start(
-                space, wp, wm, w2p, p, f, (2.0, p) if start == 0 else (p,),
-                max_iter)
-        else:
-            f, ratio, iters, converged = _ascent_start(space, wp, wm, w2p, p,
-                                                       f, max_iter)
+    for f, ratio, iters, converged in results:
         best.iterations += iters
         best.converged = best.converged and converged
         if ratio > best.ratio:
@@ -343,6 +411,11 @@ class SweepConfig:
     restarts: int = 4
     seed: int = 0
     fit_tol: float = 2e-2            # reducer fit tolerance for d >= 2
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValidationError(
+                f"restarts must be >= 1, got {self.restarts}")
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths

@@ -36,7 +36,9 @@ class FilteredSpace:
     are the atom starts of every level on that axis, ``tiled_atom_probs``
     the atom probabilities in the same order, and level n owns entries
     ``atom_base[n]:atom_base[n + 1]`` of both. ``labels`` is the (D + 1, L)
-    array of per-level atom numbers; ``atom_of_leaf[n]`` is its row n and
+    array of per-level atom numbers and ``tiled_labels`` the position of
+    each (level, leaf) atom in the tiled index, ``labels`` shifted by
+    ``atom_base``; ``atom_of_leaf[n]`` is row n of ``labels`` and
     ``atom_probs[n]`` a slice of ``tiled_atom_probs``.
     """
 
@@ -80,16 +82,19 @@ class FilteredSpace:
         marks = np.zeros((self.depth + 1) * n_leaves, dtype=np.intp)
         marks[tiled_starts] = 1
         labels = np.cumsum(marks.reshape(self.depth + 1, n_leaves), axis=1) - 1
+        tiled_labels = labels + atom_base[:-1, None]
         tiled_atom_probs = np.add.reduceat(np.tile(probs, self.depth + 1),
                                            tiled_starts)
-        for a in (atom_base, tiled_starts, labels, tiled_atom_probs):
+        for a in (atom_base, tiled_starts, labels, tiled_labels,
+                  tiled_atom_probs):
             a.setflags(write=False)
         parent = (np.zeros(1, dtype=np.intp),) + tuple(
             labels[n - 1][self.offsets[n][:-1]]
             for n in range(1, self.depth + 1))
         for name, value in (
                 ("atom_base", atom_base), ("tiled_starts", tiled_starts),
-                ("labels", labels), ("tiled_atom_probs", tiled_atom_probs),
+                ("labels", labels), ("tiled_labels", tiled_labels),
+                ("tiled_atom_probs", tiled_atom_probs),
                 ("atom_probs", tuple(
                     tiled_atom_probs[atom_base[n]:atom_base[n + 1]]
                     for n in range(self.depth + 1))),
@@ -106,11 +111,6 @@ class FilteredSpace:
     def expand(self, n, atom_values):
         """Broadcast per-atom values at level n back to the leaf axis."""
         return np.asarray(atom_values)[self.atom_of_leaf[n]]
-
-    def tiled_labels(self):
-        """(D + 1, L) position of each (level, leaf) atom in the tiled
-        level index."""
-        return self.labels + self.atom_base[:-1, None]
 
 
 def _leaf_array(space, f):
@@ -287,7 +287,7 @@ def martingale_of(space, f):
     # f is weighted once; every level reads the same weighted copy
     atoms = _tiled_means(space, np.tile(space.leaf_probs[:, None] * flat,
                                         (space.depth + 1, 1)))
-    leaf_levels = atoms[space.tiled_labels()]
+    leaf_levels = atoms[space.tiled_labels]
     diffs = leaf_levels[1:] - leaf_levels[:-1]
     for a in (flat, atoms, leaf_levels, diffs):
         a.setflags(write=False)
@@ -317,7 +317,7 @@ def increment_adjoint(space, y):
         / probs[1:]
     lower = np.add.reduceat(weighted, starts[:-n_leaves], axis=0) \
         / probs[:-n_leaves]
-    at = space.tiled_labels()
+    at = space.tiled_labels
     terms = upper[at[1:] - 1] - lower[at[:-1]]
     out = np.add.reduce(terms, axis=0, initial=0.0)
     return out if arr.ndim == 3 else out[:, 0]

@@ -39,8 +39,10 @@ def _diff_stack(mart, mode):
 
 
 def _leaf_l2(stack):
-    """Per leaf the l2 norm over a (K, L, d) stack of increments."""
-    return np.sqrt(np.sum(stack * stack, axis=(0, 2)))
+    """Per leaf the l2 norm over a (K, L, d) stack of increments; a
+    (K, L, R, d) stack of R functions gives the (L, R) norms, each column
+    summed as its own (K, L, d) stack would be."""
+    return np.sqrt(np.sum(stack * stack, axis=(0, -1)))
 
 
 def square_fn(space, mart, mode="increments"):

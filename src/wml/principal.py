@@ -91,7 +91,7 @@ def fluctuation_tables(space, mart, dual_inv, averages):
 
     ``mart`` is the martingale of g, ``dual_inv`` the (D + 1, L, d, d) stack
     of the inverse dual reducers of each leaf's atom at every level (the
-    tiled inverse dual reducers gathered by ``tiled_labels()``) and
+    tiled inverse dual reducers gathered by ``tiled_labels``) and
     ``averages`` the level averages E_n ||dual_n^{-1} g|| in tiled order.
     Target level m fills column m of the tables of every base n < m at
     once, so each table fills only its triangle m > base and no temporary
@@ -99,7 +99,7 @@ def fluctuation_tables(space, mart, dual_inv, averages):
     its table alone: bitwise at d = 1, within rounding at d >= 2.
     """
     depth, n_leaves = space.depth, space.n_leaves
-    den = averages[space.tiled_labels()[:depth]]
+    den = averages[space.tiled_labels[:depth]]
     diff_num = np.zeros((depth, depth + 1, n_leaves))
     avg_num = np.zeros((depth, depth + 1, n_leaves))
     acc = np.zeros((depth, n_leaves))

@@ -180,7 +180,7 @@ class ReducingPair:
 def reducer_norms(space, leaf_mats, tiled_reducers):
     """(D + 1, L) table of ||leaf_mats[l] R_n(atom_n(l))|| for reducers R of
     every level in tiled order: one gather, one spectral_norm."""
-    return spectral_norm(leaf_mats @ tiled_reducers[space.tiled_labels()])
+    return spectral_norm(leaf_mats @ tiled_reducers[space.tiled_labels])
 
 
 def _norms(mats, dirs):

@@ -130,12 +130,18 @@ def test_analysis_rejects_function_of_the_wrong_shape():
     assert Analysis(pair, np.ones(8)).f.shape == (8, 1)
 
 
-def test_power_method_builds_one_martingale_per_iteration(monkeypatch):
+def test_power_method_builds_one_martingale_per_round(monkeypatch):
+    # the starts run as one batch: a round builds one martingale and one
+    # increment adjoint on the d columns of every live start, so the column
+    # counts add up to d per iteration of each start, in fewer calls
     space, W = rotating_weight(4, 2, 0.8, 0.0625)
     marts = _count_calls(monkeypatch, filtration, "martingale_of")
     adjoints = _count_calls(monkeypatch, filtration, "increment_adjoint")
     norms = _count_calls(monkeypatch, filtration, "lp_norm")
     res = opnorm_ascent(space, W, 1.5, restarts=2, seed=0)
     assert res.converged
-    assert res.iterations == len(marts) == len(adjoints) > 0
+    assert 0 < len(marts) == len(adjoints) < res.iterations
+    assert sum(np.shape(c["f"])[1] for c in marts) == res.iterations * W.dim
+    assert sum(np.shape(c["y"])[2] for c in adjoints) == \
+        res.iterations * W.dim
     assert not norms                           # its own arrays: no validation

@@ -307,6 +307,20 @@ def test_parallel_ascent_sweep_matches_serial(tmp_path, capsys):
         (parallel / "sweep.csv").read_bytes()
 
 
+def test_sweep_rejects_no_restarts_before_any_point(tmp_path, capsys):
+    # the config is refused up front: no reducer fit runs, nothing is
+    # written, and the message names the key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "rotating", "d": 2, "p": 1.5,
+                               "depths": [4], "alphas": [0.8],
+                               "epss": [0.25], "restarts": 0}))
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "restarts must be >= 1, got 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_failed_fit_is_reported(tmp_path, capsys, parallel):
     # a loose fit tolerance makes reducer certification fail at the first

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from wml.experiments import (SweepConfig, SweepRecord, exponent_fit,
-                             matrix_target_exponent, opnorm_ascent,
-                             opnorm_power_iteration, power_weight,
-                             rotating_weight, run_sweep, scalar_target_exponent,
-                             sweep_fit, sweep_point)
-from wml.filtration import build_dyadic, cond_expect_leaf, lp_norm, martingale_of
-from wml.linalg import ValidationError, spd_power
+from wml.experiments import (SweepConfig, SweepRecord, _boyd_batch,
+                             exponent_fit, matrix_target_exponent,
+                             opnorm_ascent, opnorm_power_iteration,
+                             power_weight, rotating_weight, run_sweep,
+                             scalar_target_exponent, sweep_fit, sweep_point)
+from wml.filtration import (build_dyadic, cond_expect_leaf, increment_adjoint,
+                            lp_norm, martingale_of)
+from wml.linalg import ValidationError, matvec, spd_power
 from wml.operators import weighted_square_fn
 from wml.weights import (MatrixWeight, ap_characteristic, as_weight,
                          build_reducing_pair)
@@ -224,6 +225,105 @@ def test_power_method_start_zero_passes_through_exponent_two():
     many = opnorm_ascent(sp, W, 1.5, restarts=8, seed=1)
     assert one.converged and many.converged
     assert one.ratio >= many.ratio * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("args, max_iter, converged", [
+    ((5, 2, 0.8, 0.0625), 200, [True] * 4),
+    ((5, 2, 0.8, 0.0625), 16, [False, True, False, True]),
+    ((4, 3, 0.6, 0.1), 18, [False, True, False, False]),
+], ids=["d2-converged", "d2-mixed", "d3-mixed"])
+def test_power_method_batch_leaves_each_start_as_alone(args, max_iter,
+                                                       converged):
+    # every start of the batched power method ends bitwise where it ends
+    # when run alone, also when some of its batch mates stop early and
+    # others use up the budget; start 0 passes through exponent 2 first
+    sp, W = rotating_weight(*args)
+    p = 1.5
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    rng = np.random.default_rng(0)
+    starts = [rng.standard_normal((sp.n_leaves, W.dim)) for _ in range(4)]
+    exponents = [(2.0, p)] + [(p,)] * 3
+    batch = _boyd_batch(sp, wp, wm, wp @ wp, p, starts, exponents, max_iter)
+    assert [c for *_, c in batch] == converged
+    for start, exps, together in zip(starts, exponents, batch):
+        (alone,) = _boyd_batch(sp, wp, wm, wp @ wp, p, [start], [exps],
+                               max_iter)
+        assert alone[0].tobytes() == together[0].tobytes()
+        assert alone[1:] == together[1:]
+        assert together[2] <= max_iter
+
+
+def _serial_boyd(sp, wp, wm, w2p, p, f, exponents, max_iter):
+    """One start of the power method run on its own, from the filtration
+    primitives: the loop the batch replaced, kept as the reference."""
+    probs = sp.leaf_probs
+
+    def norm(x, r):
+        mag = np.abs(x) if x.ndim == 1 else np.sqrt(np.sum(x * x, axis=1))
+        return float(np.sum(probs * mag ** r) ** (1.0 / r))
+
+    iters = 0
+    for r in exponents:
+        converged = False
+        while iters < max_iter and not converged:
+            iters += 1
+            witness, diffs = f, martingale_of(sp, matvec(wm, f)).diffs
+            t = matvec(wp, diffs)
+            s = np.sqrt(np.sum(t * t, axis=(0, 2)))
+            spow = np.where(s > 1e-300, s ** (r - 2.0), 0.0)
+            grad = r * matvec(wm, increment_adjoint(
+                sp, spow[:, None] * matvec(w2p, diffs)))
+            top = float(np.sum(probs * s ** r)) ** (1.0 / r)
+            ratio = top / norm(f, r)
+            gmag = np.sqrt(np.sum(grad * grad, axis=1))
+            gamma = norm(gmag, r / (r - 1.0)) / (r * top ** (r - 1.0))
+            converged = gamma - ratio <= 1e-12 * gamma
+            f = gmag[:, None] ** ((2.0 - r) / (r - 1.0)) * grad
+            f /= norm(f, r)
+        if not converged:
+            break
+    return witness, norm(s, p) / norm(witness, p), iters, converged
+
+
+@pytest.mark.parametrize("args, p, max_iter", [
+    ((4, 1, 0.8, 0.0625), 1.5, 200),
+    ((4, 2, 0.7, 0.05), 1.2, 200),
+    ((5, 2, 0.8, 0.0625), 1.5, 16),
+    ((4, 2, 0.7, 0.05), 2.0, 200),
+    ((4, 3, 0.6, 0.1), 1.8, 200),
+], ids=["d1", "d2-p1.2", "d2-mixed", "d2-p2", "d3"])
+def test_batched_power_method_matches_serial_starts(args, p, max_iter):
+    # opnorm_ascent bit for bit against the starts run one at a time from
+    # the same seeded draws: witness, ratio, iterations and flag. At p = 2
+    # every power is a square or a square root, which numpy takes apart
+    # from pow for a scalar exponent only.
+    depth, d, alpha, eps = args
+    sp, W = (power_weight(depth, alpha, eps) if d == 1
+             else rotating_weight(*args))
+    res = opnorm_ascent(sp, W, p, restarts=4, seed=0, max_iter=max_iter)
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    rng = np.random.default_rng(0)
+    ratio, witness, iters, converged = 0.0, None, 0, True
+    for start in range(4):
+        f, r, it, c = _serial_boyd(
+            sp, wp, wm, wp @ wp, p, rng.standard_normal((sp.n_leaves, d)),
+            (2.0, p) if start == 0 else (p,), max_iter)
+        iters, converged = iters + it, converged and c
+        if r > ratio:
+            ratio, witness = r, f
+    assert (res.ratio, res.iterations, res.converged) == \
+        (ratio, iters, converged)
+    assert res.witness.tobytes() == witness.tobytes()
+
+
+def test_opnorm_ascent_rejects_no_restarts():
+    # zero starts would report ratio 0 without a witness as converged
+    sp, W = rotating_weight(3, 2, 0.6, 0.25)
+    for p in (1.5, 3.0):
+        with pytest.raises(ValidationError, match="restarts must be >= 1"):
+            opnorm_ascent(sp, W, p, restarts=0)
+    with pytest.raises(ValidationError, match="restarts must be >= 1"):
+        SweepConfig(family="rotating", p=1.5, d=2, restarts=-1)
 
 
 def test_power_method_dense_oracle_p2_d2():

@@ -50,6 +50,9 @@ def test_build_from_tree_persisting_atom():
     assert sp.depth == 2
     assert sp.n_leaves == 3
     assert sp.n_atoms(1) == 2 and sp.n_atoms(2) == 3
+    # each (level, leaf) atom's position in the tiled level index, built once
+    assert sp.tiled_labels.tolist() == [[0, 0, 0], [1, 2, 2], [3, 4, 5]]
+    assert not sp.tiled_labels.flags.writeable
 
 
 def test_build_from_tree_rejects_bad_masses_and_cycles():

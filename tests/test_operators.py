@@ -46,7 +46,7 @@ def _sparse_operator_scalar(space, w, p, family, r, f):
 
 def _reduced_maximal(an):
     """Per leaf, max over levels n of E_n ||dual_n^{-1} W^{-1/p} f||."""
-    return an.level_averages()[an.space.tiled_labels()].max(axis=0)
+    return an.level_averages()[an.space.tiled_labels].max(axis=0)
 
 
 def test_square_fn_examples():

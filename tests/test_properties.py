@@ -214,7 +214,7 @@ def _assert_tables_match_per_base(space, mart, tiled_dual_inv, averages):
     at d = 1, within 1e-14 relative at d >= 2."""
     base = space.atom_base
     tables = fluctuation_tables(space, mart,
-                                tiled_dual_inv[space.tiled_labels()], averages)
+                                tiled_dual_inv[space.tiled_labels], averages)
     for n in range(space.depth):
         level = slice(base[n], base[n + 1])
         oracle = _table_one_base(space, mart, tiled_dual_inv[level],
@@ -248,7 +248,7 @@ def test_fluctuation_tables_match_per_base_loop(spec, d, kind, seed):
     tiled = (q * np.exp(2.0 * rng.standard_normal((len(q), 1, d)))) \
         @ np.swapaxes(q, 1, 2)
     averages = level_means(space, np.linalg.norm(np.einsum(
-        "klij,lj->kli", tiled[space.tiled_labels()], g), axis=2))
+        "klij,lj->kli", tiled[space.tiled_labels], g), axis=2))
     # a vanishing average over non-zero values (an underflowed sum) still
     # gives ratio 0
     averages[rng.random(averages.shape) < 0.1] = 0.0
@@ -265,7 +265,7 @@ def test_analysis_tables_match_per_base_loop():
                                    tol=2e-2, seed=inst.seed + inst.index)
         an = Analysis(pair, inst.f)
         averages = level_means(an.space, np.linalg.norm(np.einsum(
-            "klij,lj->kli", pair.tiled_dual_inv[an.space.tiled_labels()],
+            "klij,lj->kli", pair.tiled_dual_inv[an.space.tiled_labels],
             an.g), axis=2))
         if inst.d == 1:
             assert _bits(an.level_averages()) == _bits(averages)
