@@ -40,7 +40,7 @@ from .linalg import ValidationError
 from .operators import MODES
 from .principal import default_threshold
 from .suite import Instance, instance_checks, random_instance
-from .weights import as_weight
+from .weights import as_weight, check_tolerance
 
 USAGE_ERROR, CHECK_FAILURE = 1, 2
 
@@ -250,6 +250,8 @@ def cmd_check(args):
         raise ValidationError(
             f"check takes {', '.join(map(repr, files_only))} only with "
             "'tree', which names the instance's tree file")
+    if "fit_tol" in opts:
+        check_tolerance("fit_tol", opts["fit_tol"])
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     threshold = opts.get("cgamma", default_threshold())

@@ -20,7 +20,8 @@ from .filtration import (_lp_norm, build_dyadic, increment_adjoint,
                          martingale_of)
 from .linalg import ValidationError, _eig_compose, matvec
 from .operators import _leaf_l2
-from .weights import MatrixWeight, as_weight, build_reducing_pair, ap_characteristic
+from .weights import (MatrixWeight, ap_characteristic, as_weight,
+                      build_reducing_pair, check_tolerance)
 
 
 def scalar_target_exponent(p):
@@ -326,8 +327,10 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     For p <= 2 that rule is Hölder's inequality holding with equality to
     1e-12 relative, which makes f a fixed point of the iteration and a
     stationary point of the ratio (not necessarily its maximum); for p > 2
-    it is the ascent finding no improving step.
+    it is the ascent finding no improving step. p must lie in (1, inf).
     """
+    if not 1.0 < p < np.inf:
+        raise ValidationError(f"p must lie in (1, inf), got {p}")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if max_iter < 1:
@@ -416,6 +419,7 @@ class SweepConfig:
         if self.restarts < 1:
             raise ValidationError(
                 f"restarts must be >= 1, got {self.restarts}")
+        check_tolerance("fit_tol", self.fit_tol)
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths

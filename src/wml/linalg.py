@@ -15,7 +15,9 @@ reducers not from ``sym_inv`` but from the decompositions that give the
 reducers; neither function has a caller in the library.
 
 Every stacked matrix-vector product is ``matvec``, summed in the one order
-of ``_column_sum``, and every V diag(lambda) V^T is ``_eig_compose``.
+of ``_column_sum``, except the norm tables of the reducer fit in
+``weights``, which are BLAS products of the leaf matrices with all sampled
+directions at once. Every V diag(lambda) V^T is ``_eig_compose``.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def _column_sum(term, d):
     """term(0) + ... + term(d - 1) in the one order of every stacked
     matrix-vector product: j = 0, 1, ... except (term(0) + term(2)) +
     term(1) at d = 3. That is einsum's order, kept so that the products,
-    and the reducer fits built on their norms, keep their bytes."""
+    and every value built on them, keep their bytes."""
     order = (0, 2, 1) if d == 3 else range(d)
     out = term(order[0])
     for j in order[1:]:

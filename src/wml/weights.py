@@ -14,7 +14,10 @@ are exactly (E_n W)^{1/2} and (E_n W^{-1})^{1/2} (the matrix A_2 condition
 of Treil and Volberg). Otherwise, for d >= 2, each reducer is the
 circumscribed Loewner ellipsoid of the corresponding norm ball, fitted from
 sampled boundary points, which pins the equivalence constants to
-(1 + tol) sqrt(d) windows.
+(1 + tol) sqrt(d) windows. The fit reads each side's norms on a direction
+set from two BLAS products: the leaf matrices against all directions
+(``_leaf_norms``), then a P-weighted range matrix against that leaf table
+for every atom's E_Q sum (``_range_matrix``).
 
 Each leaf matrix is eigen-decomposed once, when the MatrixWeight is
 built, and every power W^alpha of the leaves is ``MatrixWeight.power``
@@ -34,11 +37,18 @@ import numpy as np
 
 from .filtration import FilteredSpace, level_means
 from .linalg import (EllipsoidError, ValidationError, _check_positive,
-                     _eig_compose, _squared_norms, direction_set,
-                     holdout_directions, jacobi_eigh, mvee_central,
-                     spectral_norm)
+                     _eig_compose, direction_set, holdout_directions,
+                     jacobi_eigh, mvee_central, spectral_norm)
 
 EIG_CLIP_RATIO = 1e-10
+
+
+def check_tolerance(name, value):
+    """Raise ValidationError, naming ``name``, unless ``value`` is a finite
+    positive number."""
+    if not 0.0 < value < np.inf:
+        raise ValidationError(
+            f"{name} must be a finite positive number, got {value!r}")
 
 
 def conjugate(p):
@@ -183,27 +193,28 @@ def reducer_norms(space, leaf_mats, tiled_reducers):
     return spectral_norm(leaf_mats @ tiled_reducers[space.tiled_labels])
 
 
-def _norms(mats, dirs):
-    """(K, N) table of ||mats[k] u_n|| for (K, d, d) mats and (N, d) dirs.
+def _leaf_norms(mats, dirs, power=1.0):
+    """(K, N) table of ||mats[k] u_n||^power for (K, d, d) mats and (N, d)
+    dirs, from one BLAS product (K d, d) @ (d, N): its entries are squared
+    and summed over each matrix's d rows, and the squares are raised
+    straight to power / 2."""
+    k_count, d = mats.shape[:2]
+    prod = (mats.reshape(k_count * d, d) @ dirs.T).reshape(k_count, d, -1)
+    prod *= prod
+    table = prod.sum(axis=1)
+    table **= 0.5 * power
+    return table
 
-    Bitwise the norm of ``matvec(mats[k], u_n)``, from ``_squared_norms``,
-    which builds no (K, N, d) product stack. A BLAS product mats @ dirs.T
-    is faster at d = 3 but rounds differently, and the reducer fits, which
-    are built on these norms, would move with it.
-    """
-    return np.sqrt(_squared_norms(mats[:, None], dirs))
 
-
-def _range_sums(space, leaf_values, bounds):
-    """Sums of P(l) leaf_values[l] (L, ...) over each leaf range [start,
-    stop), from one reduceat over the interleaved bounds (start_0, stop_0,
-    start_1, ...), whose even entries are the range sums. A zero row
-    stands for stop = L. Each range is summed on its own, so a range of
-    small mass does not cancel against the leaves before it."""
-    probs = space.leaf_probs.reshape((-1,) + (1,) * (leaf_values.ndim - 1))
-    weighted = np.zeros((space.n_leaves + 1,) + leaf_values.shape[1:])
-    np.multiply(leaf_values, probs, out=weighted[:-1])
-    return np.add.reduceat(weighted, bounds, axis=0)[::2]
+def _range_matrix(space, starts, stops):
+    """(K, L) matrix holding P(l) on each leaf range [starts[k], stops[k])
+    and 0 elsewhere, so that one product with an (L, N) leaf table gives
+    every range's P-weighted sum. Each range is summed on its own from its
+    positive terms, with exact zeros outside it, so a range of small mass
+    does not cancel against the leaves before it."""
+    leaves = np.arange(space.n_leaves)
+    inside = (leaves >= starts[:, None]) & (leaves < stops[:, None])
+    return np.where(inside, space.leaf_probs, 0.0)
 
 
 def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
@@ -216,9 +227,12 @@ def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
     Computed once per distinct leaf range (atoms persisting across levels
     share the same norm); single-leaf atoms are exactly ellipsoidal and
     skip the fit. The sides share their leaf ranges and direction sets, so
-    all their clouds go through one _certified_fit call. Returns a list of
-    (atom_base[-1], d, d) reducers, a list of their inverses and a list of
-    worst certification ratios, one of each per side.
+    all their clouds go through one _certified_fit call. A side's norms on
+    N directions are its (L, N) leaf table times the (K, L) range matrix of
+    the K fitted ranges, built once, whose row sums are the range masses.
+    Returns a list of (atom_base[-1], d, d) reducers, a list of their
+    inverses and a list of worst certification ratios, one of each per
+    side.
     """
     starts = np.concatenate([off[:-1] for off in space.offsets])
     stops = np.concatenate([off[1:] for off in space.offsets])
@@ -234,17 +248,16 @@ def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
         _, first, inverse = np.unique(
             starts[multi] * (space.n_leaves + 1) + stops[multi],
             return_index=True, return_inverse=True)
-        bounds = np.stack([starts[multi[first]], stops[multi[first]]],
-                          axis=1).ravel()
-        masses = _range_sums(space, np.ones(space.n_leaves), bounds)
+        summer = _range_matrix(space, starts[multi[first]],
+                               stops[multi[first]])
+        masses = summer.sum(axis=1)[:, None]
 
         def rho(dirs):
             vals = np.empty((len(sides), first.size, dirs.shape[0]))
             for row, (mats, _, power) in zip(vals, sides):
-                norms = _norms(mats, dirs)
-                norms **= power
-                row[...] = (_range_sums(space, norms, bounds)
-                            / masses[:, None]) ** (1.0 / power)
+                np.matmul(summer, _leaf_norms(mats, dirs, power), out=row)
+                row /= masses
+                row **= 1.0 / power
             return vals
 
         fitted, fitted_inv, certs = _certified_fit(
@@ -267,11 +280,12 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
     cloud's fit does not depend on the others in the call; only the
     ``max_iter`` budget is shared, so a fit that runs out of it fails with
     the EllipsoidError of the whole call. The fit is certified on held-out
-    directions, side by side in order: ||A e|| <= (1 + cert_tol) rho(e)
-    and rho(e) <= (1 + cert_tol) sqrt(d) ||A e||, or EllipsoidError is
-    raised for the first side that fails. Returns the (S, K, d, d)
-    matrices A, their inverses from the fit's own spectrum and, per side,
-    the worst held-out ratios {"low", "high"} of ||A e|| / rho(e).
+    directions, side by side in order, with ||A e|| from ``_leaf_norms``:
+    ||A e|| <= (1 + cert_tol) rho(e) and rho(e) <= (1 + cert_tol) sqrt(d)
+    ||A e||, or EllipsoidError is raised for the first side that fails.
+    Returns the (S, K, d, d) matrices A, their inverses from the fit's own
+    spectrum and, per side, the worst held-out ratios {"low", "high"} of
+    ||A e|| / rho(e).
     """
     dirs = direction_set(d, seed=seed)
     vals = rho(dirs)
@@ -286,11 +300,10 @@ def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
     del pts
 
     held = holdout_directions(d, n_holdout, seed + 97)
-    ratios = _norms(fitted.reshape(-1, d, d), held).reshape(
-        fitted.shape[:2] + (-1,)) / rho(held)
     window_lo = 1.0 / ((1.0 + cert_tol) * np.sqrt(d))
     certs = []
-    for side, ratio in zip(fitted, ratios):
+    for side, norms in zip(fitted, rho(held)):
+        ratio = _leaf_norms(side, held) / norms
         lo, hi = float(ratio.min()), float(ratio.max())
         high_side = hi > 1.0 + cert_tol
         if high_side or lo < window_lo:
@@ -325,12 +338,16 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
     (E_n W^{-1})^{1/2} for p = 2 (method "exact_p2"); neither carries a
     certificate. Otherwise the ellipsoid fit of the primal and dual sides
     together (method "ellipsoid"), certified on held-out directions;
-    ``tol``, ``cert_tol``, ``seed`` and ``n_holdout`` act only on the fit."""
+    ``tol``, ``cert_tol``, ``seed`` and ``n_holdout`` act only on the fit,
+    but a tolerance that is not finite and positive is refused on every
+    path."""
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
         raise ValidationError("weight and space disagree on the leaf count")
     if not 1.0 < p < np.inf:
         raise ValidationError("p must lie in (1, inf)")
+    check_tolerance("tol", tol)
+    check_tolerance("cert_tol", cert_tol)
     q = conjugate(p)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     cert = {}

@@ -307,6 +307,28 @@ def test_parallel_ascent_sweep_matches_serial(tmp_path, capsys):
         (parallel / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command, config, value", [
+    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, 0.0),
+    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, -0.5),
+    ("sweep", {"family": "rotating", "d": 2, "p": 1.5, "depths": [4],
+               "alphas": [0.8], "epss": [0.25]}, 0.0),
+    ("sweep", {"family": "rotating", "d": 2, "p": 1.5, "depths": [4],
+               "alphas": [0.8], "epss": [0.25]}, float("nan")),
+], ids=["check-zero", "check-negative", "sweep-zero", "sweep-nan"])
+def test_bad_fit_tol_is_usage_error_before_any_fit(tmp_path, capsys, command,
+                                                   config, value):
+    # a non-positive tolerance is a usage error (exit 1) naming the key,
+    # not a failed certificate after the whole design budget; nothing is
+    # written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "fit_tol": value}))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "fit_tol must be a finite positive number" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_sweep_rejects_no_restarts_before_any_point(tmp_path, capsys):
     # the config is refused up front: no reducer fit runs, nothing is
     # written, and the message names the key

@@ -326,6 +326,15 @@ def test_opnorm_ascent_rejects_no_restarts():
         SweepConfig(family="rotating", p=1.5, d=2, restarts=-1)
 
 
+@pytest.mark.parametrize("p", (1.0, 0.5, np.inf, np.nan))
+def test_opnorm_ascent_rejects_p_outside_one_to_inf(p):
+    # Boyd's method and the L^p ratio need 1 < p < inf: p = 1 divides by
+    # zero in the conjugate exponent, and below 1 there is no L^p norm
+    sp, W = rotating_weight(3, 2, 0.6, 0.25)
+    with pytest.raises(ValidationError, match="p must lie in"):
+        opnorm_ascent(sp, W, p)
+
+
 def test_power_method_dense_oracle_p2_d2():
     # top singular value of the dense matrix of T f = (W^{1/2} d_k W^{-1/2} f)_k
     # from L2(P; R^2) into L2(P; l2), per level from cond_expect_leaf

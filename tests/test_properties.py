@@ -19,7 +19,7 @@ from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
 from wml.linalg import holdout_directions, matvec, spectral_norm
 from wml.principal import fluctuation_tables
 from wml.suite import Instance, instance_checks, random_instance
-from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _range_sums,
+from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _range_matrix,
                          as_weight, build_reducing_pair, reducer_norms,
                          verify_reducing_bounds)
 
@@ -166,18 +166,19 @@ def test_level_kernels_match_per_level_loops(spec, d, seed):
 @settings(max_examples=100, deadline=None)
 @given(tree_specs(), st.integers(0, 2 ** 32 - 1))
 def test_range_sums_match_exactly_rounded_sums(spec, seed):
-    # the fit's E_Q sums: every atom's leaf range summed on its own, so a
-    # range of tiny mass after heavy leaves keeps its relative accuracy;
-    # a sum of m positive terms in any order is within (m - 1) eps of the
-    # exactly rounded math.fsum
+    # the fit's E_Q sums, one product of the P-weighted range matrix with
+    # a leaf table: every atom's leaf range is summed on its own, with
+    # exact zeros outside it, so a range of tiny mass after heavy leaves
+    # keeps its relative accuracy; a sum of m positive terms in any order
+    # is within (m - 1) eps of the exactly rounded math.fsum
     space = build_from_tree(spec)
     rng = np.random.default_rng(seed)
-    vals = np.exp(rng.normal(0.0, 2.0, (space.n_leaves, 3)))
+    vals = np.exp(rng.normal(0.0, 2.0, (space.n_leaves, 24)))
     starts = np.concatenate([off[:-1] for off in space.offsets])
     stops = np.concatenate([off[1:] for off in space.offsets])
-    bounds = np.stack([starts, stops], axis=1).ravel()
-    got = _range_sums(space, vals, bounds)
-    masses = _range_sums(space, np.ones(space.n_leaves), bounds)
+    summer = _range_matrix(space, starts, stops)
+    got = summer @ vals
+    masses = summer.sum(axis=1)
     eps = np.finfo(float).eps
     for row, mass, a, b in zip(got, masses, starts, stops):
         terms = space.leaf_probs[a:b, None] * vals[a:b]

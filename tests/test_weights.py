@@ -11,7 +11,7 @@ from wml.filtration import build_dyadic, build_from_tree, cond_expect
 from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
                         matvec, mvee_central, spd_power)
 from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _certified_fit,
-                         _fit_reducers, _norms, ap_characteristic,
+                         _fit_reducers, _leaf_norms, ap_characteristic,
                          ap_equivalents, as_weight, build_reducing_pair,
                          conjugate, dual_weight, exchanged_pair,
                          verify_reducing_bounds)
@@ -21,6 +21,24 @@ def _random_spd_weight(rng, n, d, sigma=1.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
     lam = np.exp(rng.normal(0.0, sigma, (n, d)))
     return MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("name", ("tol", "cert_tol"))
+@pytest.mark.parametrize("value", (0.0, -0.5, np.inf, np.nan))
+def test_build_reducing_pair_rejects_bad_tolerances(monkeypatch, d, name,
+                                                    value):
+    # refused up front on every path: a zero tolerance would spend the
+    # whole design budget and then report a failed certificate
+    calls = []
+    monkeypatch.setattr(weights, "mvee_central",
+                        lambda *a, **k: calls.append(1))
+    sp = build_dyadic(3)
+    W = _random_spd_weight(np.random.default_rng(3), sp.n_leaves, d)
+    with pytest.raises(ValidationError,
+                       match=f"^{name} must be a finite positive number"):
+        build_reducing_pair(sp, W, 3.0, **{name: value})
+    assert calls == []
 
 
 def test_matrix_weight_validation():
@@ -329,25 +347,6 @@ def _matvec_reference(mats, vecs):
     return out
 
 
-def _norms_reference(mats, dirs):
-    """||mats[k] u_n|| one entry at a time in the order _norms documents:
-    column products added in the documented order, squares added in index
-    order."""
-    k_count, d = mats.shape[:2]
-    order = _column_order(d)
-    out = np.empty((k_count, dirs.shape[0]))
-    for k in range(k_count):
-        for n, u in enumerate(dirs):
-            total = 0.0
-            for i in range(d):
-                y = 0.0
-                for j in order:
-                    y += float(mats[k, i, j]) * float(u[j])
-                total += y * y
-            out[k, n] = math.sqrt(total)
-    return out
-
-
 @st.composite
 def _norm_tables(draw):
     """SPD stacks in random frames whose eigenvalue ratios reach down to
@@ -380,14 +379,22 @@ def test_norms_kernel_matches_reference_order_and_einsum(table):
         got = matvec(mats, stack)
         want = _matvec_reference(mats, stack)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    got = _norms(mats, dirs)
-    assert got.tobytes() == _norms_reference(mats, dirs).tobytes()
-    # against einsum + norm, whose summation order depends on the host: a
-    # reordered sum is within a few ulp of the scale |mats| |u|
+    # the fit's leaf-norm table, one BLAS product, against einsum + norm:
+    # both sum their products in a host-dependent order, and a reordered
+    # sum is within a few ulp of the scale |mats| |u|
+    eps = np.finfo(float).eps
+    got = _leaf_norms(mats, dirs)
     ein = np.linalg.norm(np.einsum("lij,nj->lni", mats, dirs), axis=2)
     scale = np.linalg.norm(np.einsum("lij,nj->lni", np.abs(mats),
                                      np.abs(dirs)), axis=2)
-    assert np.all(np.abs(got - ein) <= 4.0 * np.finfo(float).eps * scale)
+    assert got.shape == ein.shape
+    assert np.all(np.abs(got - ein) <= 4.0 * eps * scale)
+    # the squares raised straight to power / 2 are the norms' powers to a
+    # few ulp: no square root is taken first
+    for power in (1.5, 3.0, 4.0):
+        want = got ** power
+        assert np.all(np.abs(_leaf_norms(mats, dirs, power) - want)
+                      <= (power + 2.0) * eps * want)
 
 
 @pytest.mark.parametrize("d", (2, 3))
