@@ -90,12 +90,14 @@ def rotating_weight(depth, dim, alpha, eps):
 # operator-norm estimators
 # ---------------------------------------------------------------------------
 
-def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0):
+def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0,
+                           return_iterations=False):
     """sup_f ||S f||_{L2_w} / ||f||_{L2_w} for a scalar weight at p = 2.
 
     Power iteration on the PSD form operator in the probability inner
-    product; returns the square root of the top Rayleigh quotient. Raises
-    on non-convergence with the last quotient attached.
+    product; returns the square root of the top Rayleigh quotient, or
+    (value, iterations) with ``return_iterations``. Raises on
+    non-convergence with the last quotient attached.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
@@ -117,14 +119,18 @@ def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0):
         lam = float(np.sum(probs * v * tv))
         norm = math.sqrt(float(np.sum(probs * tv * tv)))
         if norm <= 1e-300:
-            return 0.0
+            value = 0.0
+            break
         v = tv / norm
         if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
+            value = math.sqrt(max(lam, 0.0))
+            break
         lam_old = lam
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last Rayleigh quotient {lam_old})")
+    else:
+        raise RuntimeError(
+            f"power iteration did not converge in {max_iter} iterations "
+            f"(last Rayleigh quotient {lam_old})")
+    return (value, it) if return_iterations else value
 
 
 @dataclass
@@ -182,7 +188,7 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
     """Boyd's power method for T f = (W^{1/p} d_k W^{-1/p} f)_k from all
     (L, d) ``starts`` at once. Start i runs at each exponent r of
     ``exponents[i]`` in turn from where the previous one stopped, within
-    ``max_iter`` iterations of its own.
+    ``max_iter`` iterations of its own (an int, or one int per start).
 
     A round evaluates every live start once, held leaf-major in one
     (L, R, d) batch (one martingale, one increment adjoint), and maps f to
@@ -199,6 +205,7 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
     evaluated f; ``converged`` is False when the budget ran out first.
     """
     probs = space.leaf_probs
+    budget = np.broadcast_to(max_iter, len(starts))
     wp, wm, w2p = wp[:, None], wm[:, None], w2p[:, None]
     f = np.stack(starts, axis=1)
     live = list(range(len(starts)))
@@ -242,7 +249,7 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
             converged = gamma - ratio <= BOYD_TOL * gamma
             if converged and phase[i] + 1 < len(exponents[i]):
                 phase[i], converged = phase[i] + 1, False
-            if converged or iters[i] == max_iter:
+            if converged or iters[i] == budget[i]:
                 witness = f[:, j].copy()
                 results[i] = (witness, _lp_norm(space, s[j], p)
                               / _lp_norm(space, witness, p), iters[i],
@@ -253,6 +260,52 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
         f = (step / scale[:, None]).take(keep, axis=1)
         live = [live[j] for j in keep]
     return results
+
+
+def _lanczos_top(space, wp, wm, w2p, f, max_steps):
+    """L2 top right singular vector of T f = (W^{1/p} d_k W^{-1/p} f)_k:
+    the top eigenvector of A = T*T, which is self-adjoint in
+    <f, h> = sum_l P(l) f(l).h(l), by at most ``max_steps`` >= 1 Lanczos
+    steps from the (L, d) start f (Kuczynski and Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 13, 1992).
+
+    A step applies A once through ``_ascent_point`` / ``_adjoint_step``,
+    one martingale and one increment adjoint on d columns, and takes
+    alpha = ||T q||^2 from the square function. The new vector is fully
+    reorthogonalized against the basis, which grows by one row a step, in
+    two products. The solve stops once the Ritz residual |beta_k s_k| is
+    at most sqrt(2 BOYD_TOL) theta: for a unit Ritz vector that is Boyd's
+    exponent-2 test gamma - ratio <= BOYD_TOL gamma to first order. It
+    also stops at breakdown (beta = 0), where the Krylov space is
+    invariant, and after ``max_steps`` steps. Returns (Ritz vector of the
+    top Ritz value theta, unit in L2(P), as (L, d); steps taken).
+    """
+    shape, probs = f.shape, space.leaf_probs
+    weights = np.repeat(probs, shape[1])
+    ones = np.ones(shape[0])
+    tol = math.sqrt(2.0 * BOYD_TOL)
+    q = f.ravel()
+    basis = (q / math.sqrt(float(np.sum(weights * q * q))))[None]
+    alphas, betas = [], []
+    for steps in range(1, max_steps + 1):
+        q = basis[-1]
+        diffs, s = _ascent_point(space, wp, wm, q.reshape(shape))
+        v = _adjoint_step(space, w2p, wm, diffs, ones).ravel()
+        alphas.append(float(np.sum(probs * s * s)))
+        v -= alphas[-1] * q
+        if betas:
+            v -= betas[-1] * basis[-2]
+        v -= (basis @ (weights * v)) @ basis
+        beta = math.sqrt(float(np.sum(weights * v * v)))
+        vals, vecs = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        top = vecs[:, -1]
+        if (beta * abs(top[-1]) <= tol * vals[-1] or beta == 0.0
+                or steps == max_steps):
+            break
+        betas.append(beta)
+        basis = np.vstack([basis, v / beta])
+    return (top @ basis).reshape(shape), steps
 
 
 def _ascent_start(space, wp, wm, w2p, p, f, max_iter):
@@ -314,16 +367,21 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     Boyd, Linear Algebra Appl. 9, 1974; Higham, Numer. Math. 62, 1992): a
     round builds one martingale and one increment adjoint for all live
     starts, and each start keeps its own iteration count, stopping test
-    and witness, bitwise as if it ran alone. Start 0 first runs the method
-    at exponent 2, which finds the L2 top singular vector of the same
-    operator, and continues at p from there. For p > 2 each start runs the
-    projected gradient ascent (``_ascent_start``): from the same starts
-    the power method ends lower there on most tested points.
+    and witness, bitwise as if it ran alone. Start 0 first goes to the L2
+    top singular vector of the same operator: a Lanczos solve
+    (``_lanczos_top``) of at most ``max_iter`` - 1 steps from its random
+    draw, whose Ritz vector enters the batch at exponent 2, where Boyd's
+    test certifies it (typically in one round), and continues at p from
+    there. For p > 2 each start runs the projected gradient ascent
+    (``_ascent_start``): from the same starts the power method ends lower
+    there on most tested points.
 
     Returns an AscentResult carrying the witness; recomputing the ratio
     from the witness reproduces the reported value. ``iterations`` counts
-    the iterations of all starts, each at most ``max_iter``. ``converged``
-    is False when any start used up ``max_iter`` before its stopping rule.
+    the iterations of all starts, each at most ``max_iter``; start 0's
+    count includes its Lanczos steps, and it enters the batch with the
+    rest of its budget. ``converged`` is False when any start used up
+    ``max_iter`` before its stopping rule.
     For p <= 2 that rule is Hölder's inequality holding with equality to
     1e-12 relative, which makes f a fixed point of the iteration and a
     stationary point of the ratio (not necessarily its maximum); for p > 2
@@ -341,13 +399,18 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     rng = np.random.default_rng(seed)
     starts = [rng.standard_normal((space.n_leaves, W.dim))
               for _ in range(restarts)]
+    steps = 0
     if p <= 2.0:
+        if max_iter > 1:
+            starts[0], steps = _lanczos_top(space, wp, wm, w2p, starts[0],
+                                            max_iter - 1)
         results = _boyd_batch(space, wp, wm, w2p, p, starts,
-                              [(2.0, p)] + [(p,)] * (restarts - 1), max_iter)
+                              [(2.0, p)] + [(p,)] * (restarts - 1),
+                              [max_iter - steps] + [max_iter] * (restarts - 1))
     else:
         results = [_ascent_start(space, wp, wm, w2p, p, f, max_iter)
                    for f in starts]
-    best = AscentResult(0.0, None, 0, restarts, True)
+    best = AscentResult(0.0, None, steps, restarts, True)
     for f, ratio, iters, converged in results:
         best.iterations += iters
         best.converged = best.converged and converged
@@ -484,8 +547,9 @@ def sweep_point(config, index, depth, alpha, eps):
             space, W, config.p, tol=config.fit_tol, seed=seed))
         if config.d == 1 and abs(config.p - 2.0) < 1e-12:
             # the weighted ratio for S equals the unweighted ratio for S_w
-            ratio = opnorm_power_iteration(space, W.scalar(), seed=seed)
-            iters, restarts, converged = 0, 1, True
+            ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed,
+                                                  return_iterations=True)
+            restarts, converged = 1, True
         else:
             res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
                                 seed=seed)

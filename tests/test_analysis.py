@@ -132,8 +132,9 @@ def test_analysis_rejects_function_of_the_wrong_shape():
 
 def test_power_method_builds_one_martingale_per_round(monkeypatch):
     # the starts run as one batch: a round builds one martingale and one
-    # increment adjoint on the d columns of every live start, so the column
-    # counts add up to d per iteration of each start, in fewer calls
+    # increment adjoint on the d columns of every live start, and each of
+    # start 0's Lanczos steps, counted as its iterations, one on d columns;
+    # so the column counts add up to d per iteration, in fewer calls
     space, W = rotating_weight(4, 2, 0.8, 0.0625)
     marts = _count_calls(monkeypatch, filtration, "martingale_of")
     adjoints = _count_calls(monkeypatch, filtration, "increment_adjoint")

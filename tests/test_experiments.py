@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wml.experiments import (SweepConfig, SweepRecord, _boyd_batch,
+                             _lanczos_top, build_family_instance,
                              exponent_fit, matrix_target_exponent,
                              opnorm_ascent, opnorm_power_iteration,
                              power_weight, rotating_weight, run_sweep,
@@ -294,9 +295,10 @@ def _serial_boyd(sp, wp, wm, w2p, p, f, exponents, max_iter):
 ], ids=["d1", "d2-p1.2", "d2-mixed", "d2-p2", "d3"])
 def test_batched_power_method_matches_serial_starts(args, p, max_iter):
     # opnorm_ascent bit for bit against the starts run one at a time from
-    # the same seeded draws: witness, ratio, iterations and flag. At p = 2
-    # every power is a square or a square root, which numpy takes apart
-    # from pow for a scalar exponent only.
+    # the same seeded draws: witness, ratio, iterations and flag. Start 0
+    # runs from the Lanczos vector of its draw, with the rest of its
+    # budget. At p = 2 every power is a square or a square root, which
+    # numpy takes apart from pow for a scalar exponent only.
     depth, d, alpha, eps = args
     sp, W = (power_weight(depth, alpha, eps) if d == 1
              else rotating_weight(*args))
@@ -305,10 +307,13 @@ def test_batched_power_method_matches_serial_starts(args, p, max_iter):
     rng = np.random.default_rng(0)
     ratio, witness, iters, converged = 0.0, None, 0, True
     for start in range(4):
+        f, steps = rng.standard_normal((sp.n_leaves, d)), 0
+        if start == 0:
+            f, steps = _lanczos_top(sp, wp, wm, wp @ wp, f, max_iter - 1)
         f, r, it, c = _serial_boyd(
-            sp, wp, wm, wp @ wp, p, rng.standard_normal((sp.n_leaves, d)),
-            (2.0, p) if start == 0 else (p,), max_iter)
-        iters, converged = iters + it, converged and c
+            sp, wp, wm, wp @ wp, p, f, (2.0, p) if start == 0 else (p,),
+            max_iter - steps)
+        iters, converged = iters + steps + it, converged and c
         if r > ratio:
             ratio, witness = r, f
     assert (res.ratio, res.iterations, res.converged) == \
@@ -335,28 +340,99 @@ def test_opnorm_ascent_rejects_p_outside_one_to_inf(p):
         opnorm_ascent(sp, W, p)
 
 
+def _dense_operator(sp, W, p):
+    """Dense matrix of T f = (W^{1/p} d_k W^{-1/p} f)_k from L2(P; R^d) into
+    L2(P; l2) in euclidean coordinates, column by column, per level from
+    cond_expect_leaf."""
+    n, d, depth = sp.n_leaves, W.dim, sp.depth
+    wp, wm = spd_power(W.mats, 1.0 / p), spd_power(W.mats, -1.0 / p)
+    sqp = np.sqrt(sp.leaf_probs)
+    columns = []
+    for leaf in range(n):
+        for j in range(d):
+            e = np.zeros((n, d))
+            e[leaf, j] = 1.0 / sqp[leaf]
+            g = np.einsum("lij,lj->li", wm, e)
+            levels = [cond_expect_leaf(sp, g, k) for k in range(depth + 1)]
+            tf = [np.einsum("lij,lj->li", wp, levels[k] - levels[k - 1])
+                  for k in range(1, depth + 1)]
+            columns.append(np.concatenate([sqp[:, None] * t for t in tf]).ravel())
+    return np.array(columns).T
+
+
 def test_power_method_dense_oracle_p2_d2():
     # top singular value of the dense matrix of T f = (W^{1/2} d_k W^{-1/2} f)_k
-    # from L2(P; R^2) into L2(P; l2), per level from cond_expect_leaf
+    # from L2(P; R^2) into L2(P; l2)
     rng = np.random.default_rng(8)
     sp = build_dyadic(3)
     W = _random_matrix_weight(rng, 3)
-    wp, wm = spd_power(W.mats, 0.5), spd_power(W.mats, -0.5)
-    sqp = np.sqrt(sp.leaf_probs)
-    columns = []
-    for leaf in range(8):
-        for j in range(2):
-            e = np.zeros((8, 2))
-            e[leaf, j] = 1.0 / sqp[leaf]
-            g = np.einsum("lij,lj->li", wm, e)
-            levels = [cond_expect_leaf(sp, g, n) for n in range(4)]
-            tf = [np.einsum("lij,lj->li", wp, levels[k] - levels[k - 1])
-                  for k in range(1, 4)]
-            columns.append(np.concatenate([sqp[:, None] * t for t in tf]).ravel())
-    top = np.linalg.svd(np.array(columns).T, compute_uv=False)[0]
+    top = np.linalg.svd(_dense_operator(sp, W, 2.0), compute_uv=False)[0]
     res = opnorm_ascent(sp, W, 2.0, restarts=3, seed=1)
     assert res.converged
     assert res.ratio == pytest.approx(top, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["scalar-D2", "scalar-D3", "rotating-d2",
+                                  "rotating-d3"])
+def test_lanczos_vector_matches_dense_top_eigenvalue(case):
+    # the Ritz vector's ||T y||^2 / ||y||^2 against the top eigenvalue of the
+    # dense P-weighted T*T, and the batch's exponent-2 test certifies it
+    rng = np.random.default_rng(9)
+    p = 1.5
+    if case.startswith("scalar"):
+        sp = build_dyadic(int(case[-1]))
+        W = as_weight(np.exp(rng.normal(0.0, 0.8, sp.n_leaves)))
+    else:
+        sp, W = rotating_weight(3, int(case[-1]), 0.8, 0.0625)
+    dense = _dense_operator(sp, W, p)
+    top = np.linalg.eigvalsh(dense.T @ dense)[-1]
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    y, steps = _lanczos_top(sp, wp, wm, wp @ wp,
+                            rng.standard_normal((sp.n_leaves, W.dim)), 200)
+    assert 1 <= steps <= sp.n_leaves * W.dim
+    quotient = (lp_norm(sp, weighted_square_fn(sp, W, p, y), 2.0)
+                / lp_norm(sp, y, 2.0)) ** 2
+    assert quotient == pytest.approx(top, rel=1e-10)
+    ((_, _, iters, converged),) = _boyd_batch(sp, wp, wm, wp @ wp, p, [y],
+                                              [(2.0,)], 200)
+    assert converged and iters <= 2
+
+
+@pytest.mark.parametrize("start", ["haar", "mean-zero", "constant"])
+@pytest.mark.parametrize("d", (1, 2))
+def test_lanczos_stops_at_an_invariant_start(start, d):
+    # with the identity weight T*T is the projection onto mean-zero
+    # functions: a mean-zero start is an eigenvector and the Krylov space
+    # breaks down after one step (beta = 0); a constant start has T f = 0
+    sp = build_dyadic(3)
+    W = as_weight(np.tile(np.eye(d), (sp.n_leaves, 1, 1)))
+    f = {"haar": np.repeat([[1.0], [-1.0]], 4, axis=0) * np.ones(d),
+         "mean-zero": np.random.default_rng(0).standard_normal((8, d)),
+         "constant": np.ones((8, d))}[start]
+    if start == "mean-zero":
+        f -= f.mean(axis=0)
+    p = 1.5
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    with np.errstate(all="raise"):
+        y, steps = _lanczos_top(sp, wp, wm, wp @ wp, f, 50)
+    assert steps == 1 and np.all(np.isfinite(y))
+    assert np.allclose(np.abs(y), np.abs(f) / lp_norm(sp, f, 2.0), rtol=1e-14)
+    res = opnorm_ascent(sp, W, 2.0, restarts=2, seed=0)
+    assert res.converged and res.ratio == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sweep_point_reports_power_iteration_count():
+    # the d = 1, p = 2 sweep path reports the iterations of its power
+    # iteration, and its ratio is the estimator's value
+    cfg = SweepConfig(family="power", p=2.0, d=1, depths=(5,), alphas=(0.6,),
+                      epss=(0.25,), seed=3)
+    rec = sweep_point(cfg, 0, 5, 0.6, 0.25)
+    space, W = build_family_instance(cfg, 5, 0.6, 0.25)
+    seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
+    ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed,
+                                          return_iterations=True)
+    assert ratio == opnorm_power_iteration(space, W.scalar(), seed=seed)
+    assert (rec.ratio, rec.iterations) == (ratio, iters) and iters > 1
 
 
 def test_ascent_witness_respects_domination_chain():
