@@ -230,7 +230,9 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
 
         diffs, s = _ascent_point(space, wp, wm, f)
         s = s.T.copy()
-        spow = np.where(s > 1e-300, powers(s, lambda r: r - 2.0), 0.0)
+        with np.errstate(divide="ignore"):
+            # 0 ** (r - 2) is inf for r < 2, and the leaf takes 0 instead
+            spow = np.where(s > 1e-300, powers(s, lambda r: r - 2.0), 0.0)
         grad = _adjoint_step(space, w2p, wm, diffs, spow.T) \
             * np.array(rs)[:, None]
         gmag = _row_mags(grad)
@@ -245,10 +247,15 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
             q = r / (r - 1.0)
             norm = float(phi[j]) ** (1.0 / r)
             ratio = norm / float(fsum[j] ** (1.0 / r))
-            gamma = float(gsum[j] ** (1.0 / q)) / (r * norm ** (r - 1.0))
-            converged = gamma - ratio <= BOYD_TOL * gamma
-            if converged and phase[i] + 1 < len(exponents[i]):
-                phase[i], converged = phase[i] + 1, False
+            if norm == 0.0:
+                # T f = 0: f lies in the null space, where every exponent's
+                # ratio is 0 and no Boyd step is defined
+                converged = True
+            else:
+                gamma = float(gsum[j] ** (1.0 / q)) / (r * norm ** (r - 1.0))
+                converged = gamma - ratio <= BOYD_TOL * gamma
+                if converged and phase[i] + 1 < len(exponents[i]):
+                    phase[i], converged = phase[i] + 1, False
             if converged or iters[i] == budget[i]:
                 witness = f[:, j].copy()
                 results[i] = (witness, _lp_norm(space, s[j], p)
@@ -257,7 +264,7 @@ def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
             else:
                 keep.append(j)
             scale[j] = float(ssum[j] ** (1.0 / r))
-        f = (step / scale[:, None]).take(keep, axis=1)
+        f = step.take(keep, axis=1) / scale[keep, None]
         live = [live[j] for j in keep]
     return results
 
@@ -544,7 +551,7 @@ def sweep_point(config, index, depth, alpha, eps):
     seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
     try:
         ap = ap_characteristic(build_reducing_pair(
-            space, W, config.p, tol=config.fit_tol, seed=seed))
+            space, W, config.p, tol=config.fit_tol))
         if config.d == 1 and abs(config.p - 2.0) < 1e-12:
             # the weighted ratio for S equals the unweighted ratio for S_w
             ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed,

@@ -96,7 +96,7 @@ def pair_to_json(pair):
     """Reducing matrices per level, for external inspection."""
     return {
         "p": pair.p, "method": pair.method, "tol": pair.tol,
-        "cert_tol": pair.cert_tol, "seed": pair.seed,
+        "cert_tol": pair.cert_tol,
         "certificate": pair.certificate,
         "levels": [
             {"level": n,

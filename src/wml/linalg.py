@@ -12,12 +12,12 @@ form.
 The powers of a weight's leaf matrices do not come from ``spd_power``
 but from the spectrum ``weights.MatrixWeight`` keeps, and the inverse
 reducers not from ``sym_inv`` but from the decompositions that give the
-reducers; neither function has a caller in the library.
+reducers; neither function has a caller in the library. Nor has
+``mvee_central``, the Loewner ellipsoid fit, since the reducers come from
+block Lewis weights (``weights._lewis_fit``), which sample no directions.
 
 Every stacked matrix-vector product is ``matvec``, summed in the one order
-of ``_column_sum``, except the norm tables of the reducer fit in
-``weights``, which are BLAS products of the leaf matrices with all sampled
-directions at once. Every V diag(lambda) V^T is ``_eig_compose``.
+of ``_column_sum``. Every V diag(lambda) V^T is ``_eig_compose``.
 """
 
 from __future__ import annotations
@@ -184,15 +184,19 @@ def spectral_norm(mats):
     ``jacobi_eigh``, and larger ones from ``jacobi_eigh``.
     """
     a = np.asarray(mats, dtype=float)
-    gram = np.swapaxes(a, -1, -2) @ a
+    return np.sqrt(np.maximum(_gram_top(np.swapaxes(a, -1, -2) @ a), 0.0))
+
+
+def _gram_top(gram):
+    """Top eigenvalue of stacked symmetric positive semi-definite Gram
+    matrices, as ``spectral_norm`` takes it: in closed form at 2 x 2 and
+    3 x 3, from ``jacobi_eigh`` above."""
     if gram.shape[-2:] == (2, 2):
         x, y, z = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
-        top = 0.5 * (x + z) + np.hypot(0.5 * (x - z), y)
-    elif gram.shape[-2:] == (3, 3):
-        top = _top_eigenvalue_3x3(gram)
-    else:
-        top = jacobi_eigh(gram)[0][..., -1]
-    return np.sqrt(np.maximum(top, 0.0))
+        return 0.5 * (x + z) + np.hypot(0.5 * (x - z), y)
+    if gram.shape[-2:] == (3, 3):
+        return _top_eigenvalue_3x3(gram)
+    return jacobi_eigh(gram)[0][..., -1]
 
 
 def _top_eigenvalue_3x3(g):

@@ -11,20 +11,22 @@ where p' is the conjugate exponent. For d = 1 the exact scalar formulas
 (E_n w)^{1/p} and (E_n w^{-p'/p})^{1/p'} are used directly. At p = 2 the
 norm balls are ellipsoids, rho(e)^2 = e^T (E_n W^{+-1}) e, and the reducers
 are exactly (E_n W)^{1/2} and (E_n W^{-1})^{1/2} (the matrix A_2 condition
-of Treil and Volberg). Otherwise, for d >= 2, each reducer is the
-circumscribed Loewner ellipsoid of the corresponding norm ball, fitted from
-sampled boundary points, which pins the equivalence constants to
-(1 + tol) sqrt(d) windows. The fit reads each side's norms on a direction
-set from two BLAS products: the leaf matrices against all directions
-(``_leaf_norms``), then a P-weighted range matrix against that leaf table
-for every atom's E_Q sum (``_range_matrix``).
+of Treil and Volberg). Otherwise, for d >= 2, each atom's norm is a
+d-dimensional subspace of L^r(l^2), and its reducer comes from Lewis's
+change of density, computed per atom as block Lewis weights by a fixed
+point iteration on the leaf blocks (``_lewis_fit``; Jambulapati, Lee, Liu
+& Sidford, FOCS 2023; Manoj & Ovsiankin, arXiv:2311.10013). No direction
+is sampled: every round proves constants alpha, beta with
+alpha ||M^{1/2} e|| <= rho(e) <= beta ||M^{1/2} e||, and an atom stops once
+beta / alpha is within (1 + tol) of Lewis's bound d^{|1/2 - 1/r|} <= sqrt(d)
+or inside the (1 + cert_tol) sqrt(d) window.
 
 Each leaf matrix is eigen-decomposed once, when the MatrixWeight is
 built, and every power W^alpha of the leaves is ``MatrixWeight.power``
 of that spectrum. No reducer is inverted by a decomposition of its own:
 at d = 1 the inverses are reciprocals, at p = 2 each side's stack of
 means is decomposed once for both its root and its inverse root, and the
-fit returns each ellipsoid's inverse from the spectrum that gives it.
+fit returns each reducer's inverse from the spectrum that gives it.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ import numpy as np
 
 from .filtration import FilteredSpace, level_means
 from .linalg import (EllipsoidError, ValidationError, _check_positive,
-                     _eig_compose, direction_set, holdout_directions,
-                     jacobi_eigh, mvee_central, spectral_norm)
+                     _eig_compose, _gram_top, jacobi_eigh, spectral_norm)
 
 EIG_CLIP_RATIO = 1e-10
+# a whitened X^T M X whose eigenvalue ratio is at most WHITEN_RATIO could
+# not resolve the smallest directions of M in its frame: whiten again
+WHITEN_RATIO = 1e-8
+WHITEN_PASSES = 4
 
 
 def check_tolerance(name, value):
@@ -149,8 +154,9 @@ class ReducingPair:
     level-n slices of tiled_primal and tiled_dual. wp = W^{1/p} and
     wm = W^{-1/p} per leaf. ``method`` names the construction: "scalar"
     (d = 1) and "exact_p2" (p = 2, d >= 2) are exact, ||A e|| = rho(e);
-    "ellipsoid" is the certified Loewner fit. ``certificate`` holds the
-    worst held-out ratios observed while fitting (empty for exact paths).
+    "ellipsoid" is the block Lewis fit. ``certificate`` holds, per side,
+    the proved ratios {"low", "high"} of ||A e|| / rho(e) over all atoms:
+    high is 1.0 and low the smallest alpha / beta (empty for exact paths).
     """
 
     space: FilteredSpace
@@ -165,7 +171,6 @@ class ReducingPair:
     method: str
     tol: float = 1e-3
     cert_tol: float = 5e-2
-    seed: int = 0
     certificate: dict = None
 
     def __post_init__(self):
@@ -193,46 +198,186 @@ def reducer_norms(space, leaf_mats, tiled_reducers):
     return spectral_norm(leaf_mats @ tiled_reducers[space.tiled_labels])
 
 
-def _leaf_norms(mats, dirs, power=1.0):
-    """(K, N) table of ||mats[k] u_n||^power for (K, d, d) mats and (N, d)
-    dirs, from one BLAS product (K d, d) @ (d, N): its entries are squared
-    and summed over each matrix's d rows, and the squares are raised
-    straight to power / 2."""
-    k_count, d = mats.shape[:2]
-    prod = (mats.reshape(k_count * d, d) @ dirs.T).reshape(k_count, d, -1)
-    prod *= prod
-    table = prod.sum(axis=1)
-    table **= 0.5 * power
-    return table
+def _runs(counts):
+    """First index of each of consecutive runs of the given lengths."""
+    return np.concatenate(([0], np.cumsum(counts[:-1])))
 
 
-def _range_matrix(space, starts, stops):
-    """(K, L) matrix holding P(l) on each leaf range [starts[k], stops[k])
-    and 0 elsewhere, so that one product with an (L, N) leaf table gives
-    every range's P-weighted sum. Each range is summed on its own from its
-    positive terms, with exact zeros outside it, so a range of small mass
-    does not cancel against the leaves before it."""
-    leaves = np.arange(space.n_leaves)
-    inside = (leaves >= starts[:, None]) & (leaves < stops[:, None])
-    return np.where(inside, space.leaf_probs, 0.0)
+def _range_pairs(starts, stops):
+    """The (range, leaf) pairs of the leaf ranges [starts[k], stops[k]),
+    range by range: the leaf of every pair and the first pair of every
+    range."""
+    counts = stops - starts
+    first = _runs(counts)
+    return np.arange(counts.sum()) + np.repeat(starts - first, counts), first
 
 
-def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
-                  n_holdout=1000):
-    """Ellipsoid reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
+def _range_sums(terms, first):
+    """Sums of ``terms`` over each range's run of pairs, which starts at
+    ``first``. Each range is summed on its own from its own terms, so a
+    range of small mass does not cancel against the leaves before it, and
+    its sum does not depend on the other ranges in the call."""
+    return np.add.reduceat(terms, first, axis=0)
+
+
+def _roots(x):
+    """(X X^T)^{-1/2} and (X X^T)^{1/2} of stacked invertible X, from the
+    singular value decomposition X = P diag(s) Q^T: both are SPD, and
+    ||(X X^T)^{-1/2} e|| = ||X^{-1} e|| for every e."""
+    p, s, _ = np.linalg.svd(x)
+    return _eig_compose(p, 1.0 / s), _eig_compose(p, s)
+
+
+def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
+    """Block Lewis reducers of S sides on K leaf ranges of at least two
+    leaves, d >= 2.
+
+    Side s is (mats, _, r) with SPD leaf blocks A_l = mats[l]; its norm on
+    range k is rho(e) = (sum_l pi_l ||A_l e||^r)^{1/r}, pi_l = P(l) / P(Q),
+    over the leaves of the range. Each atom (side and range) iterates its
+    block Lewis weights v (Jambulapati, Lee, Liu & Sidford, FOCS 2023;
+    Manoj & Ovsiankin, arXiv:2311.10013) from v = 1:
+
+      * M = sum_l pi_l v_l A_l^T A_l;
+      * tau_l = ||A_l M^{-1/2}||^2;
+      * log v <- (1 - eta) log v + eta (r/2 - 1) log tau, with eta = 1 for
+        r <= 2 and 4 / (r + 2) above, where the plain map oscillates.
+
+    M is never formed: that would square the blocks' condition numbers,
+    and at p near 1 with leaves near EIG_CLIP_RATIO its small eigenvalues
+    fall below the rounding of its large ones. Each atom keeps a frame X
+    with X^T M X = I instead, and every matrix is taken in it: the blocks
+    B_l = A_l X, their Gram matrices B_l^T B_l, and X^T M X from those,
+    which ``jacobi_eigh`` decomposes to whiten the frame anew once the
+    weights have moved. An atom whose X^T M X has an eigenvalue ratio below
+    WHITEN_RATIO takes up to WHITEN_PASSES passes in the round. tau_l is
+    the top Gram eigenvalue, as ``spectral_norm`` takes it.
+
+    Every round certifies its frame, whatever X is. With M' = sum_l pi_l
+    tau_l^{r/2-1} A_l^T A_l, the extreme eigenvalues lo and hi of X^T M' X,
+    and S = sum_l pi_l tau_l^{r/2}, Hölder and ||A_l e||^2 <= tau_l
+    ||X^{-1} e||^2 give alpha ||X^{-1} e|| <= rho(e) <= beta ||X^{-1} e||
+    for every e, with alpha = lo^{1/2} S^{1/r-1/2}, beta = hi^{1/r} for
+    r >= 2 and alpha = lo^{1/r}, beta = hi^{1/2} S^{1/r-1/2} for r < 2. At a
+    fixed point M' = M and S <= d, so beta / alpha <= d^{|1/2-1/r|} (Lewis,
+    Studia Math. 63, 1978). An atom stops on its own once beta / alpha is
+    at most min(d^{|1/2-1/r|} (1 + tol), (1 + cert_tol) sqrt(d)). Its
+    reducer is A = alpha R with R = (X X^T)^{-1/2} the SPD root of
+    X^{-T} X^{-1}, from the singular value decomposition of X, so that
+    ||A e|| <= rho(e) <= (beta / alpha) ||A e||; its inverse is R^{-1} /
+    alpha. Both bounds hold up to the rounding of B_l = A_l X, about
+    eps cond(R) relative. The weights tau^{r/2-1} of M' and S are scaled by
+    their largest value on the range, which cancels in beta / alpha and is
+    put back into alpha, so that large r does not overflow them.
+
+    Each atom's result depends only on its own leaves: the range sums
+    (``_range_sums``), the eigen kernels, the whitening passes and every
+    other step act on each atom alone. An atom still above its stop after
+    ``max_iter`` rounds raises EllipsoidError for the first side that has
+    one, naming its worst atom, exactly as if that side had been fitted
+    alone.
+
+    Returns the (S, K, d, d) reducers, their inverses and the (S, K)
+    proved low ratios alpha / beta.
+    """
+    n_sides, k_count, d = len(sides), len(starts), sides[0][0].shape[1]
+    leaf, first = _range_pairs(starts, stops)
+    counts = np.tile(stops - starts, n_sides)
+    mass = np.repeat(_range_sums(probs[leaf], first), stops - starts)
+    # the pairs of every atom, side by side: atom s K + k holds side s's
+    # pairs of range k, and starts in the frame X = I
+    pi = np.tile(probs[leaf] / mass, n_sides)
+    a = np.concatenate([mats[leaf] for mats, _, _ in sides])
+    gram = np.swapaxes(a, 1, 2) @ a
+    x = np.tile(np.eye(d), (n_sides * k_count, 1, 1))
+    r = np.repeat([power for _, _, power in sides], k_count)
+    eta = np.where(r <= 2.0, 1.0, 4.0 / (r + 2.0))
+    stop = np.minimum(d ** np.abs(0.5 - 1.0 / r) * (1.0 + tol),
+                      (1.0 + cert_tol) * np.sqrt(d))
+    expo = np.repeat(0.5 * r - 1.0, counts)
+    log_v = np.zeros(len(pi))
+
+    out = np.empty((n_sides * k_count, d, d))
+    out_inv = np.empty_like(out)
+    low = np.empty(n_sides * k_count)
+    alive = np.arange(n_sides * k_count)
+    for rounds in range(max_iter + 1):
+        first = _runs(counts)
+        weight = pi * np.exp(log_v)
+        todo = np.ones(alive.size, dtype=bool)
+        for _ in range(WHITEN_PASSES):
+            pairs = np.repeat(todo, counts)
+            mu, u = jacobi_eigh(_range_sums(
+                weight[pairs, None, None] * gram[pairs], _runs(counts[todo])))
+            # a direction whose eigenvalue rounding left at or below 0 gets
+            # a large finite scale, and the next pass resolves it
+            x[todo] = x[todo] @ (u / np.sqrt(np.maximum(
+                mu, 1e-30 * mu[:, -1:]))[:, None, :])
+            b = a[pairs] @ np.repeat(x[todo], counts[todo], axis=0)
+            gram[pairs] = np.swapaxes(b, 1, 2) @ b
+            poor = mu[:, 0] <= WHITEN_RATIO * mu[:, -1]
+            if not poor.any():
+                break
+            todo[np.flatnonzero(todo)[~poor]] = False
+
+        tau = _gram_top(gram)
+        scaled = expo * np.log(tau)
+        top = np.maximum.reduceat(scaled, first)
+        w = pi * np.exp(scaled - np.repeat(top, counts))
+        s = _range_sums(w * tau, first)
+        lam = jacobi_eigh(_range_sums(w[:, None, None] * gram, first))[0]
+        lo, hi = np.maximum(lam[:, 0], 0.0), lam[:, -1]
+        ra = r[alive]
+        tail = s ** (1.0 / ra - 0.5)
+        alpha = np.where(ra >= 2.0, np.sqrt(lo) * tail, lo ** (1.0 / ra))
+        beta = np.where(ra >= 2.0, hi ** (1.0 / ra), np.sqrt(hi) * tail)
+        # alpha <= beta, but not always after rounding
+        ratio = np.minimum(alpha / beta, 1.0)
+        done = beta <= stop[alive] * alpha
+        alpha *= np.exp(top / ra)
+        if rounds == max_iter and not done.all():
+            side = alive // k_count
+            bad = np.flatnonzero(~done & (side == side[~done].min()))
+            worst = bad[np.argmin(ratio[bad])]
+            bound = 1.0 / stop[alive[worst]]
+            raise EllipsoidError(
+                f"reducer certification failed: block Lewis weights did not "
+                f"reach distortion {1.0 / bound:.6f} in {max_iter} rounds "
+                f"(proved ratio range [{ratio[worst]:.6f}, 1])",
+                last_matrix=alpha[worst] * _roots(x[worst:worst + 1])[0][0],
+                achieved=float(ratio[worst]), bound=float(bound))
+        fin = alive[done]
+        root, inv_root = _roots(x[done])
+        out[fin] = alpha[done, None, None] * root
+        out_inv[fin] = inv_root / alpha[done, None, None]
+        low[fin] = ratio[done]
+        if done.all():
+            break
+        keep = np.repeat(~done, counts)
+        owner_eta = np.repeat(eta[alive], counts)
+        log_v = (1.0 - owner_eta) * log_v + owner_eta * scaled
+        log_v, pi, a, gram, expo = (
+            arr[keep] for arr in (log_v, pi, a, gram, expo))
+        alive, counts, x = alive[~done], counts[~done], x[~done]
+    shape = (n_sides, k_count)
+    return out.reshape(shape + (d, d)), out_inv.reshape(shape + (d, d)), \
+        low.reshape(shape)
+
+
+def _fit_reducers(space, sides, tol, cert_tol, max_iter=1000):
+    """Block Lewis reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
     on every atom of every level, in tiled order, and their inverses, for
     each (mats, mats_inv, power) of ``sides``; mats_inv holds the inverses
     of the leaf matrices.
 
     Computed once per distinct leaf range (atoms persisting across levels
     share the same norm); single-leaf atoms are exactly ellipsoidal and
-    skip the fit. The sides share their leaf ranges and direction sets, so
-    all their clouds go through one _certified_fit call. A side's norms on
-    N directions are its (L, N) leaf table times the (K, L) range matrix of
-    the K fitted ranges, built once, whose row sums are the range masses.
-    Returns a list of (atom_base[-1], d, d) reducers, a list of their
-    inverses and a list of worst certification ratios, one of each per
-    side.
+    skip the fit. The other ranges of all sides go through one
+    ``_lewis_fit`` call, whose atoms each stop on their own within
+    ``max_iter`` rounds. Returns a list of (atom_base[-1], d, d) reducers,
+    a list of their inverses and, per side, the certificate {"low": the
+    smallest proved ratio alpha / beta, "high": 1.0}: every atom's reducer
+    satisfies ||A e|| <= rho(e) <= ||A e|| / low.
     """
     starts = np.concatenate([off[:-1] for off in space.offsets])
     stops = np.concatenate([off[1:] for off in space.offsets])
@@ -242,79 +387,21 @@ def _fit_reducers(space, sides, tol, cert_tol, seed, max_iter=100_000,
     outs = [mats[starts] for mats, _, _ in sides]
     invs = [mats_inv[starts] for _, mats_inv, _ in sides]
 
-    certs = [{"low": np.inf, "high": -np.inf} for _ in sides]
+    certs = [{"low": 1.0, "high": 1.0} for _ in sides]
     multi = np.flatnonzero(~single)
     if multi.size:
         _, first, inverse = np.unique(
             starts[multi] * (space.n_leaves + 1) + stops[multi],
             return_index=True, return_inverse=True)
-        summer = _range_matrix(space, starts[multi[first]],
-                               stops[multi[first]])
-        masses = summer.sum(axis=1)[:, None]
-
-        def rho(dirs):
-            vals = np.empty((len(sides), first.size, dirs.shape[0]))
-            for row, (mats, _, power) in zip(vals, sides):
-                np.matmul(summer, _leaf_norms(mats, dirs, power), out=row)
-                row /= masses
-                row **= 1.0 / power
-            return vals
-
-        fitted, fitted_inv, certs = _certified_fit(
-            rho, sides[0][0].shape[1], tol, cert_tol, seed,
-            max_iter=max_iter, n_holdout=n_holdout)
-        for out, inv, fit, fit_inv in zip(outs, invs, fitted, fitted_inv):
+        fitted, fitted_inv, lows = _lewis_fit(
+            space.leaf_probs, starts[multi[first]], stops[multi[first]],
+            sides, tol, cert_tol, max_iter)
+        for out, inv, fit, fit_inv, cert, low in zip(
+                outs, invs, fitted, fitted_inv, certs, lows):
             out[multi] = fit[inverse]
             inv[multi] = fit_inv[inverse]
+            cert["low"] = float(low.min())
     return outs, invs, certs
-
-
-def _certified_fit(rho, d, tol, cert_tol, seed, max_iter=100_000,
-                   n_holdout=1000):
-    """Circumscribed Loewner ellipsoids of S x K norm balls on R^d, d >= 2.
-
-    ``rho`` maps an (N, d) array of unit directions to the (S, K, N) values
-    of the norms, S sides of K norms each. Each ball is sampled on
-    ``direction_set(d, seed=seed)`` and all S K are fitted in one
-    mvee_central call to the target d(1 + eps), eps = tol (2 + tol). A
-    cloud's fit does not depend on the others in the call; only the
-    ``max_iter`` budget is shared, so a fit that runs out of it fails with
-    the EllipsoidError of the whole call. The fit is certified on held-out
-    directions, side by side in order, with ||A e|| from ``_leaf_norms``:
-    ||A e|| <= (1 + cert_tol) rho(e) and rho(e) <= (1 + cert_tol) sqrt(d)
-    ||A e||, or EllipsoidError is raised for the first side that fails.
-    Returns the (S, K, d, d) matrices A, their inverses from the fit's own
-    spectrum and, per side, the worst held-out ratios {"low", "high"} of
-    ||A e|| / rho(e).
-    """
-    dirs = direction_set(d, seed=seed)
-    vals = rho(dirs)
-    if np.any(vals <= 0.0):
-        raise ValidationError("atom norm vanished on a sampled direction")
-    # release each working array once used: the fit of all sides at once
-    # is the memory peak of an instance
-    pts = dirs / vals[..., None]
-    del vals
-    fitted, _, fitted_inv = mvee_central(pts, eps=tol * (2.0 + tol),
-                                         max_iter=max_iter)
-    del pts
-
-    held = holdout_directions(d, n_holdout, seed + 97)
-    window_lo = 1.0 / ((1.0 + cert_tol) * np.sqrt(d))
-    certs = []
-    for side, norms in zip(fitted, rho(held)):
-        ratio = _leaf_norms(side, held) / norms
-        lo, hi = float(ratio.min()), float(ratio.max())
-        high_side = hi > 1.0 + cert_tol
-        if high_side or lo < window_lo:
-            raise EllipsoidError(
-                f"reducer certification failed: held-out ratio range "
-                f"[{lo:.6f}, {hi:.6f}] for tol {cert_tol}",
-                last_matrix=side[int(np.argmax(ratio.max(axis=1)))],
-                achieved=hi if high_side else lo,
-                bound=1.0 + cert_tol if high_side else window_lo)
-        certs.append({"low": lo, "high": hi})
-    return fitted, fitted_inv, certs
 
 
 def _root_of_means(space, mats):
@@ -329,16 +416,18 @@ def _root_of_means(space, mats):
     return _eig_compose(vecs, vals ** 0.5), _eig_compose(vecs, vals ** -0.5)
 
 
-def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
-                        n_holdout=1000):
+def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2):
     """Reducing pair of (space, W, p) on every level.
 
     Exact where the norm balls are ellipsoids: the scalar formulas for
     d = 1 (method "scalar"), and primal (E_n W)^{1/2}, dual
     (E_n W^{-1})^{1/2} for p = 2 (method "exact_p2"); neither carries a
-    certificate. Otherwise the ellipsoid fit of the primal and dual sides
-    together (method "ellipsoid"), certified on held-out directions;
-    ``tol``, ``cert_tol``, ``seed`` and ``n_holdout`` act only on the fit,
+    certificate. Otherwise the block Lewis fit of the primal and dual
+    sides together (method "ellipsoid"), whose certificate is proved: each
+    atom stops once its distortion beta / alpha is at most
+    min(d^{|1/2 - 1/p|} (1 + tol), (1 + cert_tol) sqrt(d)) (the same
+    bound for p and p'), and a fit that has not after its round budget
+    raises EllipsoidError. ``tol`` and ``cert_tol`` act only on the fit,
     but a tolerance that is not finite and positive is refused on every
     path."""
     W = as_weight(W)
@@ -366,8 +455,7 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
         method = "exact_p2"
     else:
         (primal, dual), (primal_inv, dual_inv), (cp, cd) = _fit_reducers(
-            space, [(wp, wm, p), (wm, wp, q)], tol, cert_tol, seed,
-            n_holdout=n_holdout)
+            space, [(wp, wm, p), (wm, wp, q)], tol, cert_tol)
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 
@@ -375,7 +463,7 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2, seed=0,
         space=space, weight=W, p=p,
         tiled_primal=primal, tiled_dual=dual,
         tiled_primal_inv=primal_inv, tiled_dual_inv=dual_inv,
-        wp=wp, wm=wm, method=method, tol=tol, cert_tol=cert_tol, seed=seed,
+        wp=wp, wm=wm, method=method, tol=tol, cert_tol=cert_tol,
         certificate=cert)
 
 

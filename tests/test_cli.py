@@ -54,12 +54,17 @@ def test_check_low_threshold_fails(tmp_path):
     assert not all(v["passed"] for v in report["summary"].values())
 
 
-def test_check_failed_fit_is_reported(tmp_path):
-    # a loose fit tolerance makes reducer certification fail: the failure
-    # is a reported check, the report is written and the exit code is 2
+def test_check_failed_fit_is_reported(tmp_path, capsys):
+    # at p = 1.001 the dual exponent is 1001, where the damped Lewis map
+    # contracts by 999/1003 a round, and the seed-7 suite's first d = 2
+    # instance is still far from its stop after the 1000-round budget:
+    # the fit raises EllipsoidError, which is a reported check, the report
+    # is written and the exit code is 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"fit_tol": 0.6, "d": 3, "instances": 2}))
+    cfg.write_text(json.dumps({"p": 1.001, "d": 2, "instances": 1,
+                               "seed": 7}))
     assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     report = json.loads((tmp_path / "check_report.json").read_text())
     assert report["summary"]["reducer_certificate"]["passed"] is False
     failed = [r for d in report["details"] for r in d["results"]
@@ -345,17 +350,21 @@ def test_sweep_rejects_no_restarts_before_any_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_sweep_failed_fit_is_reported(tmp_path, capsys, parallel):
-    # a loose fit tolerance makes reducer certification fail at the first
-    # point: a FAIL line naming the point and exit code 2, no traceback
+    # a fit that runs out of rounds fails the point: near-rank-one blocks
+    # (rotating, alpha 2, eps 1e-3) at p = 1.001, whose dual exponent 1001
+    # the damped Lewis map approaches by 999/1003 a round. The inputs
+    # themselves fail, so the spawned workers of --parallel 2 fail the
+    # same way: a FAIL line naming the point and exit code 2, no traceback
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "rotating", "d": 2, "p": 1.5,
-                               "depths": [4], "alphas": [0.8],
-                               "epss": [0.25], "fit_tol": 5.0}))
+    cfg.write_text(json.dumps({"family": "rotating", "d": 2, "p": 1.001,
+                               "depths": [4], "alphas": [2.0],
+                               "epss": [0.001]}))
     assert run(["sweep", "--config", str(cfg), "--parallel", parallel,
                 "--out", str(tmp_path)]) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL rotating-p1.5-d2-D4-a0.8-e0.25: ")
-    assert "reducer certification failed" in out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL rotating-p1.001-d2-D4-a2-e0.001: ")
+    assert "reducer certification failed" in captured.out
+    assert "Traceback" not in captured.err
     assert not (tmp_path / "sweep.csv").exists()
 
 

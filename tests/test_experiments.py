@@ -254,6 +254,31 @@ def test_power_method_batch_leaves_each_start_as_alone(args, max_iter,
         assert together[2] <= max_iter
 
 
+@pytest.mark.parametrize("d", (1, 2))
+def test_power_method_null_space_start_converges_at_ratio_zero(d):
+    # a constant start under the identity weight has no increments, so
+    # T f = 0 and Boyd's gamma divides by ||T f||^{r-1} = 0: the start
+    # leaves the batch in its first round, converged at ratio 0, through
+    # either phase, and a live batch mate ends bitwise as it does alone
+    sp = build_dyadic(3)
+    W = MatrixWeight.identity(sp.n_leaves, d)
+    p = 1.5
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    null = np.ones((sp.n_leaves, d))
+    live = np.random.default_rng(0).standard_normal((sp.n_leaves, d))
+    for exps in ((2.0, p), (p,)):
+        ((f, ratio, iters, converged),) = _boyd_batch(
+            sp, wp, wm, wp @ wp, p, [null], [exps], 50)
+        assert (ratio, iters, converged) == (0.0, 1, True)
+        assert f.tobytes() == null.tobytes()
+    batch = _boyd_batch(sp, wp, wm, wp @ wp, p, [null, live],
+                        [(2.0, p), (p,)], 50)
+    (alone,) = _boyd_batch(sp, wp, wm, wp @ wp, p, [live], [(p,)], 50)
+    assert batch[0][1:] == (0.0, 1, True)
+    assert alone[0].tobytes() == batch[1][0].tobytes()
+    assert alone[1:] == batch[1][1:]
+
+
 def _serial_boyd(sp, wp, wm, w2p, p, f, exponents, max_iter):
     """One start of the power method run on its own, from the filtration
     primitives: the loop the batch replaced, kept as the reference."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wml.linalg import (EllipsoidError, ValidationError, _design_update,
                         _quad, _spanning_core, direction_set, jacobi_eigh,
                         mvee_central, spd_power, spectral_norm, sym_inv)
-from wml.weights import EIG_CLIP_RATIO, _certified_fit
+from wml.weights import EIG_CLIP_RATIO
 
 
 def test_jacobi_matches_lapack_oracle():
@@ -95,11 +95,14 @@ def test_spectral_norm_charpoly_oracle():
 
 
 def _fit_one(norm):
-    """Certified fit of the unit ball of a single norm on R^2."""
-    fitted, _, (cert,) = _certified_fit(lambda e: norm(e)[None, None], 2,
-                                        tol=1e-3, cert_tol=5e-2, seed=0)
-    assert cert["high"] <= 1.0 + 5e-2
-    return fitted[0, 0]
+    """Loewner fit of the unit ball of a single norm on R^2, sampled on the
+    360-axis set: every sampled boundary point lies in the ellipsoid."""
+    dirs = direction_set(2)
+    pts = dirs / norm(dirs)[:, None]
+    a, inner, _ = mvee_central(pts, eps=1e-3 * (2.0 + 1e-3))
+    assert np.max(np.linalg.norm(pts @ a.T, axis=1)) <= 1.0 + 1e-12
+    assert inner <= np.sqrt(2.0 * (1.0 + 2e-3))
+    return a
 
 
 def test_mvee_euclidean_ball_is_identity():

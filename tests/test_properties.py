@@ -19,8 +19,9 @@ from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
 from wml.linalg import holdout_directions, matvec, spectral_norm
 from wml.principal import fluctuation_tables
 from wml.suite import Instance, instance_checks, random_instance
-from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _range_matrix,
-                         as_weight, build_reducing_pair, reducer_norms,
+from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _lewis_fit,
+                         _range_pairs, _range_sums, as_weight,
+                         build_reducing_pair, conjugate, reducer_norms,
                          verify_reducing_bounds)
 
 MAX_DEPTH = 6
@@ -166,19 +167,21 @@ def test_level_kernels_match_per_level_loops(spec, d, seed):
 @settings(max_examples=100, deadline=None)
 @given(tree_specs(), st.integers(0, 2 ** 32 - 1))
 def test_range_sums_match_exactly_rounded_sums(spec, seed):
-    # the fit's E_Q sums, one product of the P-weighted range matrix with
-    # a leaf table: every atom's leaf range is summed on its own, with
-    # exact zeros outside it, so a range of tiny mass after heavy leaves
-    # keeps its relative accuracy; a sum of m positive terms in any order
-    # is within (m - 1) eps of the exactly rounded math.fsum
+    # the Lewis fit's per-range sums over its (range, leaf) pairs: every
+    # atom's leaf range is summed on its own from its own terms, so a range
+    # of tiny mass after heavy leaves keeps its relative accuracy; a sum of
+    # m positive terms in any order is within (m - 1) eps of the exactly
+    # rounded math.fsum
     space = build_from_tree(spec)
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.normal(0.0, 2.0, (space.n_leaves, 24)))
     starts = np.concatenate([off[:-1] for off in space.offsets])
     stops = np.concatenate([off[1:] for off in space.offsets])
-    summer = _range_matrix(space, starts, stops)
-    got = summer @ vals
-    masses = summer.sum(axis=1)
+    leaf, first = _range_pairs(starts, stops)
+    assert np.array_equal(leaf, np.concatenate(
+        [np.arange(a, b) for a, b in zip(starts, stops)]))
+    got = _range_sums(space.leaf_probs[leaf, None] * vals[leaf], first)
+    masses = _range_sums(space.leaf_probs[leaf], first)
     eps = np.finfo(float).eps
     for row, mass, a, b in zip(got, masses, starts, stops):
         terms = space.leaf_probs[a:b, None] * vals[a:b]
@@ -263,7 +266,7 @@ def test_analysis_tables_match_per_base_loop():
     for index in range(3):
         inst = random_instance(index, seed=7, depth_range=(7, 7))
         pair = build_reducing_pair(inst.space, inst.weight, inst.p,
-                                   tol=2e-2, seed=inst.seed + inst.index)
+                                   tol=2e-2)
         an = Analysis(pair, inst.f)
         averages = level_means(an.space, np.linalg.norm(np.einsum(
             "klij,lj->kli", pair.tiled_dual_inv[an.space.tiled_labels],
@@ -281,13 +284,14 @@ def test_analysis_tables_match_per_base_loop():
 
 
 @st.composite
-def matrix_weights(draw):
+def matrix_weights(draw, spreads=st.floats(0.0, -np.log(EIG_CLIP_RATIO))):
     """A d = 2 or 3 weight on a random tree: leaf matrices in random frames
-    whose log-eigenvalues spread up to the EIG_CLIP_RATIO clip, each leaf
-    scaled over two decades either way."""
+    whose log-eigenvalues spread up to the EIG_CLIP_RATIO clip (a spread
+    drawn from ``spreads``), each leaf scaled over two decades either
+    way."""
     space = build_from_tree(draw(tree_specs()))
     d = draw(st.sampled_from((2, 3)))
-    spread = draw(st.floats(0.0, -np.log(EIG_CLIP_RATIO)))
+    spread = draw(spreads)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = space.n_leaves
     q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
@@ -305,18 +309,61 @@ def matrix_weights(draw):
 @given(matrix_weights(), st.sampled_from((1.05, 1.5, 3.0, 8.0)),
        st.integers(0, 2 ** 32 - 1))
 def test_matrix_battery_reports_every_failure(case, p, seed):
-    # every d >= 2 failure is a reported check: instance_checks returns on
-    # every draw, and the only check that may fail is the fit's
-    # certificate, which p near 1 and leaf spreads near the clip can break
-    # (ROADMAP item 4); the checks after it hold on the pair it certifies
+    # every d >= 2 failure would be a reported check: instance_checks
+    # returns on every draw, and no check fails. The sampled Loewner fit
+    # failed its held-out certificate on 21 of 200 derandomized draws of
+    # this strategy (12 at p = 1.05, 8 at 1.5, 1 at 3); the block Lewis
+    # fit proves its certificate and stops inside the window on all 200
     space, W = case
     f = np.random.default_rng(seed).standard_normal((space.n_leaves, W.dim))
     inst = Instance(index=0, seed=seed % 10_000, depth=space.depth, d=W.dim,
                     p=p, space=space, weight=W, f=f)
     results, _ = instance_checks(inst)
     failed = [(r.name, r.measured, r.bound) for r in results if not r.passed]
-    assert all(name == "reducer_certificate" for name, _, _ in failed), \
-        (p, space.n_leaves, failed)
+    assert not failed, (p, space.n_leaves, failed)
+
+
+def _multi_leaf_ranges(space):
+    starts = np.concatenate([off[:-1] for off in space.offsets])
+    stops = np.concatenate([off[1:] for off in space.offsets])
+    keep = stops - starts > 1
+    return np.unique(np.stack([starts[keep], stops[keep]], axis=1),
+                     axis=0).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_weights(st.sampled_from(
+    (0.0, 4.0, 16.0, 23.0, -np.log(EIG_CLIP_RATIO)))),
+    st.sampled_from((1.05, 1.5, 3.0, 8.0)))
+def test_lewis_bounds_hold_on_a_dense_sample(case, p):
+    # each atom's fit proves alpha ||M^{1/2} e|| <= rho(e) <= beta
+    # ||M^{1/2} e|| for every e, so its reducer A = alpha M^{1/2} has
+    # low <= ||A e|| / rho(e) <= 1 with its own low = alpha / beta. On a
+    # dense sample both hold up to the rounding of the whitened blocks
+    # A_l X, about eps cond(A) relative: A's condition number reaches 1e9
+    # at p = 1.05 near the clip, where a sampled direction exceeded a
+    # proved bound by 1.1e-7, or 2.0 eps cond(A), the most in 450 draws
+    # of spreads 4, 16, 23 and the clip; the margin is 8 eps cond(A)
+    space, W = case
+    d, q = W.dim, conjugate(p)
+    starts, stops = _multi_leaf_ranges(space)
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    fit, _, low = _lewis_fit(space.leaf_probs, starts, stops,
+                             [(wp, wm, p), (wm, wp, q)], 2e-2, 5e-2, 1000)
+    dirs = holdout_directions(d, 1000 * d, seed=space.n_leaves)
+    eps = np.finfo(float).eps
+    for s, (mats, r) in enumerate(((wp, p), (wm, q))):
+        norms = np.linalg.norm(np.einsum("lij,nj->lni", mats, dirs), axis=2)
+        for k, (a, b) in enumerate(zip(starts, stops)):
+            pi = space.leaf_probs[a:b] / math.fsum(space.leaf_probs[a:b])
+            top = norms[a:b].max(axis=0)
+            rho = top * (pi @ (norms[a:b] / top) ** r) ** (1.0 / r)
+            ratio = np.linalg.norm(dirs @ fit[s, k].T, axis=1) / rho
+            margin = 8.0 * eps * np.linalg.cond(fit[s, k])
+            assert low[s, k] <= 1.0
+            assert ratio.max() <= 1.0 + margin, (s, k, ratio.max() - 1.0)
+            assert ratio.min() >= low[s, k] * (1.0 - margin), \
+                (s, k, 1.0 - ratio.min() / low[s, k])
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wml import linalg, suite, weights
+from wml.experiments import rotating_weight
 from wml.filtration import build_dyadic, build_from_tree, cond_expect
 from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
-                        matvec, mvee_central, spd_power)
-from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _certified_fit,
-                         _fit_reducers, _leaf_norms, ap_characteristic,
-                         ap_equivalents, as_weight, build_reducing_pair,
-                         conjugate, dual_weight, exchanged_pair,
-                         verify_reducing_bounds)
+                        matvec, spd_power)
+from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _fit_reducers,
+                         _lewis_fit, ap_characteristic, ap_equivalents,
+                         as_weight, build_reducing_pair, conjugate,
+                         dual_weight, exchanged_pair, verify_reducing_bounds)
 
 
 def _random_spd_weight(rng, n, d, sigma=1.0):
@@ -29,9 +29,9 @@ def _random_spd_weight(rng, n, d, sigma=1.0):
 def test_build_reducing_pair_rejects_bad_tolerances(monkeypatch, d, name,
                                                     value):
     # refused up front on every path: a zero tolerance would spend the
-    # whole design budget and then report a failed certificate
+    # whole round budget and then report a failed certificate
     calls = []
-    monkeypatch.setattr(weights, "mvee_central",
+    monkeypatch.setattr(weights, "_lewis_fit",
                         lambda *a, **k: calls.append(1))
     sp = build_dyadic(3)
     W = _random_spd_weight(np.random.default_rng(3), sp.n_leaves, d)
@@ -131,24 +131,25 @@ def test_pair_levels_are_slices_of_the_tiled_reducers():
 
 
 def test_p2_ellipsoid_vs_exact_averaging_window():
-    # the Loewner fit at p = 2 lands in its sqrt(2) window around the
-    # exact pair on both sides
+    # at r = 2 the Lewis iteration is exact before any update: v = 1 gives
+    # M = E_Q W^{+-1}, M' = M and S^0 = 1, so the fit is the exact pair up
+    # to the rounding of two different sums and decompositions, and it
+    # proves a low ratio of 1 to the same rounding
     rng = np.random.default_rng(1)
     sp = build_dyadic(3)
     W = _random_spd_weight(rng, sp.n_leaves, 2)
     exact = build_reducing_pair(sp, W, 2.0)
     assert exact.method == "exact_p2" and exact.certificate == {}
-    fitted, _, _ = _fit_reducers(
+    fitted, fitted_inv, certs = _fit_reducers(
         sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-        1e-3, 5e-2, 0)
-    dirs = holdout_directions(2, 400, seed=5)
-    tol = 0.05
-    for mvee, ref in zip(fitted, (exact.tiled_primal, exact.tiled_dual)):
-        a = np.linalg.norm(np.einsum("kij,nj->kni", mvee, dirs), axis=2)
-        b = np.linalg.norm(np.einsum("kij,nj->kni", ref, dirs), axis=2)
-        ratio = a / b
-        assert ratio.max() <= 1.0 + tol
-        assert ratio.min() >= 1.0 / ((1.0 + tol) * np.sqrt(2.0))
+        1e-3, 5e-2)
+    for lewis, inv, ref, cert in zip(
+            fitted, fitted_inv, (exact.tiled_primal, exact.tiled_dual), certs):
+        err = np.linalg.norm(lewis - ref, 2, axis=(1, 2)) \
+            / np.linalg.norm(ref, 2, axis=(1, 2))
+        assert err.max() <= 1e-13
+        assert np.allclose(inv @ ref, np.eye(2), rtol=0.0, atol=1e-13)
+        assert 1.0 - 1e-13 <= cert["low"] <= cert["high"] == 1.0
 
 
 def test_constant_weight_reducers_near_power():
@@ -214,11 +215,12 @@ def test_ap_characteristic_constant_matrix_weight():
     exact = build_reducing_pair(sp, W, 2.0)
     (primal, dual), _, _ = _fit_reducers(
         sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-        1e-3, 5e-2, 0)
-    # ap_characteristic reads only the two reducer families
+        1e-3, 5e-2)
+    # ap_characteristic reads only the two reducer families; at r = 2 the
+    # Lewis fit is the exact pair, and so is its characteristic
     val = ap_characteristic(replace(exact, tiled_primal=primal,
                                     tiled_dual=dual))
-    assert 1.0 - 1e-9 <= val <= 1.05 ** 4 * 2.0 ** 2
+    assert val == pytest.approx(1.0, abs=1e-10)
     assert ap_characteristic(exact) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -373,58 +375,55 @@ def _norm_tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(_norm_tables())
 def test_norms_kernel_matches_reference_order_and_einsum(table):
-    mats, dirs, vecs = table
+    mats, _, vecs = table
     # matvec of (L, d, d) against (L, d) and against a broadcast (K, L, d)
     for stack in (vecs[0], vecs):
         got = matvec(mats, stack)
         want = _matvec_reference(mats, stack)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # the fit's leaf-norm table, one BLAS product, against einsum + norm:
-    # both sum their products in a host-dependent order, and a reordered
-    # sum is within a few ulp of the scale |mats| |u|
-    eps = np.finfo(float).eps
-    got = _leaf_norms(mats, dirs)
-    ein = np.linalg.norm(np.einsum("lij,nj->lni", mats, dirs), axis=2)
-    scale = np.linalg.norm(np.einsum("lij,nj->lni", np.abs(mats),
-                                     np.abs(dirs)), axis=2)
-    assert got.shape == ein.shape
-    assert np.all(np.abs(got - ein) <= 4.0 * eps * scale)
-    # the squares raised straight to power / 2 are the norms' powers to a
-    # few ulp: no square root is taken first
-    for power in (1.5, 3.0, 4.0):
-        want = got ** power
-        assert np.all(np.abs(_leaf_norms(mats, dirs, power) - want)
-                      <= (power + 2.0) * eps * want)
+
+
+def _ranges(space):
+    """Start and stop leaves of every distinct range of at least two
+    leaves, the atoms the fit iterates on."""
+    starts = np.concatenate([off[:-1] for off in space.offsets])
+    stops = np.concatenate([off[1:] for off in space.offsets])
+    keep = stops - starts > 1
+    return np.unique(np.stack([starts[keep], stops[keep]], axis=1),
+                     axis=0).T
 
 
 @pytest.mark.parametrize("d", (2, 3))
-def test_pair_fits_both_sides_in_one_mvee_call(monkeypatch, d):
-    rng = np.random.default_rng(40 + d)
-    sp = build_dyadic(3)
-    W = _random_spd_weight(rng, sp.n_leaves, d)
-    p = 3.0
-    calls = []
-
-    def counted(points, *args, **kwargs):
-        calls.append(np.shape(points))
-        return mvee_central(points, *args, **kwargs)
-
-    monkeypatch.setattr(weights, "mvee_central", counted)
-    pair = build_reducing_pair(sp, W, p, tol=2e-2, seed=5)
-    assert len(calls) == 1 and calls[0][0] == 2
-    # every atom's cloud holds one point per sampled direction: at d = 2
-    # one per axis, 360, with no +-u twins
-    assert calls[0][2:] == ({2: 360, 3: 2048}[d], d)
-    # each side fitted alone gives the same bytes
-    for side, mats, mats_inv, power in (("primal", pair.wp, pair.wm, p),
-                                        ("dual", pair.wm, pair.wp, pair.q)):
-        (alone,), (alone_inv,), (cert,) = _fit_reducers(
-            sp, [(mats, mats_inv, power)], 2e-2, 5e-2, 5)
-        assert alone.tobytes() == getattr(pair, "tiled_" + side).tobytes()
-        assert alone_inv.tobytes() == getattr(
-            pair, "tiled_" + side + "_inv").tobytes()
-        assert cert == pair.certificate[side]
-    assert len(calls) == 3
+def test_each_atom_fitted_alone_gives_the_same_bytes(d):
+    # atoms stop after different numbers of rounds (p = 1.5 and its
+    # conjugate 3 on a random tree); the pair's one call over both sides
+    # and every range gives each atom the bytes it gets alone, one side
+    # and one range per call, and its proved low ratio
+    inst = suite.random_instance(40 + d, seed=7, depth_range=(6, 6),
+                                 dims=(d,))
+    sp, W, p = inst.space, inst.weight, 1.5
+    pair = build_reducing_pair(sp, W, p, tol=2e-2)
+    sides = [(pair.wp, pair.wm, p), (pair.wm, pair.wp, pair.q)]
+    starts, stops = _ranges(sp)
+    both, both_inv, both_low = _lewis_fit(sp.leaf_probs, starts, stops,
+                                          sides, 2e-2, 5e-2, 1000)
+    for s, (side, cert) in enumerate(pair.certificate.items()):
+        assert cert == {"low": float(both_low[s].min()), "high": 1.0}
+        for k, (a, b) in enumerate(zip(starts, stops)):
+            (alone,), (alone_inv,), (low,) = _lewis_fit(
+                sp.leaf_probs, starts[k:k + 1], stops[k:k + 1], sides[s:s + 1],
+                2e-2, 5e-2, 1000)
+            assert alone.tobytes() == both[s, k].tobytes()
+            assert alone_inv.tobytes() == both_inv[s, k].tobytes()
+            assert low.tobytes() == both_low[s, k].tobytes()
+    # the pair's reducers are these fits, spread over the atoms of every
+    # level; a single-leaf atom keeps its leaf matrix
+    for n in range(sp.depth + 1):
+        lo, hi = sp.offsets[n][:-1], sp.offsets[n][1:]
+        for atom, (a, b) in enumerate(zip(lo, hi)):
+            want = pair.wp[a] if b - a == 1 else both[0, np.flatnonzero(
+                (starts == a) & (stops == b))[0]]
+            assert pair.primal[n][atom].tobytes() == want.tobytes()
 
 
 def _recording(calls, fn):
@@ -460,7 +459,7 @@ def test_pair_inverses_match_fresh_inverses(monkeypatch, d):
         inst = suite.random_instance(index, seed=11, depth_range=(6, 6),
                                      dims=(d,))
         pair = build_reducing_pair(inst.space, inst.weight, inst.p,
-                                   tol=2e-2, seed=index)
+                                   tol=2e-2)
         for side in ("primal", "dual"):
             reducers = getattr(pair, "tiled_" + side)
             got = getattr(pair, "tiled_" + side + "_inv")
@@ -476,34 +475,58 @@ def test_pair_inverses_match_fresh_inverses(monkeypatch, d):
 
 
 def test_failed_certification_reports_first_failing_side():
-    # a loose fit fails a tight window, on the low side for ``skew`` and on
-    # the high side for ``wide``; ``ellipse`` passes: its ball is an
-    # ellipse, and the held-out ratios, in [0.9997, 1 + 1.2e-9], sit far
-    # from both edges of the window. A stacked fit reports the first
-    # failing side exactly as if that side had been fitted alone. ``skew``
-    # is a hexagon: a rhombus such as |e_1| + 3|e_2| is an affine square,
-    # whose Loewner ellipse touches it at two vertices that span the
-    # plane, so a fit that starts from a spanning pair of them is exact and
-    # its low ratio 1/sqrt(2) sits on the window's edge
-    ellipse = lambda e: np.linalg.norm(e * np.array([1.0, 2.0]), axis=1)
-    skew = lambda e: np.max(np.abs(e @ np.array(
-        [[1.0, 0.0], [1.0, 1.0], [0.0, 3.0]]).T), axis=1)
-    wide = lambda e: np.max(np.abs(e) * np.array([1.0, 5.0]), axis=1)
+    # a round budget too small for the iteration: ``slow`` (r = 1.05) needs
+    # two rounds on this instance, ``quick`` (r = 2, exact before any
+    # update) and ``other`` (r = 21, whose blocks W^{-1/21} are nearly
+    # round) stop in round 0 and never fail. A stacked fit reports the
+    # first failing side exactly as if that side had been fitted alone,
+    # with the proved low ratio of its worst atom below the bound 1 / stop
+    inst = suite.random_instance(2, seed=7, depth_range=(6, 6), dims=(3,))
+    sp, W = inst.space, inst.weight
+    starts, stops = _ranges(sp)
+    slow = (W.power(1.0 / 1.05), W.power(-1.0 / 1.05), 1.05)
+    quick = (W.power(0.5), W.power(-0.5), 2.0)
+    other = (W.power(-1.0 / 21.0), W.power(1.0 / 21.0), 21.0)
 
-    def failure(*norms):
+    def fit(*sides, rounds=1):
+        return _lewis_fit(sp.leaf_probs, starts, stops, list(sides), 1e-3,
+                          5e-2, rounds)
+
+    def failure(*sides):
         with pytest.raises(EllipsoidError) as err:
-            _certified_fit(lambda e: np.stack([n(e)[None] for n in norms]),
-                           2, tol=0.6, cert_tol=1e-6, seed=0)
+            fit(*sides)
         return err.value
 
-    for norms, alone in (((skew, wide), skew), ((wide, skew), wide),
-                         ((ellipse, skew), skew), ((ellipse, wide), wide)):
-        both, ref = failure(*norms), failure(alone)
-        assert (both.achieved, both.bound, str(both)) == \
+    fit(quick, other, rounds=0)
+    ref = failure(slow)
+    for sides in ((slow, quick), (quick, slow), (other, slow, quick)):
+        got = failure(*sides)
+        assert (got.achieved, got.bound, str(got)) == \
             (ref.achieved, ref.bound, str(ref))
-        assert both.last_matrix.tobytes() == ref.last_matrix.tobytes()
-    assert failure(skew).achieved < failure(skew).bound < 1.0
-    assert failure(wide).achieved > failure(wide).bound > 1.0
+        assert got.last_matrix.tobytes() == ref.last_matrix.tobytes()
+    assert "reducer certification failed" in str(ref)
+    assert ref.achieved < ref.bound < 1.0
+    # the error carries the scaled root of the worst atom: an SPD matrix
+    assert np.all(np.linalg.eigvalsh(ref.last_matrix) > 0.0)
+    # one more round certifies every atom
+    fit(slow, quick, rounds=2)
+
+
+@pytest.mark.parametrize("depth", (9, 10))
+def test_deep_rotating_weight_certifies(depth):
+    # the rotating probe weight that criterion 8 would take to depth 10, at
+    # p = 1.5 and the sweep's fit tolerance: the sampled Loewner fit failed
+    # its held-out certificate here, with ratio ranges [0.880267, 1.104285]
+    # (depth 9) and [0.853319, 1.141250] (depth 10) against the window
+    # [1 / (1.05 sqrt(2)), 1.05]. The Lewis fit stops every atom within
+    # (1 + tol) of Lewis's bound 2^{|1/2 - 1/p|} on both sides
+    sp, W = rotating_weight(depth, 2, 0.8, 2.0 ** -depth)
+    pair = build_reducing_pair(sp, W, 1.5, tol=2e-2)
+    assert pair.method == "ellipsoid"
+    bound = 2.0 ** abs(0.5 - 1.0 / 1.5) * (1.0 + 2e-2)
+    for cert in pair.certificate.values():
+        assert cert["high"] == 1.0
+        assert 1.0 / bound <= cert["low"] < 1.0
 
 
 def test_small_atom_norm_does_not_cancel():
