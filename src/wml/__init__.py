@@ -10,7 +10,7 @@ from .linalg import (EllipsoidError, ValidationError, jacobi_eigh,
                      mvee_central, spectral_norm)
 from .weights import (MatrixWeight, ReducingPair, ap_characteristic,
                       ap_equivalents, as_weight, build_reducing_pair,
-                      conjugate, dual_weight, exchanged_pair, reducer_norms,
+                      conjugate, exchanged_pair, reducer_norms,
                       verify_reducing_bounds)
 from .operators import (lp_weighted_norm, sparse_operator, square_fn,
                         weighted_cond_expect, weighted_square_fn)

@@ -81,20 +81,26 @@ FLAGS = {
 }
 
 
+# the JSON values each scalar kind takes; a JSON boolean is a Python int,
+# so only bool takes one
+_JSON_VALUES = {str: str, int: int, float: (int, float), bool: bool}
+
+
 def _typed(command, key, kind, value):
     """Config value ``value`` of ``key`` as ``kind``: a tuple (t,) takes a
     JSON list of t, a dict a JSON object of its keys, str only a string,
-    and no kind takes null. Anything else is a usage error naming the key."""
+    int only an integer, float any number, bool only true or false, and no
+    kind takes null. Anything else is a usage error naming the key."""
     if isinstance(kind, dict) and isinstance(value, dict):
         return {sub: _typed(command, f"{key}.{sub}", kind[sub], val)
                 for sub, val in value.items()}
     if isinstance(kind, tuple) and isinstance(value, list):
         return tuple(_typed(command, key, kind[0], v) for v in value)
     try:
-        if isinstance(kind, type) and value is not None and \
-                (kind is str) == isinstance(value, str):
+        if isinstance(kind, type) and isinstance(value, _JSON_VALUES[kind]) \
+                and (kind is bool) == isinstance(value, bool):
             return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         pass
     name = "a JSON object" if isinstance(kind, dict) else \
         f"a list of {kind[0].__name__}" if isinstance(kind, tuple) else \
@@ -250,8 +256,9 @@ def cmd_check(args):
         raise ValidationError(
             f"check takes {', '.join(map(repr, files_only))} only with "
             "'tree', which names the instance's tree file")
-    if "fit_tol" in opts:
-        check_tolerance("fit_tol", opts["fit_tol"])
+    for key in ("fit_tol", "cgamma"):
+        if key in opts:
+            check_tolerance(key, opts[key])
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     threshold = opts.get("cgamma", default_threshold())

@@ -90,14 +90,19 @@ def rotating_weight(depth, dim, alpha, eps):
 # operator-norm estimators
 # ---------------------------------------------------------------------------
 
-def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0,
-                           return_iterations=False):
+# relative change of the Rayleigh quotient at which the power iteration stops
+POWER_TOL = 1e-8
+# relative gap between the ratio and Boyd's upper value at which a start stops
+BOYD_TOL = 1e-12
+
+
+def opnorm_power_iteration(space, w, max_iter=10_000, seed=0):
     """sup_f ||S f||_{L2_w} / ||f||_{L2_w} for a scalar weight at p = 2.
 
     Power iteration on the PSD form operator in the probability inner
-    product; returns the square root of the top Rayleigh quotient, or
-    (value, iterations) with ``return_iterations``. Raises on
-    non-convergence with the last quotient attached.
+    product, until the Rayleigh quotient moves by at most POWER_TOL
+    relative; returns (the square root of the top Rayleigh quotient,
+    iterations). Raises on non-convergence with the last quotient attached.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
@@ -122,7 +127,7 @@ def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0,
             value = 0.0
             break
         v = tv / norm
-        if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
+        if abs(lam - lam_old) <= POWER_TOL * max(abs(lam), 1e-300):
             value = math.sqrt(max(lam, 0.0))
             break
         lam_old = lam
@@ -130,7 +135,7 @@ def opnorm_power_iteration(space, w, tol=1e-8, max_iter=10_000, seed=0,
         raise RuntimeError(
             f"power iteration did not converge in {max_iter} iterations "
             f"(last Rayleigh quotient {lam_old})")
-    return (value, it) if return_iterations else value
+    return value, it
 
 
 @dataclass
@@ -174,96 +179,68 @@ def _sq_gradient(space, w2p, wm, p, point):
             float(np.sum(space.leaf_probs * s ** p)))
 
 
-# relative gap between the ratio and Boyd's upper value at which a phase stops
-BOYD_TOL = 1e-12
-
-
 def _row_mags(f):
     """(R, L) euclidean norms of a leaf-major (L, R, d) batch, each row
     contiguous and summed as ``_lp_norm`` sums one function."""
     return np.sqrt(np.add.reduce(f * f, axis=2)).T.copy()
 
 
-def _boyd_batch(space, wp, wm, w2p, p, starts, exponents, max_iter):
-    """Boyd's power method for T f = (W^{1/p} d_k W^{-1/p} f)_k from all
-    (L, d) ``starts`` at once. Start i runs at each exponent r of
-    ``exponents[i]`` in turn from where the previous one stopped, within
-    ``max_iter`` iterations of its own (an int, or one int per start).
+def _boyd_batch(space, wp, wm, w2p, p, starts, max_iter):
+    """Boyd's p-norm power method for T f = (W^{1/p} d_k W^{-1/p} f)_k from
+    all (L, d) ``starts`` at once, each within ``max_iter`` iterations of
+    its own (an int, or one int per start). Every start runs at p,
+    ``opnorm_ascent``'s start 0 too, which enters as its Lanczos Ritz
+    vector with the rest of its budget.
 
     A round evaluates every live start once, held leaf-major in one
     (L, R, d) batch (one martingale, one increment adjoint), and maps f to
-    J_{r'}(T* J_r(T f)) normalized in L^r. Hölder gives ratio_r(f) <= gamma
-    = ||T* J_r(T f)||_{r'} / ||T f||_r^{r-1} <= ratio_r(next f), so a phase
-    stops once gamma - ratio <= BOYD_TOL gamma; a start that ends its last
-    phase or its budget leaves the batch. Columns are reduced one by one,
-    per-leaf values sit in contiguous (R, L) rows, and each run of rows that
-    share an exponent is raised at it as a scalar (numpy squares and takes
-    roots at 2 and 0.5, where an array of exponents would call pow), so a
-    start's result is bitwise the one it gets alone.
+    J_{p'}(T* J_p(T f)) normalized in L^p. Hölder gives ratio(f) <= gamma
+    = ||T* J_p(T f)||_{p'} / ||T f||_p^{p-1} <= ratio(next f), so a start
+    stops once gamma - ratio <= BOYD_TOL gamma, or when its budget runs
+    out, and leaves the batch. Columns are reduced one by one and per-leaf
+    values sit in contiguous (R, L) rows, so a start's result is bitwise
+    the one it gets alone.
 
-    Returns per start (f, p-ratio of f, iterations, converged) for its last
+    Returns per start (f, ratio of f, iterations, converged) for its last
     evaluated f; ``converged`` is False when the budget ran out first.
     """
-    probs = space.leaf_probs
+    probs, q = space.leaf_probs, p / (p - 1.0)
     budget = np.broadcast_to(max_iter, len(starts))
     wp, wm, w2p = wp[:, None], wm[:, None], w2p[:, None]
     f = np.stack(starts, axis=1)
-    live = list(range(len(starts)))
-    phase, iters = [0] * len(starts), [0] * len(starts)
-    results = [None] * len(starts)
+    live, results, iters = list(range(len(starts))), [None] * len(starts), 0
+
+    def sums(x, exponent):
+        return np.add.reduce(probs * x ** exponent, axis=1)
+
     while live:
-        rs = [exponents[i][phase[i]] for i in live]
-        cuts = [j for j in range(1, len(rs)) if rs[j] != rs[j - 1]]
-        runs = [(slice(a, b), rs[a])
-                for a, b in zip([0] + cuts, cuts + [len(rs)])]
-
-        def powers(x, exponent):
-            if len(runs) == 1:
-                return x ** exponent(rs[0])
-            out = np.empty_like(x)
-            for rows, r in runs:
-                out[rows] = x[rows] ** exponent(r)
-            return out
-
-        def sums(x, exponent):
-            return np.add.reduce(probs * powers(x, exponent), axis=1)
-
+        iters += 1
         diffs, s = _ascent_point(space, wp, wm, f)
         s = s.T.copy()
         with np.errstate(divide="ignore"):
-            # 0 ** (r - 2) is inf for r < 2, and the leaf takes 0 instead
-            spow = np.where(s > 1e-300, powers(s, lambda r: r - 2.0), 0.0)
-        grad = _adjoint_step(space, w2p, wm, diffs, spow.T) \
-            * np.array(rs)[:, None]
+            # 0 ** (p - 2) is inf for p < 2, and the leaf takes 0 instead
+            spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
+        grad = p * _adjoint_step(space, w2p, wm, diffs, spow.T)
         gmag = _row_mags(grad)
-        step = powers(gmag, lambda r: (2.0 - r) / (r - 1.0)).T[:, :, None] \
-            * grad
-        phi, fsum = sums(s, lambda r: r), sums(_row_mags(f), lambda r: r)
-        gsum = sums(gmag, lambda r: r / (r - 1.0))
-        ssum = sums(_row_mags(step), lambda r: r)
+        step = (gmag ** ((2.0 - p) / (p - 1.0))).T[:, :, None] * grad
+        phi, fsum = sums(s, p), sums(_row_mags(f), p)
+        gsum, ssum = sums(gmag, q), sums(_row_mags(step), p)
         scale, keep = np.empty(len(live)), []
-        for j, (i, r) in enumerate(zip(live, rs)):
-            iters[i] += 1
-            q = r / (r - 1.0)
-            norm = float(phi[j]) ** (1.0 / r)
-            ratio = norm / float(fsum[j] ** (1.0 / r))
+        for j, i in enumerate(live):
+            norm = float(phi[j]) ** (1.0 / p)
+            ratio = norm / float(fsum[j] ** (1.0 / p))
             if norm == 0.0:
-                # T f = 0: f lies in the null space, where every exponent's
-                # ratio is 0 and no Boyd step is defined
+                # T f = 0: f lies in the null space, where the ratio is 0
+                # and no Boyd step is defined
                 converged = True
             else:
-                gamma = float(gsum[j] ** (1.0 / q)) / (r * norm ** (r - 1.0))
+                gamma = float(gsum[j] ** (1.0 / q)) / (p * norm ** (p - 1.0))
                 converged = gamma - ratio <= BOYD_TOL * gamma
-                if converged and phase[i] + 1 < len(exponents[i]):
-                    phase[i], converged = phase[i] + 1, False
-            if converged or iters[i] == budget[i]:
-                witness = f[:, j].copy()
-                results[i] = (witness, _lp_norm(space, s[j], p)
-                              / _lp_norm(space, witness, p), iters[i],
-                              converged)
+            if converged or iters == budget[i]:
+                results[i] = (f[:, j].copy(), ratio, iters, converged)
             else:
                 keep.append(j)
-            scale[j] = float(ssum[j] ** (1.0 / r))
+            scale[j] = float(ssum[j] ** (1.0 / p))
         f = step.take(keep, axis=1) / scale[keep, None]
         live = [live[j] for j in keep]
     return results
@@ -377,9 +354,8 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     and witness, bitwise as if it ran alone. Start 0 first goes to the L2
     top singular vector of the same operator: a Lanczos solve
     (``_lanczos_top``) of at most ``max_iter`` - 1 steps from its random
-    draw, whose Ritz vector enters the batch at exponent 2, where Boyd's
-    test certifies it (typically in one round), and continues at p from
-    there. For p > 2 each start runs the projected gradient ascent
+    draw, whose Ritz vector enters the batch at p like every other start.
+    For p > 2 each start runs the projected gradient ascent
     (``_ascent_start``): from the same starts the power method ends lower
     there on most tested points.
 
@@ -390,7 +366,7 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     rest of its budget. ``converged`` is False when any start used up
     ``max_iter`` before its stopping rule.
     For p <= 2 that rule is Hölder's inequality holding with equality to
-    1e-12 relative, which makes f a fixed point of the iteration and a
+    BOYD_TOL relative, which makes f a fixed point of the iteration and a
     stationary point of the ratio (not necessarily its maximum); for p > 2
     it is the ascent finding no improving step. p must lie in (1, inf).
     """
@@ -412,7 +388,6 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
             starts[0], steps = _lanczos_top(space, wp, wm, w2p, starts[0],
                                             max_iter - 1)
         results = _boyd_batch(space, wp, wm, w2p, p, starts,
-                              [(2.0, p)] + [(p,)] * (restarts - 1),
                               [max_iter - steps] + [max_iter] * (restarts - 1))
     else:
         results = [_ascent_start(space, wp, wm, w2p, p, f, max_iter)
@@ -554,8 +529,7 @@ def sweep_point(config, index, depth, alpha, eps):
             space, W, config.p, tol=config.fit_tol))
         if config.d == 1 and abs(config.p - 2.0) < 1e-12:
             # the weighted ratio for S equals the unweighted ratio for S_w
-            ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed,
-                                                  return_iterations=True)
+            ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed)
             restarts, converged = 1, True
         else:
             res = opnorm_ascent(space, W, config.p, restarts=config.restarts,

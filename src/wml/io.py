@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .experiments import SweepRecord
 from .filtration import FilteredSpace, build_from_tree
 from .linalg import ValidationError
 from .weights import MatrixWeight, as_weight
@@ -136,9 +137,7 @@ def save_family_json(path, family):
 def write_sweep_csv(path, records):
     """Deterministic sweep CSV: fixed column order, repr-formatted floats,
     no timing column."""
-    fields = records[0].CSV_FIELDS if records else (
-        "instance_id", "family", "p", "d", "depth", "alpha", "eps",
-        "ap_char", "ratio", "iterations", "restarts", "converged")
+    fields = SweepRecord.CSV_FIELDS
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)

@@ -26,6 +26,10 @@ import numpy as np
 
 DIRECTION_COUNTS = {1: 1, 2: 360, 3: 2048}
 DEFAULT_DIRECTIONS_HIGH_D = 8192
+# a Jacobi matrix stops rotating once its off-diagonal mass is at most
+# JACOBI_TOL times its norm; the sweeps stop after JACOBI_MAX_SWEEPS
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
 
 
 class ValidationError(ValueError):
@@ -53,17 +57,18 @@ class EllipsoidError(RuntimeError):
         self.bound = bound
 
 
-def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
+def jacobi_eigh(mats):
     """Eigen-decomposition of stacked symmetric matrices by cyclic Jacobi.
 
     Parameters
     ----------
     mats : ndarray, shape (..., d, d)
         Symmetric matrices (symmetrized internally).
-    tol : float
-        A matrix stops rotating once its off-diagonal Frobenius mass, the
-        root of the sum of the off-diagonal squares, is below ``tol``
-        times its Frobenius norm; the sweeps end when every matrix has.
+
+    A matrix stops rotating once its off-diagonal Frobenius mass, the root
+    of the sum of the off-diagonal squares, is at most JACOBI_TOL times its
+    Frobenius norm; the sweeps end when every matrix has, or after
+    JACOBI_MAX_SWEEPS.
 
     Returns
     -------
@@ -92,13 +97,13 @@ def jacobi_eigh(mats, tol=1e-14, max_sweeps=60):
 
     scale = np.sqrt(np.sum(a * a, axis=(1, 2))) + 1e-300
     off_diag = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # from the off-diagonal squares: sum(a^2) - sum(diag^2) cancels and
         # can read 0 while the off-diagonal mass is near sqrt(eps) ||A||
         off = np.sqrt(np.sum(a[:, off_diag] ** 2, axis=1))
         # a converged matrix gets t = 0 from here on, which leaves it
         # unchanged, so its result does not depend on its batch mates
-        done = off <= tol * scale
+        done = off <= JACOBI_TOL * scale
         if np.all(done):
             break
         for p in range(d - 1):

@@ -32,6 +32,8 @@ from .operators import sparse_operator
 
 ZERO_SPARSE = 1e-14
 POSITIVITY = 1e-12
+# rounding slack of the property, iteration and vanishing checks
+CHECK_TOL = 1e-10
 INF = np.inf
 
 
@@ -240,7 +242,7 @@ def build_principal_family(an, threshold=None):
 # property checks
 # ---------------------------------------------------------------------------
 
-def check_properties(an, family, tol=1e-10):
+def check_properties(an, family):
     """Structural and quantitative properties of the built family.
 
     Returns a dict with one boolean per property:
@@ -260,7 +262,7 @@ def check_properties(an, family, tol=1e-10):
     """
     space, table = an.space, an.table
     C = family.threshold
-    report = {"threshold": C, "tol": tol}
+    report = {"threshold": C, "tol": CHECK_TOL}
     escapes = [s.escape for s in family.sets]
     all_escape = np.concatenate(escapes) if escapes else np.empty(0, dtype=np.intp)
     report["escape_disjoint"] = bool(
@@ -312,7 +314,7 @@ def check_properties(an, family, tol=1e-10):
             worst_escape = max(worst_escape, evv)
             prob = s.probability(space)
             eprob = s.escape_probability(space)
-            if prob > 2.0 * eprob + tol:
+            if prob > 2.0 * eprob + CHECK_TOL:
                 mass_ok = False
             # one reduceat over alternating atom starts and ends: its even
             # entries are the escaped mass of each atom
@@ -323,14 +325,14 @@ def check_properties(an, family, tol=1e-10):
             frac = np.add.reduceat(escaped, bounds)[::2] \
                 / space.atom_probs[s.kappa2][s.atoms]
             worst_mass = min(worst_mass, float(frac.min(initial=1.0)))
-            if np.any(frac < 0.5 - tol):
+            if np.any(frac < 0.5 - CHECK_TOL):
                 mass_ok = False
         else:
             gen1_window = max(gen1_window, wv)
             gen1_escape = max(gen1_escape, evv)
 
-    report["window_bounds"] = bool(worst_window <= tol)
-    report["escape_bounds"] = bool(worst_escape <= tol)
+    report["window_bounds"] = bool(worst_window <= CHECK_TOL)
+    report["escape_bounds"] = bool(worst_escape <= CHECK_TOL)
     report["escape_mass"] = mass_ok
     report["worst_window_slack"] = float(worst_window)
     report["worst_escape_slack"] = float(worst_escape)
@@ -367,12 +369,12 @@ def tail_energy(an, family, m):
     return np.sqrt(_tail_squares(an, family, m))
 
 
-def iteration_check(an, family, tol=1e-10):
+def iteration_check(an, family):
     """Verify the iterated tail-energy inequality pointwise for every cut N:
     b_1^2 <= b_N^2 + K sum_{m<=N} sum_{P_m} T(P_m) chi_{P_m}, with the
     derived K = iteration_constant(threshold); T is the squared sparse term
     of the set. Returns the report with the worst slack and the bound it
-    is held to, tol * max(1, max b_1^2)."""
+    is held to, CHECK_TOL * max(1, max b_1^2)."""
     k_it = iteration_constant(family.threshold)
     b1 = _tail_squares(an, family, 1)
     max_gen = max((s.generation for s in family.sets), default=0)
@@ -384,12 +386,12 @@ def iteration_check(an, family, tol=1e-10):
         tail = b1 if n_cut == 1 else _tail_squares(an, family, n_cut)
         slack = b1 - tail - k_it * running
         worst = max(worst, float(slack.max(initial=-np.inf)))
-    bound = tol * max(1.0, float(b1.max(initial=0.0)))
+    bound = CHECK_TOL * max(1.0, float(b1.max(initial=0.0)))
     return {"constant": k_it, "worst_slack": worst,
             "ok": bool(worst <= bound), "bound": bound}
 
 
-def vanish_checks(an, family, tol=1e-10):
+def vanish_checks(an, family):
     """(i) The weighted square function vanishes off the first generation;
     (ii) on each first-generation set there is no weighted difference energy
     below the stopping level. Returns measured maxima and booleans."""
@@ -402,8 +404,8 @@ def vanish_checks(an, family, tol=1e-10):
                 np.sum(wnorm[:s.kappa2 - 1, s.leaves] ** 2, axis=0).max()))
     return {"off_first_generation_max": off_value,
             "below_stop_max": math.sqrt(below),
-            "ok": bool(off_value <= tol and math.sqrt(below) <= tol),
-            "tol": tol}
+            "ok": bool(max(off_value, math.sqrt(below)) <= CHECK_TOL),
+            "tol": CHECK_TOL}
 
 
 def sparse_domination_check(an, threshold=None, family=None):

@@ -20,8 +20,8 @@ from .filtration import (build_from_tree, cond_expect, level_means, lp_norm,
 from .linalg import EllipsoidError, ValidationError, _eig_compose
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
-from .principal import (build_principal_family, check_properties,
-                        default_threshold, iteration_check,
+from .principal import (CHECK_TOL, build_principal_family,
+                        check_properties, default_threshold, iteration_check,
                         sparse_domination_check, vanish_checks)
 from .weights import (MatrixWeight, ap_characteristic, ap_equivalents,
                       as_weight, build_reducing_pair, conjugate,
@@ -32,6 +32,12 @@ DIMS = (1, 2, 3)
 PS = (1.5, 2.0, 3.0, 4.0)
 # expected branching per dimension, tuned so the reducer fits stay cheap
 SPLIT = {1: (0.6, 3), 2: (0.5, 3), 3: (0.42, 2)}
+# log-normal spread of the weight eigenvalues, and of the function's
+# per-leaf scale, which gives it heavy tails
+WEIGHT_SIGMA = 1.2
+HEAVY_TAIL = 1.5
+# rounding slack of the tilted-average identity
+IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,7 @@ def random_tree_spec(rng, depth, split_p, max_children):
     return node(1.0, 0, True)
 
 
-def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
-                    weight_sigma=1.2, heavy_tail=1.5):
+def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
     """Deterministic random instance number ``index`` of the suite."""
     if depth_range[0] < 1:
         raise ValidationError(
@@ -99,12 +104,12 @@ def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS,
     space = build_from_tree(random_tree_spec(rng, depth, split_p, max_children))
     n = space.n_leaves
     if d == 1:
-        weight = as_weight(np.exp(rng.normal(0.0, weight_sigma, n)))
+        weight = as_weight(np.exp(rng.normal(0.0, WEIGHT_SIGMA, n)))
     else:
         q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
-        lam = np.exp(rng.normal(0.0, weight_sigma, (n, d)))
+        lam = np.exp(rng.normal(0.0, WEIGHT_SIGMA, (n, d)))
         weight = MatrixWeight(_eig_compose(q, lam))
-    f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, heavy_tail, (n, 1)))
+    f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, HEAVY_TAIL, (n, 1)))
     return Instance(index=index, seed=seed, depth=space.depth, d=d, p=p,
                     space=space, weight=weight, f=f)
 
@@ -124,14 +129,14 @@ def _halving_check_all_atoms(an, threshold):
                        f"threshold {threshold:g}")
 
 
-def _holder_check(an, family, tol=1e-10):
+def _holder_check(an, family):
     """Pointwise comparison of the r = 2 sparse operator against r = 1 and
     r = p: interpolation for p > 2, plain embedding for p <= 2. Both sides
-    are homogeneous in f, so the gap is held to tol * max(1, max T_p)."""
+    are homogeneous in f, so the gap is held to CHECK_TOL * max(1, max T_p)."""
     p = an.p
     t2 = sparse_operator(an, family, 2.0)
     tp = sparse_operator(an, family, p)
-    bound = tol * max(1.0, float(np.max(tp, initial=0.0)))
+    bound = CHECK_TOL * max(1.0, float(np.max(tp, initial=0.0)))
     if p <= 2.0:
         gap = float(np.max(t2 - tp, initial=-np.inf))
         return CheckResult("sparse_embedding", gap <= bound, gap, bound,
@@ -144,7 +149,7 @@ def _holder_check(an, family, tol=1e-10):
                        "T_2 <= T_1^(1-theta) T_p^theta pointwise")
 
 
-def _scalar_checks(inst, rng, tol_identity=1e-12, tol_conj=1e-10):
+def _scalar_checks(inst, rng):
     """Tilted conditional expectation identity and the conjugation identity
     linking the weighted square function to the plain one (d = 1 only)."""
     space = inst.space
@@ -157,18 +162,19 @@ def _scalar_checks(inst, rng, tol_identity=1e-12, tol_conj=1e-10):
     lhs = weighted_cond_expect(space, w, h, level)
     rhs = cond_expect(space, w * h, level) / cond_expect(space, w, level)
     err = float(np.max(np.abs(lhs - rhs)))
-    out.append(CheckResult("tilted_average_identity", err <= tol_identity,
-                           err, tol_identity))
+    out.append(CheckResult("tilted_average_identity", err <= IDENTITY_TOL,
+                           err, IDENTITY_TOL))
     weight = as_weight(w)
     sw = weighted_square_fn(space, weight, p, w ** (1.0 / p) * h)
     plain_h = square_fn(space, martingale_of(space, h))
     err = float(np.max(np.abs(sw - w ** (1.0 / p) * plain_h)))
-    out.append(CheckResult("conjugation_pointwise", err <= tol_conj, err,
-                           tol_conj))
+    out.append(CheckResult("conjugation_pointwise", err <= CHECK_TOL, err,
+                           CHECK_TOL))
     lhs_n = lp_norm(space, sw, p)
     rhs_n = lp_weighted_norm(space, weight, p, plain_h)
     err = abs(lhs_n - rhs_n) / max(rhs_n, 1e-300)
-    out.append(CheckResult("conjugation_norms", err <= tol_conj, err, tol_conj))
+    out.append(CheckResult("conjugation_norms", err <= CHECK_TOL, err,
+                           CHECK_TOL))
     return out
 
 

@@ -477,12 +477,6 @@ def exchanged_pair(pair):
                    wp=pair.wm, wm=pair.wp)
 
 
-def dual_weight(W, p):
-    """The dual weight V = W^{-p'/p}; combine with exchanged_pair."""
-    W = as_weight(W)
-    return MatrixWeight(W.power(-conjugate(p) / p))
-
-
 def _average_bound_exponent(r):
     # E_n ||M||^r with ||M|| <= (sum_i ||M u_i||^2)^{1/2}: subadditivity of
     # t^{r/2} for r <= 2 costs a factor d; Hoelder for r > 2 costs d^{r/2}.

@@ -198,7 +198,7 @@ def test_criterion_8_exponent_probes():
     rng = np.random.default_rng(SEED)
     sp2 = build_dyadic(2)
     w2 = np.exp(rng.normal(0.0, 1.0, 4))
-    est = opnorm_power_iteration(sp2, w2)
+    est, _ = opnorm_power_iteration(sp2, w2)
     sw = np.sqrt(w2)
 
     def op(h):

@@ -95,7 +95,16 @@ def test_check_zero_instances_is_usage_error(tmp_path, capsys):
     (["check", "--d", "0", "--instances", "1"], "not d = 0"),
     (["sweep", "--parallel", "0"], "--parallel must be at least 1, got 0"),
     (["sweep", "--parallel", "-1"], "--parallel must be at least 1, got -1"),
-], ids=["depth", "p", "d", "sweep-parallel-0", "sweep-parallel-negative"])
+    (["check", "--cgamma", "nan", "--instances", "1"],
+     "cgamma must be a finite positive number, got nan"),
+    (["check", "--cgamma", "0", "--instances", "1"],
+     "cgamma must be a finite positive number, got 0.0"),
+    (["check", "--cgamma", "-1", "--instances", "1"],
+     "cgamma must be a finite positive number, got -1.0"),
+    (["check", "--cgamma", "inf", "--instances", "1"],
+     "cgamma must be a finite positive number, got inf"),
+], ids=["depth", "p", "d", "sweep-parallel-0", "sweep-parallel-negative",
+        "cgamma-nan", "cgamma-zero", "cgamma-negative", "cgamma-inf"])
 def test_check_zero_flag_reaches_validation(tmp_path, capsys, args, message):
     # a zero or negative value is not the default: it is checked and
     # rejected before anything is written
@@ -436,8 +445,16 @@ def test_fit_and_report_reject_unknown_config_key(tmp_path, capsys, command):
     ("sweep", {"epss": None},
      "sweep config key 'epss' must be a list of float, got None"),
     ("check", {"instances": [3]}, "check config key 'instances' must be int"),
+    ("check", {"instances": 2.7},
+     "check config key 'instances' must be int, got 2.7"),
+    ("sweep", {"depths": [4, True]},
+     "sweep config key 'depths' must be int, got True"),
+    ("check", {"acceptance": 2},
+     "check config key 'acceptance' must be bool, got 2"),
+    ("sweep", {"p": False}, "sweep config key 'p' must be float, got False"),
 ], ids=["gen-depth", "gen-weight-alpha", "sweep-restarts", "sweep-epss-null",
-        "check-instances"])
+        "check-instances", "check-instances-float", "sweep-depths-bool",
+        "check-acceptance-int", "sweep-p-bool"])
 def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, command,
                                                    config, message):
     cfg = tmp_path / "cfg.json"
@@ -447,6 +464,17 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_integer_config_value_of_a_float_key_is_valid(tmp_path):
+    # a float key takes any JSON number: "p": 2 is p = 2.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 2, "depths": [4], "alphas": [0.5],
+                               "epss": [0.25, 0.125, 0.0625]}))
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_sweep_csv(out / "sweep.csv")
+    assert [(r["p"], r["depth"]) for r in rows] == [(2.0, 4)] * 3
 
 
 @pytest.mark.parametrize("flags, keys, named", [

@@ -84,7 +84,7 @@ def test_rotating_weight_global_rotation_invariance():
 
 def test_opnorm_power_iteration_unweighted_is_one():
     sp = build_dyadic(4)
-    assert opnorm_power_iteration(sp, np.ones(16)) == pytest.approx(
+    assert opnorm_power_iteration(sp, np.ones(16))[0] == pytest.approx(
         1.0, abs=1e-9)
 
 
@@ -92,15 +92,15 @@ def test_opnorm_power_iteration_scale_invariant():
     rng = np.random.default_rng(0)
     sp = build_dyadic(4)
     w = np.exp(rng.normal(0.0, 1.0, 16))
-    assert opnorm_power_iteration(sp, w) == pytest.approx(
-        opnorm_power_iteration(sp, 11.0 * w), rel=1e-9)
+    assert opnorm_power_iteration(sp, w)[0] == pytest.approx(
+        opnorm_power_iteration(sp, 11.0 * w)[0], rel=1e-9)
 
 
 def test_opnorm_power_iteration_dense_oracle_depth2():
     rng = np.random.default_rng(1)
     sp = build_dyadic(2)
     w = np.exp(rng.normal(0.0, 1.0, 4))
-    est = opnorm_power_iteration(sp, w)
+    est, _ = opnorm_power_iteration(sp, w)
     # dense eigensolve of the same quadratic form, euclidean coordinates
     sw = np.sqrt(w)
     probs = sp.leaf_probs
@@ -133,7 +133,7 @@ def test_opnorm_ascent_matches_power_iteration():
     rng = np.random.default_rng(2)
     sp = build_dyadic(4)
     w = np.exp(rng.normal(0.0, 0.8, 16))
-    exact = opnorm_power_iteration(sp, w)
+    exact, _ = opnorm_power_iteration(sp, w)
     res = opnorm_ascent(sp, as_weight(w), 2.0, restarts=6, seed=3)
     assert abs(res.ratio - exact) / exact < 0.02
 
@@ -206,8 +206,9 @@ def test_opnorm_ascent_witness_reproduces_ratio():
 
 
 def test_power_method_capped_in_exponent_two_phase():
-    # start 0 runs out of iterations before its exponent-2 phase ends: the
-    # start is unconverged and still reports the p-ratio of its witness
+    # start 0 spends its budget in its exponent-2 phase, the Lanczos solve,
+    # and one round at p: the start is unconverged and still reports the
+    # p-ratio of its witness
     sp, W = rotating_weight(5, 2, 0.8, 0.0625)
     full = opnorm_ascent(sp, W, 1.5, restarts=1, seed=0)
     assert full.converged and full.iterations > 4
@@ -230,25 +231,23 @@ def test_power_method_start_zero_passes_through_exponent_two():
 
 @pytest.mark.parametrize("args, max_iter, converged", [
     ((5, 2, 0.8, 0.0625), 200, [True] * 4),
-    ((5, 2, 0.8, 0.0625), 16, [False, True, False, True]),
+    ((5, 2, 0.8, 0.0625), 16, [True, True, False, True]),
     ((4, 3, 0.6, 0.1), 18, [False, True, False, False]),
 ], ids=["d2-converged", "d2-mixed", "d3-mixed"])
 def test_power_method_batch_leaves_each_start_as_alone(args, max_iter,
                                                        converged):
     # every start of the batched power method ends bitwise where it ends
     # when run alone, also when some of its batch mates stop early and
-    # others use up the budget; start 0 passes through exponent 2 first
+    # others use up the budget
     sp, W = rotating_weight(*args)
     p = 1.5
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     rng = np.random.default_rng(0)
     starts = [rng.standard_normal((sp.n_leaves, W.dim)) for _ in range(4)]
-    exponents = [(2.0, p)] + [(p,)] * 3
-    batch = _boyd_batch(sp, wp, wm, wp @ wp, p, starts, exponents, max_iter)
+    batch = _boyd_batch(sp, wp, wm, wp @ wp, p, starts, max_iter)
     assert [c for *_, c in batch] == converged
-    for start, exps, together in zip(starts, exponents, batch):
-        (alone,) = _boyd_batch(sp, wp, wm, wp @ wp, p, [start], [exps],
-                               max_iter)
+    for start, together in zip(starts, batch):
+        (alone,) = _boyd_batch(sp, wp, wm, wp @ wp, p, [start], max_iter)
         assert alone[0].tobytes() == together[0].tobytes()
         assert alone[1:] == together[1:]
         assert together[2] <= max_iter
@@ -257,29 +256,27 @@ def test_power_method_batch_leaves_each_start_as_alone(args, max_iter,
 @pytest.mark.parametrize("d", (1, 2))
 def test_power_method_null_space_start_converges_at_ratio_zero(d):
     # a constant start under the identity weight has no increments, so
-    # T f = 0 and Boyd's gamma divides by ||T f||^{r-1} = 0: the start
-    # leaves the batch in its first round, converged at ratio 0, through
-    # either phase, and a live batch mate ends bitwise as it does alone
+    # T f = 0 and Boyd's gamma divides by ||T f||^{p-1} = 0: the start
+    # leaves the batch in its first round, converged at ratio 0, and a
+    # live batch mate ends bitwise as it does alone
     sp = build_dyadic(3)
     W = MatrixWeight.identity(sp.n_leaves, d)
     p = 1.5
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     null = np.ones((sp.n_leaves, d))
     live = np.random.default_rng(0).standard_normal((sp.n_leaves, d))
-    for exps in ((2.0, p), (p,)):
-        ((f, ratio, iters, converged),) = _boyd_batch(
-            sp, wp, wm, wp @ wp, p, [null], [exps], 50)
-        assert (ratio, iters, converged) == (0.0, 1, True)
-        assert f.tobytes() == null.tobytes()
-    batch = _boyd_batch(sp, wp, wm, wp @ wp, p, [null, live],
-                        [(2.0, p), (p,)], 50)
-    (alone,) = _boyd_batch(sp, wp, wm, wp @ wp, p, [live], [(p,)], 50)
+    ((f, ratio, iters, converged),) = _boyd_batch(
+        sp, wp, wm, wp @ wp, p, [null], 50)
+    assert (ratio, iters, converged) == (0.0, 1, True)
+    assert f.tobytes() == null.tobytes()
+    batch = _boyd_batch(sp, wp, wm, wp @ wp, p, [null, live], 50)
+    (alone,) = _boyd_batch(sp, wp, wm, wp @ wp, p, [live], 50)
     assert batch[0][1:] == (0.0, 1, True)
     assert alone[0].tobytes() == batch[1][0].tobytes()
     assert alone[1:] == batch[1][1:]
 
 
-def _serial_boyd(sp, wp, wm, w2p, p, f, exponents, max_iter):
+def _serial_boyd(sp, wp, wm, w2p, p, f, max_iter):
     """One start of the power method run on its own, from the filtration
     primitives: the loop the batch replaced, kept as the reference."""
     probs = sp.leaf_probs
@@ -288,27 +285,23 @@ def _serial_boyd(sp, wp, wm, w2p, p, f, exponents, max_iter):
         mag = np.abs(x) if x.ndim == 1 else np.sqrt(np.sum(x * x, axis=1))
         return float(np.sum(probs * mag ** r) ** (1.0 / r))
 
-    iters = 0
-    for r in exponents:
-        converged = False
-        while iters < max_iter and not converged:
-            iters += 1
-            witness, diffs = f, martingale_of(sp, matvec(wm, f)).diffs
-            t = matvec(wp, diffs)
-            s = np.sqrt(np.sum(t * t, axis=(0, 2)))
-            spow = np.where(s > 1e-300, s ** (r - 2.0), 0.0)
-            grad = r * matvec(wm, increment_adjoint(
-                sp, spow[:, None] * matvec(w2p, diffs)))
-            top = float(np.sum(probs * s ** r)) ** (1.0 / r)
-            ratio = top / norm(f, r)
-            gmag = np.sqrt(np.sum(grad * grad, axis=1))
-            gamma = norm(gmag, r / (r - 1.0)) / (r * top ** (r - 1.0))
-            converged = gamma - ratio <= 1e-12 * gamma
-            f = gmag[:, None] ** ((2.0 - r) / (r - 1.0)) * grad
-            f /= norm(f, r)
-        if not converged:
-            break
-    return witness, norm(s, p) / norm(witness, p), iters, converged
+    iters, converged = 0, False
+    while iters < max_iter and not converged:
+        iters += 1
+        witness, diffs = f, martingale_of(sp, matvec(wm, f)).diffs
+        t = matvec(wp, diffs)
+        s = np.sqrt(np.sum(t * t, axis=(0, 2)))
+        spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
+        grad = p * matvec(wm, increment_adjoint(
+            sp, spow[:, None] * matvec(w2p, diffs)))
+        top = float(np.sum(probs * s ** p)) ** (1.0 / p)
+        ratio = top / norm(f, p)
+        gmag = np.sqrt(np.sum(grad * grad, axis=1))
+        gamma = norm(gmag, p / (p - 1.0)) / (p * top ** (p - 1.0))
+        converged = gamma - ratio <= 1e-12 * gamma
+        f = gmag[:, None] ** ((2.0 - p) / (p - 1.0)) * grad
+        f /= norm(f, p)
+    return witness, ratio, iters, converged
 
 
 @pytest.mark.parametrize("args, p, max_iter", [
@@ -335,9 +328,8 @@ def test_batched_power_method_matches_serial_starts(args, p, max_iter):
         f, steps = rng.standard_normal((sp.n_leaves, d)), 0
         if start == 0:
             f, steps = _lanczos_top(sp, wp, wm, wp @ wp, f, max_iter - 1)
-        f, r, it, c = _serial_boyd(
-            sp, wp, wm, wp @ wp, p, f, (2.0, p) if start == 0 else (p,),
-            max_iter - steps)
+        f, r, it, c = _serial_boyd(sp, wp, wm, wp @ wp, p, f,
+                                   max_iter - steps)
         iters, converged = iters + steps + it, converged and c
         if r > ratio:
             ratio, witness = r, f
@@ -401,7 +393,7 @@ def test_power_method_dense_oracle_p2_d2():
                                   "rotating-d3"])
 def test_lanczos_vector_matches_dense_top_eigenvalue(case):
     # the Ritz vector's ||T y||^2 / ||y||^2 against the top eigenvalue of the
-    # dense P-weighted T*T, and the batch's exponent-2 test certifies it
+    # dense P-weighted T*T, and Boyd's test at exponent 2 certifies it
     rng = np.random.default_rng(9)
     p = 1.5
     if case.startswith("scalar"):
@@ -418,8 +410,8 @@ def test_lanczos_vector_matches_dense_top_eigenvalue(case):
     quotient = (lp_norm(sp, weighted_square_fn(sp, W, p, y), 2.0)
                 / lp_norm(sp, y, 2.0)) ** 2
     assert quotient == pytest.approx(top, rel=1e-10)
-    ((_, _, iters, converged),) = _boyd_batch(sp, wp, wm, wp @ wp, p, [y],
-                                              [(2.0,)], 200)
+    ((_, _, iters, converged),) = _boyd_batch(sp, wp, wm, wp @ wp, 2.0, [y],
+                                              200)
     assert converged and iters <= 2
 
 
@@ -454,9 +446,7 @@ def test_sweep_point_reports_power_iteration_count():
     rec = sweep_point(cfg, 0, 5, 0.6, 0.25)
     space, W = build_family_instance(cfg, 5, 0.6, 0.25)
     seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
-    ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed,
-                                          return_iterations=True)
-    assert ratio == opnorm_power_iteration(space, W.scalar(), seed=seed)
+    ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed)
     assert (rec.ratio, rec.iterations) == (ratio, iters) and iters > 1
 
 
