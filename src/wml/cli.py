@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -89,8 +90,9 @@ _JSON_VALUES = {str: str, int: int, float: (int, float), bool: bool}
 def _typed(command, key, kind, value):
     """Config value ``value`` of ``key`` as ``kind``: a tuple (t,) takes a
     JSON list of t, a dict a JSON object of its keys, str only a string,
-    int only an integer, float any number, bool only true or false, and no
-    kind takes null. Anything else is a usage error naming the key."""
+    int only an integer, float any finite number (not NaN or Infinity),
+    bool only true or false, and no kind takes null. Anything else is a
+    usage error naming the key."""
     if isinstance(kind, dict) and isinstance(value, dict):
         return {sub: _typed(command, f"{key}.{sub}", kind[sub], val)
                 for sub, val in value.items()}
@@ -98,12 +100,14 @@ def _typed(command, key, kind, value):
         return tuple(_typed(command, key, kind[0], v) for v in value)
     try:
         if isinstance(kind, type) and isinstance(value, _JSON_VALUES[kind]) \
-                and (kind is bool) == isinstance(value, bool):
+                and (kind is bool) == isinstance(value, bool) \
+                and (kind is not float or math.isfinite(value)):
             return kind(value)
     except OverflowError:
         pass
     name = "a JSON object" if isinstance(kind, dict) else \
         f"a list of {kind[0].__name__}" if isinstance(kind, tuple) else \
+        "a finite float" if kind is float and isinstance(value, float) else \
         kind.__name__
     raise ValidationError(
         f"{command} config key {key!r} must be {name}, got {value!r}")

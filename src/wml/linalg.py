@@ -1,14 +1,22 @@
 """Small dense SPD linear algebra and Loewner ellipsoid fitting.
 
 Everything here operates on stacks of small (d <= 6) symmetric matrices.
-Eigen-decompositions use a batched cyclic Jacobi sweep so results are
-deterministic and identical across BLAS builds; a matrix stops rotating
+``jacobi_eigh`` is a batched cyclic Jacobi sweep; a matrix stops rotating
 once the Frobenius mass of its off-diagonal entries, summed from their
-own squares, is below 1e-14 of its norm. The smallest sizes skip the
-batch machinery: a 1 x 1 matrix is its own eigenvalue, ``spd_power`` of
-1 x 1 matrices is an elementwise power, and ``spectral_norm`` of 2 x 2
-and 3 x 3 matrices takes the top eigenvalue of the Gram matrix in closed
-form.
+own squares, is below 1e-14 of its norm. Jacobi is relatively accurate on
+graded SPD matrices (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+1992), so it decomposes the matrices whose small eigenvalues, down to
+``weights.EIG_CLIP_RATIO`` of the large ones, matter: the leaf matrices of
+a weight at ingestion and the level means of the exact p = 2 reducers;
+it also takes the Gram matrices above 3 x 3. The block Lewis fit (``weights._lewis_fit``)
+decomposes matrices it has whitened itself, near I at its fixed point,
+and takes them to LAPACK (``np.linalg.eigh`` and ``eigvalsh``, one
+matrix at a time, so that an atom's result does not depend on its batch
+mates), and the square roots of its frames from LAPACK's singular value
+decomposition. The smallest sizes skip the Jacobi machinery: a 1 x 1
+matrix is its own eigenvalue, ``spd_power`` of 1 x 1 matrices is an
+elementwise power, and ``spectral_norm`` of 2 x 2 and 3 x 3 matrices
+takes the top eigenvalue of the Gram matrix in closed form.
 The powers of a weight's leaf matrices do not come from ``spd_power``
 but from the spectrum ``weights.MatrixWeight`` keeps, and the inverse
 reducers not from ``sym_inv`` but from the decompositions that give the
@@ -214,11 +222,13 @@ def _top_eigenvalue_3x3(g):
     2 cos(phi + 2 pi k / 3), phi = arccos(det(B) / 2) / 3, so the top one
     of G is m + 2 s cos(phi); a multiple of I has s = 0 and top eigenvalue
     m. The top root is well conditioned in det(B) unless the top two
-    eigenvalues nearly meet, where an error of eps in det(B) moves it by
-    sqrt(eps). There, when det(B) < 0, the bottom eigenvalue is at least
-    sqrt(3) from the other two and is taken from the closed form instead,
-    and the top one comes from the compression of B to the plane
-    orthogonal to its eigenvector (``_deflated_top``).
+    eigenvalues nearly meet, where det(B) / 2 -> -1 and an error of eps in
+    det(B) moves it by sqrt(eps): its derivative in h = det(B) / 2 is
+    2 sin(phi) / (3 sqrt(1 - h^2)), at most about 1.2 for h >= -0.9. Below
+    -0.9 the bottom eigenvalue is more than sqrt(3) from the other two and
+    is taken from the closed form instead, and the top one comes from the
+    compression of B to the plane orthogonal to its eigenvector
+    (``_deflated_top``).
     """
     shape = g.shape[:-2]
     g = g.reshape(-1, 3, 3)
@@ -233,7 +243,7 @@ def _top_eigenvalue_3x3(g):
                       + b02 * (b01 * b12 - b11 * b02))
     phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
     top = 2.0 * np.cos(phi)
-    near = half_det < 0.0
+    near = half_det < -0.9
     if np.any(near):
         top[near] = _deflated_top(
             b[near], 2.0 * np.cos(phi[near] + 2.0 * np.pi / 3.0))

@@ -248,10 +248,15 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
     fall below the rounding of its large ones. Each atom keeps a frame X
     with X^T M X = I instead, and every matrix is taken in it: the blocks
     B_l = A_l X, their Gram matrices B_l^T B_l, and X^T M X from those,
-    which ``jacobi_eigh`` decomposes to whiten the frame anew once the
-    weights have moved. An atom whose X^T M X has an eigenvalue ratio below
-    WHITEN_RATIO takes up to WHITEN_PASSES passes in the round. tau_l is
-    the top Gram eigenvalue, as ``spectral_norm`` takes it.
+    which LAPACK's ``np.linalg.eigh`` decomposes to whiten the frame anew
+    once the weights have moved. An atom whose X^T M X has an eigenvalue
+    ratio below WHITEN_RATIO takes up to WHITEN_PASSES passes in the round.
+    X^T M X is near I at the fixed point, and a pass that leaves its ratio
+    below WHITEN_RATIO is redone, so LAPACK's error, small against the
+    largest eigenvalue, is enough: the relative accuracy of ``jacobi_eigh``
+    on graded matrices is not needed here, nor for the extreme eigenvalues
+    of X^T M' X below, which ``np.linalg.eigvalsh`` takes. tau_l is the
+    top Gram eigenvalue, as ``spectral_norm`` takes it.
 
     Every round certifies its frame, whatever X is. With M' = sum_l pi_l
     tau_l^{r/2-1} A_l^T A_l, the extreme eigenvalues lo and hi of X^T M' X,
@@ -307,7 +312,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
         todo = np.ones(alive.size, dtype=bool)
         for _ in range(WHITEN_PASSES):
             pairs = np.repeat(todo, counts)
-            mu, u = jacobi_eigh(_range_sums(
+            mu, u = np.linalg.eigh(_range_sums(
                 weight[pairs, None, None] * gram[pairs], _runs(counts[todo])))
             # a direction whose eigenvalue rounding left at or below 0 gets
             # a large finite scale, and the next pass resolves it
@@ -325,7 +330,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
         top = np.maximum.reduceat(scaled, first)
         w = pi * np.exp(scaled - np.repeat(top, counts))
         s = _range_sums(w * tau, first)
-        lam = jacobi_eigh(_range_sums(w[:, None, None] * gram, first))[0]
+        lam = np.linalg.eigvalsh(_range_sums(w[:, None, None] * gram, first))
         lo, hi = np.maximum(lam[:, 0], 0.0), lam[:, -1]
         ra = r[alive]
         tail = s ** (1.0 / ra - 0.5)

@@ -321,16 +321,23 @@ def test_parallel_ascent_sweep_matches_serial(tmp_path, capsys):
         (parallel / "sweep.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command, config, value", [
-    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, 0.0),
-    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, -0.5),
+FIT_TOL_MESSAGE = "fit_tol must be a finite positive number"
+
+
+@pytest.mark.parametrize("command, config, value, message", [
+    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, 0.0,
+     FIT_TOL_MESSAGE),
+    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, -0.5,
+     FIT_TOL_MESSAGE),
     ("sweep", {"family": "rotating", "d": 2, "p": 1.5, "depths": [4],
-               "alphas": [0.8], "epss": [0.25]}, 0.0),
+               "alphas": [0.8], "epss": [0.25]}, 0.0, FIT_TOL_MESSAGE),
+    # JSON's NaN is refused with the config's types, before the tolerance
     ("sweep", {"family": "rotating", "d": 2, "p": 1.5, "depths": [4],
-               "alphas": [0.8], "epss": [0.25]}, float("nan")),
+               "alphas": [0.8], "epss": [0.25]}, float("nan"),
+     "sweep config key 'fit_tol' must be a finite float, got nan"),
 ], ids=["check-zero", "check-negative", "sweep-zero", "sweep-nan"])
 def test_bad_fit_tol_is_usage_error_before_any_fit(tmp_path, capsys, command,
-                                                   config, value):
+                                                   config, value, message):
     # a non-positive tolerance is a usage error (exit 1) naming the key,
     # not a failed certificate after the whole design budget; nothing is
     # written
@@ -339,7 +346,7 @@ def test_bad_fit_tol_is_usage_error_before_any_fit(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "fit_tol must be a finite positive number" in err
+    assert message in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -459,6 +466,27 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, command,
                                                    config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("sweep", {"alphas": [float("nan")], "depths": [4],
+               "epss": [0.25, 0.125, 0.0625]},
+     "sweep config key 'alphas' must be a finite float, got nan"),
+    ("check", {"p": float("inf")},
+     "check config key 'p' must be a finite float, got inf"),
+], ids=["sweep-alphas-nan", "check-p-inf"])
+def test_nonfinite_config_value_is_usage_error(tmp_path, capsys, command,
+                                               config, message):
+    # JSON's NaN and Infinity are refused like any other ill-typed value,
+    # before the output directory is made
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err

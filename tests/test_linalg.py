@@ -361,6 +361,21 @@ def _frames(rng, b):
     return np.linalg.qr(rng.standard_normal((b, 3, 3)))[0]
 
 
+def _gram_roots(rng, half_det, lift, s):
+    """SPD 3 x 3 roots in random frames of Gram matrices
+    G = m I + s Q diag(2 cos(phi + 2 pi k / 3)) Q^T, phi = arccos(h) / 3,
+    so that B = (G - m I) / s has det(B) / 2 = h: the top two eigenvalues
+    of B meet as h -> -1, the bottom two as h -> 1. m is ``lift`` >= 1
+    times s |bottom eigenvalue of B|, so that G is positive semi-definite
+    with bottom eigenvalue (lift - 1) m / lift."""
+    phi = np.arccos(half_det) / 3.0
+    unit = 2.0 * np.cos(phi[:, None] + 2.0 * np.pi * np.arange(3) / 3.0)
+    lam = s[:, None] * (lift[:, None] * -unit.min(axis=1)[:, None] + unit)
+    q = _frames(rng, len(half_det))
+    return (q * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ np.swapaxes(
+        q, 1, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_closed_form_3x3_spectral_norm_matches_jacobi(seed):
@@ -380,6 +395,21 @@ def test_closed_form_3x3_spectral_norm_matches_jacobi(seed):
     u, v = _frames(rng, b), _frames(rng, b)
     u[:2], v[:2] = np.eye(3), np.eye(3)       # diagonal Gram matrices too
     m = (u * sv[:, None, :]) @ np.swapaxes(v, 1, 2)
+    # and Gram matrices across the deflation threshold det(B) / 2 = -0.9,
+    # below which the top root is deflated: both sides of it and
+    # -1 + 10^-k, where the top two eigenvalues nearly meet, with the
+    # bottom eigenvalue from 0 up to a hundred times the spread. Over 600k
+    # of these the most found was 4.9 eps; the plain root, never deflated,
+    # is off by 1.8e-9 relative near -1, and a threshold at -0.99999 or
+    # -0.999 by 92 or 9.7 eps
+    half_det = np.concatenate([
+        rng.uniform(-0.95, -0.85, b // 2),
+        -1.0 + 10.0 ** -rng.uniform(1.0, 15.0, b // 4),
+        rng.uniform(-1.0, 1.0, b // 4)])
+    half_det[:2] = -0.9, np.nextafter(-0.9, 0.0)
+    m = np.concatenate([m, _gram_roots(
+        rng, half_det, 1.0 + 10.0 ** rng.uniform(-16.0, 2.0, b),
+        10.0 ** rng.uniform(-6.0, 6.0, b))])
     closed = spectral_norm(m)
     jacobi = np.sqrt(jacobi_eigh(np.swapaxes(m, 1, 2) @ m)[0][:, -1])
     worst = np.max(np.abs(closed - jacobi) / jacobi)
@@ -411,15 +441,21 @@ def test_closed_form_3x3_spectral_norm_fixed_cases():
 
 def test_closed_form_3x3_spectral_norm_independent_of_batch_mates():
     # both branches of the closed form in one stack: repeated top, repeated
-    # bottom, multiples of I and general matrices, split every which way
+    # bottom, multiples of I, general matrices and Gram matrices on both
+    # sides of the deflation threshold det(B) / 2 = -0.9 and near -1,
+    # split every which way
     rng = np.random.default_rng(12)
     q = _frames(rng, 16)
     lam = np.array([[3.0, 3.0, 1.0], [3.0, 1.0, 1.0], [2.0, 2.0, 2.0],
                     [0.0, 0.0, 0.0]] * 2 + rng.uniform(0.0, 4.0, (8, 3)).tolist())
+    half_det = np.array([-0.95, -0.9, -0.89, -0.85, -1.0 + 1e-4, -1.0 + 1e-8,
+                         -1.0 + 1e-12, -0.5])
     mats = np.concatenate([(q * lam[:, None, :]) @ np.swapaxes(q, 1, 2),
-                           rng.standard_normal((16, 3, 3))])
-    for labels in (np.arange(32), np.arange(32) % 2, np.arange(32) // 16,
-                   rng.integers(0, 4, 32)):
+                           rng.standard_normal((16, 3, 3)),
+                           _gram_roots(rng, half_det, np.full(8, 1.5),
+                                       np.ones(8))])
+    for labels in (np.arange(40), np.arange(40) % 2, np.arange(40) // 16,
+                   rng.integers(0, 4, 40)):
         _assert_partition_invariant(spectral_norm, mats, labels)
 
 

@@ -398,8 +398,24 @@ def _ranges(space):
                      axis=0).T
 
 
+def _fits_alone_match(sp, sides, tol):
+    """Fit every range of both sides in one ``_lewis_fit`` call and assert
+    that each atom, fitted alone (one side and one range per call), gets
+    the same bytes and proved low ratio; returns the one call's result."""
+    starts, stops = _ranges(sp)
+    both = _lewis_fit(sp.leaf_probs, starts, stops, sides, tol, 5e-2, 1000)
+    for s in range(len(sides)):
+        for k in range(len(starts)):
+            alone = _lewis_fit(sp.leaf_probs, starts[k:k + 1],
+                               stops[k:k + 1], sides[s:s + 1], tol, 5e-2,
+                               1000)
+            for got, want in zip(alone, both):
+                assert got[0, 0].tobytes() == want[s, k].tobytes()
+    return both
+
+
 @pytest.mark.parametrize("d", (2, 3))
-def test_each_atom_fitted_alone_gives_the_same_bytes(d):
+def test_each_atom_fitted_alone_gives_the_same_bytes(monkeypatch, d):
     # atoms stop after different numbers of rounds (p = 1.5 and its
     # conjugate 3 on a random tree); the pair's one call over both sides
     # and every range gives each atom the bytes it gets alone, one side
@@ -408,27 +424,37 @@ def test_each_atom_fitted_alone_gives_the_same_bytes(d):
                                  dims=(d,))
     sp, W, p = inst.space, inst.weight, 1.5
     pair = build_reducing_pair(sp, W, p, tol=2e-2)
-    sides = [(pair.wp, pair.wm, p), (pair.wm, pair.wp, pair.q)]
-    starts, stops = _ranges(sp)
-    both, both_inv, both_low = _lewis_fit(sp.leaf_probs, starts, stops,
-                                          sides, 2e-2, 5e-2, 1000)
-    for s, (side, cert) in enumerate(pair.certificate.items()):
+    both, _, both_low = _fits_alone_match(
+        sp, [(pair.wp, pair.wm, p), (pair.wm, pair.wp, pair.q)], 2e-2)
+    for s, cert in enumerate(pair.certificate.values()):
         assert cert == {"low": float(both_low[s].min()), "high": 1.0}
-        for k, (a, b) in enumerate(zip(starts, stops)):
-            (alone,), (alone_inv,), (low,) = _lewis_fit(
-                sp.leaf_probs, starts[k:k + 1], stops[k:k + 1], sides[s:s + 1],
-                2e-2, 5e-2, 1000)
-            assert alone.tobytes() == both[s, k].tobytes()
-            assert alone_inv.tobytes() == both_inv[s, k].tobytes()
-            assert low.tobytes() == both_low[s, k].tobytes()
     # the pair's reducers are these fits, spread over the atoms of every
     # level; a single-leaf atom keeps its leaf matrix
+    starts, stops = _ranges(sp)
     for n in range(sp.depth + 1):
         lo, hi = sp.offsets[n][:-1], sp.offsets[n][1:]
         for atom, (a, b) in enumerate(zip(lo, hi)):
             want = pair.wp[a] if b - a == 1 else both[0, np.flatnonzero(
                 (starts == a) & (stops == b))[0]]
             assert pair.primal[n][atom].tobytes() == want.tobytes()
+    # near-clip leaves (spread e^23) at p = 1.05: some atoms' first X^T M X
+    # has an eigenvalue ratio below WHITEN_RATIO, so LAPACK's eigh takes a
+    # second whitening pass on a subset of the atoms in that round
+    rng = np.random.default_rng(d)
+    n = sp.n_leaves
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    lam = np.exp(-23.0 * rng.random((n, d)))
+    lam[:, 0] = np.exp(-23.0)
+    lam *= 10.0 ** rng.uniform(-2.0, 2.0, (n, 1))
+    W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
+    p = 1.05
+    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            _recording(calls, getattr(np.linalg, name)))
+    _fits_alone_match(sp, [(wp, wm, p), (wm, wp, conjugate(p))], 2e-2)
+    assert ("eigh", "eigh") in zip(calls, calls[1:])
 
 
 def _recording(calls, fn):
