@@ -162,10 +162,16 @@ def _seed(opts):
 def cmd_gen(args):
     opts = _options(args)
     rng = np.random.default_rng(_seed(opts))
-    out = Path(opts.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
     kind = opts.get("kind", "dyadic")
     depth, d = opts.get("depth", 4), opts.get("d", 1)
+    # an empty object is the spec with every default
+    wspec, fspec = opts.get("weight"), opts.get("function")
+    family = None if wspec is None else wspec.get("family", "power")
+    if kind == "random" and family in ("power", "rotating"):
+        raise ValidationError(
+            f"gen 'weight.family' {family!r} is a weight on the dyadic tree "
+            f"of 'depth' levels and does not fit 'kind' 'random'; use 'kind' "
+            f"'dyadic' or 'weight.family' 'lognormal'")
 
     if kind == "dyadic":
         space = build_dyadic(depth)
@@ -174,12 +180,9 @@ def cmd_gen(args):
         space = build_from_tree(random_tree_spec(rng, depth, 0.55, 3))
     else:
         raise ValidationError(f"unknown space kind {kind!r}")
-    save_tree(out / "tree.json", space)
-    written = [out / "tree.json"]
+    files = {"tree.json": (save_tree, space)}
 
-    wspec = opts.get("weight")
-    if wspec:
-        family = wspec.get("family", "power")
+    if wspec is not None:
         alpha = wspec.get("alpha", 0.5)
         eps = wspec.get("eps", 2.0 ** -depth)
         if family == "power":
@@ -191,20 +194,20 @@ def cmd_gen(args):
             W = as_weight(np.exp(rng.normal(0.0, sigma, space.n_leaves)))
         else:
             raise ValidationError(f"unknown weight family {family!r}")
-        save_weight_csv(out / "weight.csv", W)
-        written.append(out / "weight.csv")
+        files["weight.csv"] = (save_weight_csv, W)
 
-    fspec = opts.get("function")
-    if fspec:
+    if fspec is not None:
         if fspec.get("kind", "gaussian") != "gaussian":
             raise ValidationError(
                 f"unknown function kind {fspec['kind']!r}; expected gaussian")
         values = rng.standard_normal((space.n_leaves, fspec.get("d", d)))
-        save_function_csv(out / "function.csv", values)
-        written.append(out / "function.csv")
+        files["function.csv"] = (save_function_csv, values)
 
-    for path in written:
-        print(path)
+    out = Path(opts.get("out", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (save, obj) in files.items():
+        save(out / name, obj)
+        print(out / name)
     return 0
 
 
@@ -263,14 +266,20 @@ def cmd_check(args):
     for key in ("fit_tol", "cgamma"):
         if key in opts:
             check_tolerance(key, opts[key])
+    if opts.get("square_mode", MODES[0]) not in MODES:
+        raise ValidationError(
+            f"check config key 'square_mode' must be one of "
+            f"{', '.join(MODES)}, got {opts['square_mode']!r}")
+    # the files are loaded before anything is written
+    inst = _file_instance(opts, seed) if "tree" in opts else None
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     threshold = opts.get("cgamma", default_threshold())
     check_opts = {"threshold": threshold, **{
         k: opts[k] for k in ("fit_tol", "square_mode") if k in opts}}
 
-    if "tree" in opts:
-        details = [_checked(_file_instance(opts, seed), **check_opts)]
+    if inst is not None:
+        details = [_checked(inst, **check_opts)]
     else:
         # a given d, p or depth is the suite's only one
         suite_opts = {name: (opts[key],) * n for key, name, n in (

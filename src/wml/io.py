@@ -57,9 +57,22 @@ def _write_rows(path, rows):
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _cell(path, row, column, text, kind=float):
+    """The CSV cell ``text`` as ``kind``; a cell that is not one raises
+    ValidationError naming the file, its row and its column."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{path}: row {row}, column {column}: {text!r} is not "
+            f"{'an integer' if kind is int else 'a number'}") from None
+
+
 def _read_rows(path):
     with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [[_cell(path, reader.line_num, col, v)
+                 for col, v in enumerate(row, 1)] for row in reader if row]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError(f"{path}: ragged or empty CSV")
     return np.array(rows)
@@ -162,10 +175,12 @@ def read_sweep_csv(path):
             row = dict(raw)
             for key in ("p", "alpha", "eps", "ap_char", "ratio"):
                 if key in row:
-                    row[key] = float(row[key])
+                    row[key] = _cell(path, reader.line_num, repr(key),
+                                     row[key])
             for key in ("d", "depth", "iterations", "restarts"):
                 if key in row:
-                    row[key] = int(row[key])
+                    row[key] = _cell(path, reader.line_num, repr(key),
+                                     row[key], int)
             if "converged" in row:
                 row["converged"] = row["converged"] == "true"
             rows.append(row)

@@ -25,7 +25,14 @@ reducers; neither function has a caller in the library. Nor has
 block Lewis weights (``weights._lewis_fit``), which sample no directions.
 
 Every stacked matrix-vector product is ``matvec``, summed in the one order
-of ``_column_sum``. Every V diag(lambda) V^T is ``_eig_compose``.
+of ``_column_sum``; every stacked Gram product a^T a is ``_gram``; every
+V diag(lambda) V^T is ``_eig_compose``. Each keeps, as tests pin, the bytes
+of the numpy expression it replaced, which numpy runs slowly on stacks of
+small matrices: einsum for ``matvec``; a ``matmul`` of a transposed view,
+1.4 to 3 times as long as from a contiguous copy, for ``_gram``; the
+three-operand einsum, 2 to 3 times as long as d outer products, for
+``_eig_compose``. The 3 x 3 closed form sums each diagonal for its trace,
+which ``np.trace`` takes 8 to 10 times as long to do.
 """
 
 from __future__ import annotations
@@ -196,8 +203,18 @@ def spectral_norm(mats):
     matrices take it from ``_top_eigenvalue_3x3``, also without
     ``jacobi_eigh``, and larger ones from ``jacobi_eigh``.
     """
-    a = np.asarray(mats, dtype=float)
-    return np.sqrt(np.maximum(_gram_top(np.swapaxes(a, -1, -2) @ a), 0.0))
+    gram = _gram(np.asarray(mats, dtype=float))
+    return np.sqrt(np.maximum(_gram_top(gram), 0.0))
+
+
+def _gram(a):
+    """a^T a for stacked square a, bitwise ``np.swapaxes(a, -1, -2) @ a``,
+    from a C-contiguous copy of the transpose, which ``matmul`` takes
+    faster than the transposed view; 1 x 1 matrices are squared
+    entrywise."""
+    if a.shape[-1] == 1:
+        return a * a
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)) @ a
 
 
 def _gram_top(gram):
@@ -232,7 +249,7 @@ def _top_eigenvalue_3x3(g):
     """
     shape = g.shape[:-2]
     g = g.reshape(-1, 3, 3)
-    m = np.trace(g, axis1=1, axis2=2) / 3.0
+    m = (g[:, 0, 0] + g[:, 1, 1] + g[:, 2, 2]) / 3.0
     b = g - m[:, None, None] * np.eye(3)
     s = np.sqrt(np.sum(b * b, axis=(1, 2)) / 6.0)
     b /= np.where(s > 0.0, s, 1.0)[:, None, None]
@@ -262,20 +279,34 @@ def _deflated_top(b, bottom):
     ||P b P - c P||_F / sqrt(2) without cancellation.
     """
     k = b - bottom[:, None, None] * np.eye(3)
-    cand = np.cross(k[:, [1, 2, 0]], k[:, [2, 0, 1]])
+    # row r of cand is row r + 1 of k crossed with row r + 2, formed as
+    # np.cross forms it
+    ring = np.concatenate([k, k[:, :2]], axis=1)
+    u, w = ring[:, 1:4], ring[:, 2:5]
+    cand = np.empty_like(k)
+    cand[:, :, 0] = u[:, :, 1] * w[:, :, 2] - u[:, :, 2] * w[:, :, 1]
+    cand[:, :, 1] = u[:, :, 2] * w[:, :, 0] - u[:, :, 0] * w[:, :, 2]
+    cand[:, :, 2] = u[:, :, 0] * w[:, :, 1] - u[:, :, 1] * w[:, :, 0]
     lengths = np.sum(cand * cand, axis=2)
     rows, best = np.arange(len(b)), np.argmax(lengths, axis=1)
     v = cand[rows, best] / np.sqrt(lengths[rows, best])[:, None]
     proj = np.eye(3) - v[:, :, None] * v[:, None, :]
     pbp = proj @ b @ proj
-    c = 0.5 * np.trace(pbp, axis1=1, axis2=2)
+    c = 0.5 * (pbp[:, 0, 0] + pbp[:, 1, 1] + pbp[:, 2, 2])
     gap = pbp - c[:, None, None] * proj
     return c + np.sqrt(0.5 * np.sum(gap * gap, axis=(1, 2)))
 
 
 def _eig_compose(vecs, vals):
-    """V diag(vals) V^T for stacked eigenvectors and eigenvalues."""
-    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
+    """V diag(vals) V^T for stacked eigenvectors and eigenvalues: the outer
+    products (V[:, j] vals[j]) V[:, j]^T added to zero for j = 0, 1, ...,
+    as the three-operand einsum adds them, so that its bytes, signed zeros
+    included, are kept."""
+    scaled = vecs * vals[..., None, :]
+    out = np.zeros(scaled.shape)
+    for j in range(vecs.shape[-1]):
+        out += scaled[..., :, j, None] * vecs[..., None, :, j]
+    return out
 
 
 def _column_sum(term, d):

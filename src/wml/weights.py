@@ -39,7 +39,8 @@ import numpy as np
 
 from .filtration import FilteredSpace, level_means
 from .linalg import (EllipsoidError, ValidationError, _check_positive,
-                     _eig_compose, _gram_top, jacobi_eigh, spectral_norm)
+                     _eig_compose, _gram, _gram_top, jacobi_eigh,
+                     spectral_norm)
 
 EIG_CLIP_RATIO = 1e-10
 # a whitened X^T M X whose eigenvalue ratio is at most WHITEN_RATIO could
@@ -293,7 +294,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
     # pairs of range k, and starts in the frame X = I
     pi = np.tile(probs[leaf] / mass, n_sides)
     a = np.concatenate([mats[leaf] for mats, _, _ in sides])
-    gram = np.swapaxes(a, 1, 2) @ a
+    gram = _gram(a)
     x = np.tile(np.eye(d), (n_sides * k_count, 1, 1))
     r = np.repeat([power for _, _, power in sides], k_count)
     eta = np.where(r <= 2.0, 1.0, 4.0 / (r + 2.0))
@@ -319,7 +320,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
             x[todo] = x[todo] @ (u / np.sqrt(np.maximum(
                 mu, 1e-30 * mu[:, -1:]))[:, None, :])
             b = a[pairs] @ np.repeat(x[todo], counts[todo], axis=0)
-            gram[pairs] = np.swapaxes(b, 1, 2) @ b
+            gram[pairs] = _gram(b)
             poor = mu[:, 0] <= WHITEN_RATIO * mu[:, -1]
             if not poor.any():
                 break

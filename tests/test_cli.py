@@ -31,6 +31,50 @@ def test_gen_with_weight_and_function(tmp_path):
     assert (tmp_path / "function.csv").exists()
 
 
+@pytest.mark.parametrize("weight", [{"family": "power"},
+                                    {"family": "rotating", "eps": 0.25},
+                                    {}], ids=["power", "rotating", "default"])
+def test_gen_random_tree_refuses_dyadic_weights(tmp_path, capsys, weight):
+    # the power and rotating weights live on the dyadic tree of the same
+    # depth, whose leaf count a random tree does not share
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "random", "weight": weight}))
+    out = tmp_path / "out"
+    assert run(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'weight.family'" in err and "'kind' 'random'" in err
+    assert not out.exists()
+
+
+def test_gen_empty_specs_take_every_default(tmp_path):
+    spelled = {"weight": {"family": "power", "alpha": 0.5, "eps": 0.125},
+               "function": {"kind": "gaussian", "d": 1}}
+    for name, specs in (("empty", {"weight": {}, "function": {}}),
+                        ("spelled", spelled)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"depth": 3, **specs}))
+        assert run(["gen", "--config", str(cfg), "--seed", "3",
+                    "--out", str(tmp_path / name)]) == 0
+    for file in ("tree.json", "weight.csv", "function.csv"):
+        assert (tmp_path / "empty" / file).read_bytes() == \
+            (tmp_path / "spelled" / file).read_bytes()
+
+
+def test_gen_random_tree_files_check(tmp_path):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"kind": "random", "depth": 5,
+                               "weight": {"family": "lognormal"},
+                               "function": {}}))
+    gen = tmp_path / "gen"
+    assert run(["gen", "--config", str(cfg), "--out", str(gen)]) == 0
+    files = tmp_path / "files.json"
+    files.write_text(json.dumps({name: str(gen / f"{name}.{ext}") for name, ext
+                                 in (("tree", "json"), ("weight", "csv"),
+                                     ("function", "csv"))}))
+    assert run(["check", "--config", str(files),
+                "--out", str(tmp_path / "check")]) == 0
+
+
 def test_check_default_suite_passes(tmp_path):
     rc = run(["check", "--instances", "6", "--seed", "7",
               "--out", str(tmp_path)])
@@ -111,6 +155,64 @@ def test_check_zero_flag_reaches_validation(tmp_path, capsys, args, message):
     assert run(args + ["--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_check_config_square_mode_reaches_validation(tmp_path, capsys,
+                                                    monkeypatch):
+    # the flag has argparse choices; the config key is refused as early,
+    # before any instance runs and before anything is written
+    from wml import cli
+
+    def never(job):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(cli, "_check_suite_instance", never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"square_mode": "bogus", "instances": 2}))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("'square_mode' must be one of increments, first_value, "
+            "with_mean, got 'bogus'") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _file_config(tmp_path, cells, name):
+    """A check config on the dyadic depth-3 tree whose ``name`` key names
+    a CSV file of ``cells``."""
+    from wml.filtration import build_dyadic
+    from wml.io import save_tree
+    save_tree(tmp_path / "tree.json", build_dyadic(3))
+    (tmp_path / f"{name}.csv").write_text(
+        "".join(",".join(row) + "\n" for row in cells))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": str(tmp_path / "tree.json"),
+                               name: str(tmp_path / f"{name}.csv")}))
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["weight", "function"])
+def test_check_non_numeric_csv_cell_is_usage_error(tmp_path, capsys, name):
+    cells = [["1.0"]] * 8
+    cells[5] = ["abc"]
+    cfg = _file_config(tmp_path, cells, name)
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{name}.csv: row 6, column 1: 'abc' is not a number" in \
+        capsys.readouterr().err
+    # the files are loaded before the output directory is made
+    assert not out.exists()
+
+
+def test_check_tree_json_given_as_function_is_usage_error(tmp_path, capsys):
+    cfg = _file_config(tmp_path, [["1.0"]] * 8, "function")
+    config = json.loads(cfg.read_text())
+    config["function"] = config["tree"]
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "tree.json: row 1, column 1: '{' is not a number" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_function_of_the_wrong_shape_is_usage_error(tmp_path, capsys):
@@ -266,6 +368,24 @@ def test_fit_on_synthetic_slope_one(tmp_path):
     assert rc == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("column, cell, kind", [
+    ("ap_char", "abc", "a number"), ("depth", "4.5", "an integer")])
+def test_fit_non_numeric_sweep_cell_is_usage_error(tmp_path, capsys, column,
+                                                   cell, kind):
+    header = ("instance_id,family,p,d,depth,alpha,eps,ap_char,ratio,"
+              "iterations,restarts,converged")
+    row = dict(zip(header.split(","), "x0,power,2.0,1,4,0.5,0.1,1.0,3.0,"
+                   "0,1,true".split(",")))
+    row[column] = cell
+    csv = tmp_path / "sweep.csv"
+    csv.write_text(f"{header}\n{','.join(row.values())}\n")
+    out = tmp_path / "out"
+    assert run(["fit", "--csv", str(csv), "--out", str(out)]) == 1
+    assert f"sweep.csv: row 2, column '{column}': '{cell}' is not {kind}" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_reproduces_flat_sweep_fit(tmp_path):

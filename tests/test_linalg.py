@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wml.linalg import (EllipsoidError, ValidationError, _design_update,
-                        _quad, _spanning_core, direction_set, jacobi_eigh,
-                        mvee_central, spd_power, spectral_norm, sym_inv)
+from wml.linalg import (EllipsoidError, ValidationError, _deflated_top,
+                        _design_update, _eig_compose, _gram, _quad,
+                        _spanning_core, _top_eigenvalue_3x3, direction_set,
+                        jacobi_eigh, mvee_central, spd_power, spectral_norm,
+                        sym_inv)
 from wml.weights import EIG_CLIP_RATIO
 
 
@@ -457,6 +459,100 @@ def test_closed_form_3x3_spectral_norm_independent_of_batch_mates():
     for labels in (np.arange(40), np.arange(40) % 2, np.arange(40) // 16,
                    rng.integers(0, 4, 40)):
         _assert_partition_invariant(spectral_norm, mats, labels)
+
+
+@st.composite
+def heavy_stacks(draw, dims=(1, 2, 3, 4)):
+    """(vecs, vals): a stack of d x d matrices and a stack of d-vectors,
+    with batch shape (N,) or (K, N), heavy-tailed entries spread over up
+    to forty decades, and some of them +0 or -0."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 40))
+    batch = draw(st.sampled_from(((n,), (draw(st.integers(1, 4)), n))))
+    spread = draw(st.floats(0.0, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def heavy(shape):
+        x = rng.standard_cauchy(shape) * 10.0 ** rng.uniform(
+            -spread, spread, shape)
+        x[rng.random(shape) < 0.1] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        return x
+
+    return heavy(batch + (d, d)), heavy(batch + (d,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(heavy_stacks())
+def test_small_matrix_kernels_keep_the_bytes_of_numpy(stack):
+    # the Gram product from a contiguous transpose, and V diag(lambda) V^T
+    # as a sum of outer products, against the products they replace
+    a, vals = stack
+    for mats in (a, a[(0,) * (a.ndim - 2)]):
+        assert _bits(_gram(mats)) == _bits(np.swapaxes(mats, -1, -2) @ mats)
+    assert _bits(_eig_compose(a, vals)) == _bits(
+        np.einsum("...ij,...j,...kj->...ik", a, vals, a))
+
+
+def _parent_top_3x3(g):
+    """The closed form of ``_top_eigenvalue_3x3`` with the traces of
+    ``np.trace``, deflating through ``_parent_deflated_top``."""
+    shape = g.shape[:-2]
+    g = g.reshape(-1, 3, 3)
+    m = np.trace(g, axis1=1, axis2=2) / 3.0
+    b = g - m[:, None, None] * np.eye(3)
+    s = np.sqrt(np.sum(b * b, axis=(1, 2)) / 6.0)
+    b /= np.where(s > 0.0, s, 1.0)[:, None, None]
+    b00, b11, b22 = b[:, 0, 0], b[:, 1, 1], b[:, 2, 2]
+    b01, b02, b12 = b[:, 0, 1], b[:, 0, 2], b[:, 1, 2]
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12)
+                      - b01 * (b01 * b22 - b02 * b12)
+                      + b02 * (b01 * b12 - b11 * b02))
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    top = 2.0 * np.cos(phi)
+    near = half_det < -0.9
+    bottom = 2.0 * np.cos(phi[near] + 2.0 * np.pi / 3.0)
+    if np.any(near):
+        top[near] = _parent_deflated_top(b[near], bottom)
+    return (m + s * top).reshape(shape), b[near], bottom
+
+
+def _parent_deflated_top(b, bottom):
+    """``_deflated_top`` with ``np.cross`` of fancy-indexed rows and the
+    trace of ``np.trace``."""
+    k = b - bottom[:, None, None] * np.eye(3)
+    cand = np.cross(k[:, [1, 2, 0]], k[:, [2, 0, 1]])
+    lengths = np.sum(cand * cand, axis=2)
+    rows, best = np.arange(len(b)), np.argmax(lengths, axis=1)
+    v = cand[rows, best] / np.sqrt(lengths[rows, best])[:, None]
+    proj = np.eye(3) - v[:, :, None] * v[:, None, :]
+    pbp = proj @ b @ proj
+    c = 0.5 * np.trace(pbp, axis1=1, axis2=2)
+    gap = pbp - c[:, None, None] * proj
+    return c + np.sqrt(0.5 * np.sum(gap * gap, axis=(1, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(heavy_stacks(dims=(3,)), st.integers(0, 2 ** 32 - 1))
+def test_3x3_closed_form_keeps_the_bytes_of_its_numpy_formulas(stack, seed):
+    # heavy-tailed symmetric matrices, and near-degenerate Gram matrices
+    # with det(B) / 2 on both sides of the deflation threshold -0.9 and
+    # near -1, where the top two eigenvalues meet
+    a, _ = stack
+    rng = np.random.default_rng(seed)
+    n = a.shape[-3]
+    half_det = np.concatenate([rng.uniform(-0.95, -0.85, n),
+                               -1.0 + 10.0 ** -rng.uniform(1.0, 15.0, n),
+                               [-0.9, np.nextafter(-0.9, 0.0)]])
+    roots = _gram_roots(rng, half_det, 1.0 + 10.0 ** rng.uniform(
+        -16.0, 2.0, len(half_det)), 10.0 ** rng.uniform(-6.0, 6.0,
+                                                         len(half_det)))
+    for g in (a + np.swapaxes(a, -1, -2), np.swapaxes(roots, 1, 2) @ roots,
+              (roots @ roots).reshape(2, -1, 3, 3)):
+        want, b, bottom = _parent_top_3x3(g)
+        assert _bits(_top_eigenvalue_3x3(g)) == _bits(want)
+        assert _bits(_deflated_top(b, bottom)) == _bits(
+            _parent_deflated_top(b, bottom))
 
 
 def _bits(a):

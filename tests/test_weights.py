@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,9 +441,22 @@ def test_each_atom_fitted_alone_gives_the_same_bytes(monkeypatch, d):
             want = pair.wp[a] if b - a == 1 else both[0, np.flatnonzero(
                 (starts == a) & (stops == b))[0]]
             assert pair.primal[n][atom].tobytes() == want.tobytes()
-    # near-clip leaves (spread e^23) at p = 1.05: some atoms' first X^T M X
-    # has an eigenvalue ratio below WHITEN_RATIO, so LAPACK's eigh takes a
-    # second whitening pass on a subset of the atoms in that round
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            _recording(calls, getattr(np.linalg, name)))
+    _fits_alone_match(*_near_clip_sides(d), 2e-2)
+    assert ("eigh", "eigh") in zip(calls, calls[1:])
+
+
+def _near_clip_sides(d):
+    """The depth-6 random tree of the suite's instance 40 + d and both
+    sides of a weight with near-clip leaves (spread e^23) at p = 1.05: some
+    atoms' first X^T M X has an eigenvalue ratio below WHITEN_RATIO, so
+    LAPACK's eigh takes a second whitening pass on a subset of the atoms in
+    that round."""
+    sp = suite.random_instance(40 + d, seed=7, depth_range=(6, 6),
+                               dims=(d,)).space
     rng = np.random.default_rng(d)
     n = sp.n_leaves
     q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
@@ -449,12 +466,39 @@ def test_each_atom_fitted_alone_gives_the_same_bytes(monkeypatch, d):
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     p = 1.05
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name,
-                            _recording(calls, getattr(np.linalg, name)))
-    _fits_alone_match(sp, [(wp, wm, p), (wm, wp, conjugate(p))], 2e-2)
-    assert ("eigh", "eigh") in zip(calls, calls[1:])
+    return sp, [(wp, wm, p), (wm, wp, conjugate(p))]
+
+
+# run in a fresh interpreter, whose BLAS reads its thread count at import:
+# the near-clip fit's reducers, inverses and low ratios, as raw bytes
+_NEAR_CLIP_FIT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_weights import _near_clip_sides, _ranges
+from wml.weights import _lewis_fit
+sp, sides = _near_clip_sides(int(sys.argv[2]))
+starts, stops = _ranges(sp)
+for arr in _lewis_fit(sp.leaf_probs, starts, stops, sides, 2e-2, 5e-2, 1000):
+    sys.stdout.buffer.write(arr.tobytes())
+"""
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_second_whitening_pass_independent_of_blas_threads(d):
+    # no CLI run or bench workload reaches the second whitening pass, so
+    # the thread-count comparisons of the command-line outputs do not
+    # cover it; the near-clip fit above does
+    src = str(Path(weights.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    outputs = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _NEAR_CLIP_FIT,
+             str(Path(__file__).resolve().parent), str(d)],
+            env=env, capture_output=True, check=True, timeout=300).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def _recording(calls, fn):
