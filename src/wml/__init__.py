@@ -3,11 +3,10 @@ probability spaces — reducing matrices, A_p characteristics, principal
 sets, sparse operators, and empirical sharp-exponent probes."""
 
 from .filtration import (FilteredSpace, Martingale, build_dyadic,
-                         build_from_tree, cond_expect, cond_expect_leaf,
-                         increment_adjoint, level_means, lp_norm,
-                         martingale_of)
+                         build_from_tree, cond_expect, increment_adjoint,
+                         level_means, lp_norm, martingale_of)
 from .linalg import (EllipsoidError, ValidationError, jacobi_eigh,
-                     mvee_central, spectral_norm)
+                     spectral_norm)
 from .weights import (MatrixWeight, ReducingPair, ap_characteristic,
                       ap_equivalents, as_weight, build_reducing_pair,
                       conjugate, exchanged_pair, reducer_norms,
@@ -19,7 +18,7 @@ from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
                         default_threshold, domination_constant,
                         fluctuation_table, fluctuation_tables,
                         iteration_check, iteration_constant,
-                        sparse_domination_check, tail_energy, vanish_checks)
+                        sparse_domination_check, vanish_checks)
 from .analysis import Analysis
 from .experiments import (SweepConfig, SweepPointError, SweepRecord,
                           exponent_fit, matrix_target_exponent, opnorm_ascent,

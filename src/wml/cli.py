@@ -34,7 +34,7 @@ from .experiments import (SweepConfig, SweepPointError, matrix_target_exponent,
                           power_weight, rotating_weight, run_sweep,
                           scalar_target_exponent, sweep_fit)
 from .filtration import build_dyadic, build_from_tree
-from .io import (load_function_csv, load_tree, load_weight_csv,
+from .io import (_open_text, load_function_csv, load_tree, load_weight_csv,
                  read_sweep_csv, save_function_csv, save_tree,
                  save_weight_csv, write_fit_json, write_sweep_csv)
 from .linalg import ValidationError
@@ -126,7 +126,7 @@ def _options(args):
     command, table = args.command, OPTIONS[args.command]
     config = {}
     if args.config is not None:
-        with open(args.config) as fh:
+        with _open_text(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValidationError("config file must contain a JSON object")
@@ -431,8 +431,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError,
-            KeyError, NotADirectoryError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError,
+            KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

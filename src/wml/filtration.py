@@ -88,9 +88,6 @@ class FilteredSpace:
         for a in (atom_base, tiled_starts, labels, tiled_labels,
                   tiled_atom_probs):
             a.setflags(write=False)
-        parent = (np.zeros(1, dtype=np.intp),) + tuple(
-            labels[n - 1][self.offsets[n][:-1]]
-            for n in range(1, self.depth + 1))
         for name, value in (
                 ("atom_base", atom_base), ("tiled_starts", tiled_starts),
                 ("labels", labels), ("tiled_labels", tiled_labels),
@@ -98,7 +95,7 @@ class FilteredSpace:
                 ("atom_probs", tuple(
                     tiled_atom_probs[atom_base[n]:atom_base[n + 1]]
                     for n in range(self.depth + 1))),
-                ("atom_of_leaf", tuple(labels)), ("parent", parent)):
+                ("atom_of_leaf", tuple(labels))):
             object.__setattr__(self, name, value)
 
     @property

@@ -1,5 +1,5 @@
-"""File formats: tree JSON, leaf-function/weight CSV, reducer and family
-JSON exports, sweep CSV and fit JSON.
+"""File formats: tree JSON, leaf-function/weight CSV, sweep CSV and fit
+JSON.
 
 CSV files are plain numeric, comma-separated, no header except the sweep
 CSV (fixed column order). Floats are written with repr, so identical runs
@@ -8,13 +8,14 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 
 import numpy as np
 
 from .experiments import SweepRecord
-from .filtration import FilteredSpace, build_from_tree
+from .filtration import build_from_tree
 from .linalg import ValidationError
 from .weights import MatrixWeight, as_weight
 
@@ -37,16 +38,27 @@ def tree_to_spec(space):
     return node(0, 0)
 
 
-def save_tree(path, space_or_spec):
-    spec = tree_to_spec(space_or_spec) if isinstance(
-        space_or_spec, FilteredSpace) else space_or_spec
+def save_tree(path, space):
     with open(path, "w") as fh:
-        json.dump(spec, fh, indent=1)
+        json.dump(tree_to_spec(space), fh, indent=1)
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _open_text(path, **kw):
+    """``open(path, **kw)`` for reading; a file that is not text raises
+    ValidationError naming it."""
+    try:
+        with open(path, **kw) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not a text file (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def load_tree(path):
-    with open(path) as fh:
+    with _open_text(path) as fh:
         return build_from_tree(json.load(fh))
 
 
@@ -69,7 +81,7 @@ def _cell(path, row, column, text, kind=float):
 
 
 def _read_rows(path):
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [[_cell(path, reader.line_num, col, v)
                  for col, v in enumerate(row, 1)] for row in reader if row]
@@ -106,47 +118,6 @@ def load_weight_csv(path):
     return MatrixWeight(arr.reshape(arr.shape[0], d, d))
 
 
-def pair_to_json(pair):
-    """Reducing matrices per level, for external inspection."""
-    return {
-        "p": pair.p, "method": pair.method, "tol": pair.tol,
-        "cert_tol": pair.cert_tol,
-        "certificate": pair.certificate,
-        "levels": [
-            {"level": n,
-             "primal": pair.primal[n].tolist(),
-             "dual": pair.dual[n].tolist()}
-            for n in range(len(pair.primal))],
-    }
-
-
-def save_pair_json(path, pair):
-    with open(path, "w") as fh:
-        json.dump(pair_to_json(pair), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def family_to_json(family):
-    """Principal family as plain data: per set its generation, levels,
-    atom indices and escape leaves."""
-    return {
-        "threshold": family.threshold,
-        "p": family.p,
-        "sets": [
-            {"generation": s.generation, "kappa1": s.kappa1,
-             "kappa2": s.kappa2, "atoms": s.atoms.tolist(),
-             "leaves": s.leaves.tolist(),
-             "escape_leaves": s.escape.tolist()}
-            for s in family.sets],
-    }
-
-
-def save_family_json(path, family):
-    with open(path, "w") as fh:
-        json.dump(family_to_json(family), fh, sort_keys=True)
-        fh.write("\n")
-
-
 def write_sweep_csv(path, records):
     """Deterministic sweep CSV: fixed column order, repr-formatted floats,
     no timing column."""
@@ -168,7 +139,7 @@ def write_sweep_csv(path, records):
 
 
 def read_sweep_csv(path):
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = []
         for raw in reader:

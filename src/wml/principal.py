@@ -256,13 +256,13 @@ def check_properties(an, family):
       escape_mass         P(P) <= 2 P(E(P)) and, atomwise, the escape part
                           fills at least half of every atom (generation >= 2)
       terminates          no generation index exceeds the depth
-    plus measured extremes and the generation-1 values reported
-    informationally (the quantitative claims are stated for later
-    generations; generation 1 satisfies them by the same construction).
+    plus the measured extremes (the quantitative claims are stated for
+    generations >= 2; generation 1 satisfies them by the same
+    construction and is not measured).
     """
     space, table = an.space, an.table
     C = family.threshold
-    report = {"threshold": C, "tol": CHECK_TOL}
+    report = {"tol": CHECK_TOL}
     escapes = [s.escape for s in family.sets]
     all_escape = np.concatenate(escapes) if escapes else np.empty(0, dtype=np.intp)
     report["escape_disjoint"] = bool(
@@ -301,17 +301,14 @@ def check_properties(an, family):
         return diff - C * t.den[idx], avg - C * t.den[idx]
 
     worst_window, worst_escape = -np.inf, -np.inf
-    gen1_window, gen1_escape = -np.inf, -np.inf
     mass_ok = True
     worst_mass = 1.0
     for s in family.sets:
-        dv, av = window_values(s)
-        ev1, ev2 = escape_values(s)
-        wv = max(dv.max(initial=-np.inf), av.max(initial=-np.inf))
-        evv = max(ev1.max(initial=-np.inf), ev2.max(initial=-np.inf))
         if s.generation >= 2:
-            worst_window = max(worst_window, wv)
-            worst_escape = max(worst_escape, evv)
+            worst_window = max(worst_window, max(
+                v.max(initial=-np.inf) for v in window_values(s)))
+            worst_escape = max(worst_escape, max(
+                v.max(initial=-np.inf) for v in escape_values(s)))
             prob = s.probability(space)
             eprob = s.escape_probability(space)
             if prob > 2.0 * eprob + CHECK_TOL:
@@ -327,9 +324,6 @@ def check_properties(an, family):
             worst_mass = min(worst_mass, float(frac.min(initial=1.0)))
             if np.any(frac < 0.5 - CHECK_TOL):
                 mass_ok = False
-        else:
-            gen1_window = max(gen1_window, wv)
-            gen1_escape = max(gen1_escape, evv)
 
     report["window_bounds"] = bool(worst_window <= CHECK_TOL)
     report["escape_bounds"] = bool(worst_escape <= CHECK_TOL)
@@ -337,8 +331,6 @@ def check_properties(an, family):
     report["worst_window_slack"] = float(worst_window)
     report["worst_escape_slack"] = float(worst_escape)
     report["worst_escape_atom_fraction"] = float(worst_mass)
-    report["gen1_window_slack"] = float(gen1_window)
-    report["gen1_escape_slack"] = float(gen1_escape)
     max_gen = max((s.generation for s in family.sets), default=0)
     report["terminates"] = bool(max_gen <= space.depth)
     report["max_generation"] = int(max_gen)

@@ -23,9 +23,9 @@ from .operators import (sparse_operator, square_fn, weighted_cond_expect,
 from .principal import (CHECK_TOL, build_principal_family,
                         check_properties, default_threshold, iteration_check,
                         sparse_domination_check, vanish_checks)
-from .weights import (MatrixWeight, ap_characteristic, ap_equivalents,
-                      as_weight, build_reducing_pair, conjugate,
-                      exchanged_pair, verify_reducing_bounds)
+from .weights import (CERT_TOL, MatrixWeight, ap_characteristic,
+                      ap_equivalents, as_weight, build_reducing_pair,
+                      conjugate, exchanged_pair, verify_reducing_bounds)
 
 DEPTH_RANGE = (4, 12)
 DIMS = (1, 2, 3)
@@ -209,9 +209,9 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None,
                  pair.certificate["dual"]["low"])
         hi = max(pair.certificate["primal"]["high"],
                  pair.certificate["dual"]["high"])
-        window_lo = 1.0 / ((1.0 + pair.cert_tol) * math.sqrt(d))
+        window_lo = 1.0 / ((1.0 + CERT_TOL) * math.sqrt(d))
         results.append(CheckResult(
-            "reducer_certificate", lo >= window_lo and hi <= 1.0 + pair.cert_tol,
+            "reducer_certificate", lo >= window_lo and hi <= 1.0 + CERT_TOL,
             lo, window_lo, f"proved ratios in [{lo:.4f}, {hi:.4f}]",
             "lower"))
 

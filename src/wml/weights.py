@@ -19,7 +19,7 @@ point iteration on the leaf blocks (``_lewis_fit``; Jambulapati, Lee, Liu
 is sampled: every round proves constants alpha, beta with
 alpha ||M^{1/2} e|| <= rho(e) <= beta ||M^{1/2} e||, and an atom stops once
 beta / alpha is within (1 + tol) of Lewis's bound d^{|1/2 - 1/r|} <= sqrt(d)
-or inside the (1 + cert_tol) sqrt(d) window.
+or inside the (1 + CERT_TOL) sqrt(d) window.
 
 Each leaf matrix is eigen-decomposed once, when the MatrixWeight is
 built, and every power W^alpha of the leaves is ``MatrixWeight.power``
@@ -47,6 +47,9 @@ EIG_CLIP_RATIO = 1e-10
 # not resolve the smallest directions of M in its frame: whiten again
 WHITEN_RATIO = 1e-8
 WHITEN_PASSES = 4
+# every atom of the fit stops inside the certificate window: its proved
+# distortion beta / alpha is at most (1 + CERT_TOL) sqrt(d)
+CERT_TOL = 5e-2
 
 
 def check_tolerance(name, value):
@@ -150,11 +153,11 @@ class ReducingPair:
     """Reducing matrices of (space, W, p) at every level, plus cached powers.
 
     tiled_primal, tiled_dual: (atom_base[-1], d, d) SPD reducers of every
-    atom of every level, in the tiled order of ``space``; tiled_*_inv are
-    their inverses. primal[n] and dual[n] are the (n_atoms(n), d, d)
-    level-n slices of tiled_primal and tiled_dual. wp = W^{1/p} and
-    wm = W^{-1/p} per leaf. ``method`` names the construction: "scalar"
-    (d = 1) and "exact_p2" (p = 2, d >= 2) are exact, ||A e|| = rho(e);
+    atom of every level, in the tiled order of ``space``, so that level n
+    owns entries ``space.atom_base[n]:space.atom_base[n + 1]``;
+    tiled_*_inv are their inverses. wp = W^{1/p} and wm = W^{-1/p} per
+    leaf. ``method`` names the construction: "scalar" (d = 1) and
+    "exact_p2" (p = 2, d >= 2) are exact, ||A e|| = rho(e);
     "ellipsoid" is the block Lewis fit. ``certificate`` holds, per side,
     the proved ratios {"low", "high"} of ||A e|| / rho(e) over all atoms:
     high is 1.0 and low the smallest alpha / beta (empty for exact paths).
@@ -170,17 +173,7 @@ class ReducingPair:
     wp: np.ndarray
     wm: np.ndarray
     method: str
-    tol: float = 1e-3
-    cert_tol: float = 5e-2
     certificate: dict = None
-
-    def __post_init__(self):
-        base = self.space.atom_base
-        for name in ("primal", "dual"):
-            tiled = getattr(self, "tiled_" + name)
-            object.__setattr__(self, name, tuple(
-                tiled[base[n]:base[n + 1]]
-                for n in range(self.space.depth + 1)))
 
     @property
     def q(self):
@@ -229,7 +222,7 @@ def _roots(x):
     return _eig_compose(p, 1.0 / s), _eig_compose(p, s)
 
 
-def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
+def _lewis_fit(probs, starts, stops, sides, tol, max_iter):
     """Block Lewis reducers of S sides on K leaf ranges of at least two
     leaves, d >= 2.
 
@@ -267,11 +260,12 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
     r >= 2 and alpha = lo^{1/r}, beta = hi^{1/2} S^{1/r-1/2} for r < 2. At a
     fixed point M' = M and S <= d, so beta / alpha <= d^{|1/2-1/r|} (Lewis,
     Studia Math. 63, 1978). An atom stops on its own once beta / alpha is
-    at most min(d^{|1/2-1/r|} (1 + tol), (1 + cert_tol) sqrt(d)). Its
+    at most min(d^{|1/2-1/r|} (1 + tol), (1 + CERT_TOL) sqrt(d)). Its
     reducer is A = alpha R with R = (X X^T)^{-1/2} the SPD root of
     X^{-T} X^{-1}, from the singular value decomposition of X, so that
     ||A e|| <= rho(e) <= (beta / alpha) ||A e||; its inverse is R^{-1} /
-    alpha. Both bounds hold up to the rounding of B_l = A_l X, about
+    alpha. Each atom keeps its last frame and alpha, and one ``_roots``
+    call after the last round takes every atom's R. Both bounds hold up to the rounding of B_l = A_l X, about
     eps cond(R) relative. The weights tau^{r/2-1} of M' and S are scaled by
     their largest value on the range, which cancels in beta / alpha and is
     put back into alpha, so that large r does not overflow them.
@@ -299,13 +293,13 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
     r = np.repeat([power for _, _, power in sides], k_count)
     eta = np.where(r <= 2.0, 1.0, 4.0 / (r + 2.0))
     stop = np.minimum(d ** np.abs(0.5 - 1.0 / r) * (1.0 + tol),
-                      (1.0 + cert_tol) * np.sqrt(d))
+                      (1.0 + CERT_TOL) * np.sqrt(d))
     expo = np.repeat(0.5 * r - 1.0, counts)
     log_v = np.zeros(len(pi))
 
-    out = np.empty((n_sides * k_count, d, d))
-    out_inv = np.empty_like(out)
-    low = np.empty(n_sides * k_count)
+    # each stopped atom's frame, its alpha and its proved low ratio
+    frames = np.empty((n_sides * k_count, d, d))
+    scale, low = np.empty(n_sides * k_count), np.empty(n_sides * k_count)
     alive = np.arange(n_sides * k_count)
     for rounds in range(max_iter + 1):
         first = _runs(counts)
@@ -353,10 +347,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
                 last_matrix=alpha[worst] * _roots(x[worst:worst + 1])[0][0],
                 achieved=float(ratio[worst]), bound=float(bound))
         fin = alive[done]
-        root, inv_root = _roots(x[done])
-        out[fin] = alpha[done, None, None] * root
-        out_inv[fin] = inv_root / alpha[done, None, None]
-        low[fin] = ratio[done]
+        frames[fin], scale[fin], low[fin] = x[done], alpha[done], ratio[done]
         if done.all():
             break
         keep = np.repeat(~done, counts)
@@ -365,12 +356,14 @@ def _lewis_fit(probs, starts, stops, sides, tol, cert_tol, max_iter):
         log_v, pi, a, gram, expo = (
             arr[keep] for arr in (log_v, pi, a, gram, expo))
         alive, counts, x = alive[~done], counts[~done], x[~done]
+    root, inv_root = _roots(frames)
+    scale = scale[:, None, None]
     shape = (n_sides, k_count)
-    return out.reshape(shape + (d, d)), out_inv.reshape(shape + (d, d)), \
-        low.reshape(shape)
+    return (scale * root).reshape(shape + (d, d)), \
+        (inv_root / scale).reshape(shape + (d, d)), low.reshape(shape)
 
 
-def _fit_reducers(space, sides, tol, cert_tol, max_iter=1000):
+def _fit_reducers(space, sides, tol, max_iter=1000):
     """Block Lewis reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
     on every atom of every level, in tiled order, and their inverses, for
     each (mats, mats_inv, power) of ``sides``; mats_inv holds the inverses
@@ -401,7 +394,7 @@ def _fit_reducers(space, sides, tol, cert_tol, max_iter=1000):
             return_index=True, return_inverse=True)
         fitted, fitted_inv, lows = _lewis_fit(
             space.leaf_probs, starts[multi[first]], stops[multi[first]],
-            sides, tol, cert_tol, max_iter)
+            sides, tol, max_iter)
         for out, inv, fit, fit_inv, cert, low in zip(
                 outs, invs, fitted, fitted_inv, certs, lows):
             out[multi] = fit[inverse]
@@ -422,7 +415,7 @@ def _root_of_means(space, mats):
     return _eig_compose(vecs, vals ** 0.5), _eig_compose(vecs, vals ** -0.5)
 
 
-def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2):
+def build_reducing_pair(space, W, p, tol=1e-3):
     """Reducing pair of (space, W, p) on every level.
 
     Exact where the norm balls are ellipsoids: the scalar formulas for
@@ -431,18 +424,16 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2):
     certificate. Otherwise the block Lewis fit of the primal and dual
     sides together (method "ellipsoid"), whose certificate is proved: each
     atom stops once its distortion beta / alpha is at most
-    min(d^{|1/2 - 1/p|} (1 + tol), (1 + cert_tol) sqrt(d)) (the same
+    min(d^{|1/2 - 1/p|} (1 + tol), (1 + CERT_TOL) sqrt(d)) (the same
     bound for p and p'), and a fit that has not after its round budget
-    raises EllipsoidError. ``tol`` and ``cert_tol`` act only on the fit,
-    but a tolerance that is not finite and positive is refused on every
-    path."""
+    raises EllipsoidError. ``tol`` acts only on the fit, but a tolerance
+    that is not finite and positive is refused on every path."""
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
         raise ValidationError("weight and space disagree on the leaf count")
     if not 1.0 < p < np.inf:
         raise ValidationError("p must lie in (1, inf)")
     check_tolerance("tol", tol)
-    check_tolerance("cert_tol", cert_tol)
     q = conjugate(p)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     cert = {}
@@ -461,7 +452,7 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2):
         method = "exact_p2"
     else:
         (primal, dual), (primal_inv, dual_inv), (cp, cd) = _fit_reducers(
-            space, [(wp, wm, p), (wm, wp, q)], tol, cert_tol)
+            space, [(wp, wm, p), (wm, wp, q)], tol)
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 
@@ -469,8 +460,7 @@ def build_reducing_pair(space, W, p, tol=1e-3, cert_tol=5e-2):
         space=space, weight=W, p=p,
         tiled_primal=primal, tiled_dual=dual,
         tiled_primal_inv=primal_inv, tiled_dual_inv=dual_inv,
-        wp=wp, wm=wm, method=method, tol=tol, cert_tol=cert_tol,
-        certificate=cert)
+        wp=wp, wm=wm, method=method, certificate=cert)
 
 
 def exchanged_pair(pair):
@@ -499,10 +489,10 @@ def verify_reducing_bounds(pair):
     d^{p/2} (1+tol)^p per fixed unit vector e; passing to the operator norm
     inside the average costs another basis summation, so the certified
     bound is d^{p/2+1} (1+tol)^p for p <= 2 and d^p (1+tol)^p for p > 2
-    (conjugate exponent on the dual side). The per-vector value is reported
-    as ``nominal`` for reference. Report-only."""
+    (conjugate exponent on the dual side), with tol = CERT_TOL for the
+    fitted pair and 0 for the exact ones. Report-only."""
     space, p, q, d = pair.space, pair.p, pair.q, pair.weight.dim
-    tol = pair.cert_tol if pair.method == "ellipsoid" else 0.0
+    tol = CERT_TOL if pair.method == "ellipsoid" else 0.0
     primal_max = float(level_means(space, reducer_norms(
         space, pair.wp, pair.tiled_primal_inv) ** p).max())
     dual_max = float(level_means(space, reducer_norms(
@@ -512,8 +502,6 @@ def verify_reducing_bounds(pair):
     return {
         "primal_max": primal_max, "primal_bound": bound_p,
         "dual_max": dual_max, "dual_bound": bound_q,
-        "primal_nominal": d ** (p / 2.0) * (1.0 + tol) ** p,
-        "dual_nominal": d ** (q / 2.0) * (1.0 + tol) ** q,
         "primal_ok": bool(primal_max <= bound_p * (1.0 + 1e-10) + 1e-10),
         "dual_ok": bool(dual_max <= bound_q * (1.0 + 1e-10) + 1e-10),
     }

@@ -17,11 +17,12 @@ from wml.experiments import (SweepConfig, matrix_target_exponent,
                              opnorm_power_iteration, run_sweep,
                              scalar_target_exponent)
 from wml.filtration import build_dyadic, cond_expect_leaf, martingale_of
-from wml.linalg import holdout_directions
 from wml.principal import (build_principal_family, default_threshold,
                            domination_constant, tail_energy)
 from wml.suite import instance_checks, random_instance
 from wml.weights import _fit_reducers, build_reducing_pair
+
+from directions import holdout_directions
 
 N_INSTANCES = 1000
 SEED = 7
@@ -117,7 +118,7 @@ def test_criterion_4_reducer_certification(battery):
         exact = build_reducing_pair(inst.space, inst.weight, 2.0)
         lewis, _, certs = _fit_reducers(
             inst.space, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-            2e-2, 5e-2)
+            2e-2)
         dirs = holdout_directions(inst.d, 1000, seed=SEED + i)
         eps = np.finfo(float).eps
         for fit, ref, cert in zip(lewis, (exact.tiled_primal,

@@ -215,6 +215,34 @@ def test_check_tree_json_given_as_function_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["weight-directory", "config-directory",
+                                  "weight-binary", "tree-binary"])
+def test_check_unreadable_file_is_usage_error(tmp_path, capsys, case):
+    # a directory where a file is expected, and files that are not text,
+    # are usage errors naming the path, raised before anything is written
+    cfg = _file_config(tmp_path, [["1.0"]] * 8, "weight")
+    bad = {"weight-directory": tmp_path / "dir",
+           "config-directory": tmp_path / "dir",
+           "weight-binary": tmp_path / "weight.csv",
+           "tree-binary": tmp_path / "tree.json"}[case]
+    if case.endswith("directory"):
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+    if case == "weight-directory":
+        config = json.loads(cfg.read_text())
+        config["weight"] = str(bad)
+        cfg.write_text(json.dumps(config))
+    if case == "config-directory":
+        cfg = bad
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(bad) in err[0]
+    assert not out.exists()
+
+
 def test_check_function_of_the_wrong_shape_is_usage_error(tmp_path, capsys):
     # no weight file: d = 1, so an 8 x 3 function file does not fit
     from wml.filtration import build_dyadic

@@ -84,7 +84,8 @@ def test_random_tree_refinement_structure():
         assert set(sp.offsets[n - 1]).issubset(set(sp.offsets[n]))
         # child masses resum to parents
         parents = np.zeros(sp.n_atoms(n - 1))
-        np.add.at(parents, sp.parent[n], sp.atom_probs[n])
+        parent = sp.labels[n - 1][sp.offsets[n][:-1]]
+        np.add.at(parents, parent, sp.atom_probs[n])
         assert np.allclose(parents, sp.atom_probs[n - 1], atol=1e-12)
 
 

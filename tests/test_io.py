@@ -5,11 +5,11 @@ import pytest
 
 from wml.filtration import build_dyadic, build_from_tree
 from wml.io import (load_function_csv, load_tree, load_weight_csv,
-                    pair_to_json, read_sweep_csv, save_function_csv,
-                    save_pair_json, save_tree, save_weight_csv, tree_to_spec,
-                    write_fit_json, write_sweep_csv)
+                    read_sweep_csv, save_function_csv, save_tree,
+                    save_weight_csv, tree_to_spec, write_fit_json,
+                    write_sweep_csv)
 from wml.linalg import ValidationError
-from wml.weights import MatrixWeight, as_weight, build_reducing_pair
+from wml.weights import MatrixWeight
 
 
 def _random_space(seed=0, depth=5):
@@ -73,29 +73,6 @@ def test_weight_csv_roundtrip(tmp_path):
     save_function_csv(tmp_path / "bad.csv", rng.standard_normal((4, 3)))
     with pytest.raises(ValidationError):
         load_weight_csv(tmp_path / "bad.csv")
-
-
-def test_pair_json_export(tmp_path):
-    sp = build_dyadic(2)
-    w = as_weight(np.array([4.0, 1.0, 2.0, 0.5]))
-    pair = build_reducing_pair(sp, w, 2.0)
-    data = pair_to_json(pair)
-    assert data["p"] == 2.0
-    assert len(data["levels"]) == 3
-    assert np.array(data["levels"][0]["primal"]).shape == (1, 1, 1)
-    save_pair_json(tmp_path / "pair.json", pair)
-    loaded = json.loads((tmp_path / "pair.json").read_text())
-    assert loaded["method"] == "scalar"
-
-
-def test_pair_json_export_exact_p2(tmp_path):
-    sp = build_dyadic(2)
-    W = MatrixWeight(np.tile(np.array([[2.0, 0.5], [0.5, 1.0]]), (4, 1, 1)))
-    save_pair_json(tmp_path / "pair.json", build_reducing_pair(sp, W, 2.0))
-    loaded = json.loads((tmp_path / "pair.json").read_text())
-    assert loaded["method"] == "exact_p2"
-    assert loaded["certificate"] == {}
-    assert np.array(loaded["levels"][2]["dual"]).shape == (4, 2, 2)
 
 
 def test_sweep_csv_roundtrip(tmp_path):

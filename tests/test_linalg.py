@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from wml.linalg import (EllipsoidError, ValidationError, _deflated_top,
                         _design_update, _eig_compose, _gram, _quad,
-                        _spanning_core, _top_eigenvalue_3x3, direction_set,
-                        jacobi_eigh, mvee_central, spd_power, spectral_norm,
-                        sym_inv)
+                        _spanning_core, _top_eigenvalue_3x3, jacobi_eigh,
+                        mvee_central, spd_power, spectral_norm, sym_inv)
 from wml.weights import EIG_CLIP_RATIO
+
+from directions import direction_set
 
 
 def test_jacobi_matches_lapack_oracle():

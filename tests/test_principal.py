@@ -315,20 +315,6 @@ def test_domination_norm_chain_on_witness():
     assert lp_norm(sp, s, p) <= res["bound"] * lp_norm(sp, t, p) + 1e-12
 
 
-def test_family_export_roundtrip(tmp_path):
-    from wml.io import family_to_json, save_family_json
-    fam = build_principal_family(_random_instance(12)[-1], threshold=3.0)
-    data = family_to_json(fam)
-    assert data["threshold"] == 3.0
-    assert len(data["sets"]) == len(fam.sets)
-    for raw, s in zip(data["sets"], fam.sets):
-        assert raw["generation"] == s.generation
-        assert raw["kappa2"] == s.kappa2
-        assert raw["escape_leaves"] == s.escape.tolist()
-    save_family_json(tmp_path / "family.json", fam)
-    assert (tmp_path / "family.json").exists()
-
-
 @pytest.mark.parametrize("scale", [1e6, 1e-6])
 def test_holder_check_is_scale_invariant(scale):
     # T_2, T_1 and T_p are homogeneous in f; held to an absolute 1e-10, the

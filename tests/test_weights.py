@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from wml import linalg, suite, weights
 from wml.experiments import rotating_weight
 from wml.filtration import build_dyadic, build_from_tree, cond_expect
-from wml.linalg import (EllipsoidError, ValidationError, holdout_directions,
-                        matvec, spd_power)
-from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _fit_reducers,
-                         _lewis_fit, ap_characteristic, ap_equivalents,
-                         as_weight, build_reducing_pair, conjugate,
-                         exchanged_pair, verify_reducing_bounds)
+from wml.linalg import EllipsoidError, ValidationError, matvec, spd_power
+from wml.weights import (CERT_TOL, EIG_CLIP_RATIO, MatrixWeight,
+                         _fit_reducers, _lewis_fit, ap_characteristic,
+                         ap_equivalents, as_weight, build_reducing_pair,
+                         conjugate, exchanged_pair, verify_reducing_bounds)
+
+from directions import holdout_directions
 
 
 def _random_spd_weight(rng, n, d, sigma=1.0):
@@ -28,7 +29,7 @@ def _random_spd_weight(rng, n, d, sigma=1.0):
 
 
 @pytest.mark.parametrize("d", (1, 2))
-@pytest.mark.parametrize("name", ("tol", "cert_tol"))
+@pytest.mark.parametrize("name", ("tol",))
 @pytest.mark.parametrize("value", (0.0, -0.5, np.inf, np.nan))
 def test_build_reducing_pair_rejects_bad_tolerances(monkeypatch, d, name,
                                                     value):
@@ -105,10 +106,12 @@ def test_scalar_path_matches_closed_formulas_bitwise():
     p = 3.0
     q = conjugate(p)
     pair = build_reducing_pair(sp, as_weight(w), p)
+    base = sp.atom_base
     for n in range(sp.depth + 1):
-        assert np.array_equal(pair.primal[n][:, 0, 0],
+        level = slice(base[n], base[n + 1])
+        assert np.array_equal(pair.tiled_primal[level, 0, 0],
                               cond_expect(sp, w, n) ** (1.0 / p))
-        assert np.array_equal(pair.dual[n][:, 0, 0],
+        assert np.array_equal(pair.tiled_dual[level, 0, 0],
                               cond_expect(sp, w ** (-q / p), n) ** (1.0 / q))
 
 
@@ -116,20 +119,17 @@ def test_pair_levels_are_slices_of_the_tiled_reducers():
     sp = build_dyadic(2)
     w = as_weight(np.array([4.0, 1.0, 2.0, 0.5]))
     pair = build_reducing_pair(sp, w, 2.0)
-    assert pair.primal[1].shape == (2, 1, 1)
-    assert np.array_equal(pair.primal[1][:, 0, 0], [2.5 ** 0.5, 1.25 ** 0.5])
     base = sp.atom_base
+    # level n owns entries atom_base[n]:atom_base[n + 1] of the tiled order
+    assert np.array_equal(pair.tiled_primal[base[1]:base[2], 0, 0],
+                          [2.5 ** 0.5, 1.25 ** 0.5])
     for name in ("primal", "dual"):
-        tiled = getattr(pair, "tiled_" + name)
-        assert tiled.shape == (base[-1], 1, 1)
-        for n, level in enumerate(getattr(pair, name)):
-            assert np.shares_memory(level, tiled)
-            assert np.array_equal(level, tiled[base[n]:base[n + 1]])
+        assert getattr(pair, "tiled_" + name).shape == (base[-1], 1, 1)
     swapped = exchanged_pair(pair)
-    for a, b in zip(swapped.primal, pair.dual):
-        assert np.array_equal(a, b)
     for n in range(sp.depth + 1):
         level = slice(base[n], base[n + 1])
+        assert np.array_equal(swapped.tiled_primal[level],
+                              pair.tiled_dual[level])
         assert np.array_equal(swapped.tiled_dual_inv[level],
                               pair.tiled_primal_inv[level])
 
@@ -146,7 +146,7 @@ def test_p2_ellipsoid_vs_exact_averaging_window():
     assert exact.method == "exact_p2" and exact.certificate == {}
     fitted, fitted_inv, certs = _fit_reducers(
         sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-        1e-3, 5e-2)
+        1e-3)
     for lewis, inv, ref, cert in zip(
             fitted, fitted_inv, (exact.tiled_primal, exact.tiled_dual), certs):
         err = np.linalg.norm(lewis - ref, 2, axis=(1, 2)) \
@@ -164,8 +164,10 @@ def test_constant_weight_reducers_near_power():
     pair = build_reducing_pair(sp, W, p)
     target = spd_power(w0, 1.0 / p)
     dirs = holdout_directions(2, 300, seed=2)
+    base = sp.atom_base
     for n in range(sp.depth + 1):
-        a = np.linalg.norm(np.einsum("kij,nj->kni", pair.primal[n], dirs), axis=2)
+        a = np.linalg.norm(np.einsum("kij,nj->kni", pair.tiled_primal[
+            base[n]:base[n + 1]], dirs), axis=2)
         b = np.linalg.norm(dirs @ target.T, axis=1)
         ratio = a / b
         assert ratio.max() <= 1.05 and ratio.min() >= 1.0 / (1.05 * np.sqrt(2.0))
@@ -218,8 +220,7 @@ def test_ap_characteristic_constant_matrix_weight():
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
     exact = build_reducing_pair(sp, W, 2.0)
     (primal, dual), _, _ = _fit_reducers(
-        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-        1e-3, 5e-2)
+        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)], 1e-3)
     # ap_characteristic reads only the two reducer families; at r = 2 the
     # Lewis fit is the exact pair, and so is its characteristic
     val = ap_characteristic(replace(exact, tiled_primal=primal,
@@ -330,11 +331,36 @@ def test_john_sandwich_on_random_directions():
     wp = pair.wp
     vals = np.linalg.norm(np.einsum("lij,nj->lni", wp, dirs), axis=2) ** p
     rho = (np.sum(sp.leaf_probs[:, None] * vals, axis=0)) ** (1.0 / p)
-    a_norm = np.linalg.norm(dirs @ pair.primal[0][0].T, axis=1)
+    a_norm = np.linalg.norm(dirs @ pair.tiled_primal[0].T, axis=1)
     ratio = a_norm / rho
-    tol = pair.cert_tol
+    tol = CERT_TOL
     assert ratio.max() <= 1.0 + tol
     assert ratio.min() >= 1.0 / ((1.0 + tol) ** 2 * np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("p", (1.5, 3.0))
+def test_loose_tol_stops_inside_the_certificate_window(d, p):
+    # at tol = 0.6 Lewis's bound d^{|1/2 - 1/r|} (1 + tol) lies above
+    # (1 + CERT_TOL) sqrt(d) for r = p and p', so the window is the stop
+    # that binds: every proved low ratio stays inside it
+    tol = 0.6
+    for r in (p, conjugate(p)):
+        assert d ** abs(0.5 - 1.0 / r) * (1.0 + tol) \
+            > (1.0 + CERT_TOL) * math.sqrt(d)
+    # a weight whose atoms' first rounds already prove less than Lewis's
+    # loose bound but not yet the window
+    sp, W = rotating_weight(6, d, 2.0, 1e-3)
+    window = 1.0 / ((1.0 + CERT_TOL) * math.sqrt(d))
+    pair = build_reducing_pair(sp, W, p, tol=tol)
+    for cert in pair.certificate.values():
+        assert cert["low"] >= window
+    f = np.random.default_rng(d).standard_normal((sp.n_leaves, d))
+    inst = suite.Instance(index=0, seed=7, depth=sp.depth, d=d, p=p,
+                          space=sp, weight=W, f=f)
+    results, _ = suite.instance_checks(inst, fit_tol=tol)
+    (cert,) = (r for r in results if r.name == "reducer_certificate")
+    assert cert.passed and cert.bound == window
 
 
 def _column_order(d):
@@ -407,12 +433,11 @@ def _fits_alone_match(sp, sides, tol):
     that each atom, fitted alone (one side and one range per call), gets
     the same bytes and proved low ratio; returns the one call's result."""
     starts, stops = _ranges(sp)
-    both = _lewis_fit(sp.leaf_probs, starts, stops, sides, tol, 5e-2, 1000)
+    both = _lewis_fit(sp.leaf_probs, starts, stops, sides, tol, 1000)
     for s in range(len(sides)):
         for k in range(len(starts)):
             alone = _lewis_fit(sp.leaf_probs, starts[k:k + 1],
-                               stops[k:k + 1], sides[s:s + 1], tol, 5e-2,
-                               1000)
+                               stops[k:k + 1], sides[s:s + 1], tol, 1000)
             for got, want in zip(alone, both):
                 assert got[0, 0].tobytes() == want[s, k].tobytes()
     return both
@@ -440,7 +465,8 @@ def test_each_atom_fitted_alone_gives_the_same_bytes(monkeypatch, d):
         for atom, (a, b) in enumerate(zip(lo, hi)):
             want = pair.wp[a] if b - a == 1 else both[0, np.flatnonzero(
                 (starts == a) & (stops == b))[0]]
-            assert pair.primal[n][atom].tobytes() == want.tobytes()
+            assert pair.tiled_primal[sp.atom_base[n] + atom].tobytes() \
+                == want.tobytes()
     calls = []
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
@@ -478,7 +504,7 @@ from test_weights import _near_clip_sides, _ranges
 from wml.weights import _lewis_fit
 sp, sides = _near_clip_sides(int(sys.argv[2]))
 starts, stops = _ranges(sp)
-for arr in _lewis_fit(sp.leaf_probs, starts, stops, sides, 2e-2, 5e-2, 1000):
+for arr in _lewis_fit(sp.leaf_probs, starts, stops, sides, 2e-2, 1000):
     sys.stdout.buffer.write(arr.tobytes())
 """
 
@@ -565,7 +591,7 @@ def test_failed_certification_reports_first_failing_side():
 
     def fit(*sides, rounds=1):
         return _lewis_fit(sp.leaf_probs, starts, stops, list(sides), 1e-3,
-                          5e-2, rounds)
+                          rounds)
 
     def failure(*sides):
         with pytest.raises(EllipsoidError) as err:
