@@ -33,14 +33,14 @@ import numpy as np
 from .experiments import (SweepConfig, SweepPointError, matrix_target_exponent,
                           power_weight, rotating_weight, run_sweep,
                           scalar_target_exponent, sweep_fit)
-from .filtration import build_dyadic, build_from_tree
+from .filtration import build_dyadic
 from .io import (_open_text, load_function_csv, load_tree, load_weight_csv,
                  read_sweep_csv, save_function_csv, save_tree,
                  save_weight_csv, write_fit_json, write_sweep_csv)
 from .linalg import ValidationError
 from .operators import MODES
 from .principal import default_threshold
-from .suite import Instance, instance_checks, random_instance
+from .suite import Instance, instance_checks, random_instance, random_space
 from .weights import as_weight, check_tolerance
 
 USAGE_ERROR, CHECK_FAILURE = 1, 2
@@ -176,8 +176,7 @@ def cmd_gen(args):
     if kind == "dyadic":
         space = build_dyadic(depth)
     elif kind == "random":
-        from .suite import random_tree_spec
-        space = build_from_tree(random_tree_spec(rng, depth, 0.55, 3))
+        space = random_space(rng, depth, 0.55, 3)
     else:
         raise ValidationError(f"unknown space kind {kind!r}")
     files = {"tree.json": (save_tree, space)}
@@ -349,14 +348,15 @@ def cmd_sweep(args):
     return 0
 
 
-def _csv_fit(args):
+def _csv_fit(args, extra_columns=()):
     """(rows of the --csv sweep CSV, their sweep_fit, output directory)
-    for the fit and report commands."""
+    for the fit and report commands; the CSV must have the columns of the
+    fit and ``extra_columns``."""
     opts = _options(args)
     if "csv" not in opts:
         raise ValidationError(
             f"{args.command} needs --csv pointing at a sweep CSV")
-    rows = read_sweep_csv(opts["csv"])
+    rows = read_sweep_csv(opts["csv"], ("ap_char", "ratio") + extra_columns)
     fit = sweep_fit((r["ap_char"], r["ratio"]) for r in rows)
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -372,7 +372,7 @@ def cmd_fit(args):
 
 
 def cmd_report(args):
-    rows, fit, out = _csv_fit(args)
+    rows, fit, out = _csv_fit(args, ("family", "p", "d"))
     slope, intercept, stderr = fit["slope"], fit["intercept"], fit["stderr"]
 
     by_family = {}
@@ -431,8 +431,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

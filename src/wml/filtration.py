@@ -6,6 +6,15 @@ leaf range; a level is stored as the array of range offsets. Level 0 is the
 trivial partition {Omega}; level D separates all leaves. Atoms may persist
 unchanged across several levels (chains), so arbitrary branching trees are
 representable.
+
+Trees reach a space through one offsets builder, ``build_from_preorder``:
+it reads the level and mass of every node in preorder, marks each node
+with its level and its start (the leaves before it), and takes every
+level's offsets from the shallowest level at which each start appears.
+``build_from_tree`` validates a nested JSON description and walks it into
+those two lists; the suite's random trees are drawn straight into them.
+The space's own level index marks the atom starts of every level once,
+and its refinement check reads the same marks.
 """
 
 from __future__ import annotations
@@ -60,28 +69,30 @@ class FilteredSpace:
                 f"leaf probabilities sum to {probs.sum()!r}, expected 1")
         if len(self.offsets) != self.depth + 1:
             raise ValidationError("need one offset array per level 0..D")
-        prev = None
         for n, off in enumerate(self.offsets):
             off = np.asarray(off)
-            if off[0] != 0 or off[-1] != n_leaves or np.any(np.diff(off) <= 0):
+            if off.size < 2 or off[0] != 0 or off[-1] != n_leaves \
+                    or np.any(np.diff(off) <= 0):
                 raise ValidationError(f"level {n} offsets malformed")
-            if prev is not None and not np.isin(prev, off).all():
-                raise ValidationError(f"level {n} does not refine level {n - 1}")
-            prev = off
-        if len(self.offsets[0]) != 2:
+        offsets = tuple(np.asarray(o, dtype=np.intp) for o in self.offsets)
+        atom_base = np.cumsum([0] + [len(o) - 1 for o in offsets])
+        tiled_starts = np.concatenate([
+            off[:-1] + n * n_leaves for n, off in enumerate(offsets)])
+        marks = np.zeros((self.depth + 1, n_leaves), dtype=np.intp)
+        marks.reshape(-1)[tiled_starts] = 1
+        # level n refines level n - 1 when every start of n - 1 is one of n
+        coarse = np.flatnonzero((marks[:-1] > marks[1:]).any(axis=1))
+        if coarse.size:
+            n = int(coarse[0]) + 1
+            raise ValidationError(f"level {n} does not refine level {n - 1}")
+        if len(offsets[0]) != 2:
             raise ValidationError("level 0 must be the single atom Omega")
-        if len(self.offsets[-1]) != n_leaves + 1:
+        if len(offsets[-1]) != n_leaves + 1:
             raise ValidationError("level D atoms must be the leaves")
         probs.setflags(write=False)
         object.__setattr__(self, "leaf_probs", probs)
-        object.__setattr__(self, "offsets", tuple(
-            np.asarray(o, dtype=np.intp) for o in self.offsets))
-        atom_base = np.cumsum([0] + [len(o) - 1 for o in self.offsets])
-        tiled_starts = np.concatenate([
-            off[:-1] + n * n_leaves for n, off in enumerate(self.offsets)])
-        marks = np.zeros((self.depth + 1) * n_leaves, dtype=np.intp)
-        marks[tiled_starts] = 1
-        labels = np.cumsum(marks.reshape(self.depth + 1, n_leaves), axis=1) - 1
+        object.__setattr__(self, "offsets", offsets)
+        labels = np.cumsum(marks, axis=1) - 1
         tiled_labels = labels + atom_base[:-1, None]
         tiled_atom_probs = np.add.reduceat(np.tile(probs, self.depth + 1),
                                            tiled_starts)
@@ -136,6 +147,14 @@ def build_dyadic(depth, leaf_probs=None):
     return FilteredSpace(depth=depth, leaf_probs=probs, offsets=tuple(offsets))
 
 
+def _mass(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"node masses must be numbers, got {value!r}") from None
+
+
 def build_from_tree(spec):
     """FilteredSpace from a nested {"mass": x, "children": [...]} description.
 
@@ -143,52 +162,58 @@ def build_from_tree(spec):
     a node without children is a leaf and persists through deeper levels.
     """
     seen = set()
+    levels, masses = [], []
 
-    def check(node, depth):
+    def walk(node, level):
         if id(node) in seen:
             raise ValidationError("tree specification contains a cycle")
         seen.add(id(node))
         if not isinstance(node, dict) or "mass" not in node:
             raise ValidationError("each node must be a dict with a 'mass' key")
-        mass = float(node["mass"])
-        if mass <= 0.0:
+        mass = _mass(node["mass"])
+        if not mass > 0.0:
             raise ValidationError("node masses must be positive")
+        levels.append(level)
+        masses.append(mass)
         children = node.get("children") or []
+        if not isinstance(children, (list, tuple)) or \
+                not all(isinstance(c, dict) for c in children):
+            raise ValidationError("a node's 'children' must be a list of nodes")
         if children:
-            csum = sum(float(c.get("mass", -1.0)) for c in children)
+            csum = sum(_mass(c.get("mass", -1.0)) for c in children)
             if abs(csum - mass) > PROB_TOL * max(1.0, abs(mass)):
                 raise ValidationError(
                     f"child masses sum to {csum!r}, parent has {mass!r}")
-            return max(check(c, depth + 1) for c in children)
-        return depth
-
-    depth = check(spec, 0)
-    if depth < 1:
-        raise ValidationError("tree must branch at least once")
-
-    leaf_probs = []
-    node_marks = []  # (tree depth, leaf-range start) of every node
-
-    def walk(node, level):
-        node_marks.append((level, len(leaf_probs)))
-        children = node.get("children") or []
-        if not children:
-            leaf_probs.append(float(node["mass"]))
-            return
-        for child in children:
-            walk(child, level + 1)
+            for child in children:
+                walk(child, level + 1)
 
     walk(spec, 0)
-    n_leaves = len(leaf_probs)
-    # a level-n atom starts exactly where some node of depth <= n starts
-    offsets = tuple(
-        np.array(sorted({s for lvl, s in node_marks if lvl <= n} | {n_leaves}),
-                 dtype=np.intp)
-        for n in range(depth + 1))
-    probs = np.asarray(leaf_probs)
+    if max(levels) < 1:
+        raise ValidationError("tree must branch at least once")
+    return build_from_preorder(levels, masses)
+
+
+def build_from_preorder(levels, masses):
+    """FilteredSpace of a tree given as the level and mass of every node in
+    preorder, root first; the caller vouches for the tree.
+
+    A node is a leaf when the next node is not one level below it, and a
+    node's start is new exactly when the node before it is a leaf. A
+    level-n atom starts where a node of level <= n starts. Leaf masses
+    that sum to 1 within PROB_TOL are renormalized.
+    """
+    levels = np.asarray(levels, dtype=np.intp)
+    masses = np.asarray(masses, dtype=float)
+    is_leaf = np.append(levels[1:] <= levels[:-1], True)
+    first_level = levels[np.append(True, is_leaf[:-1])]
+    n_leaves = first_level.shape[0]
+    offsets = tuple(np.append(np.flatnonzero(first_level <= n), n_leaves)
+                    for n in range(int(levels.max()) + 1))
+    probs = masses[is_leaf]
     if abs(probs.sum() - 1.0) <= PROB_TOL:
         probs = probs / probs.sum()
-    return FilteredSpace(depth=depth, leaf_probs=probs, offsets=offsets)
+    return FilteredSpace(depth=len(offsets) - 1, leaf_probs=probs,
+                         offsets=offsets)
 
 
 def cond_expect(space, f, n):

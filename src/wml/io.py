@@ -138,9 +138,18 @@ def write_sweep_csv(path, records):
             writer.writerow(row)
 
 
-def read_sweep_csv(path):
+def read_sweep_csv(path, columns=()):
+    """The rows of a sweep CSV as dicts with typed cells. A header that
+    lacks one of ``columns``, the columns the caller reads, raises
+    ValidationError naming the file and the missing columns."""
     with _open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in columns if c not in header]
+        if header and missing:
+            raise ValidationError(
+                f"{path}: the sweep CSV header has no column "
+                f"{', '.join(map(repr, missing))}")
         rows = []
         for raw in reader:
             row = dict(raw)

@@ -1,5 +1,13 @@
 """Seeded random instances and the per-instance invariant check battery.
 
+An instance's tree comes from one draw recursion, ``_draw_tree``: it makes
+the generator calls of every node in preorder and records each node's
+level and mass. ``random_space`` (the suite's instances and ``wml gen``'s
+random trees) hands those two lists to ``filtration.build_from_preorder``;
+``random_tree_spec`` nests them into the {"mass", "children"} dict of the
+same tree. The Dirichlet mass fractions are normalized gamma draws, bit for
+bit numpy's own ``dirichlet``.
+
 The CLI ``check`` command and the acceptance tests both run this battery,
 so the command-line report and the test suite cannot drift apart. Each
 check returns a CheckResult with the measured quantity and the asserted
@@ -15,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Analysis
-from .filtration import (build_from_tree, cond_expect, level_means, lp_norm,
-                         martingale_of)
+from .filtration import (build_from_preorder, cond_expect, level_means,
+                         lp_norm, martingale_of)
 from .linalg import EllipsoidError, ValidationError, _eig_compose
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
@@ -70,21 +78,65 @@ class CheckResult:
                 "info": self.info, "side": self.side}
 
 
-def random_tree_spec(rng, depth, split_p, max_children):
-    """Random refining tree of exactly the given depth with random masses."""
+def _dirichlet_split(rng, k):
+    """The k fractions of ``rng.dirichlet(np.ones(k) * 2.0)``, bit for bit,
+    and the same draws from ``rng``.
+
+    This mirrors numpy's own Dirichlet loop for parameters above 0.1
+    (numpy 2.4): k ``standard_gamma`` draws, summed in index order from
+    0.0, each multiplied by the reciprocal of the sum. It rests on numpy's
+    internals, not on a documented contract; a test pins it against
+    ``rng.dirichlet``.
+    """
+    draws = rng.standard_gamma(2.0, k).tolist()
+    total = 0.0
+    for g in draws:
+        total += g
+    scale = 1.0 / total
+    return [g * scale for g in draws]
+
+
+def _draw_tree(rng, depth, split_p, max_children):
+    """Preorder level and mass of every node of a random refining tree of
+    exactly the given depth: the suite's only copy of the draw order.
+
+    A node below ``depth`` splits with probability ``split_p`` into 2 to
+    ``max_children`` children with Dirichlet(2, ..., 2) mass fractions;
+    the root and one child of each forced node are forced to split.
+    """
+    levels, masses = [], []
 
     def node(mass, lvl, force):
-        out = {"mass": mass}
+        levels.append(lvl)
+        masses.append(mass)
         if lvl < depth and (force or rng.random() < split_p):
             k = int(rng.integers(2, max_children + 1))
-            fracs = rng.dirichlet(np.ones(k) * 2.0)
+            fracs = _dirichlet_split(rng, k)
             chosen = int(rng.integers(0, k)) if force else -1
-            out["children"] = [
+            for i, fr in enumerate(fracs):
                 node(mass * fr, lvl + 1, force and i == chosen)
-                for i, fr in enumerate(fracs)]
-        return out
 
-    return node(1.0, 0, True)
+    node(1.0, 0, True)
+    return levels, masses
+
+
+def random_tree_spec(rng, depth, split_p, max_children):
+    """Random refining tree of exactly the given depth with random masses,
+    as the nested {"mass", "children"} dict that ``build_from_tree`` reads."""
+    path = []
+    for lvl, mass in zip(*_draw_tree(rng, depth, split_p, max_children)):
+        node = {"mass": mass}
+        del path[lvl:]
+        if path:
+            path[-1].setdefault("children", []).append(node)
+        path.append(node)
+    return path[0]
+
+
+def random_space(rng, depth, split_p, max_children):
+    """The space of ``random_tree_spec`` for the same draws, built straight
+    from them: ``build_from_tree(random_tree_spec(...))`` without the dict."""
+    return build_from_preorder(*_draw_tree(rng, depth, split_p, max_children))
 
 
 def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
@@ -100,8 +152,7 @@ def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
     if d not in SPLIT:
         raise ValidationError(
             f"the random suite supports d in {sorted(SPLIT)}, not d = {d}")
-    split_p, max_children = SPLIT[d]
-    space = build_from_tree(random_tree_spec(rng, depth, split_p, max_children))
+    space = random_space(rng, depth, *SPLIT[d])
     n = space.n_leaves
     if d == 1:
         weight = as_weight(np.exp(rng.normal(0.0, WEIGHT_SIGMA, n)))

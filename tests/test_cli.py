@@ -416,6 +416,39 @@ def test_fit_non_numeric_sweep_cell_is_usage_error(tmp_path, capsys, column,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, header, missing", [
+    ("fit", "p,ratio", "'ap_char'"),
+    ("fit", "family,p,d", "'ap_char', 'ratio'"),
+    ("report", "p,d,ap_char,ratio", "'family'"),
+], ids=["fit-ap_char", "fit-both", "report-family"])
+def test_sweep_csv_without_a_read_column_is_usage_error(tmp_path, capsys,
+                                                        command, header,
+                                                        missing):
+    csv = tmp_path / "sweep.csv"
+    values = {"family": "power", "p": "2.0", "d": "1", "ap_char": "1.0",
+              "ratio": "3.0"}
+    csv.write_text(header + "\n" + ",".join(
+        values[c] for c in header.split(",")) + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--csv", str(csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"sweep.csv: the sweep CSV header has no column {missing}\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_library_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # a KeyError from the library is a bug: it must surface, not pass as
+    # an input error
+    def broken(*args, **kwargs):
+        raise KeyError("ap_char")
+    monkeypatch.setattr("wml.cli.sweep_fit", broken)
+    csv = tmp_path / "sweep.csv"
+    csv.write_text("ap_char,ratio\n1.0,3.0\n")
+    with pytest.raises(KeyError):
+        run(["fit", "--csv", str(csv), "--out", str(tmp_path / "out")])
+
+
 def test_fit_reproduces_flat_sweep_fit(tmp_path):
     # a flat family gets slope 0 from the sweep, and the refit of its CSV
     # applies the same convention

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wml.filtration import (build_dyadic, build_from_tree,
+from wml.filtration import (FilteredSpace, build_dyadic, build_from_tree,
                             cond_expect, cond_expect_leaf, lp_norm,
                             martingale_of)
 from wml.linalg import ValidationError
@@ -62,6 +62,54 @@ def test_build_from_tree_rejects_bad_masses_and_cycles():
     shared = {"mass": 0.5}
     with pytest.raises(ValidationError):
         build_from_tree({"mass": 1.0, "children": [shared, shared]})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"mass": 1.0, "children": [{"mass": 0.5}, 3]},
+     "'children' must be a list of nodes"),
+    ({"mass": 1.0, "children": 5}, "'children' must be a list of nodes"),
+    ({"mass": "x"}, "node masses must be numbers, got 'x'"),
+    ({"mass": 1.0, "children": [{"mass": 0.5}, {"mass": [0.5]}]},
+     "node masses must be numbers, got [0.5]"),
+    ({"mass": 1.0, "children": [{"mass": float("nan")}, {"mass": 0.5}]},
+     "node masses must be positive"),
+    ({"mass": float("nan")}, "node masses must be positive"),
+], ids=["child-not-a-node", "children-not-a-list", "mass-not-a-number",
+        "child-mass-not-a-number", "nan-child", "nan-root"])
+def test_build_from_tree_rejects_malformed_json_nodes(spec, message):
+    with pytest.raises(ValidationError) as exc:
+        build_from_tree(spec)
+    assert message in str(exc.value)
+
+
+def _offsets(*levels):
+    return tuple(np.array(off) for off in levels)
+
+
+@pytest.mark.parametrize("offsets, message", [
+    # level 2 drops the start 3 of level 1, and level 3 the start 2 of level 2
+    (_offsets([0, 6], [0, 3, 6], [0, 2, 6], [0, 1, 4, 6],
+              [0, 1, 2, 3, 4, 5, 6]), "level 2 does not refine level 1"),
+    (_offsets([0, 6], [0, 3, 6], [0, 2, 3, 6], [0, 2, 4, 6],
+              [0, 1, 2, 3, 4, 5, 6]), "level 3 does not refine level 2"),
+    (_offsets([0, 6], [0, 3, 3, 6], [0, 2, 3, 6], [0, 2, 3, 4, 6],
+              [0, 1, 2, 3, 4, 5, 6]), "level 1 offsets malformed"),
+    (_offsets([0, 6], [0, 3, 6], [1, 3, 6], [0, 2, 3, 4, 6],
+              [0, 1, 2, 3, 4, 5, 6]), "level 2 offsets malformed"),
+    (_offsets([0, 6], [0, 3, 6], [0, 2, 3, 6], [0, 2, 3, 4, 5],
+              [0, 1, 2, 3, 4, 5, 6]), "level 3 offsets malformed"),
+], ids=["refine-2", "refine-3", "repeated-start", "first-not-0",
+        "last-not-leaves"])
+def test_space_rejects_offsets_that_do_not_refine(offsets, message):
+    with pytest.raises(ValidationError) as exc:
+        FilteredSpace(depth=4, leaf_probs=np.full(6, 1.0 / 6.0),
+                      offsets=offsets)
+    assert str(exc.value) == message
+
+
+def test_space_rejects_empty_offsets():
+    with pytest.raises(ValidationError, match="level 0 offsets malformed"):
+        FilteredSpace(depth=1, leaf_probs=[0.5, 0.5], offsets=([], [0, 1, 2]))
 
 
 def _random_space(rng, depth=6, split_p=0.6):
