@@ -38,10 +38,10 @@ from .io import (_open_text, load_function_csv, load_tree, load_weight_csv,
                  read_sweep_csv, save_function_csv, save_tree,
                  save_weight_csv, write_fit_json, write_sweep_csv)
 from .linalg import ValidationError
-from .operators import MODES
 from .principal import default_threshold
-from .suite import Instance, instance_checks, random_instance, random_space
-from .weights import as_weight, check_tolerance
+from .suite import (Instance, check_suite_options, instance_checks,
+                    random_instance, random_space)
+from .weights import as_weight
 
 USAGE_ERROR, CHECK_FAILURE = 1, 2
 
@@ -62,20 +62,20 @@ OPTIONS = {
             "function": {"kind": str, "d": int}},
     # tree, weight and function name the files of a file instance
     "check": {"instances": int, "p": float, "d": int, "depth": int,
-              "cgamma": float, "fit_tol": float, "seed": int, "out": str,
-              "parallel": int, "acceptance": bool, "square_mode": str,
-              "tree": str, "weight": str, "function": str},
+              "cgamma": float, "seed": int, "out": str, "parallel": int,
+              "acceptance": bool, "tree": str, "weight": str,
+              "function": str},
     "sweep": {"family": str, "p": float, "d": int, "depths": (int,),
               "alphas": (float,), "epss": (float,), "restarts": int,
-              "seed": int, "fit_tol": float, "out": str, "parallel": int},
+              "seed": int, "out": str, "parallel": int},
     "fit": {"csv": str, "out": str},
     "report": {"csv": str, "out": str},
 }
-# the config keys that are also flags (--square-mode for square_mode)
+# the config keys that are also flags (--key for key)
 FLAGS = {
     "gen": ("seed", "out", "depth", "d"),
     "check": ("seed", "out", "p", "d", "depth", "cgamma", "instances",
-              "parallel", "acceptance", "square_mode"),
+              "parallel", "acceptance"),
     "sweep": ("seed", "out", "p", "d", "parallel"),
     "fit": ("out", "csv"),
     "report": ("out", "csv"),
@@ -225,8 +225,8 @@ def _file_instance(opts, seed):
                     p=opts.get("p", 2.0), space=space, weight=W, f=f)
 
 
-def _checked(inst, **check_opts):
-    results, meta = instance_checks(inst, **check_opts)
+def _checked(inst, threshold):
+    results, meta = instance_checks(inst, threshold=threshold)
     return {"index": inst.index, "meta": meta,
             "results": [r.as_dict() for r in results]}
 
@@ -234,9 +234,9 @@ def _checked(inst, **check_opts):
 def _check_suite_instance(job):
     """Build suite instance ``index`` and run the battery on it; a worker
     builds its own instance, so only the seed and options are pickled."""
-    index, seed, suite_opts, check_opts = job
+    index, seed, suite_opts, threshold = job
     return _checked(random_instance(index, seed=seed, **suite_opts),
-                    **check_opts)
+                    threshold)
 
 
 def _nearness(r):
@@ -262,29 +262,26 @@ def cmd_check(args):
         raise ValidationError(
             f"check takes {', '.join(map(repr, files_only))} only with "
             "'tree', which names the instance's tree file")
-    for key in ("fit_tol", "cgamma"):
-        if key in opts:
-            check_tolerance(key, opts[key])
-    if opts.get("square_mode", MODES[0]) not in MODES:
+    if not 0.0 < opts.get("cgamma", 1.0) < math.inf:
         raise ValidationError(
-            f"check config key 'square_mode' must be one of "
-            f"{', '.join(MODES)}, got {opts['square_mode']!r}")
-    # the files are loaded before anything is written
+            f"cgamma must be a finite positive number, got {opts['cgamma']!r}")
+    # a given d, p or depth is the suite's only one; a file instance
+    # takes p alone
+    suite_opts = {name: (opts[key],) * n for key, name, n in (
+        ("d", "dims", 1), ("p", "ps", 1), ("depth", "depth_range", 2))
+        if key in opts}
+    # the options are checked, and the files loaded, before anything is
+    # written
+    check_suite_options(**suite_opts)
     inst = _file_instance(opts, seed) if "tree" in opts else None
     out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     threshold = opts.get("cgamma", default_threshold())
-    check_opts = {"threshold": threshold, **{
-        k: opts[k] for k in ("fit_tol", "square_mode") if k in opts}}
 
     if inst is not None:
-        details = [_checked(inst, **check_opts)]
+        details = [_checked(inst, threshold)]
     else:
-        # a given d, p or depth is the suite's only one
-        suite_opts = {name: (opts[key],) * n for key, name, n in (
-            ("d", "dims", 1), ("p", "ps", 1), ("depth", "depth_range", 2))
-            if key in opts}
-        jobs = [(i, seed, suite_opts, check_opts)
+        jobs = [(i, seed, suite_opts, threshold)
                 for i in range(opts.get("instances", 24))]
         if opts.get("parallel", 1) > 1:
             ctx = multiprocessing.get_context("spawn")
@@ -418,8 +415,6 @@ def build_parser():
         for key in FLAGS[name]:
             kind = OPTIONS[name][key]
             kw = {"action": "store_true"} if kind is bool else {"type": kind}
-            if key == "square_mode":
-                kw["choices"] = MODES
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
                             default=None, **kw)
         sp.set_defaults(func=func)

@@ -21,7 +21,7 @@ from .filtration import (_lp_norm, build_dyadic, increment_adjoint,
 from .linalg import ValidationError, _eig_compose, matvec
 from .operators import _leaf_l2
 from .weights import (MatrixWeight, ap_characteristic, as_weight,
-                      build_reducing_pair, check_tolerance)
+                      build_reducing_pair)
 
 
 def scalar_target_exponent(p):
@@ -458,13 +458,20 @@ class SweepConfig:
     epss: tuple | None = (0.25, 0.015625)   # None: 2^-depth, the leaf width
     restarts: int = 4
     seed: int = 0
-    fit_tol: float = 2e-2            # reducer fit tolerance for d >= 2
 
     def __post_init__(self):
+        """Refuse a config that no grid point could run, before any does."""
         if self.restarts < 1:
             raise ValidationError(
                 f"restarts must be >= 1, got {self.restarts}")
-        check_tolerance("fit_tol", self.fit_tol)
+        if not 1.0 < self.p < np.inf:
+            raise ValidationError(f"p must lie in (1, inf), got {self.p}")
+        if self.family not in ("power", "rotating"):
+            raise ValidationError(f"unknown weight family {self.family!r}")
+        if self.family == "power" and self.d != 1:
+            raise ValidationError("power family is scalar (d = 1)")
+        if not self.grid():
+            raise ValidationError("sweep grid is empty")
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths
@@ -507,12 +514,8 @@ class SweepPointError(RuntimeError):
 
 def build_family_instance(config, depth, alpha, eps):
     if config.family == "power":
-        if config.d != 1:
-            raise ValidationError("power family is scalar (d = 1)")
         return power_weight(depth, alpha, eps)
-    if config.family == "rotating":
-        return rotating_weight(depth, config.d, alpha, eps)
-    raise ValidationError(f"unknown weight family {config.family!r}")
+    return rotating_weight(depth, config.d, alpha, eps)
 
 
 def sweep_point(config, index, depth, alpha, eps):
@@ -525,8 +528,7 @@ def sweep_point(config, index, depth, alpha, eps):
     space, W = build_family_instance(config, depth, alpha, eps)
     seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
     try:
-        ap = ap_characteristic(build_reducing_pair(
-            space, W, config.p, tol=config.fit_tol))
+        ap = ap_characteristic(build_reducing_pair(space, W, config.p))
         if config.d == 1 and abs(config.p - 2.0) < 1e-12:
             # the weighted ratio for S equals the unweighted ratio for S_w
             ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed)
@@ -551,8 +553,6 @@ def run_sweep(config, parallel=1):
     plus their sweep_fit. ``parallel`` > 1 runs the points in a
     spawn-context process pool; the records are the same."""
     grid = config.grid()
-    if not grid:
-        raise ValidationError("sweep grid is empty")
     if parallel > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -154,9 +154,6 @@ class PrincipalFamily:
     """All generations of principal sets for one (space, W, p, f) instance."""
 
     space: object
-    weight: object
-    p: float
-    f: np.ndarray
     threshold: float
     sets: tuple
 
@@ -234,8 +231,8 @@ def build_principal_family(an, threshold=None):
                     sets.append(ps)
         frontier = next_frontier
 
-    return PrincipalFamily(space=space, weight=an.weight, p=an.p, f=an.f,
-                           threshold=float(threshold), sets=tuple(sets))
+    return PrincipalFamily(space=space, threshold=float(threshold),
+                           sets=tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,6 @@ def check_properties(an, family):
 
     worst_window, worst_escape = -np.inf, -np.inf
     mass_ok = True
-    worst_mass = 1.0
     for s in family.sets:
         if s.generation >= 2:
             worst_window = max(worst_window, max(
@@ -321,7 +317,6 @@ def check_properties(an, family):
             escaped[s.escape] = space.leaf_probs[s.escape]
             frac = np.add.reduceat(escaped, bounds)[::2] \
                 / space.atom_probs[s.kappa2][s.atoms]
-            worst_mass = min(worst_mass, float(frac.min(initial=1.0)))
             if np.any(frac < 0.5 - CHECK_TOL):
                 mass_ok = False
 
@@ -330,7 +325,6 @@ def check_properties(an, family):
     report["escape_mass"] = mass_ok
     report["worst_window_slack"] = float(worst_window)
     report["worst_escape_slack"] = float(worst_escape)
-    report["worst_escape_atom_fraction"] = float(worst_mass)
     max_gen = max((s.generation for s in family.sets), default=0)
     report["terminates"] = bool(max_gen <= space.depth)
     report["max_generation"] = int(max_gen)

@@ -139,19 +139,29 @@ def random_space(rng, depth, split_p, max_children):
     return build_from_preorder(*_draw_tree(rng, depth, split_p, max_children))
 
 
-def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
-    """Deterministic random instance number ``index`` of the suite."""
+def check_suite_options(depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
+    """Raise ValidationError unless instances of these depths, dimensions
+    and exponents can be drawn and checked."""
     if depth_range[0] < 1:
         raise ValidationError(
             f"suite depths must be at least 1, got the range {depth_range}")
+    for d in dims:
+        if d not in SPLIT:
+            raise ValidationError(
+                f"the random suite supports d in {sorted(SPLIT)}, not d = {d}")
+    for p in ps:
+        if not 1.0 < p < np.inf:
+            raise ValidationError(f"p must lie in (1, inf), got {p!r}")
+
+
+def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
+    """Deterministic random instance number ``index`` of the suite."""
+    d = int(dims[index % len(dims)])
+    p = float(ps[(index // len(dims)) % len(ps)])
+    check_suite_options(depth_range, (d,), (p,))
     child_seed = np.random.SeedSequence([seed, index])
     rng = np.random.default_rng(child_seed)
     depth = int(rng.integers(depth_range[0], depth_range[1] + 1))
-    d = int(dims[index % len(dims)])
-    p = float(ps[(index // len(dims)) % len(ps)])
-    if d not in SPLIT:
-        raise ValidationError(
-            f"the random suite supports d in {sorted(SPLIT)}, not d = {d}")
     space = random_space(rng, depth, *SPLIT[d])
     n = space.n_leaves
     if d == 1:
@@ -202,7 +212,8 @@ def _holder_check(an, family):
 
 def _scalar_checks(inst, rng):
     """Tilted conditional expectation identity and the conjugation identity
-    linking the weighted square function to the plain one (d = 1 only)."""
+    linking the weighted square function to the plain one, for a scalar
+    weight drawn from ``rng``; every instance runs them, whatever its d."""
     space = inst.space
     n = space.n_leaves
     w = np.exp(rng.normal(0.0, 1.0, n))
@@ -229,15 +240,17 @@ def _scalar_checks(inst, rng):
     return out
 
 
-def instance_checks(inst, fit_tol=2e-2, threshold=None,
-                    square_mode="increments"):
-    """Run the full battery on one instance; returns a list of CheckResult.
+def instance_checks(inst, threshold=None):
+    """Run the full battery on one instance; returns a list of CheckResult
+    and the instance's metadata.
 
-    ``square_mode`` only affects the informational square-function norm in
-    the returned metadata (the domination check always uses the first-value
-    convention it is provable under). A reducer fit that fails to converge
-    or to certify is reported as a failed ``reducer_certificate`` carrying
-    the achieved ratio; the checks that need the reducers are then skipped.
+    The metadata's ``square_lp_norm`` is the L^p norm of the weighted square
+    function in its default "increments" mode, for information only (the
+    domination check uses the first-value convention it is provable
+    under). A reducer fit that fails to converge or to certify within
+    ``weights.FIT_TOL`` and ``weights.FIT_ROUNDS`` is reported as a failed
+    ``reducer_certificate`` carrying the achieved ratio; the checks that
+    need the reducers are then skipped.
     """
     if threshold is None:
         threshold = default_threshold()
@@ -245,14 +258,14 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None,
     d = W.dim
     results = []
     try:
-        pair = build_reducing_pair(space, W, p, tol=fit_tol)
+        pair = build_reducing_pair(space, W, p)
     except EllipsoidError as exc:
         # the achieved value lies past its bound, on the bound's side
         side = "lower" if exc.achieved < exc.bound else "upper"
         return [CheckResult("reducer_certificate", False, float(exc.achieved),
                             float(exc.bound), str(exc), side)], \
             {"depth": space.depth, "d": d, "p": p,
-             "n_leaves": space.n_leaves, "square_mode": square_mode}
+             "n_leaves": space.n_leaves}
     an = Analysis(pair, inst.f)
 
     if pair.certificate:
@@ -318,10 +331,10 @@ def instance_checks(inst, fit_tol=2e-2, threshold=None,
         [inst.seed, inst.index, 1]))
     results.extend(_scalar_checks(inst, rng))
 
-    square_lp = lp_norm(space, an.square(square_mode), p)
+    square_lp = lp_norm(space, an.square(), p)
     return results, {"ap_char": ap, "max_ratio": dom["max_ratio"],
                      "q1_over_ap": q1 / ap, "q2_over_ap": q2 / ap,
                      "depth": space.depth, "d": d, "p": p,
                      "n_leaves": space.n_leaves,
-                     "square_mode": square_mode, "square_lp_norm": square_lp,
+                     "square_lp_norm": square_lp,
                      "generations": len(family.generations)}

@@ -18,8 +18,8 @@ point iteration on the leaf blocks (``_lewis_fit``; Jambulapati, Lee, Liu
 & Sidford, FOCS 2023; Manoj & Ovsiankin, arXiv:2311.10013). No direction
 is sampled: every round proves constants alpha, beta with
 alpha ||M^{1/2} e|| <= rho(e) <= beta ||M^{1/2} e||, and an atom stops once
-beta / alpha is within (1 + tol) of Lewis's bound d^{|1/2 - 1/r|} <= sqrt(d)
-or inside the (1 + CERT_TOL) sqrt(d) window.
+beta / alpha is within (1 + FIT_TOL) of Lewis's bound d^{|1/2 - 1/r|} <=
+sqrt(d).
 
 Each leaf matrix is eigen-decomposed once, when the MatrixWeight is
 built, and every power W^alpha of the leaves is ``MatrixWeight.power``
@@ -47,17 +47,15 @@ EIG_CLIP_RATIO = 1e-10
 # not resolve the smallest directions of M in its frame: whiten again
 WHITEN_RATIO = 1e-8
 WHITEN_PASSES = 4
-# every atom of the fit stops inside the certificate window: its proved
-# distortion beta / alpha is at most (1 + CERT_TOL) sqrt(d)
+# a certified reducer's proved distortion beta / alpha is at most
+# (1 + CERT_TOL) sqrt(d)
 CERT_TOL = 5e-2
-
-
-def check_tolerance(name, value):
-    """Raise ValidationError, naming ``name``, unless ``value`` is a finite
-    positive number."""
-    if not 0.0 < value < np.inf:
-        raise ValidationError(
-            f"{name} must be a finite positive number, got {value!r}")
+# an atom of the fit stops once beta / alpha <= d^{|1/2 - 1/r|} (1 + FIT_TOL).
+# FIT_TOL < CERT_TOL and d^{|1/2 - 1/r|} <= sqrt(d) for every finite r, so
+# that stop lies inside the certificate window
+FIT_TOL = 2e-2
+# the fit's round budget
+FIT_ROUNDS = 1000
 
 
 def conjugate(p):
@@ -222,7 +220,7 @@ def _roots(x):
     return _eig_compose(p, 1.0 / s), _eig_compose(p, s)
 
 
-def _lewis_fit(probs, starts, stops, sides, tol, max_iter):
+def _lewis_fit(probs, starts, stops, sides, max_iter):
     """Block Lewis reducers of S sides on K leaf ranges of at least two
     leaves, d >= 2.
 
@@ -260,12 +258,12 @@ def _lewis_fit(probs, starts, stops, sides, tol, max_iter):
     r >= 2 and alpha = lo^{1/r}, beta = hi^{1/2} S^{1/r-1/2} for r < 2. At a
     fixed point M' = M and S <= d, so beta / alpha <= d^{|1/2-1/r|} (Lewis,
     Studia Math. 63, 1978). An atom stops on its own once beta / alpha is
-    at most min(d^{|1/2-1/r|} (1 + tol), (1 + CERT_TOL) sqrt(d)). Its
-    reducer is A = alpha R with R = (X X^T)^{-1/2} the SPD root of
-    X^{-T} X^{-1}, from the singular value decomposition of X, so that
-    ||A e|| <= rho(e) <= (beta / alpha) ||A e||; its inverse is R^{-1} /
-    alpha. Each atom keeps its last frame and alpha, and one ``_roots``
-    call after the last round takes every atom's R. Both bounds hold up to the rounding of B_l = A_l X, about
+    at most d^{|1/2-1/r|} (1 + FIT_TOL). Its reducer is A = alpha R with
+    R = (X X^T)^{-1/2} the SPD root of X^{-T} X^{-1}, from the singular
+    value decomposition of X, so that ||A e|| <= rho(e) <= (beta / alpha)
+    ||A e||; its inverse is R^{-1} / alpha. Each atom keeps its last frame
+    and alpha, and one ``_roots`` call after the last round takes every
+    atom's R. Both bounds hold up to the rounding of B_l = A_l X, about
     eps cond(R) relative. The weights tau^{r/2-1} of M' and S are scaled by
     their largest value on the range, which cancels in beta / alpha and is
     put back into alpha, so that large r does not overflow them.
@@ -292,8 +290,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, max_iter):
     x = np.tile(np.eye(d), (n_sides * k_count, 1, 1))
     r = np.repeat([power for _, _, power in sides], k_count)
     eta = np.where(r <= 2.0, 1.0, 4.0 / (r + 2.0))
-    stop = np.minimum(d ** np.abs(0.5 - 1.0 / r) * (1.0 + tol),
-                      (1.0 + CERT_TOL) * np.sqrt(d))
+    stop = d ** np.abs(0.5 - 1.0 / r) * (1.0 + FIT_TOL)
     expo = np.repeat(0.5 * r - 1.0, counts)
     log_v = np.zeros(len(pi))
 
@@ -363,7 +360,7 @@ def _lewis_fit(probs, starts, stops, sides, tol, max_iter):
         (inv_root / scale).reshape(shape + (d, d)), low.reshape(shape)
 
 
-def _fit_reducers(space, sides, tol, max_iter=1000):
+def _fit_reducers(space, sides):
     """Block Lewis reducers for rho_A(e) = (E_A ||mats e||^power)^{1/power}
     on every atom of every level, in tiled order, and their inverses, for
     each (mats, mats_inv, power) of ``sides``; mats_inv holds the inverses
@@ -373,7 +370,7 @@ def _fit_reducers(space, sides, tol, max_iter=1000):
     share the same norm); single-leaf atoms are exactly ellipsoidal and
     skip the fit. The other ranges of all sides go through one
     ``_lewis_fit`` call, whose atoms each stop on their own within
-    ``max_iter`` rounds. Returns a list of (atom_base[-1], d, d) reducers,
+    FIT_ROUNDS rounds. Returns a list of (atom_base[-1], d, d) reducers,
     a list of their inverses and, per side, the certificate {"low": the
     smallest proved ratio alpha / beta, "high": 1.0}: every atom's reducer
     satisfies ||A e|| <= rho(e) <= ||A e|| / low.
@@ -394,7 +391,7 @@ def _fit_reducers(space, sides, tol, max_iter=1000):
             return_index=True, return_inverse=True)
         fitted, fitted_inv, lows = _lewis_fit(
             space.leaf_probs, starts[multi[first]], stops[multi[first]],
-            sides, tol, max_iter)
+            sides, FIT_ROUNDS)
         for out, inv, fit, fit_inv, cert, low in zip(
                 outs, invs, fitted, fitted_inv, certs, lows):
             out[multi] = fit[inverse]
@@ -415,7 +412,7 @@ def _root_of_means(space, mats):
     return _eig_compose(vecs, vals ** 0.5), _eig_compose(vecs, vals ** -0.5)
 
 
-def build_reducing_pair(space, W, p, tol=1e-3):
+def build_reducing_pair(space, W, p):
     """Reducing pair of (space, W, p) on every level.
 
     Exact where the norm balls are ellipsoids: the scalar formulas for
@@ -424,16 +421,13 @@ def build_reducing_pair(space, W, p, tol=1e-3):
     certificate. Otherwise the block Lewis fit of the primal and dual
     sides together (method "ellipsoid"), whose certificate is proved: each
     atom stops once its distortion beta / alpha is at most
-    min(d^{|1/2 - 1/p|} (1 + tol), (1 + CERT_TOL) sqrt(d)) (the same
-    bound for p and p'), and a fit that has not after its round budget
-    raises EllipsoidError. ``tol`` acts only on the fit, but a tolerance
-    that is not finite and positive is refused on every path."""
+    d^{|1/2 - 1/p|} (1 + FIT_TOL) (the same bound for p and p'), and a fit
+    that has not after FIT_ROUNDS rounds raises EllipsoidError."""
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
         raise ValidationError("weight and space disagree on the leaf count")
     if not 1.0 < p < np.inf:
         raise ValidationError("p must lie in (1, inf)")
-    check_tolerance("tol", tol)
     q = conjugate(p)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     cert = {}
@@ -452,7 +446,7 @@ def build_reducing_pair(space, W, p, tol=1e-3):
         method = "exact_p2"
     else:
         (primal, dual), (primal_inv, dual_inv), (cp, cd) = _fit_reducers(
-            space, [(wp, wm, p), (wm, wp, q)], tol)
+            space, [(wp, wm, p), (wm, wp, q)])
         cert = {"primal": cp, "dual": cd}
         method = "ellipsoid"
 

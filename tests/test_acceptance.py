@@ -117,8 +117,7 @@ def test_criterion_4_reducer_certification(battery):
             continue
         exact = build_reducing_pair(inst.space, inst.weight, 2.0)
         lewis, _, certs = _fit_reducers(
-            inst.space, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-            2e-2)
+            inst.space, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)])
         dirs = holdout_directions(inst.d, 1000, seed=SEED + i)
         eps = np.finfo(float).eps
         for fit, ref, cert in zip(lewis, (exact.tiled_primal,
@@ -161,7 +160,7 @@ def test_criterion_6_vanishing_and_iteration(battery):
     # tail energies of generations beyond the depth vanish identically
     for i in (0, 7, 23):
         inst = random_instance(i, seed=SEED)
-        pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2)
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p)
         an = Analysis(pair, inst.f)
         fam = build_principal_family(an)
         for m in (inst.space.depth + 1, inst.space.depth + 3):

@@ -67,7 +67,7 @@ def test_instance_checks_builds_each_table_and_martingale_once(monkeypatch):
 
 def test_sparse_terms_are_shared_across_exponents(monkeypatch):
     inst = random_instance(1, seed=7, depth_range=(6, 6))
-    pair = build_reducing_pair(inst.space, inst.weight, inst.p, tol=2e-2)
+    pair = build_reducing_pair(inst.space, inst.weight, inst.p)
     an = Analysis(pair, inst.f)
     family = principal.build_principal_family(an)
     norms = _count_calls(monkeypatch, linalg, "spectral_norm")

@@ -122,9 +122,11 @@ def test_check_failed_fit_is_reported(tmp_path, capsys):
 
 
 def test_check_unsupported_dimension_is_usage_error(tmp_path, capsys):
-    assert run(["check", "--d", "4", "--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert run(["check", "--d", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "d = 4" in err and "[1, 2, 3]" in err
+    assert not out.exists()
 
 
 def test_check_zero_instances_is_usage_error(tmp_path, capsys):
@@ -147,19 +149,27 @@ def test_check_zero_instances_is_usage_error(tmp_path, capsys):
      "cgamma must be a finite positive number, got -1.0"),
     (["check", "--cgamma", "inf", "--instances", "1"],
      "cgamma must be a finite positive number, got inf"),
+    (["check", "--p", "1.0", "--instances", "1"],
+     "p must lie in (1, inf), got 1.0"),
+    (["sweep", "--p", "1.0"], "p must lie in (1, inf), got 1.0"),
+    (["sweep", "--d", "2"], "power family is scalar (d = 1)"),
 ], ids=["depth", "p", "d", "sweep-parallel-0", "sweep-parallel-negative",
-        "cgamma-nan", "cgamma-zero", "cgamma-negative", "cgamma-inf"])
+        "cgamma-nan", "cgamma-zero", "cgamma-negative", "cgamma-inf",
+        "p-one", "sweep-p-one", "sweep-power-d"])
 def test_check_zero_flag_reaches_validation(tmp_path, capsys, args, message):
     # a zero or negative value is not the default: it is checked and
-    # rejected before anything is written
-    assert run(args + ["--out", str(tmp_path)]) == 1
-    assert message in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # rejected before anything is written, the output directory included
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_check_config_square_mode_reaches_validation(tmp_path, capsys,
                                                     monkeypatch):
-    # the flag has argparse choices; the config key is refused as early,
+    # check reports the square function in its one default mode: the
+    # former config key, even at that mode, is an unknown key, refused
     # before any instance runs and before anything is written
     from wml import cli
 
@@ -168,11 +178,11 @@ def test_check_config_square_mode_reaches_validation(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "_check_suite_instance", never)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"square_mode": "bogus", "instances": 2}))
+    cfg.write_text(json.dumps({"square_mode": "increments", "instances": 2}))
     out = tmp_path / "out"
     assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
-    assert ("'square_mode' must be one of increments, first_value, "
-            "with_mean, got 'bogus'") in capsys.readouterr().err
+    assert "unknown check config key 'square_mode'" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -290,10 +300,13 @@ def test_sweep_deterministic_csv(tmp_path):
     assert (a / "fit.json").read_bytes() == (b / "fit.json").read_bytes()
 
 
-def test_sweep_empty_grid_is_usage_error(tmp_path):
+def test_sweep_empty_grid_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depths": []}))
-    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: sweep grid is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_unknown_estimator_is_usage_error(tmp_path, capsys):
@@ -502,33 +515,26 @@ def test_parallel_ascent_sweep_matches_serial(tmp_path, capsys):
         (parallel / "sweep.csv").read_bytes()
 
 
-FIT_TOL_MESSAGE = "fit_tol must be a finite positive number"
-
-
-@pytest.mark.parametrize("command, config, value, message", [
-    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, 0.0,
-     FIT_TOL_MESSAGE),
-    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, -0.5,
-     FIT_TOL_MESSAGE),
+@pytest.mark.parametrize("command, config, value", [
+    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, 0.0),
+    ("check", {"d": 2, "p": 3.0, "instances": 1, "depth": 4}, -0.5),
     ("sweep", {"family": "rotating", "d": 2, "p": 1.5, "depths": [4],
-               "alphas": [0.8], "epss": [0.25]}, 0.0, FIT_TOL_MESSAGE),
-    # JSON's NaN is refused with the config's types, before the tolerance
+               "alphas": [0.8], "epss": [0.25]}, 0.0),
     ("sweep", {"family": "rotating", "d": 2, "p": 1.5, "depths": [4],
-               "alphas": [0.8], "epss": [0.25]}, float("nan"),
-     "sweep config key 'fit_tol' must be a finite float, got nan"),
+               "alphas": [0.8], "epss": [0.25]}, float("nan")),
 ], ids=["check-zero", "check-negative", "sweep-zero", "sweep-nan"])
 def test_bad_fit_tol_is_usage_error_before_any_fit(tmp_path, capsys, command,
-                                                   config, value, message):
-    # a non-positive tolerance is a usage error (exit 1) naming the key,
-    # not a failed certificate after the whole design budget; nothing is
-    # written
+                                                   config, value):
+    # the fit tolerance is the constant weights.FIT_TOL: a fit_tol key, of
+    # any value, is an unknown key (exit 1), and nothing is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**config, "fit_tol": value}))
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert message in err
+    assert f"unknown {command} config key 'fit_tol'" in err
     assert "Traceback" not in err and not out.exists()
+
 
 
 def test_sweep_rejects_no_restarts_before_any_point(tmp_path, capsys):
@@ -577,19 +583,15 @@ def test_sweep_unconverged_power_iteration_is_reported(tmp_path, capsys,
     assert "did not converge in 2 iterations" in out
 
 
-def test_check_square_mode_flag(tmp_path):
-    rc = run(["check", "--instances", "2", "--seed", "7",
-              "--square-mode", "with_mean", "--out", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "check_report.json").read_text())
-    metas = [d["meta"] for d in report["details"]]
-    assert all(m["square_mode"] == "with_mean" for m in metas)
-    rc = run(["check", "--instances", "2", "--seed", "7",
-              "--out", str(tmp_path / "b")])
-    base = json.loads((tmp_path / "b" / "check_report.json").read_text())
-    # the mean term can only increase the square-function norm
-    for m1, m0 in zip(metas, (d["meta"] for d in base["details"])):
-        assert m1["square_lp_norm"] >= m0["square_lp_norm"] - 1e-12
+def test_check_square_mode_flag(tmp_path, capsys):
+    # check reports the square function in its one default mode, and has
+    # no flag to choose another: --square-mode is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--instances", "2", "--square-mode", "with_mean",
+             "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --square-mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exit_code():

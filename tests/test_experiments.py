@@ -66,7 +66,7 @@ def test_rotating_weight_spectra_and_characteristic():
     assert np.allclose(vals, target, rtol=1e-10)
     dets = np.linalg.det(W.mats)
     assert np.allclose(dets, 1.0, rtol=1e-10)
-    assert ap_characteristic(build_reducing_pair(sp, W, 2.0, tol=2e-2)) > 1.0
+    assert ap_characteristic(build_reducing_pair(sp, W, 2.0)) > 1.0
 
 
 def test_rotating_weight_global_rotation_invariance():
@@ -77,8 +77,8 @@ def test_rotating_weight_global_rotation_invariance():
     r = np.array([[np.cos(theta), -np.sin(theta)],
                   [np.sin(theta), np.cos(theta)]])
     Wr = MatrixWeight(np.einsum("ij,ljk,mk->lim", r, W.mats, r))
-    a = ap_characteristic(build_reducing_pair(sp, W, 2.0, tol=2e-2))
-    b = ap_characteristic(build_reducing_pair(sp, Wr, 2.0, tol=2e-2))
+    a = ap_characteristic(build_reducing_pair(sp, W, 2.0))
+    b = ap_characteristic(build_reducing_pair(sp, Wr, 2.0))
     assert b == pytest.approx(a, rel=0.25)
 
 
@@ -461,7 +461,7 @@ def test_ascent_witness_respects_domination_chain():
     lam = np.exp(rng.normal(0.0, 1.0, (16, 2)))
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     p = 2.0
-    pair = build_reducing_pair(sp, W, p, tol=2e-2)
+    pair = build_reducing_pair(sp, W, p)
     res = opnorm_ascent(sp, W, p, restarts=2, seed=7)
     an = Analysis(pair, res.witness)
     dom = sparse_domination_check(an)
@@ -516,10 +516,23 @@ def test_run_sweep_deterministic_and_ordered():
     assert f1 == f2
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"p": 1.0}, r"p must lie in \(1, inf\), got 1.0"),
+    ({"p": np.inf}, r"p must lie in \(1, inf\), got inf"),
+    ({"p": np.nan}, r"p must lie in \(1, inf\), got nan"),
+    ({"d": 2}, r"power family is scalar \(d = 1\)"),
+    ({"family": "bogus"}, "unknown weight family 'bogus'"),
+], ids=["p-one", "p-inf", "p-nan", "power-d", "family"])
+def test_sweep_config_rejects_what_no_point_could_run(kw, message):
+    # each is refused once, by the config, before any grid point is built
+    with pytest.raises(ValidationError, match=message):
+        SweepConfig(**kw)
+
+
 def test_run_sweep_rejects_empty_grid():
-    cfg = SweepConfig(depths=(), alphas=(0.5,), epss=(0.1,))
-    with pytest.raises(ValidationError):
-        run_sweep(cfg)
+    # the config itself is refused, before run_sweep could start a point
+    with pytest.raises(ValidationError, match="sweep grid is empty"):
+        SweepConfig(depths=(), alphas=(0.5,), epss=(0.1,))
 
 
 def test_leaf_scale_sweep_slope_window():

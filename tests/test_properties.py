@@ -267,8 +267,7 @@ def test_analysis_tables_match_per_base_loop():
     # context, which reads the level averages from its own product
     for index in range(3):
         inst = random_instance(index, seed=7, depth_range=(7, 7))
-        pair = build_reducing_pair(inst.space, inst.weight, inst.p,
-                                   tol=2e-2)
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p)
         an = Analysis(pair, inst.f)
         averages = level_means(an.space, np.linalg.norm(np.einsum(
             "klij,lj->kli", pair.tiled_dual_inv[an.space.tiled_labels],
@@ -351,7 +350,7 @@ def test_lewis_bounds_hold_on_a_dense_sample(case, p):
     starts, stops = _multi_leaf_ranges(space)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     fit, _, low = _lewis_fit(space.leaf_probs, starts, stops,
-                             [(wp, wm, p), (wm, wp, q)], 2e-2, 1000)
+                             [(wp, wm, p), (wm, wp, q)], 1000)
     dirs = holdout_directions(d, 1000 * d, seed=space.n_leaves)
     eps = np.finfo(float).eps
     for s, (mats, r) in enumerate(((wp, p), (wm, q))):

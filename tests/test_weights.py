@@ -14,7 +14,7 @@ from wml import linalg, suite, weights
 from wml.experiments import rotating_weight
 from wml.filtration import build_dyadic, build_from_tree, cond_expect
 from wml.linalg import EllipsoidError, ValidationError, matvec, spd_power
-from wml.weights import (CERT_TOL, EIG_CLIP_RATIO, MatrixWeight,
+from wml.weights import (CERT_TOL, EIG_CLIP_RATIO, FIT_TOL, MatrixWeight,
                          _fit_reducers, _lewis_fit, ap_characteristic,
                          ap_equivalents, as_weight, build_reducing_pair,
                          conjugate, exchanged_pair, verify_reducing_bounds)
@@ -26,24 +26,6 @@ def _random_spd_weight(rng, n, d, sigma=1.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
     lam = np.exp(rng.normal(0.0, sigma, (n, d)))
     return MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
-
-
-@pytest.mark.parametrize("d", (1, 2))
-@pytest.mark.parametrize("name", ("tol",))
-@pytest.mark.parametrize("value", (0.0, -0.5, np.inf, np.nan))
-def test_build_reducing_pair_rejects_bad_tolerances(monkeypatch, d, name,
-                                                    value):
-    # refused up front on every path: a zero tolerance would spend the
-    # whole round budget and then report a failed certificate
-    calls = []
-    monkeypatch.setattr(weights, "_lewis_fit",
-                        lambda *a, **k: calls.append(1))
-    sp = build_dyadic(3)
-    W = _random_spd_weight(np.random.default_rng(3), sp.n_leaves, d)
-    with pytest.raises(ValidationError,
-                       match=f"^{name} must be a finite positive number"):
-        build_reducing_pair(sp, W, 3.0, **{name: value})
-    assert calls == []
 
 
 def test_matrix_weight_validation():
@@ -145,8 +127,7 @@ def test_p2_ellipsoid_vs_exact_averaging_window():
     exact = build_reducing_pair(sp, W, 2.0)
     assert exact.method == "exact_p2" and exact.certificate == {}
     fitted, fitted_inv, certs = _fit_reducers(
-        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)],
-        1e-3)
+        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)])
     for lewis, inv, ref, cert in zip(
             fitted, fitted_inv, (exact.tiled_primal, exact.tiled_dual), certs):
         err = np.linalg.norm(lewis - ref, 2, axis=(1, 2)) \
@@ -220,7 +201,7 @@ def test_ap_characteristic_constant_matrix_weight():
     W = MatrixWeight(np.tile(w0, (4, 1, 1)))
     exact = build_reducing_pair(sp, W, 2.0)
     (primal, dual), _, _ = _fit_reducers(
-        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)], 1e-3)
+        sp, [(exact.wp, exact.wm, 2.0), (exact.wm, exact.wp, 2.0)])
     # ap_characteristic reads only the two reducer families; at r = 2 the
     # Lewis fit is the exact pair, and so is its characteristic
     val = ap_characteristic(replace(exact, tiled_primal=primal,
@@ -340,25 +321,25 @@ def test_john_sandwich_on_random_directions():
 
 @pytest.mark.parametrize("d", (2, 3))
 @pytest.mark.parametrize("p", (1.5, 3.0))
-def test_loose_tol_stops_inside_the_certificate_window(d, p):
-    # at tol = 0.6 Lewis's bound d^{|1/2 - 1/r|} (1 + tol) lies above
-    # (1 + CERT_TOL) sqrt(d) for r = p and p', so the window is the stop
-    # that binds: every proved low ratio stays inside it
-    tol = 0.6
-    for r in (p, conjugate(p)):
-        assert d ** abs(0.5 - 1.0 / r) * (1.0 + tol) \
-            > (1.0 + CERT_TOL) * math.sqrt(d)
-    # a weight whose atoms' first rounds already prove less than Lewis's
-    # loose bound but not yet the window
+def test_fit_stop_lies_inside_the_certificate_window(d, p):
+    # FIT_TOL < CERT_TOL and d^{|1/2 - 1/r|} <= sqrt(d), so an atom that
+    # stops at Lewis's bound d^{|1/2 - 1/r|} (1 + FIT_TOL) is inside the
+    # (1 + CERT_TOL) sqrt(d) window at every r, which is why the fit needs
+    # no window term in its stop rule
+    for r in np.concatenate([np.linspace(1.001, 10.0, 500),
+                             np.geomspace(10.0, 1e4, 500)]):
+        assert d ** abs(0.5 - 1.0 / r) * (1.0 + FIT_TOL) \
+            < (1.0 + CERT_TOL) * math.sqrt(d)
+    # near-rank-one blocks, whose fit takes more than its first round
     sp, W = rotating_weight(6, d, 2.0, 1e-3)
     window = 1.0 / ((1.0 + CERT_TOL) * math.sqrt(d))
-    pair = build_reducing_pair(sp, W, p, tol=tol)
+    pair = build_reducing_pair(sp, W, p)
     for cert in pair.certificate.values():
         assert cert["low"] >= window
     f = np.random.default_rng(d).standard_normal((sp.n_leaves, d))
     inst = suite.Instance(index=0, seed=7, depth=sp.depth, d=d, p=p,
                           space=sp, weight=W, f=f)
-    results, _ = suite.instance_checks(inst, fit_tol=tol)
+    results, _ = suite.instance_checks(inst)
     (cert,) = (r for r in results if r.name == "reducer_certificate")
     assert cert.passed and cert.bound == window
 
@@ -428,16 +409,16 @@ def _ranges(space):
                      axis=0).T
 
 
-def _fits_alone_match(sp, sides, tol):
+def _fits_alone_match(sp, sides):
     """Fit every range of both sides in one ``_lewis_fit`` call and assert
     that each atom, fitted alone (one side and one range per call), gets
     the same bytes and proved low ratio; returns the one call's result."""
     starts, stops = _ranges(sp)
-    both = _lewis_fit(sp.leaf_probs, starts, stops, sides, tol, 1000)
+    both = _lewis_fit(sp.leaf_probs, starts, stops, sides, 1000)
     for s in range(len(sides)):
         for k in range(len(starts)):
             alone = _lewis_fit(sp.leaf_probs, starts[k:k + 1],
-                               stops[k:k + 1], sides[s:s + 1], tol, 1000)
+                               stops[k:k + 1], sides[s:s + 1], 1000)
             for got, want in zip(alone, both):
                 assert got[0, 0].tobytes() == want[s, k].tobytes()
     return both
@@ -452,9 +433,9 @@ def test_each_atom_fitted_alone_gives_the_same_bytes(monkeypatch, d):
     inst = suite.random_instance(40 + d, seed=7, depth_range=(6, 6),
                                  dims=(d,))
     sp, W, p = inst.space, inst.weight, 1.5
-    pair = build_reducing_pair(sp, W, p, tol=2e-2)
+    pair = build_reducing_pair(sp, W, p)
     both, _, both_low = _fits_alone_match(
-        sp, [(pair.wp, pair.wm, p), (pair.wm, pair.wp, pair.q)], 2e-2)
+        sp, [(pair.wp, pair.wm, p), (pair.wm, pair.wp, pair.q)])
     for s, cert in enumerate(pair.certificate.values()):
         assert cert == {"low": float(both_low[s].min()), "high": 1.0}
     # the pair's reducers are these fits, spread over the atoms of every
@@ -471,7 +452,7 @@ def test_each_atom_fitted_alone_gives_the_same_bytes(monkeypatch, d):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
                             _recording(calls, getattr(np.linalg, name)))
-    _fits_alone_match(*_near_clip_sides(d), 2e-2)
+    _fits_alone_match(*_near_clip_sides(d))
     assert ("eigh", "eigh") in zip(calls, calls[1:])
 
 
@@ -504,7 +485,7 @@ from test_weights import _near_clip_sides, _ranges
 from wml.weights import _lewis_fit
 sp, sides = _near_clip_sides(int(sys.argv[2]))
 starts, stops = _ranges(sp)
-for arr in _lewis_fit(sp.leaf_probs, starts, stops, sides, 2e-2, 1000):
+for arr in _lewis_fit(sp.leaf_probs, starts, stops, sides, 1000):
     sys.stdout.buffer.write(arr.tobytes())
 """
 
@@ -559,8 +540,7 @@ def test_pair_inverses_match_fresh_inverses(monkeypatch, d):
     for index in range(4):
         inst = suite.random_instance(index, seed=11, depth_range=(6, 6),
                                      dims=(d,))
-        pair = build_reducing_pair(inst.space, inst.weight, inst.p,
-                                   tol=2e-2)
+        pair = build_reducing_pair(inst.space, inst.weight, inst.p)
         for side in ("primal", "dual"):
             reducers = getattr(pair, "tiled_" + side)
             got = getattr(pair, "tiled_" + side + "_inv")
@@ -590,8 +570,7 @@ def test_failed_certification_reports_first_failing_side():
     other = (W.power(-1.0 / 21.0), W.power(1.0 / 21.0), 21.0)
 
     def fit(*sides, rounds=1):
-        return _lewis_fit(sp.leaf_probs, starts, stops, list(sides), 1e-3,
-                          rounds)
+        return _lewis_fit(sp.leaf_probs, starts, stops, list(sides), rounds)
 
     def failure(*sides):
         with pytest.raises(EllipsoidError) as err:
@@ -616,15 +595,15 @@ def test_failed_certification_reports_first_failing_side():
 @pytest.mark.parametrize("depth", (9, 10))
 def test_deep_rotating_weight_certifies(depth):
     # the rotating probe weight that criterion 8 would take to depth 10, at
-    # p = 1.5 and the sweep's fit tolerance: the sampled Loewner fit failed
-    # its held-out certificate here, with ratio ranges [0.880267, 1.104285]
+    # p = 1.5 and FIT_TOL: the sampled Loewner fit failed its held-out
+    # certificate here, with ratio ranges [0.880267, 1.104285]
     # (depth 9) and [0.853319, 1.141250] (depth 10) against the window
     # [1 / (1.05 sqrt(2)), 1.05]. The Lewis fit stops every atom within
-    # (1 + tol) of Lewis's bound 2^{|1/2 - 1/p|} on both sides
+    # (1 + FIT_TOL) of Lewis's bound 2^{|1/2 - 1/p|} on both sides
     sp, W = rotating_weight(depth, 2, 0.8, 2.0 ** -depth)
-    pair = build_reducing_pair(sp, W, 1.5, tol=2e-2)
+    pair = build_reducing_pair(sp, W, 1.5)
     assert pair.method == "ellipsoid"
-    bound = 2.0 ** abs(0.5 - 1.0 / 1.5) * (1.0 + 2e-2)
+    bound = 2.0 ** abs(0.5 - 1.0 / 1.5) * (1.0 + FIT_TOL)
     for cert in pair.certificate.values():
         assert cert["high"] == 1.0
         assert 1.0 / bound <= cert["low"] < 1.0
