@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import level_means, martingale_of
 from .linalg import ValidationError, _squared_norms, matvec
-from .operators import _diff_stack, _leaf_l2
+from .operators import _leaf_l2
 from .principal import fluctuation_table, fluctuation_tables
 
 
@@ -80,10 +80,14 @@ class Analysis:
             self.space, self.tables(), base))
 
     def conjugated(self, mode="increments"):
-        """(K, L, d) increments of g under the square-function mode,
-        conjugated by W^{1/p}."""
+        """(K, L, d) increments of g conjugated by W^{1/p}; under the mode
+        "first_value" the k = 1 entry is the level-1 value g_1 instead of
+        d_1 g = g_1 - g_0."""
+        if mode not in ("increments", "first_value"):
+            raise ValidationError(f"unknown square-function mode {mode!r}")
         return self._cached(("conjugated", mode), lambda: matvec(
-            self.pair.wp, _diff_stack(self.mart, mode)))
+            self.pair.wp, self.mart.diffs if mode == "increments"
+            else self.mart.first_value_diffs()))
 
     def square(self, mode="increments"):
         """Weighted square function S_W f per leaf."""
@@ -99,6 +103,6 @@ class Analysis:
         """Per entry of ``leaves`` (a union of level-kappa2 atoms) the sparse
         term ||W^{1/p}(l) dual_{k2}|| E_{k2} ||dual_{k2}^{-1} g||, read from
         the pair's table of ||W^{1/p} dual_n||."""
-        atom_of = self.space.atom_of_leaf[kappa2][leaves]
+        atom_of = self.space.labels[kappa2][leaves]
         return self.pair.dual_norms[kappa2, leaves] \
             * self.level_average(kappa2)[atom_of]

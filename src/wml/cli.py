@@ -41,7 +41,7 @@ from .linalg import ValidationError
 from .principal import default_threshold
 from .suite import (Instance, check_suite_options, instance_checks,
                     random_instance, random_space)
-from .weights import as_weight
+from .weights import MatrixWeight, as_weight
 
 USAGE_ERROR, CHECK_FAILURE = 1, 2
 
@@ -211,16 +211,26 @@ def cmd_gen(args):
 
 
 def _file_instance(opts, seed):
+    """The instance of the files the config names. A weight must have the
+    tree's leaf count and a function the shape (L, d); without a weight W
+    is the identity of the function's d (1 without a function), and
+    without a function f is drawn from the seed."""
     space = load_tree(opts["tree"])
-    W = load_weight_csv(opts["weight"]) if "weight" in opts else \
-        as_weight(np.ones(space.n_leaves))
-    if "function" in opts:
-        f = np.asarray(load_function_csv(opts["function"]), dtype=float)
-        if f.ndim == 1:
-            f = f[:, None]
-    else:
-        f = np.random.default_rng(seed).standard_normal(
-            (space.n_leaves, W.dim))
+    n_leaves = space.n_leaves
+    W = load_weight_csv(opts["weight"]) if "weight" in opts else None
+    f = load_function_csv(opts["function"]) if "function" in opts else None
+    if W is None:
+        W = MatrixWeight.identity(n_leaves, 1 if f is None else f.shape[1])
+    elif W.n_leaves != n_leaves:
+        raise ValidationError(
+            f"{opts['weight']}: {W.n_leaves} leaf weights, but the tree "
+            f"{opts['tree']} has {n_leaves} leaves")
+    if f is None:
+        f = np.random.default_rng(seed).standard_normal((n_leaves, W.dim))
+    elif f.shape != (n_leaves, W.dim):
+        raise ValidationError(
+            f"{opts['function']}: function of shape {f.shape}, but the "
+            f"instance needs (L, d) = ({n_leaves}, {W.dim})")
     return Instance(index=0, seed=seed, depth=space.depth, d=W.dim,
                     p=opts.get("p", 2.0), space=space, weight=W, f=f)
 

@@ -35,13 +35,24 @@ def matrix_target_exponent(p):
     return max(0.5 + 1.0 / (p * (p - 1.0)), 1.0 / (p - 1.0))
 
 
+def check_family_point(family, dim, depth, alpha, eps):
+    """Refuse a (depth, alpha, eps) point that the weight family cannot
+    build: every family needs depth >= 1 and eps > 0, the power weight
+    alpha > -1 and the rotating weight d in {2, 3}."""
+    if not depth >= 1:
+        raise ValidationError("depth must be >= 1")
+    if not eps > 0.0:
+        raise ValidationError("eps must be positive")
+    if family == "power" and not alpha > -1.0:
+        raise ValidationError("alpha must exceed -1")
+    if family == "rotating" and dim not in (2, 3):
+        raise ValidationError("rotating weights support d in {2, 3}")
+
+
 def power_weight(depth, alpha, eps):
     """Dyadic space with w(x) = (x + eps)^alpha at leaf midpoints of [0, 1),
     normalized to mean one. The characteristic grows as eps decreases."""
-    if eps <= 0.0:
-        raise ValidationError("eps must be positive")
-    if alpha <= -1.0:
-        raise ValidationError("alpha must exceed -1")
+    check_family_point("power", 1, depth, alpha, eps)
     space = build_dyadic(depth)
     x = (np.arange(space.n_leaves) + 0.5) / space.n_leaves
     w = (x + eps) ** alpha
@@ -50,31 +61,29 @@ def power_weight(depth, alpha, eps):
 
 
 def _rotations(x, dim):
+    """Per point of x a rotation of R^dim, dim 2 or 3."""
     if dim == 2:
         c, s = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
         r = np.zeros((x.size, 2, 2))
         r[:, 0, 0], r[:, 0, 1] = c, -s
         r[:, 1, 0], r[:, 1, 1] = s, c
         return r
-    if dim == 3:
-        a, b = 2.0 * np.pi * x, np.pi * x
-        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-        rz = np.zeros((x.size, 3, 3))
-        rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = ca, -sa, sa, ca
-        rz[:, 2, 2] = 1.0
-        ry = np.zeros((x.size, 3, 3))
-        ry[:, 0, 0], ry[:, 0, 2], ry[:, 2, 0], ry[:, 2, 2] = cb, sb, -sb, cb
-        ry[:, 1, 1] = 1.0
-        return rz @ ry
-    raise ValidationError("rotating weights support d in {2, 3}")
+    a, b = 2.0 * np.pi * x, np.pi * x
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    rz = np.zeros((x.size, 3, 3))
+    rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = ca, -sa, sa, ca
+    rz[:, 2, 2] = 1.0
+    ry = np.zeros((x.size, 3, 3))
+    ry[:, 0, 0], ry[:, 0, 2], ry[:, 2, 0], ry[:, 2, 2] = cb, sb, -sb, cb
+    ry[:, 1, 1] = 1.0
+    return rz @ ry
 
 
 def rotating_weight(depth, dim, alpha, eps):
     """Matrix analogue of the power weight: eigenvalues (x + eps)^{+-alpha}
     (and 1 for d = 3) in a leaf-dependent rotating eigenbasis, so reducers
     are genuinely non-commuting; the determinant stays exactly 1."""
-    if eps <= 0.0:
-        raise ValidationError("eps must be positive")
+    check_family_point("rotating", dim, depth, alpha, eps)
     space = build_dyadic(depth)
     x = (np.arange(space.n_leaves) + 0.5) / space.n_leaves
     lam = np.empty((space.n_leaves, dim))
@@ -460,7 +469,8 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse a config that no grid point could run, before any does."""
+        """Refuse a config that no grid point could run, or with a point
+        that its weight family cannot build, before any point runs."""
         if self.restarts < 1:
             raise ValidationError(
                 f"restarts must be >= 1, got {self.restarts}")
@@ -472,6 +482,8 @@ class SweepConfig:
             raise ValidationError("power family is scalar (d = 1)")
         if not self.grid():
             raise ValidationError("sweep grid is empty")
+        for point in self.grid():
+            check_family_point(self.family, self.d, *point)
 
     def grid(self):
         return [(depth, alpha, eps) for depth in self.depths

@@ -14,7 +14,12 @@ level's offsets from the shallowest level at which each start appears.
 ``build_from_tree`` validates a nested JSON description and walks it into
 those two lists; the suite's random trees are drawn straight into them.
 The space's own level index marks the atom starts of every level once,
-and its refinement check reads the same marks.
+and its refinement check reads the same marks; ``labels[n]`` gives each
+leaf's level-n atom.
+
+A ``Martingale`` keeps the (D + 1, L, d) leaf levels f_n and the (D, L, d)
+increments d_k; the level-n atom values are ``leaf_levels[n]`` at the
+atom starts ``offsets[n][:-1]``.
 """
 
 from __future__ import annotations
@@ -47,8 +52,7 @@ class FilteredSpace:
     ``atom_base[n]:atom_base[n + 1]`` of both. ``labels`` is the (D + 1, L)
     array of per-level atom numbers and ``tiled_labels`` the position of
     each (level, leaf) atom in the tiled index, ``labels`` shifted by
-    ``atom_base``; ``atom_of_leaf[n]`` is row n of ``labels`` and
-    ``atom_probs[n]`` a slice of ``tiled_atom_probs``.
+    ``atom_base``; ``atom_probs[n]`` is a slice of ``tiled_atom_probs``.
     """
 
     depth: int
@@ -66,7 +70,7 @@ class FilteredSpace:
             raise ValidationError("every atom must have positive probability")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValidationError(
-                f"leaf probabilities sum to {probs.sum()!r}, expected 1")
+                f"leaf probabilities sum to {float(probs.sum())!r}, expected 1")
         if len(self.offsets) != self.depth + 1:
             raise ValidationError("need one offset array per level 0..D")
         for n, off in enumerate(self.offsets):
@@ -105,20 +109,16 @@ class FilteredSpace:
                 ("tiled_atom_probs", tiled_atom_probs),
                 ("atom_probs", tuple(
                     tiled_atom_probs[atom_base[n]:atom_base[n + 1]]
-                    for n in range(self.depth + 1))),
-                ("atom_of_leaf", tuple(labels))):
+                    for n in range(self.depth + 1)))):
             object.__setattr__(self, name, value)
 
     @property
     def n_leaves(self):
         return self.leaf_probs.shape[0]
 
-    def n_atoms(self, n):
-        return len(self.offsets[n]) - 1
-
     def expand(self, n, atom_values):
         """Broadcast per-atom values at level n back to the leaf axis."""
-        return np.asarray(atom_values)[self.atom_of_leaf[n]]
+        return np.asarray(atom_values)[self.labels[n]]
 
 
 def _leaf_array(space, f):
@@ -131,18 +131,11 @@ def _leaf_array(space, f):
     return arr
 
 
-def build_dyadic(depth, leaf_probs=None):
-    """Binary refining tree of the given depth; uniform unless probs given."""
+def build_dyadic(depth):
+    """Uniform binary refining tree of the given depth."""
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    n_leaves = 2 ** depth
-    if leaf_probs is None:
-        probs = np.full(n_leaves, 1.0 / n_leaves)
-    else:
-        probs = np.asarray(leaf_probs, dtype=float)
-        if probs.shape != (n_leaves,):
-            raise ValidationError(
-                f"expected {n_leaves} leaf probabilities, got {probs.shape}")
+    probs = np.full(2 ** depth, 1.0 / 2 ** depth)
     offsets = [np.arange(2 ** n + 1) * 2 ** (depth - n) for n in range(depth + 1)]
     return FilteredSpace(depth=depth, leaf_probs=probs, offsets=tuple(offsets))
 
@@ -246,22 +239,8 @@ class Martingale:
     (used by the stopping-time domination machinery).
     """
 
-    space: FilteredSpace
-    leaf_values: np.ndarray          # (L, d)
-    atoms: np.ndarray                # (atom_base[-1], d), levels 0..D in turn
-    leaf_levels: np.ndarray          # (D + 1, L, d)
+    leaf_levels: np.ndarray          # (D + 1, L, d); row n is f_n per leaf
     diffs: np.ndarray                # (D, L, d); diffs[k - 1] = f_k - f_{k-1}
-
-    @property
-    def dim(self):
-        return self.leaf_values.shape[1]
-
-    @property
-    def levels(self):
-        """Per level n the (n_atoms(n), d) atom values, as slices of atoms."""
-        base = self.space.atom_base
-        return tuple(self.atoms[base[n]:base[n + 1]]
-                     for n in range(self.space.depth + 1))
 
     def diff(self, k):
         """Increment d_k for k in 1..D."""
@@ -311,10 +290,9 @@ def martingale_of(space, f):
                                         (space.depth + 1, 1)))
     leaf_levels = atoms[space.tiled_labels]
     diffs = leaf_levels[1:] - leaf_levels[:-1]
-    for a in (flat, atoms, leaf_levels, diffs):
+    for a in (leaf_levels, diffs):
         a.setflags(write=False)
-    return Martingale(space=space, leaf_values=flat, atoms=atoms,
-                      leaf_levels=leaf_levels, diffs=diffs)
+    return Martingale(leaf_levels=leaf_levels, diffs=diffs)
 
 
 def increment_adjoint(space, y):

@@ -99,8 +99,8 @@ def save_function_csv(path, values):
 
 
 def load_function_csv(path):
-    arr = _read_rows(path)
-    return arr[:, 0] if arr.shape[1] == 1 else arr
+    """The (L, d) leaf function of a CSV with one row per leaf."""
+    return _read_rows(path)
 
 
 def save_weight_csv(path, W):

@@ -3,18 +3,16 @@
 All operators return per-leaf arrays. The weighted square function of f
 conjugates increments of g = W^{-1/p} f by the leaf value of W^{1/p}:
 
-    (sum_k ||W^{1/p}(l) d_k g(l)||^2)^{1/2}.
+    (sum_k ||W^{1/p}(l) d_k g(l)||^2)^{1/2},
 
-The ``mode`` argument selects what the k = 1 summand is:
-
-  * "increments"  (default): d_1 g = g_1 - g_0, the level-0 mean excluded;
-  * "first_value": the full level-1 value g_1, so the jump from the
-    artificial level-0 mean is not counted as fluctuation (the convention
-    under which the stopping-time family dominates pointwise);
-  * "with_mean":  increments plus a separate k = 0 term ||W^{1/p} g_0||.
+with d_1 g = g_1 - g_0, so the level-0 mean is excluded. The analysis
+context's ``square("first_value")`` takes the full level-1 value g_1 as
+the k = 1 summand instead: the jump from the artificial level-0 mean is
+then not counted as fluctuation, the convention under which the
+stopping-time family dominates pointwise.
 
 The conjugated increments are one ``linalg.matvec`` of the (L, d, d) leaf
-powers W^{1/p} against the (K, L, d) stack of the mode's increments.
+powers W^{1/p} against the (K, L, d) stack of the increments.
 """
 
 from __future__ import annotations
@@ -25,19 +23,6 @@ from .filtration import cond_expect, lp_norm, martingale_of
 from .linalg import ValidationError, matvec
 from .weights import as_weight
 
-MODES = ("increments", "first_value", "with_mean")
-
-
-def _diff_stack(mart, mode):
-    if mode not in MODES:
-        raise ValidationError(f"unknown square-function mode {mode!r}")
-    if mode == "increments":
-        return mart.diffs
-    if mode == "first_value":
-        return mart.first_value_diffs()
-    return np.concatenate([mart.leaf_levels[:1], mart.diffs], axis=0)
-
-
 def _leaf_l2(stack):
     """Per leaf the l2 norm over a (K, L, d) stack of increments; a
     (K, L, R, d) stack of R functions gives the (L, R) norms, each column
@@ -45,17 +30,17 @@ def _leaf_l2(stack):
     return np.sqrt(np.sum(stack * stack, axis=(0, -1)))
 
 
-def square_fn(space, mart, mode="increments"):
+def square_fn(space, mart):
     """Unweighted square function: per leaf the l2 sum of increments."""
-    return _leaf_l2(_diff_stack(mart, mode))
+    return _leaf_l2(mart.diffs)
 
 
-def weighted_square_fn(space, W, p, f, mode="increments"):
+def weighted_square_fn(space, W, p, f):
     """Matrix-weighted square function of the leaf function f."""
     W = as_weight(W)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
     mart = martingale_of(space, matvec(W.power(-1.0 / p), f))
-    return _leaf_l2(matvec(W.power(1.0 / p), _diff_stack(mart, mode)))
+    return _leaf_l2(matvec(W.power(1.0 / p), mart.diffs))
 
 
 def sparse_operator(an, family, r):

@@ -76,11 +76,10 @@ class FluctuationTable:
     target level m (rows 0..base are zero), den is the per-leaf denominator
     and ratio[m] combines both numerators under the vanishing-den
     convention (0 wherever den is). The tables of every base at once, as
-    ``fluctuation_tables`` builds them, have base None and a leading axis
-    over the bases 0..D-1 on each array.
+    ``fluctuation_tables`` builds them, have a leading axis over the bases
+    0..D-1 on each array.
     """
 
-    base: int | None
     den: np.ndarray        # (L,)
     diff_num: np.ndarray   # (D + 1, L)
     avg_num: np.ndarray    # (D + 1, L)
@@ -114,8 +113,8 @@ def fluctuation_tables(space, mart, dual_inv, averages):
     ratio = np.maximum(diff_num, avg_num)
     np.divide(ratio, np.where(live, den[:, None], 1.0), out=ratio)
     np.copyto(ratio, 0.0, where=~live)
-    return FluctuationTable(base=None, den=den, diff_num=diff_num,
-                            avg_num=avg_num, ratio=ratio)
+    return FluctuationTable(den=den, diff_num=diff_num, avg_num=avg_num,
+                            ratio=ratio)
 
 
 def fluctuation_table(space, tables, base):
@@ -123,7 +122,7 @@ def fluctuation_table(space, tables, base):
     tables of every base that ``fluctuation_tables`` built, as views."""
     if not 0 <= base < space.depth:
         raise ValidationError("base level must satisfy 0 <= base < depth")
-    return FluctuationTable(base=base, den=tables.den[base],
+    return FluctuationTable(den=tables.den[base],
                             diff_num=tables.diff_num[base],
                             avg_num=tables.avg_num[base],
                             ratio=tables.ratio[base])
@@ -204,7 +203,7 @@ def build_principal_family(an, threshold=None):
         tau = stopping(kappa2, leaves, threshold)
         return PrincipalSet(
             generation=generation, kappa1=kappa1, kappa2=kappa2,
-            leaves=leaves, atoms=np.unique(space.atom_of_leaf[kappa2][leaves]),
+            leaves=leaves, atoms=np.unique(space.labels[kappa2][leaves]),
             tau=tau, escape=leaves[np.isinf(tau)], parent=parent)
 
     sets = []
@@ -270,7 +269,7 @@ def check_properties(an, family):
         # sorted atoms once per leaf of it are exactly the atoms' union
         off = space.offsets[s.kappa2]
         sizes = off[s.atoms + 1] - off[s.atoms]
-        labels = space.atom_of_leaf[s.kappa2][s.leaves]
+        labels = space.labels[s.kappa2][s.leaves]
         return labels.size == sizes.sum() and bool(
             np.all(np.diff(s.leaves) > 0)
             and np.all(labels == np.repeat(s.atoms, sizes)))
@@ -394,27 +393,23 @@ def vanish_checks(an, family):
             "tol": CHECK_TOL}
 
 
-def sparse_domination_check(an, threshold=None, family=None):
+def sparse_domination_check(an, family):
     """Pointwise domination of the weighted square function by the r = 2
-    sparse operator of the generated family.
+    sparse operator of the principal family built for ``an``.
 
     Uses the first-value square-function convention (the level-0 mean jump
     is not counted), under which the domination carries the explicit
-    constant domination_constant(threshold). Returns a dict with the max
-    ratio, the bound, and the pass flag; a leaf where the square function
-    exceeds 1e-10 while the sparse operator is below 1e-14 is a hard fail.
+    constant domination_constant(family.threshold). Returns a dict with the
+    max ratio, the bound, and the pass flag; a leaf where the square
+    function exceeds 1e-10 while the sparse operator is below 1e-14 is a
+    hard fail.
     """
-    if threshold is None:
-        threshold = default_threshold()
-    if family is None:
-        family = build_principal_family(an, threshold)
     s_fn = an.square("first_value")
     t_fn = sparse_operator(an, family, 2.0)
     dead = t_fn <= ZERO_SPARSE
     hard_fail = bool(np.any(dead & (s_fn > 1e-10)))
     ratio = np.where(dead, 0.0, s_fn / np.where(dead, 1.0, t_fn))
-    bound = domination_constant(threshold)
+    bound = domination_constant(family.threshold)
     max_ratio = float(ratio.max(initial=0.0))
-    return {"max_ratio": max_ratio, "bound": bound,
-            "hard_fail": hard_fail, "family": family,
+    return {"max_ratio": max_ratio, "bound": bound, "hard_fail": hard_fail,
             "ok": bool(not hard_fail and max_ratio <= bound)}

@@ -320,7 +320,7 @@ def instance_checks(inst, threshold=None):
         max(van["off_first_generation_max"], van["below_stop_max"]),
         van["tol"]))
 
-    dom = sparse_domination_check(an, threshold, family)
+    dom = sparse_domination_check(an, family)
     results.append(CheckResult(
         "pointwise_domination", dom["ok"], dom["max_ratio"], dom["bound"],
         "hard fail" if dom["hard_fail"] else ""))

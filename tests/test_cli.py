@@ -186,17 +186,20 @@ def test_check_config_square_mode_reaches_validation(tmp_path, capsys,
     assert not out.exists()
 
 
-def _file_config(tmp_path, cells, name):
-    """A check config on the dyadic depth-3 tree whose ``name`` key names
-    a CSV file of ``cells``."""
+def _file_config(tmp_path, **csvs):
+    """A check config on the dyadic depth-3 tree (8 leaves) whose other
+    keys, ``weight`` or ``function``, name CSV files of the given rows of
+    cells."""
     from wml.filtration import build_dyadic
     from wml.io import save_tree
     save_tree(tmp_path / "tree.json", build_dyadic(3))
-    (tmp_path / f"{name}.csv").write_text(
-        "".join(",".join(row) + "\n" for row in cells))
+    config = {"tree": str(tmp_path / "tree.json")}
+    for name, rows in csvs.items():
+        config[name] = str(tmp_path / f"{name}.csv")
+        (tmp_path / f"{name}.csv").write_text(
+            "".join(",".join(map(str, row)) + "\n" for row in rows))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tree": str(tmp_path / "tree.json"),
-                               name: str(tmp_path / f"{name}.csv")}))
+    cfg.write_text(json.dumps(config))
     return cfg
 
 
@@ -204,7 +207,7 @@ def _file_config(tmp_path, cells, name):
 def test_check_non_numeric_csv_cell_is_usage_error(tmp_path, capsys, name):
     cells = [["1.0"]] * 8
     cells[5] = ["abc"]
-    cfg = _file_config(tmp_path, cells, name)
+    cfg = _file_config(tmp_path, **{name: cells})
     out = tmp_path / "out"
     assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"{name}.csv: row 6, column 1: 'abc' is not a number" in \
@@ -214,7 +217,7 @@ def test_check_non_numeric_csv_cell_is_usage_error(tmp_path, capsys, name):
 
 
 def test_check_tree_json_given_as_function_is_usage_error(tmp_path, capsys):
-    cfg = _file_config(tmp_path, [["1.0"]] * 8, "function")
+    cfg = _file_config(tmp_path, function=[["1.0"]] * 8)
     config = json.loads(cfg.read_text())
     config["function"] = config["tree"]
     cfg.write_text(json.dumps(config))
@@ -230,7 +233,7 @@ def test_check_tree_json_given_as_function_is_usage_error(tmp_path, capsys):
 def test_check_unreadable_file_is_usage_error(tmp_path, capsys, case):
     # a directory where a file is expected, and files that are not text,
     # are usage errors naming the path, raised before anything is written
-    cfg = _file_config(tmp_path, [["1.0"]] * 8, "weight")
+    cfg = _file_config(tmp_path, weight=[["1.0"]] * 8)
     bad = {"weight-directory": tmp_path / "dir",
            "config-directory": tmp_path / "dir",
            "weight-binary": tmp_path / "weight.csv",
@@ -254,17 +257,52 @@ def test_check_unreadable_file_is_usage_error(tmp_path, capsys, case):
 
 
 def test_check_function_of_the_wrong_shape_is_usage_error(tmp_path, capsys):
-    # no weight file: d = 1, so an 8 x 3 function file does not fit
-    from wml.filtration import build_dyadic
-    from wml.io import save_function_csv, save_tree
-    save_tree(tmp_path / "tree.json", build_dyadic(3))
-    save_function_csv(tmp_path / "function.csv", np.ones((8, 3)))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tree": str(tmp_path / "tree.json"),
-                               "function": str(tmp_path / "function.csv")}))
-    assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    # a d = 1 weight file: an 8 x 3 function file does not fit it
+    cfg = _file_config(tmp_path, weight=np.ones((8, 1)),
+                       function=np.ones((8, 3)))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "(L, d) = (8, 1)" in err and "(8, 3)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("csvs, message", [
+    ({"weight": np.ones((5, 1))},
+     "weight.csv: 5 leaf weights, but the tree {tree} has 8 leaves"),
+    ({"weight": np.ones((5, 1)), "function": np.ones((8, 1))},
+     "weight.csv: 5 leaf weights, but the tree {tree} has 8 leaves"),
+    ({"weight": np.tile([1.0, 0.0, 0.0, 1.0], (8, 1)),
+      "function": np.ones((8, 1))},
+     "function.csv: function of shape (8, 1), but the instance needs "
+     "(L, d) = (8, 2)"),
+    ({"function": np.ones((5, 2))},
+     "function.csv: function of shape (5, 2), but the instance needs "
+     "(L, d) = (8, 2)"),
+], ids=["weight-leaves", "weight-leaves-with-function", "function-d",
+        "function-leaves"])
+def test_check_files_that_do_not_fit_together_are_usage_errors(
+        tmp_path, capsys, csvs, message):
+    # refused with one error line naming the file, before anything is
+    # written
+    cfg = _file_config(tmp_path, **csvs)
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message.format(tree=tmp_path / "tree.json") in err[0]
+    assert not out.exists()
+
+
+def test_check_function_without_weight_takes_its_dimension(tmp_path, capsys):
+    # no weight file: the weight is the identity of the function's d = 2
+    cfg = _file_config(tmp_path, function=np.random.default_rng(
+        3).standard_normal((8, 2)))
+    out = tmp_path / "out"
+    assert run(["check", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["details"][0]["meta"]["d"] == 2
 
 
 def test_parallel_check_matches_serial(tmp_path):
@@ -306,6 +344,25 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     assert "error: sweep grid is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"family": "rotating", "d": 4}, "rotating weights support d in {2, 3}"),
+    ({"epss": [0.0]}, "eps must be positive"),
+    ({"alphas": [-1.5]}, "alpha must exceed -1"),
+    ({"depths": [0]}, "depth must be >= 1"),
+], ids=["rotating-d", "eps", "alpha", "depth"])
+def test_sweep_point_no_family_builds_is_usage_error(tmp_path, capsys, config,
+                                                     message):
+    # the config refuses it before any point runs and before anything is
+    # written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {message}"]
     assert not out.exists()
 
 

@@ -454,7 +454,7 @@ def test_ascent_witness_respects_domination_chain():
     # the norm chain ||S_W f||_p <= K ||T_{W,2} f||_p holds for the witness
     from wml.analysis import Analysis
     from wml.operators import sparse_operator
-    from wml.principal import sparse_domination_check
+    from wml.principal import build_principal_family, sparse_domination_check
     rng = np.random.default_rng(6)
     sp = build_dyadic(4)
     q, _ = np.linalg.qr(rng.standard_normal((16, 2, 2)))
@@ -464,10 +464,11 @@ def test_ascent_witness_respects_domination_chain():
     pair = build_reducing_pair(sp, W, p)
     res = opnorm_ascent(sp, W, p, restarts=2, seed=7)
     an = Analysis(pair, res.witness)
-    dom = sparse_domination_check(an)
+    family = build_principal_family(an)
+    dom = sparse_domination_check(an, family)
     assert dom["ok"]
-    t = sparse_operator(an, dom["family"], 2.0)
-    s = weighted_square_fn(sp, W, p, res.witness, mode="first_value")
+    t = sparse_operator(an, family, 2.0)
+    s = an.square("first_value")
     assert lp_norm(sp, s, p) <= dom["bound"] * lp_norm(sp, t, p) + 1e-12
 
 
@@ -522,7 +523,12 @@ def test_run_sweep_deterministic_and_ordered():
     ({"p": np.nan}, r"p must lie in \(1, inf\), got nan"),
     ({"d": 2}, r"power family is scalar \(d = 1\)"),
     ({"family": "bogus"}, "unknown weight family 'bogus'"),
-], ids=["p-one", "p-inf", "p-nan", "power-d", "family"])
+    ({"family": "rotating", "d": 4}, r"rotating weights support d in \{2, 3\}"),
+    ({"epss": (0.0,)}, "eps must be positive"),
+    ({"alphas": (-1.5,)}, "alpha must exceed -1"),
+    ({"depths": (0,)}, "depth must be >= 1"),
+], ids=["p-one", "p-inf", "p-nan", "power-d", "family", "rotating-d", "eps",
+        "alpha", "depth"])
 def test_sweep_config_rejects_what_no_point_could_run(kw, message):
     # each is refused once, by the config, before any grid point is built
     with pytest.raises(ValidationError, match=message):

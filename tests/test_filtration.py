@@ -9,12 +9,20 @@ from wml.filtration import (FilteredSpace, build_dyadic, build_from_tree,
 from wml.linalg import ValidationError
 
 
+def _n_atoms(sp):
+    return [len(off) - 1 for off in sp.offsets]
+
+
 def test_build_dyadic_shapes_and_probs():
     sp = build_dyadic(2)
-    assert [sp.n_atoms(n) for n in range(3)] == [1, 2, 4]
+    assert _n_atoms(sp) == [1, 2, 4]
     assert np.allclose(sp.leaf_probs, 0.25)
+    with pytest.raises(ValidationError, match="depth must be >= 1"):
+        build_dyadic(0)
 
-    sp = build_dyadic(1, leaf_probs=[0.3, 0.7])
+    # other leaf probabilities on the dyadic levels
+    sp = FilteredSpace(depth=1, leaf_probs=[0.3, 0.7],
+                       offsets=build_dyadic(1).offsets)
     assert np.allclose(sp.leaf_probs, [0.3, 0.7])
 
 
@@ -25,13 +33,14 @@ def test_build_dyadic_depth12_mass():
     assert abs(math.fsum(sp.leaf_probs.tolist()) - 1.0) < 1e-12
 
 
-def test_build_dyadic_rejects_bad_probs():
-    with pytest.raises(ValidationError):
-        build_dyadic(1, leaf_probs=[0.5, -0.5])
-    with pytest.raises(ValidationError):
-        build_dyadic(1, leaf_probs=[0.5, 0.6])
-    with pytest.raises(ValidationError):
-        build_dyadic(0)
+def test_space_rejects_bad_leaf_probs():
+    offsets = build_dyadic(1).offsets
+    with pytest.raises(ValidationError, match="positive probability"):
+        FilteredSpace(depth=1, leaf_probs=[0.5, -0.5], offsets=offsets)
+    with pytest.raises(ValidationError, match="sum to 1.1"):
+        FilteredSpace(depth=1, leaf_probs=[0.5, 0.6], offsets=offsets)
+    with pytest.raises(ValidationError, match="level 0 offsets malformed"):
+        FilteredSpace(depth=1, leaf_probs=[0.2, 0.3, 0.5], offsets=offsets)
 
 
 def test_build_from_tree_three_children():
@@ -49,7 +58,7 @@ def test_build_from_tree_persisting_atom():
         {"mass": 0.5, "children": [{"mass": 0.25}, {"mass": 0.25}]}]})
     assert sp.depth == 2
     assert sp.n_leaves == 3
-    assert sp.n_atoms(1) == 2 and sp.n_atoms(2) == 3
+    assert _n_atoms(sp) == [1, 2, 3]
     # each (level, leaf) atom's position in the tiled level index, built once
     assert sp.tiled_labels.tolist() == [[0, 0, 0], [1, 2, 2], [3, 4, 5]]
     assert not sp.tiled_labels.flags.writeable
@@ -131,7 +140,7 @@ def test_random_tree_refinement_structure():
         # each boundary of the coarser level is a boundary of the finer one
         assert set(sp.offsets[n - 1]).issubset(set(sp.offsets[n]))
         # child masses resum to parents
-        parents = np.zeros(sp.n_atoms(n - 1))
+        parents = np.zeros(len(sp.atom_probs[n - 1]))
         parent = sp.labels[n - 1][sp.offsets[n][:-1]]
         np.add.at(parents, parent, sp.atom_probs[n])
         assert np.allclose(parents, sp.atom_probs[n - 1], atol=1e-12)
@@ -175,9 +184,12 @@ def test_martingale_projection_oracle():
     sp = _random_space(rng)
     f = rng.standard_normal((sp.n_leaves, 3))
     m = martingale_of(sp, f)
+    # the atom values of level n are the level-n leaf values at the atom
+    # starts
+    atoms = [m.leaf_levels[n][sp.offsets[n][:-1]] for n in range(sp.depth + 1)]
     for n in range(sp.depth):
-        recomputed = cond_expect(sp, sp.expand(n + 1, m.levels[n + 1]), n)
-        assert np.max(np.abs(recomputed - m.levels[n])) < 1e-12
+        recomputed = cond_expect(sp, sp.expand(n + 1, atoms[n + 1]), n)
+        assert np.max(np.abs(recomputed - atoms[n])) < 1e-12
 
 
 def test_martingale_telescoping_exact():

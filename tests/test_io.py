@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wml.filtration import build_dyadic, build_from_tree
+from wml.filtration import FilteredSpace, build_dyadic, build_from_tree
 from wml.io import (load_function_csv, load_tree, load_weight_csv,
                     read_sweep_csv, save_function_csv, save_tree,
                     save_weight_csv, tree_to_spec, write_fit_json,
@@ -37,7 +37,8 @@ def test_tree_roundtrip(tmp_path):
 
 
 def test_tree_spec_masses_consistent():
-    sp = build_dyadic(3, leaf_probs=np.arange(1, 9) / 36.0)
+    sp = FilteredSpace(depth=3, leaf_probs=np.arange(1, 9) / 36.0,
+                       offsets=build_dyadic(3).offsets)
     spec = tree_to_spec(sp)
 
     def check(node):
@@ -56,7 +57,8 @@ def test_function_csv_roundtrip(tmp_path):
         vals = rng.standard_normal(shape)
         save_function_csv(tmp_path / "f.csv", vals)
         back = load_function_csv(tmp_path / "f.csv")
-        assert np.array_equal(back, vals)
+        # always (L, d): a one-column file is (L, 1)
+        assert np.array_equal(back, vals.reshape(7, -1))
 
 
 def test_weight_csv_roundtrip(tmp_path):

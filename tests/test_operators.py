@@ -68,19 +68,22 @@ def test_square_fn_pythagoras_oracle():
 
 
 def test_square_fn_modes():
+    # the analysis context holds the square-function modes; under the unit
+    # weight its increments are those of f
     sp = build_dyadic(2)
     f = np.array([3.0, 1.0, -2.0, 0.5])
     m = martingale_of(sp, f)
+    an = Analysis(build_reducing_pair(sp, as_weight(np.ones(4)), 2.0), f)
     inc = square_fn(sp, m)
-    fv = square_fn(sp, m, mode="first_value")
-    wm = square_fn(sp, m, mode="with_mean")
+    assert np.array_equal(an.square(), inc)
+    fv = an.square("first_value")
     mean = np.sum(sp.leaf_probs * f)
-    assert np.allclose(wm ** 2, inc ** 2 + mean ** 2, atol=1e-12)
     lvl1 = m.leaf_levels[1][:, 0]
     assert np.allclose(fv ** 2, inc ** 2 - (lvl1 - mean) ** 2 + lvl1 ** 2,
                        atol=1e-12)
-    with pytest.raises(ValidationError):
-        square_fn(sp, m, mode="nope")
+    for mode in ("nope", "with_mean"):
+        with pytest.raises(ValidationError, match="unknown square-function"):
+            an.square(mode)
 
 
 def test_weighted_square_fn_identity_weight_collapses():
@@ -149,7 +152,7 @@ def test_reduced_maximal_exhaustive_oracle():
     for leaf in range(8):
         best = -np.inf
         for n in range(sp.depth + 1):
-            a = sp.atom_of_leaf[n][leaf]
+            a = sp.labels[n][leaf]
             lo, hi = sp.offsets[n][a], sp.offsets[n][a + 1]
             inv = pair.tiled_dual_inv[sp.atom_base[n] + a]
             num = sum(sp.leaf_probs[i] * np.linalg.norm(inv @ h[i])
@@ -202,8 +205,8 @@ def test_sparse_operator_scalar_matches_matrix_at_d1():
     w = np.exp(rng.normal(0.0, 1.0, sp.n_leaves))
     pair = build_reducing_pair(sp, as_weight(w), 2.0)
     f = rng.standard_normal(sp.n_leaves)
-    fam = _family(sp, (0, [0]), (1, range(sp.n_atoms(1))),
-                  (2, range(0, sp.n_atoms(2), 2)))
+    fam = _family(sp, (0, [0]), (1, range(len(sp.atom_probs[1]))),
+                  (2, range(0, len(sp.atom_probs[2]), 2)))
     a = sparse_operator(Analysis(pair, f[:, None]), fam, 2.0)
     b = _sparse_operator_scalar(sp, w, 2.0, fam, 2.0, f)
     assert np.max(np.abs(a - b)) < 1e-10
@@ -216,8 +219,8 @@ def test_sparse_embedding_and_interpolation():
     lam = np.exp(rng.normal(0.0, 1.0, (sp.n_leaves, 2)))
     W = MatrixWeight(np.einsum("lij,lj,lkj->lik", q, lam, q))
     f = rng.standard_normal((sp.n_leaves, 2))
-    fam = _family(sp, (0, [0]), (2, range(sp.n_atoms(2))),
-                  (3, range(0, sp.n_atoms(3), 2)))
+    fam = _family(sp, (0, [0]), (2, range(len(sp.atom_probs[2]))),
+                  (3, range(0, len(sp.atom_probs[3]), 2)))
     for p in (1.5, 2.0):
         an = Analysis(build_reducing_pair(sp, W, p), f)
         t2 = sparse_operator(an, fam, 2.0)

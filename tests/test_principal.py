@@ -176,7 +176,7 @@ def test_check_properties_random_and_negative_control():
     s = mutated[victim]
     bad = dataclasses.replace(
         s, kappa2=s.kappa2 - 1,
-        atoms=np.unique(sp.atom_of_leaf[s.kappa2 - 1][s.leaves]))
+        atoms=np.unique(sp.labels[s.kappa2 - 1][s.leaves]))
     mutated[victim] = bad
     fam_bad = dataclasses.replace(fam, sets=tuple(mutated))
     rep_bad = check_properties(an, fam_bad)
@@ -270,16 +270,18 @@ def test_tail_iteration_reports_the_bound_it_enforces():
 def test_domination_zero_and_constant():
     sp = build_dyadic(3)
     w, pair = _uniform_pair(sp)
-    res = sparse_domination_check(Analysis(pair, np.zeros(8)))
+    an = Analysis(pair, np.zeros(8))
+    res = sparse_domination_check(an, build_principal_family(an))
     assert res["ok"] and res["max_ratio"] == 0.0
     # constant f: the increment square function vanishes; the first-value
     # convention used by the domination check keeps the level-1 value, so
     # the ratio is exactly 1 against the surviving sparse term
     f = np.full(8, 3.0)
     assert np.max(weighted_square_fn(sp, w, 2.0, f)) == 0.0
-    res = sparse_domination_check(Analysis(pair, f))
+    an = Analysis(pair, f)
+    fam = build_principal_family(an)
+    res = sparse_domination_check(an, fam)
     assert res["ok"] and res["max_ratio"] == pytest.approx(1.0, rel=1e-12)
-    fam = res["family"]
     from wml.operators import sparse_operator
     t = sparse_operator(Analysis(pair, np.full((8, 1), 3.0)), fam, 2.0)
     assert np.min(t) > 0.0
@@ -288,7 +290,8 @@ def test_domination_zero_and_constant():
 def test_domination_nonzero_mean_stress():
     # the level-0 mean jump must not break the domination
     sp = build_dyadic(2)
-    res = sparse_domination_check(_uniform(sp, np.array([0.0, 0.0, 4.0, 4.0])))
+    an = _uniform(sp, np.array([0.0, 0.0, 4.0, 4.0]))
+    res = sparse_domination_check(an, build_principal_family(an))
     assert res["ok"] and not res["hard_fail"]
     assert res["max_ratio"] <= res["bound"]
 
@@ -296,7 +299,7 @@ def test_domination_nonzero_mean_stress():
 def test_domination_random_instances():
     for seed in (7, 8, 9, 10):
         an = _random_instance(seed, depth=8, sigma=1.3)[-1]
-        res = sparse_domination_check(an)
+        res = sparse_domination_check(an, build_principal_family(an))
         assert res["ok"], (seed, res["max_ratio"], res["bound"])
 
 
@@ -304,10 +307,10 @@ def test_domination_norm_chain_on_witness():
     # the L_p norms inherit the pointwise chain
     from wml.filtration import lp_norm
     sp, W, p, pair, f, an = _random_instance(11)
-    res = sparse_domination_check(an)
-    fam = res["family"]
+    fam = build_principal_family(an)
+    res = sparse_domination_check(an, fam)
     from wml.operators import sparse_operator
-    s = weighted_square_fn(sp, W, p, f, mode="first_value")
+    s = an.square("first_value")
     t = sparse_operator(an, fam, 2.0)
     assert lp_norm(sp, s, p) <= res["bound"] * lp_norm(sp, t, p) + 1e-12
 
