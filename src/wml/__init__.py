@@ -22,8 +22,7 @@ from .principal import (FluctuationTable, PrincipalFamily, PrincipalSet,
 from .analysis import Analysis
 from .experiments import (SweepConfig, SweepPointError, SweepRecord,
                           exponent_fit, matrix_target_exponent, opnorm_ascent,
-                          opnorm_power_iteration, power_weight,
-                          rotating_weight, run_sweep, scalar_target_exponent,
-                          sweep_fit)
+                          power_weight, rotating_weight, run_sweep,
+                          scalar_target_exponent, sweep_fit)
 
 __version__ = "0.1.0"

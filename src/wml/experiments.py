@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import (_lp_norm, build_dyadic, increment_adjoint,
                          martingale_of)
-from .linalg import ValidationError, _eig_compose, matvec
+from .linalg import EllipsoidError, ValidationError, _eig_compose, matvec
 from .operators import _leaf_l2
 from .weights import (MatrixWeight, ap_characteristic, as_weight,
                       build_reducing_pair)
@@ -99,52 +99,8 @@ def rotating_weight(depth, dim, alpha, eps):
 # operator-norm estimators
 # ---------------------------------------------------------------------------
 
-# relative change of the Rayleigh quotient at which the power iteration stops
-POWER_TOL = 1e-8
 # relative gap between the ratio and Boyd's upper value at which a start stops
 BOYD_TOL = 1e-12
-
-
-def opnorm_power_iteration(space, w, max_iter=10_000, seed=0):
-    """sup_f ||S f||_{L2_w} / ||f||_{L2_w} for a scalar weight at p = 2.
-
-    Power iteration on the PSD form operator in the probability inner
-    product, until the Rayleigh quotient moves by at most POWER_TOL
-    relative; returns (the square root of the top Rayleigh quotient,
-    iterations). Raises on non-convergence with the last quotient attached.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise ValidationError("power-iteration estimator needs a scalar weight")
-    sw = np.sqrt(w)
-    probs = space.leaf_probs
-
-    def op(h):
-        # T h = w^{-1/2} sum_k D_k(w D_k(w^{-1/2} h)); D_k self-adjoint in L2(P)
-        mart = martingale_of(space, h / sw)
-        return increment_adjoint(space, w * mart.diffs[:, :, 0]) / sw
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(space.n_leaves)
-    v /= math.sqrt(float(np.sum(probs * v * v)))
-    lam_old = np.inf
-    for it in range(1, max_iter + 1):
-        tv = op(v)
-        lam = float(np.sum(probs * v * tv))
-        norm = math.sqrt(float(np.sum(probs * tv * tv)))
-        if norm <= 1e-300:
-            value = 0.0
-            break
-        v = tv / norm
-        if abs(lam - lam_old) <= POWER_TOL * max(abs(lam), 1e-300):
-            value = math.sqrt(max(lam, 0.0))
-            break
-        lam_old = lam
-    else:
-        raise RuntimeError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(last Rayleigh quotient {lam_old})")
-    return value, it
 
 
 @dataclass
@@ -368,6 +324,13 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     (``_ascent_start``): from the same starts the power method ends lower
     there on most tested points.
 
+    At p = 2 start 0 runs alone, and the result reports ``restarts`` 1.
+    The norm is then the top singular value of T, which start 0's Lanczos
+    solve reaches from any draw not orthogonal to its singular vector
+    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992),
+    and Boyd's method at p = 2 is the plain power iteration on T*T, which
+    from the other random draws tends to the same value, only more slowly.
+
     Returns an AscentResult carrying the witness; recomputing the ratio
     from the witness reproduces the reported value. ``iterations`` counts
     the iterations of all starts, each at most ``max_iter``; start 0's
@@ -385,6 +348,8 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
+    if p == 2.0:
+        restarts = 1
     W = as_weight(W)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     w2p = wp @ wp
@@ -465,7 +430,7 @@ class SweepConfig:
     depths: tuple = (6, 8, 10)
     alphas: tuple = (0.4, 0.6, 0.8, 0.95)
     epss: tuple | None = (0.25, 0.015625)   # None: 2^-depth, the leaf width
-    restarts: int = 4
+    restarts: int = 4                # opnorm_ascent's starts; p = 2 runs one
     seed: int = 0
 
     def __post_init__(self):
@@ -513,8 +478,9 @@ class SweepRecord:
 
 
 class SweepPointError(RuntimeError):
-    """A sweep point whose reducer fit or norm estimator failed; carries the
-    point's ``instance_id`` and the ``reason``."""
+    """A sweep point whose reducer fit did not certify; carries the
+    point's ``instance_id`` and the ``reason``. An estimator that uses up
+    its iterations is no failure: its record says ``converged`` False."""
 
     def __init__(self, instance_id, reason):
         super().__init__(instance_id, reason)
@@ -531,9 +497,9 @@ def build_family_instance(config, depth, alpha, eps):
 
 
 def sweep_point(config, index, depth, alpha, eps):
-    """SweepRecord of one grid point. A reducer fit that does not certify
-    (EllipsoidError) or a power iteration that does not converge
-    (RuntimeError) raises SweepPointError naming the point."""
+    """SweepRecord of one grid point; its ratio, iterations, restarts and
+    flag are those of ``opnorm_ascent``. A reducer fit that does not
+    certify (EllipsoidError) raises SweepPointError naming the point."""
     t0 = time.perf_counter()
     instance_id = (f"{config.family}-p{config.p:g}-d{config.d}"
                    f"-D{depth}-a{alpha:g}-e{eps:g}")
@@ -541,23 +507,16 @@ def sweep_point(config, index, depth, alpha, eps):
     seed = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
     try:
         ap = ap_characteristic(build_reducing_pair(space, W, config.p))
-        if config.d == 1 and abs(config.p - 2.0) < 1e-12:
-            # the weighted ratio for S equals the unweighted ratio for S_w
-            ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed)
-            restarts, converged = 1, True
-        else:
-            res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
-                                seed=seed)
-            ratio, iters, restarts, converged = (res.ratio, res.iterations,
-                                                 res.restarts, res.converged)
-    except RuntimeError as exc:
+    except EllipsoidError as exc:
         raise SweepPointError(instance_id, str(exc)) from exc
+    res = opnorm_ascent(space, W, config.p, restarts=config.restarts,
+                        seed=seed)
     return SweepRecord(
         instance_id=instance_id,
         family=config.family, p=config.p, d=config.d, depth=depth,
-        alpha=alpha, eps=eps, ap_char=ap, ratio=ratio, iterations=iters,
-        restarts=restarts, converged=converged,
-        seconds=time.perf_counter() - t0)
+        alpha=alpha, eps=eps, ap_char=ap, ratio=res.ratio,
+        iterations=res.iterations, restarts=res.restarts,
+        converged=res.converged, seconds=time.perf_counter() - t0)
 
 
 def run_sweep(config, parallel=1):

@@ -13,6 +13,8 @@ with its level and its start (the leaves before it), and takes every
 level's offsets from the shallowest level at which each start appears.
 ``build_from_tree`` validates a nested JSON description and walks it into
 those two lists; the suite's random trees are drawn straight into them.
+``nest_preorder`` goes the other way, from the two lists to the nested
+description.
 The space's own level index marks the atom starts of every level once,
 and its refinement check reads the same marks; ``labels[n]`` gives each
 leaf's level-n atom.
@@ -207,6 +209,21 @@ def build_from_preorder(levels, masses):
         probs = probs / probs.sum()
     return FilteredSpace(depth=len(offsets) - 1, leaf_probs=probs,
                          offsets=offsets)
+
+
+def nest_preorder(levels, masses):
+    """The nested {"mass", "children"} dict that ``build_from_tree`` reads,
+    of a tree given as ``build_from_preorder`` takes it: the level and mass
+    of every node in preorder, root first. A node joins the children of the
+    last node one level above it."""
+    path = []
+    for level, mass in zip(levels, masses):
+        node = {"mass": mass}
+        del path[level:]
+        if path:
+            path[-1].setdefault("children", []).append(node)
+        path.append(node)
+    return path[0]
 
 
 def cond_expect(space, f, n):

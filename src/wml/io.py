@@ -15,27 +15,23 @@ import json
 import numpy as np
 
 from .experiments import SweepRecord
-from .filtration import build_from_tree
+from .filtration import build_from_tree, nest_preorder
 from .linalg import ValidationError
 from .weights import MatrixWeight, as_weight
 
 
 def tree_to_spec(space):
     """Nested {"mass", "children"} description reproducing the space
-    (persisting atoms become single-child chains)."""
+    (persisting atoms become single-child chains).
 
-    def node(level, a):
-        lo, hi = space.offsets[level][a], space.offsets[level][a + 1]
-        out = {"mass": float(space.atom_probs[level][a])}
-        if level == space.depth:
-            return out
-        nxt = space.offsets[level + 1]
-        children = [b for b in range(len(nxt) - 1)
-                    if lo <= nxt[b] and nxt[b + 1] <= hi]
-        out["children"] = [node(level + 1, b) for b in children]
-        return out
-
-    return node(0, 0)
+    Every atom of every level is a node. The nodes that start at one leaf
+    form a chain of first children, from the shallowest level down, so the
+    preorder sorts the atoms by start and then by level."""
+    starts = space.tiled_starts % space.n_leaves
+    levels = np.repeat(np.arange(space.depth + 1), np.diff(space.atom_base))
+    order = np.lexsort((levels, starts))
+    return nest_preorder(levels[order].tolist(),
+                         space.tiled_atom_probs[order].tolist())
 
 
 def save_tree(path, space):

@@ -175,18 +175,16 @@ class PrincipalFamily:
         return np.nonzero(mask)[0]
 
 
-def build_principal_family(an, threshold=None):
+def build_principal_family(an, threshold):
     """Generation-by-generation principal sets of the analysis context ``an``.
 
     Generation 1 stops at the first level where the fluctuation ratio
     exceeds the positivity threshold 1e-12; every later generation stops at
-    the first exceedance of ``threshold`` (default default_threshold()),
-    always restricted to its parent set. Construction terminates because
-    each stopping level strictly increases, so there are at most D
-    generations.
+    the first exceedance of ``threshold`` (the battery's is
+    default_threshold()), always restricted to its parent set.
+    Construction terminates because each stopping level strictly
+    increases, so there are at most D generations.
     """
-    if threshold is None:
-        threshold = default_threshold()
     space = an.space
 
     def stopping(base, leaves, cut):

@@ -5,8 +5,8 @@ the generator calls of every node in preorder and records each node's
 level and mass. ``random_space`` (the suite's instances and ``wml gen``'s
 random trees) hands those two lists to ``filtration.build_from_preorder``;
 ``random_tree_spec`` nests them into the {"mass", "children"} dict of the
-same tree. The Dirichlet mass fractions are normalized gamma draws, bit for
-bit numpy's own ``dirichlet``.
+same tree with ``filtration.nest_preorder``. The Dirichlet mass fractions
+are normalized gamma draws, bit for bit numpy's own ``dirichlet``.
 
 The CLI ``check`` command and the acceptance tests both run this battery,
 so the command-line report and the test suite cannot drift apart. Each
@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import Analysis
 from .filtration import (build_from_preorder, cond_expect, level_means,
-                         lp_norm, martingale_of)
+                         lp_norm, martingale_of, nest_preorder)
 from .linalg import EllipsoidError, ValidationError, _eig_compose
 from .operators import (sparse_operator, square_fn, weighted_cond_expect,
                         weighted_square_fn, lp_weighted_norm)
@@ -123,14 +123,7 @@ def _draw_tree(rng, depth, split_p, max_children):
 def random_tree_spec(rng, depth, split_p, max_children):
     """Random refining tree of exactly the given depth with random masses,
     as the nested {"mass", "children"} dict that ``build_from_tree`` reads."""
-    path = []
-    for lvl, mass in zip(*_draw_tree(rng, depth, split_p, max_children)):
-        node = {"mass": mass}
-        del path[lvl:]
-        if path:
-            path[-1].setdefault("children", []).append(node)
-        path.append(node)
-    return path[0]
+    return nest_preorder(*_draw_tree(rng, depth, split_p, max_children))
 
 
 def random_space(rng, depth, split_p, max_children):

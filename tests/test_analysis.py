@@ -69,7 +69,8 @@ def test_sparse_terms_are_shared_across_exponents(monkeypatch):
     inst = random_instance(1, seed=7, depth_range=(6, 6))
     pair = build_reducing_pair(inst.space, inst.weight, inst.p)
     an = Analysis(pair, inst.f)
-    family = principal.build_principal_family(an)
+    family = principal.build_principal_family(
+        an, principal.default_threshold())
     norms = _count_calls(monkeypatch, linalg, "spectral_norm")
     t2 = sparse_operator(an, family, 2.0)
     assert len(norms) == 1                     # the pair's whole table

@@ -630,14 +630,20 @@ def test_sweep_failed_fit_is_reported(tmp_path, capsys, parallel):
 
 def test_sweep_unconverged_power_iteration_is_reported(tmp_path, capsys,
                                                       monkeypatch):
+    # the default p = 2, d = 1 sweep with its estimator capped at two
+    # iterations (one Lanczos step, one power iteration): no point is a
+    # failure, and every record says it did not converge
     from wml import experiments
-    power = experiments.opnorm_power_iteration
-    monkeypatch.setattr(experiments, "opnorm_power_iteration",
-                        lambda *a, **kw: power(*a, **kw, max_iter=2))
-    assert run(["sweep", "--seed", "3", "--out", str(tmp_path)]) == 2
+    ascent = experiments.opnorm_ascent
+    monkeypatch.setattr(experiments, "opnorm_ascent",
+                        lambda *a, **kw: ascent(*a, **kw, max_iter=2))
+    assert run(["sweep", "--seed", "3", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("FAIL power-p2-d1-D6-a0.4-e0.25: ")
-    assert "did not converge in 2 iterations" in out
+    assert "FAIL" not in out and "converged 0/24 points" in out
+    rows = read_sweep_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 24
+    assert all(not r["converged"] and r["iterations"] == 2
+               and r["restarts"] == 1 for r in rows)
 
 
 def test_check_square_mode_flag(tmp_path, capsys):

@@ -4,9 +4,9 @@ import pytest
 from wml.experiments import (SweepConfig, SweepRecord, _boyd_batch,
                              _lanczos_top, build_family_instance,
                              exponent_fit, matrix_target_exponent,
-                             opnorm_ascent, opnorm_power_iteration,
-                             power_weight, rotating_weight, run_sweep,
-                             scalar_target_exponent, sweep_fit, sweep_point)
+                             opnorm_ascent, power_weight, rotating_weight,
+                             run_sweep, scalar_target_exponent, sweep_fit,
+                             sweep_point)
 from wml.filtration import (build_dyadic, cond_expect_leaf, increment_adjoint,
                             lp_norm, martingale_of)
 from wml.linalg import ValidationError, matvec, spd_power
@@ -82,25 +82,25 @@ def test_rotating_weight_global_rotation_invariance():
     assert b == pytest.approx(a, rel=0.25)
 
 
-def test_opnorm_power_iteration_unweighted_is_one():
+def test_opnorm_ascent_p2_unweighted_is_one():
     sp = build_dyadic(4)
-    assert opnorm_power_iteration(sp, np.ones(16))[0] == pytest.approx(
-        1.0, abs=1e-9)
+    res = opnorm_ascent(sp, as_weight(np.ones(16)), 2.0)
+    assert res.converged and res.ratio == pytest.approx(1.0, abs=1e-9)
 
 
-def test_opnorm_power_iteration_scale_invariant():
+def test_opnorm_ascent_p2_scale_invariant():
     rng = np.random.default_rng(0)
     sp = build_dyadic(4)
     w = np.exp(rng.normal(0.0, 1.0, 16))
-    assert opnorm_power_iteration(sp, w)[0] == pytest.approx(
-        opnorm_power_iteration(sp, 11.0 * w)[0], rel=1e-9)
+    assert opnorm_ascent(sp, as_weight(w), 2.0).ratio == pytest.approx(
+        opnorm_ascent(sp, as_weight(11.0 * w), 2.0).ratio, rel=1e-9)
 
 
-def test_opnorm_power_iteration_dense_oracle_depth2():
+def test_opnorm_ascent_p2_dense_oracle_depth2():
     rng = np.random.default_rng(1)
     sp = build_dyadic(2)
     w = np.exp(rng.normal(0.0, 1.0, 4))
-    est, _ = opnorm_power_iteration(sp, w)
+    est = opnorm_ascent(sp, as_weight(w), 2.0).ratio
     # dense eigensolve of the same quadratic form, euclidean coordinates
     sw = np.sqrt(w)
     probs = sp.leaf_probs
@@ -130,23 +130,40 @@ def test_opnorm_ascent_identity_weight_p2():
 
 
 def test_opnorm_ascent_matches_power_iteration():
+    # the top singular value of the dense matrix of T, which the plain
+    # power iteration on T*T tends to
     rng = np.random.default_rng(2)
     sp = build_dyadic(4)
-    w = np.exp(rng.normal(0.0, 0.8, 16))
-    exact, _ = opnorm_power_iteration(sp, w)
-    res = opnorm_ascent(sp, as_weight(w), 2.0, restarts=6, seed=3)
-    assert abs(res.ratio - exact) / exact < 0.02
+    W = as_weight(np.exp(rng.normal(0.0, 0.8, 16)))
+    exact = np.linalg.svd(_dense_operator(sp, W, 2.0), compute_uv=False)[0]
+    res = opnorm_ascent(sp, W, 2.0, restarts=6, seed=3)
+    assert res.ratio == pytest.approx(exact, rel=1e-9)
+
+
+def test_opnorm_ascent_p2_runs_start_zero_alone():
+    # at p = 2 further starts are not drawn: any restarts >= 1 gives the
+    # bytes of restarts = 1, which the result reports
+    sp, W = rotating_weight(4, 2, 0.8, 0.0625)
+    one = opnorm_ascent(sp, W, 2.0, restarts=1, seed=5)
+    four = opnorm_ascent(sp, W, 2.0, restarts=4, seed=5)
+    assert (four.ratio, four.iterations, four.restarts, four.converged) == \
+        (one.ratio, one.iterations, 1, one.converged)
+    assert four.witness.tobytes() == one.witness.tobytes()
+    assert opnorm_ascent(sp, W, 1.5, restarts=4, seed=5).restarts == 4
 
 
 def test_opnorm_ascent_converged_flag():
     rng = np.random.default_rng(2)
     sp = build_dyadic(4)
     W = as_weight(np.exp(rng.normal(0.0, 0.8, 16)))
-    res = opnorm_ascent(sp, W, 2.0, restarts=3, seed=3)
-    assert res.converged and res.iterations < 3 * 200
+    for p in (2.0, 1.5):
+        res = opnorm_ascent(sp, W, p, restarts=3, seed=3)
+        assert res.converged and res.iterations < res.restarts * 200, p
     # two iterations cannot reach a stopping rule: every restart is capped
-    capped = opnorm_ascent(sp, W, 2.0, restarts=3, seed=3, max_iter=2)
+    capped = opnorm_ascent(sp, W, 1.5, restarts=3, seed=3, max_iter=2)
     assert not capped.converged and capped.iterations == 3 * 2
+    capped = opnorm_ascent(sp, W, 2.0, restarts=3, seed=3, max_iter=2)
+    assert not capped.converged and capped.iterations == 2
 
 
 def test_opnorm_ascent_grid_oracle_depth2():
@@ -315,8 +332,9 @@ def test_batched_power_method_matches_serial_starts(args, p, max_iter):
     # opnorm_ascent bit for bit against the starts run one at a time from
     # the same seeded draws: witness, ratio, iterations and flag. Start 0
     # runs from the Lanczos vector of its draw, with the rest of its
-    # budget. At p = 2 every power is a square or a square root, which
-    # numpy takes apart from pow for a scalar exponent only.
+    # budget, and at p = 2 it runs alone. At p = 2 every power is a square
+    # or a square root, which numpy takes apart from pow for a scalar
+    # exponent only.
     depth, d, alpha, eps = args
     sp, W = (power_weight(depth, alpha, eps) if d == 1
              else rotating_weight(*args))
@@ -324,7 +342,8 @@ def test_batched_power_method_matches_serial_starts(args, p, max_iter):
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     rng = np.random.default_rng(0)
     ratio, witness, iters, converged = 0.0, None, 0, True
-    for start in range(4):
+    starts = 1 if p == 2.0 else 4
+    for start in range(starts):
         f, steps = rng.standard_normal((sp.n_leaves, d)), 0
         if start == 0:
             f, steps = _lanczos_top(sp, wp, wm, wp @ wp, f, max_iter - 1)
@@ -333,8 +352,8 @@ def test_batched_power_method_matches_serial_starts(args, p, max_iter):
         iters, converged = iters + steps + it, converged and c
         if r > ratio:
             ratio, witness = r, f
-    assert (res.ratio, res.iterations, res.converged) == \
-        (ratio, iters, converged)
+    assert (res.ratio, res.iterations, res.restarts, res.converged) == \
+        (ratio, iters, starts, converged)
     assert res.witness.tobytes() == witness.tobytes()
 
 
@@ -439,22 +458,25 @@ def test_lanczos_stops_at_an_invariant_start(start, d):
 
 
 def test_sweep_point_reports_power_iteration_count():
-    # the d = 1, p = 2 sweep path reports the iterations of its power
-    # iteration, and its ratio is the estimator's value
+    # the d = 1, p = 2 sweep point reports opnorm_ascent's ratio, count,
+    # restarts and flag: start 0's Lanczos steps and its power iterations
     cfg = SweepConfig(family="power", p=2.0, d=1, depths=(5,), alphas=(0.6,),
                       epss=(0.25,), seed=3)
     rec = sweep_point(cfg, 0, 5, 0.6, 0.25)
     space, W = build_family_instance(cfg, 5, 0.6, 0.25)
     seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
-    ratio, iters = opnorm_power_iteration(space, W.scalar(), seed=seed)
-    assert (rec.ratio, rec.iterations) == (ratio, iters) and iters > 1
+    res = opnorm_ascent(space, W, 2.0, restarts=cfg.restarts, seed=seed)
+    assert (rec.ratio, rec.iterations, rec.restarts, rec.converged) == \
+        (res.ratio, res.iterations, 1, True)
+    assert res.iterations > 1
 
 
 def test_ascent_witness_respects_domination_chain():
     # the norm chain ||S_W f||_p <= K ||T_{W,2} f||_p holds for the witness
     from wml.analysis import Analysis
     from wml.operators import sparse_operator
-    from wml.principal import build_principal_family, sparse_domination_check
+    from wml.principal import (build_principal_family, default_threshold,
+                               sparse_domination_check)
     rng = np.random.default_rng(6)
     sp = build_dyadic(4)
     q, _ = np.linalg.qr(rng.standard_normal((16, 2, 2)))
@@ -464,7 +486,7 @@ def test_ascent_witness_respects_domination_chain():
     pair = build_reducing_pair(sp, W, p)
     res = opnorm_ascent(sp, W, p, restarts=2, seed=7)
     an = Analysis(pair, res.witness)
-    family = build_principal_family(an)
+    family = build_principal_family(an, default_threshold())
     dom = sparse_domination_check(an, family)
     assert dom["ok"]
     t = sparse_operator(an, family, 2.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wml import suite
 from wml.filtration import FilteredSpace, build_dyadic, build_from_tree
 from wml.io import (load_function_csv, load_tree, load_weight_csv,
                     read_sweep_csv, save_function_csv, save_tree,
@@ -34,6 +35,47 @@ def test_tree_roundtrip(tmp_path):
     assert np.allclose(sp2.leaf_probs, sp.leaf_probs, atol=1e-15)
     for n in range(sp.depth + 1):
         assert np.array_equal(sp2.offsets[n], sp.offsets[n])
+
+
+def _tree_to_spec_oracle(space):
+    """The nested description by recursion: every atom scans the next
+    level's atoms for the ones inside it."""
+
+    def node(level, a):
+        lo, hi = space.offsets[level][a], space.offsets[level][a + 1]
+        out = {"mass": float(space.atom_probs[level][a])}
+        if level == space.depth:
+            return out
+        nxt = space.offsets[level + 1]
+        children = [b for b in range(len(nxt) - 1)
+                    if lo <= nxt[b] and nxt[b + 1] <= hi]
+        out["children"] = [node(level + 1, b) for b in children]
+        return out
+
+    return node(0, 0)
+
+
+def _spaces(kind):
+    if kind == "dyadic":
+        return [build_dyadic(depth) for depth in range(1, 9)]
+    if kind == "random":
+        return [_random_space(seed, depth)
+                for seed in range(4) for depth in (1, 3, 6)]
+    spaces = []
+    for d, split in sorted(suite.SPLIT.items()):
+        rng = np.random.default_rng([d, 29])
+        spaces += [suite.random_space(rng, depth, *split)
+                   for depth in range(1, 10)]
+    return spaces
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "random", "suite"])
+def test_tree_json_bytes_match_the_recursion(tmp_path, kind):
+    # tree.json from the preorder sort, byte for byte the recursion's
+    for sp in _spaces(kind):
+        save_tree(tmp_path / "tree.json", sp)
+        want = json.dumps(_tree_to_spec_oracle(sp), indent=1) + "\n"
+        assert (tmp_path / "tree.json").read_text() == want
 
 
 def test_tree_spec_masses_consistent():

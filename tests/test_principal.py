@@ -117,7 +117,8 @@ def test_halving_random_suite_at_default():
 
 def test_family_zero_function_is_empty():
     sp = build_dyadic(3)
-    fam = build_principal_family(_uniform(sp, np.zeros(8)))
+    fam = build_principal_family(_uniform(sp, np.zeros(8)),
+                                 default_threshold())
     assert len(fam.sets) == 0
     assert len(fam.first_stop_never()) == 8
 
@@ -138,7 +139,8 @@ def test_family_constant_function_single_omega_set():
 
 def test_family_hand_example():
     sp = build_dyadic(2)
-    fam = build_principal_family(_uniform(sp, np.array([1.0, -1.0, 0.0, 0.0])))
+    fam = build_principal_family(
+        _uniform(sp, np.array([1.0, -1.0, 0.0, 0.0])), default_threshold())
     assert len(fam.sets) == 1
     s = fam.sets[0]
     assert (s.generation, s.kappa1, s.kappa2) == (1, 0, 2)
@@ -166,7 +168,7 @@ def test_generation_nesting_and_parent_links():
 
 def test_check_properties_random_and_negative_control():
     sp, W, p, pair, f, an = _random_instance(3, depth=7, sigma=1.3)
-    fam = build_principal_family(an)
+    fam = build_principal_family(an, default_threshold())
     rep = check_properties(an, fam)
     assert rep["ok"], rep
     # mutate one set: shifting its stopping level breaks measurability or
@@ -236,19 +238,19 @@ def test_check_properties_measurable_negative_control():
 def test_tail_energy_cases():
     sp = build_dyadic(2)
     an = _uniform(sp, np.array([1.0, -1.0, 0.0, 0.0]))
-    fam = build_principal_family(an)
+    fam = build_principal_family(an, default_threshold())
     # kappa2 = 2 = depth: no further increments
     assert np.max(tail_energy(an, fam, 1)) == 0.0
     assert np.max(tail_energy(an, fam, 5)) == 0.0
     an_c = _uniform(sp, np.full(4, 3.0))
-    fam_c = build_principal_family(an_c)
+    fam_c = build_principal_family(an_c, default_threshold())
     assert np.max(tail_energy(an_c, fam_c, 1)) == 0.0
 
 
 def test_iteration_and_vanish_on_random_instances():
     for seed in (4, 5, 6):
         an = _random_instance(seed, depth=7, sigma=1.2)[-1]
-        fam = build_principal_family(an)
+        fam = build_principal_family(an, default_threshold())
         assert iteration_check(an, fam)["ok"]
         assert vanish_checks(an, fam)["ok"]
 
@@ -262,7 +264,8 @@ def test_tail_iteration_reports_the_bound_it_enforces():
         it = next(r for r in results if r.name == "tail_iteration")
         pair = build_reducing_pair(inst.space, inst.weight, inst.p)
         an = Analysis(pair, inst.f)
-        b1 = _tail_squares(an, build_principal_family(an), 1)
+        b1 = _tail_squares(
+            an, build_principal_family(an, default_threshold()), 1)
         assert it.bound == 1e-10 * max(1.0, float(b1.max()))
         assert it.passed == (it.measured <= it.bound)
 
@@ -271,7 +274,8 @@ def test_domination_zero_and_constant():
     sp = build_dyadic(3)
     w, pair = _uniform_pair(sp)
     an = Analysis(pair, np.zeros(8))
-    res = sparse_domination_check(an, build_principal_family(an))
+    res = sparse_domination_check(
+        an, build_principal_family(an, default_threshold()))
     assert res["ok"] and res["max_ratio"] == 0.0
     # constant f: the increment square function vanishes; the first-value
     # convention used by the domination check keeps the level-1 value, so
@@ -279,7 +283,7 @@ def test_domination_zero_and_constant():
     f = np.full(8, 3.0)
     assert np.max(weighted_square_fn(sp, w, 2.0, f)) == 0.0
     an = Analysis(pair, f)
-    fam = build_principal_family(an)
+    fam = build_principal_family(an, default_threshold())
     res = sparse_domination_check(an, fam)
     assert res["ok"] and res["max_ratio"] == pytest.approx(1.0, rel=1e-12)
     from wml.operators import sparse_operator
@@ -291,7 +295,8 @@ def test_domination_nonzero_mean_stress():
     # the level-0 mean jump must not break the domination
     sp = build_dyadic(2)
     an = _uniform(sp, np.array([0.0, 0.0, 4.0, 4.0]))
-    res = sparse_domination_check(an, build_principal_family(an))
+    res = sparse_domination_check(
+        an, build_principal_family(an, default_threshold()))
     assert res["ok"] and not res["hard_fail"]
     assert res["max_ratio"] <= res["bound"]
 
@@ -299,7 +304,8 @@ def test_domination_nonzero_mean_stress():
 def test_domination_random_instances():
     for seed in (7, 8, 9, 10):
         an = _random_instance(seed, depth=8, sigma=1.3)[-1]
-        res = sparse_domination_check(an, build_principal_family(an))
+        res = sparse_domination_check(
+            an, build_principal_family(an, default_threshold()))
         assert res["ok"], (seed, res["max_ratio"], res["bound"])
 
 
@@ -307,7 +313,7 @@ def test_domination_norm_chain_on_witness():
     # the L_p norms inherit the pointwise chain
     from wml.filtration import lp_norm
     sp, W, p, pair, f, an = _random_instance(11)
-    fam = build_principal_family(an)
+    fam = build_principal_family(an, default_threshold())
     res = sparse_domination_check(an, fam)
     from wml.operators import sparse_operator
     s = an.square("first_value")
@@ -323,5 +329,6 @@ def test_holder_check_is_scale_invariant(scale):
         inst = random_instance(index, seed=7)
         pair = build_reducing_pair(inst.space, inst.weight, inst.p)
         an = Analysis(pair, scale * inst.f)
-        result = _holder_check(an, build_principal_family(an))
+        result = _holder_check(
+            an, build_principal_family(an, default_threshold()))
         assert result.passed, (index, result)
