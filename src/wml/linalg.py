@@ -51,22 +51,18 @@ class ValidationError(ValueError):
 
 
 class EllipsoidError(RuntimeError):
-    """Ellipsoid fit failed; carries the last iterate and achieved ratio.
+    """Ellipsoid fit failed; carries the achieved ratio and its bound.
 
     Attributes
     ----------
-    last_matrix : ndarray or None
-        The matrix of the last iterate (shape (d, d)).
     achieved : float
         Worst certification or convergence ratio at abort time.
     bound : float
         The limit ``achieved`` was held to.
     """
 
-    def __init__(self, message, last_matrix=None, achieved=np.nan,
-                 bound=np.nan):
+    def __init__(self, message, achieved=np.nan, bound=np.nan):
         super().__init__(message)
-        self.last_matrix = last_matrix
         self.achieved = achieved
         self.bound = bound
 
@@ -560,16 +556,11 @@ def mvee_central(points, eps=2e-3, max_iter=100_000):
         del g_alive
 
     if alive.size:
-        worst = int(alive[np.argmax(kappa[alive])])
-        vals, vecs = jacobi_eigh(s_out[worst])
-        last = _eig_compose(vecs, 1.0 / np.sqrt(
-            np.maximum(vals, 1e-300) * kappa[worst]))
         raise EllipsoidError(
             f"ellipsoid fit did not converge within {max_iter} iterations "
             f"(max normalized support {np.max(kappa[alive]) / d:.6f}, "
             f"target {1 + eps})",
-            last_matrix=last, achieved=float(np.max(kappa[alive]) / d),
-            bound=1.0 + eps)
+            achieved=float(np.max(kappa[alive]) / d), bound=1.0 + eps)
 
     vals, vecs = jacobi_eigh(s_out)
     vals = np.maximum(vals, 1e-300)

@@ -24,9 +24,7 @@ from .linalg import ValidationError, matvec
 from .weights import as_weight
 
 def _leaf_l2(stack):
-    """Per leaf the l2 norm over a (K, L, d) stack of increments; a
-    (K, L, R, d) stack of R functions gives the (L, R) norms, each column
-    summed as its own (K, L, d) stack would be."""
+    """Per leaf the l2 norm over a (K, L, d) stack of increments."""
     return np.sqrt(np.sum(stack * stack, axis=(0, -1)))
 
 

@@ -341,7 +341,6 @@ def _lewis_fit(probs, starts, stops, sides, max_iter):
                 f"reducer certification failed: block Lewis weights did not "
                 f"reach distortion {1.0 / bound:.6f} in {max_iter} rounds "
                 f"(proved ratio range [{ratio[worst]:.6f}, 1])",
-                last_matrix=alpha[worst] * _roots(x[worst:worst + 1])[0][0],
                 achieved=float(ratio[worst]), bound=float(bound))
         fin = alive[done]
         frames[fin], scale[fin], low[fin] = x[done], alpha[done], ratio[done]

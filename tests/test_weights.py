@@ -583,11 +583,8 @@ def test_failed_certification_reports_first_failing_side():
         got = failure(*sides)
         assert (got.achieved, got.bound, str(got)) == \
             (ref.achieved, ref.bound, str(ref))
-        assert got.last_matrix.tobytes() == ref.last_matrix.tobytes()
     assert "reducer certification failed" in str(ref)
     assert ref.achieved < ref.bound < 1.0
-    # the error carries the scaled root of the worst atom: an SPD matrix
-    assert np.all(np.linalg.eigvalsh(ref.last_matrix) > 0.0)
     # one more round certifies every atom
     fit(slow, quick, rounds=2)
 
