@@ -147,16 +147,21 @@ def _options(args):
 
 
 def _seed(opts):
-    """--seed flag, config value, WML_SEED environment variable, then 7."""
-    if "seed" in opts:
-        return opts["seed"]
-    value = os.environ.get("WML_SEED", "7")
-    try:
-        return int(value)
-    except ValueError:
+    """--seed flag, config value, WML_SEED environment variable, then 7.
+    A negative seed is a usage error that names where it came from."""
+    name, value = "seed", opts.get("seed")
+    if value is None:
+        name, value = "environment variable WML_SEED", \
+            os.environ.get("WML_SEED", "7")
+        try:
+            value = int(value)
+        except ValueError:
+            raise ValidationError(
+                f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
         raise ValidationError(
-            f"environment variable WML_SEED must be an integer, got {value!r}"
-        ) from None
+            f"{name} must be a non-negative integer, got {value}")
+    return value
 
 
 def cmd_gen(args):

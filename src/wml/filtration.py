@@ -350,6 +350,14 @@ def lp_norm(space, f, p):
 def _lp_norm(space, f, p):
     """``lp_norm`` of an (L,) or (L, d) float array without validating it,
     for arrays the library built itself. The euclidean norm is summed as
-    ``np.linalg.norm(axis=1)`` sums it, so the values are bitwise equal."""
+    ``np.linalg.norm(axis=1)`` sums it, so the values are bitwise equal.
+    Where the direct sum of P(l) |f(l)|^p overflows, or is 0 for an f
+    that is not, the magnitudes are divided by the largest one first;
+    every other value is the direct sum's."""
     mag = np.abs(f) if f.ndim == 1 else np.sqrt(np.sum(f * f, axis=1))
-    return float(np.sum(space.leaf_probs * mag ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(space.leaf_probs * mag ** p)
+    top = mag.max() if not 0.0 < total < np.inf else 0.0
+    if not 0.0 < top < np.inf:
+        return float(total ** (1.0 / p))
+    return float(top * np.sum(space.leaf_probs * (mag / top) ** p) ** (1.0 / p))

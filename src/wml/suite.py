@@ -33,7 +33,8 @@ from .principal import (CHECK_TOL, build_principal_family,
                         sparse_domination_check, vanish_checks)
 from .weights import (CERT_TOL, MatrixWeight, ap_characteristic,
                       ap_equivalents, as_weight, build_reducing_pair,
-                      conjugate, exchanged_pair, verify_reducing_bounds)
+                      check_exponent, conjugate, exchanged_pair,
+                      verify_reducing_bounds)
 
 DEPTH_RANGE = (4, 12)
 DIMS = (1, 2, 3)
@@ -143,8 +144,7 @@ def check_suite_options(depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):
             raise ValidationError(
                 f"the random suite supports d in {sorted(SPLIT)}, not d = {d}")
     for p in ps:
-        if not 1.0 < p < np.inf:
-            raise ValidationError(f"p must lie in (1, inf), got {p!r}")
+        check_exponent(p)
 
 
 def random_instance(index, seed=7, depth_range=DEPTH_RANGE, dims=DIMS, ps=PS):

@@ -58,10 +58,15 @@ FIT_TOL = 2e-2
 FIT_ROUNDS = 1000
 
 
+def check_exponent(p):
+    """Refuse an exponent p outside (1, inf), NaN included."""
+    if not 1.0 < p < np.inf:
+        raise ValidationError(f"p must lie in (1, inf), got {p}")
+
+
 def conjugate(p):
-    """Conjugate exponent p' = p / (p - 1)."""
-    if p <= 1.0:
-        raise ValidationError("conjugate exponent needs p > 1")
+    """Conjugate exponent p' = p / (p - 1) of a p in (1, inf)."""
+    check_exponent(p)
     return p / (p - 1.0)
 
 
@@ -425,8 +430,6 @@ def build_reducing_pair(space, W, p):
     W = as_weight(W)
     if W.n_leaves != space.n_leaves:
         raise ValidationError("weight and space disagree on the leaf count")
-    if not 1.0 < p < np.inf:
-        raise ValidationError("p must lie in (1, inf)")
     q = conjugate(p)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     cert = {}

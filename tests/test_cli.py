@@ -440,6 +440,30 @@ def test_non_integer_seed_env_is_usage_error(tmp_path, monkeypatch, capsys,
     assert run(["gen", "--seed", "3", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", ["gen", "check", "sweep"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                      source):
+    # numpy's generators refuse a negative seed with a traceback; the
+    # command refuses it first, naming it, and writes nothing
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    elif source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("WML_SEED", "-3")
+    assert run(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    named = "environment variable WML_SEED" if source == "env" else "seed"
+    got = -3 if source == "env" else -1
+    assert err == [f"error: {named} must be a non-negative integer, got {got}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keys, named", [
     ({"weight": "nonexistent.csv", "function": "nope.csv"},
      "'weight', 'function'"),

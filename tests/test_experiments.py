@@ -376,6 +376,17 @@ def test_opnorm_ascent_rejects_p_outside_one_to_inf(p):
         opnorm_ascent(sp, W, p)
 
 
+def test_opnorm_ascent_at_large_p_returns_a_finite_ratio():
+    # at p = 300 a line-search candidate has magnitudes whose p-th powers
+    # overflow a float: its norm must come out finite, or normalizing the
+    # candidate makes it 0 and its ratio divides by zero
+    sp, W = power_weight(10, 0.6, 2.0 ** -10)
+    res = opnorm_ascent(sp, W, 300.0, restarts=1, seed=0, max_iter=20)
+    assert np.isfinite(res.ratio) and res.ratio > 0.0
+    assert _witness_ratio(sp, W, 300.0, res.witness) == pytest.approx(
+        res.ratio, rel=1e-8)
+
+
 def _dense_operator(sp, W, p):
     """Dense matrix of T f = (W^{1/p} d_k W^{-1/p} f)_k from L2(P; R^d) into
     L2(P; l2) in euclidean coordinates, column by column, per level from
@@ -548,8 +559,9 @@ def test_run_sweep_deterministic_and_ordered():
     ({"epss": (0.0,)}, "eps must be positive"),
     ({"alphas": (-1.5,)}, "alpha must exceed -1"),
     ({"depths": (0,)}, "depth must be >= 1"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
 ], ids=["p-one", "p-inf", "p-nan", "power-d", "family", "rotating-d", "eps",
-        "alpha", "depth"])
+        "alpha", "depth", "seed"])
 def test_sweep_config_rejects_what_no_point_could_run(kw, message):
     # each is refused once, by the config, before any grid point is built
     with pytest.raises(ValidationError, match=message):

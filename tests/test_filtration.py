@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wml.filtration import (FilteredSpace, build_dyadic, build_from_tree,
-                            cond_expect, cond_expect_leaf, lp_norm,
-                            martingale_of)
+from wml.filtration import (FilteredSpace, _lp_norm, build_dyadic,
+                            build_from_tree, cond_expect, cond_expect_leaf,
+                            lp_norm, martingale_of)
 from wml.linalg import ValidationError
 
 
@@ -243,3 +243,18 @@ def test_lp_norm_examples():
     assert lp_norm(sp, np.ones(4), 1.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValidationError):
         lp_norm(sp, f, 0.5)
+
+
+def test_lp_norm_rescales_only_where_the_powers_overflow_or_underflow():
+    sp = build_dyadic(2)
+    f = np.array([1.0, 2.0, 0.5, 0.0])
+    ref = lp_norm(sp, f, 300.0)
+    # 2^300 is a float, so the direct sum is finite and taken as it is
+    assert ref == float(np.sum(sp.leaf_probs * f ** 300.0) ** (1.0 / 300.0))
+    # (1e200)^300 overflows and (1e-200)^300 underflows to 0 at every leaf
+    for scale in (1e200, 1e-200):
+        assert lp_norm(sp, scale * f, 300.0) == pytest.approx(
+            scale * ref, rel=1e-12)
+    assert lp_norm(sp, np.zeros(4), 300.0) == 0.0
+    # an infinite entry, which lp_norm refuses, is not rescaled to nan
+    assert _lp_norm(sp, np.array([np.inf, 1.0, 0.0, 0.0]), 3.0) == np.inf

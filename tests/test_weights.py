@@ -22,6 +22,15 @@ from wml.weights import (CERT_TOL, EIG_CLIP_RATIO, FIT_TOL, MatrixWeight,
 from directions import holdout_directions
 
 
+@pytest.mark.parametrize("p", (1.0, 0.5, np.inf, np.nan))
+def test_exponent_outside_one_to_inf_is_refused(p):
+    # p = inf would make the conjugate exponent inf / inf = nan
+    with pytest.raises(ValidationError, match=r"p must lie in \(1, inf\), got"):
+        conjugate(p)
+    with pytest.raises(ValidationError, match=r"p must lie in \(1, inf\), got"):
+        build_reducing_pair(build_dyadic(2), as_weight(np.ones(4)), p)
+
+
 def _random_spd_weight(rng, n, d, sigma=1.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
     lam = np.exp(rng.normal(0.0, sigma, (n, d)))
