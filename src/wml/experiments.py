@@ -137,7 +137,7 @@ def _sq_gradient(space, w2p, wm, p, point):
         # 0 ** (p - 2) is inf for p < 2, and the leaf takes 0 instead
         spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
     return (p * _adjoint_step(space, w2p, wm, diffs, spow),
-            float(np.sum(space.leaf_probs * s ** p)))
+            float(np.add.reduce(space.leaf_probs * s ** p)))
 
 
 def _boyd(space, wp, wm, w2p, p, f, max_iter):
@@ -163,7 +163,7 @@ def _boyd(space, wp, wm, w2p, p, f, max_iter):
         ratio = norm / _lp_norm(space, f, p)
         if norm == 0.0:
             return f, ratio, iters, True
-        gmag = np.sqrt(np.sum(grad * grad, axis=1))
+        gmag = np.sqrt(np.add.reduce(grad * grad, axis=1))
         gamma = _lp_norm(space, gmag, q) / (p * norm ** (p - 1.0))
         converged = gamma - ratio <= BOYD_TOL * gamma
         if converged or iters == max_iter:
@@ -183,37 +183,43 @@ def _lanczos_top(space, wp, wm, w2p, f, max_steps):
     one martingale and one increment adjoint on d columns, and takes
     alpha = ||T q||^2 from the square function. The new vector is fully
     reorthogonalized against the basis, which grows by one row a step, in
-    two products. The solve stops once the Ritz residual |beta_k s_k| is
-    at most sqrt(2 BOYD_TOL) theta: for a unit Ritz vector that is Boyd's
-    exponent-2 test gamma - ratio <= BOYD_TOL gamma to first order. It
-    also stops at breakdown (beta = 0), where the Krylov space is
-    invariant, and after ``max_steps`` steps. Returns (Ritz vector of the
-    top Ritz value theta, unit in L2(P), as (L, d); steps taken).
+    two products. The tridiagonal is filled in place, in a zero array of at
+    most 16 rows that doubles when the solve outgrows it, and each step
+    solves its leading block. The solve stops once the Ritz residual
+    |beta_k s_k| is at most sqrt(2 BOYD_TOL) theta: for a unit Ritz vector
+    that is Boyd's exponent-2 test gamma - ratio <= BOYD_TOL gamma to
+    first order. It also stops at breakdown (beta = 0), where the Krylov
+    space is invariant, and after ``max_steps`` steps. Returns (Ritz
+    vector of the top Ritz value theta, unit in L2(P), as (L, d); steps
+    taken).
     """
     shape, probs = f.shape, space.leaf_probs
     weights = np.repeat(probs, shape[1])
     ones = np.ones(shape[0])
     tol = math.sqrt(2.0 * BOYD_TOL)
     q = f.ravel()
-    basis = (q / math.sqrt(float(np.sum(weights * q * q))))[None]
-    alphas, betas = [], []
+    basis = (q / math.sqrt(float(np.add.reduce(weights * q * q))))[None]
+    # the tridiagonal of the first ``steps`` steps is tri[:steps, :steps]
+    tri = np.zeros((min(max_steps, 16),) * 2)
     for steps in range(1, max_steps + 1):
+        k = steps - 1
         q = basis[-1]
         diffs, s = _ascent_point(space, wp, wm, q.reshape(shape))
         v = _adjoint_step(space, w2p, wm, diffs, ones).ravel()
-        alphas.append(float(np.sum(probs * s * s)))
-        v -= alphas[-1] * q
-        if betas:
-            v -= betas[-1] * basis[-2]
+        alpha = tri[k, k] = float(np.add.reduce(probs * s * s))
+        v -= alpha * q
+        if k:
+            v -= tri[k, k - 1] * basis[-2]
         v -= (basis @ (weights * v)) @ basis
-        beta = math.sqrt(float(np.sum(weights * v * v)))
-        vals, vecs = np.linalg.eigh(
-            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        beta = math.sqrt(float(np.add.reduce(weights * v * v)))
+        vals, vecs = np.linalg.eigh(tri[:steps, :steps])
         top = vecs[:, -1]
         if (beta * abs(top[-1]) <= tol * vals[-1] or beta == 0.0
                 or steps == max_steps):
             break
-        betas.append(beta)
+        if steps == len(tri):
+            tri = np.pad(tri, (0, min(steps, max_steps - steps)))
+        tri[k, steps] = tri[steps, k] = beta
         basis = np.vstack([basis, v / beta])
     return (top @ basis).reshape(shape), steps
 

@@ -33,7 +33,11 @@ small matrices: einsum for ``matvec``; a ``matmul`` of a transposed view,
 1.4 to 3 times as long as from a contiguous copy, for ``_gram``; the
 three-operand einsum, 2 to 3 times as long as d outer products, for
 ``_eig_compose``. The 3 x 3 closed form sums each diagonal for its trace,
-which ``np.trace`` takes 8 to 10 times as long to do.
+which ``np.trace`` takes 8 to 10 times as long to do. The same idiom runs
+the norm estimator's inner loop (``filtration``, ``operators._leaf_l2``,
+``experiments``): ``ndarray.take`` for fancy indexing and
+``np.add.reduce`` for ``np.sum``, whose wrapper adds about 2 us a call,
+each with the bytes of the expression it replaced.
 """
 
 from __future__ import annotations

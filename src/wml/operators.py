@@ -25,7 +25,7 @@ from .weights import as_weight
 
 def _leaf_l2(stack):
     """Per leaf the l2 norm over a (K, L, d) stack of increments."""
-    return np.sqrt(np.sum(stack * stack, axis=(0, -1)))
+    return np.sqrt(np.add.reduce(stack * stack, axis=(0, -1)))
 
 
 def square_fn(space, mart):

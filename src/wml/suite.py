@@ -18,7 +18,7 @@ explicit constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,6 +233,13 @@ def _scalar_checks(inst, rng):
     return out
 
 
+def _finite_bounds(results):
+    """The results with every check whose bound is not finite failed."""
+    return [r if math.isfinite(r.bound) else replace(
+        r, passed=False, info="; ".join(filter(None, (
+            r.info, f"bound {r.bound!r} is not finite")))) for r in results]
+
+
 def instance_checks(inst, threshold=None):
     """Run the full battery on one instance; returns a list of CheckResult
     and the instance's metadata.
@@ -243,7 +250,9 @@ def instance_checks(inst, threshold=None):
     under). A reducer fit that fails to converge or to certify within
     ``weights.FIT_TOL`` and ``weights.FIT_ROUNDS`` is reported as a failed
     ``reducer_certificate`` carrying the achieved ratio; the checks that
-    need the reducers are then skipped.
+    need the reducers are then skipped. A check whose bound is not finite
+    (T_p overflows at very large p, for one) fails, since no measured
+    value could exceed it, and its ``info`` names the bound.
     """
     if threshold is None:
         threshold = default_threshold()
@@ -324,6 +333,7 @@ def instance_checks(inst, threshold=None):
         [inst.seed, inst.index, 1]))
     results.extend(_scalar_checks(inst, rng))
 
+    results = _finite_bounds(results)
     square_lp = lp_norm(space, an.square(), p)
     return results, {"ap_char": ap, "max_ratio": dom["max_ratio"],
                      "q1_over_ap": q1 / ap, "q2_over_ap": q2 / ap,

@@ -98,6 +98,25 @@ def test_check_low_threshold_fails(tmp_path):
     assert not all(v["passed"] for v in report["summary"].values())
 
 
+def test_check_with_infinite_bound_exits_2(tmp_path, capsys):
+    # at p = 200 the sparse operator T_p overflows and the interpolation
+    # check's bound is inf; the check fails instead of passing vacuously
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = run(["check", "--d", "2", "--p", "200", "--instances", "2",
+                  "--out", str(tmp_path)])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["summary"]["sparse_interpolation"]["passed"] is False
+    failed = [r for d in report["details"] for r in d["results"]
+              if not r["passed"]]
+    assert len(failed) == 2
+    for r in failed:
+        assert r["name"] == "sparse_interpolation"
+        assert r["bound"] == float("inf")
+        assert "bound inf is not finite" in r["info"]
+
+
 def test_check_failed_fit_is_reported(tmp_path, capsys):
     # at p = 1.001 the dual exponent is 1001, where the damped Lewis map
     # contracts by 999/1003 a round, and the seed-7 suite's first d = 2

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from wml.experiments import (SweepConfig, SweepRecord, _boyd, _lanczos_top,
+from wml import experiments
+from wml.experiments import (SweepConfig, SweepRecord, _adjoint_step,
+                             _ascent_point, _boyd, _lanczos_top,
                              build_family_instance, exponent_fit,
                              matrix_target_exponent,
                              opnorm_ascent, power_weight, rotating_weight,
@@ -442,6 +446,74 @@ def test_lanczos_vector_matches_dense_top_eigenvalue(case):
     assert quotient == pytest.approx(top, rel=1e-10)
     _, _, iters, converged = _boyd(sp, wp, wm, wp @ wp, 2.0, y, 200)
     assert converged and iters <= 2
+
+
+def _diag_lanczos_top(space, wp, wm, w2p, f, max_steps):
+    """``_lanczos_top`` as it stood with its tridiagonal rebuilt from three
+    ``np.diag`` a step and its sums by ``np.sum``: the reference whose
+    bytes the in-place solve keeps."""
+    shape, probs = f.shape, space.leaf_probs
+    weights = np.repeat(probs, shape[1])
+    ones = np.ones(shape[0])
+    tol = math.sqrt(2.0 * experiments.BOYD_TOL)
+    q = f.ravel()
+    basis = (q / math.sqrt(float(np.sum(weights * q * q))))[None]
+    alphas, betas = [], []
+    for steps in range(1, max_steps + 1):
+        q = basis[-1]
+        diffs, s = _ascent_point(space, wp, wm, q.reshape(shape))
+        v = _adjoint_step(space, w2p, wm, diffs, ones).ravel()
+        alphas.append(float(np.sum(probs * s * s)))
+        v -= alphas[-1] * q
+        if betas:
+            v -= betas[-1] * basis[-2]
+        v -= (basis @ (weights * v)) @ basis
+        beta = math.sqrt(float(np.sum(weights * v * v)))
+        vals, vecs = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        top = vecs[:, -1]
+        if (beta * abs(top[-1]) <= tol * vals[-1] or beta == 0.0
+                or steps == max_steps):
+            break
+        betas.append(beta)
+        basis = np.vstack([basis, v / beta])
+    return (top @ basis).reshape(shape), steps
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0))
+def test_lanczos_solve_keeps_the_bytes_of_the_diag_build(p):
+    # the 24-point rotating sweep grid at seed 7: start 0's draw and the
+    # budget opnorm_ascent gives the solve
+    cfg = SweepConfig(family="rotating", p=p, d=2, depths=(4, 5, 6),
+                      alphas=(0.4, 0.6, 0.8, 0.95), epss=(0.25, 0.015625),
+                      seed=7)
+    for index, point in enumerate(cfg.grid()):
+        sp, W = build_family_instance(cfg, *point)
+        wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
+        seed = int(np.random.SeedSequence([cfg.seed, index])
+                   .generate_state(1)[0])
+        f = np.random.default_rng(seed).standard_normal((sp.n_leaves, 2))
+        y, steps = _lanczos_top(sp, wp, wm, wp @ wp, f.copy(), 199)
+        ref, ref_steps = _diag_lanczos_top(sp, wp, wm, wp @ wp, f, 199)
+        assert steps == ref_steps, point
+        assert y.tobytes() == ref.tobytes(), point
+
+
+@pytest.mark.parametrize("max_steps", (20, 199))
+def test_lanczos_solve_keeps_its_bytes_past_the_first_block(monkeypatch,
+                                                            max_steps):
+    # with no stopping tolerance the solve runs until a Ritz residual or
+    # beta is exactly 0, past 32 steps here: the tridiagonal outgrows its
+    # first 16 rows twice, or once up to a budget of 20 steps
+    monkeypatch.setattr(experiments, "BOYD_TOL", 0.0)
+    sp, W = rotating_weight(8, 3, 0.6, 0.25)
+    wp, wm = W.power(1.0 / 1.5), W.power(-1.0 / 1.5)
+    f = np.random.default_rng(3).standard_normal((sp.n_leaves, 3))
+    y, steps = _lanczos_top(sp, wp, wm, wp @ wp, f.copy(), max_steps)
+    ref, ref_steps = _diag_lanczos_top(sp, wp, wm, wp @ wp, f, max_steps)
+    assert steps == ref_steps
+    assert steps == max_steps if max_steps == 20 else steps > 32
+    assert y.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("start", ["haar", "mean-zero", "constant"])

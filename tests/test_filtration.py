@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from wml import filtration
 from wml.filtration import (FilteredSpace, _lp_norm, build_dyadic,
                             build_from_tree, cond_expect, cond_expect_leaf,
                             lp_norm, martingale_of)
@@ -24,6 +26,28 @@ def test_build_dyadic_shapes_and_probs():
     sp = FilteredSpace(depth=1, leaf_probs=[0.3, 0.7],
                        offsets=build_dyadic(1).offsets)
     assert np.allclose(sp.leaf_probs, [0.3, 0.7])
+
+
+def test_build_dyadic_memo_is_safe():
+    # one depth gives one space, and nothing in it can be written
+    sp = build_dyadic(3)
+    assert build_dyadic(3) is sp and build_dyadic(4) is not sp
+    arrays = [sp.leaf_probs, *sp.offsets, sp.atom_base, sp.tiled_starts,
+              sp.labels, sp.tiled_labels, sp.tiled_atom_probs,
+              *sp.atom_probs]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.depth = 5
+    assert [k for k, v in vars(sp).items()
+            if isinstance(v, np.ndarray) and v.flags.writeable] == []
+    # a refused depth is refused on every call and never stored
+    for depth in (0, -1):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="depth must be >= 1"):
+                build_dyadic(depth)
+        assert depth not in filtration._DYADIC
 
 
 def test_build_dyadic_depth12_mass():

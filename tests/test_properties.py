@@ -2,8 +2,9 @@
 (with chains and tiny masses), at extreme exponents, and on degenerate
 leaf functions, and the d >= 2 battery reports every failure as a check;
 the one-pass martingale, adjoint, level-mean and reducer-norm kernels
-match conditioning one level at a time, and the fluctuation-table kernel
-matches building one base level at a time. At p = 2 the reducers of a
+match conditioning one level at a time, their gathers and reductions keep
+the bytes of fancy indexing, np.tile and np.sum, and the fluctuation-table
+kernel matches building one base level at a time. At p = 2 the reducers of a
 matrix weight reproduce their norms exactly."""
 
 import math
@@ -14,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wml.analysis import Analysis
-from wml.filtration import (build_from_tree, cond_expect, increment_adjoint,
-                            level_means, martingale_of)
+from wml.filtration import (_lp_norm, build_dyadic, build_from_tree,
+                            cond_expect, increment_adjoint, level_means,
+                            martingale_of)
 from wml.linalg import matvec, spectral_norm
+from wml.operators import _leaf_l2
 from wml.principal import fluctuation_tables
-from wml.suite import Instance, instance_checks, random_instance
+from wml.suite import (SPLIT, Instance, instance_checks, random_instance,
+                       random_space)
 from wml.weights import (EIG_CLIP_RATIO, MatrixWeight, _lewis_fit,
                          _range_pairs, _range_sums, as_weight,
                          build_reducing_pair, conjugate, reducer_norms,
@@ -138,6 +142,64 @@ def test_one_pass_kernels_match_per_level_conditioning(spec, d, seed):
         scale = np.einsum("lij,klj->kli", np.abs(wp), np.abs(mart.diffs))
         eps = np.finfo(float).eps
         assert np.all(np.abs(conj - reference) <= 4 * eps * scale)
+
+
+def _fancy_martingale(space, f):
+    """``martingale_of``'s leaf levels and increments built by ``np.tile``
+    and fancy indexing, the expressions ``take`` and ``repeat`` replaced."""
+    atoms = np.add.reduceat(
+        np.tile(space.leaf_probs[:, None] * f, (space.depth + 1, 1)),
+        space.tiled_starts, axis=0) / space.tiled_atom_probs[:, None]
+    leaf_levels = atoms[space.tiled_labels]
+    return leaf_levels, leaf_levels[1:] - leaf_levels[:-1]
+
+
+def _fancy_increment_adjoint(space, y):
+    """``increment_adjoint`` of a (D, L, d) stack with fancy indexing."""
+    depth, n = space.depth, space.n_leaves
+    weighted = (space.leaf_probs[:, None] * y).reshape(depth * n, -1)
+    starts, probs = space.tiled_starts, space.tiled_atom_probs[:, None]
+    upper = np.add.reduceat(weighted, starts[1:] - n, axis=0) / probs[1:]
+    lower = np.add.reduceat(weighted, starts[:-n], axis=0) / probs[:-n]
+    at = space.tiled_labels
+    terms = upper[at[1:] - 1] - lower[at[:-1]]
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.integers(1, MAX_DEPTH), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_gathers_and_reductions_keep_their_bytes(dyadic, depth, d, seed):
+    # martingale_of and increment_adjoint gather with take and tile with
+    # repeat, and the norms reduce with np.add.reduce: the same bytes as
+    # fancy indexing, np.tile and np.sum, on suite and dyadic trees
+    rng = np.random.default_rng(seed)
+    space = (build_dyadic(depth) if dyadic
+             else random_space(rng, depth, *SPLIT[d]))
+    n = space.n_leaves
+    f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, 2.0, (n, 1)))
+    f[rng.random(n) < 0.2] = 0.0
+    leaf_levels, diffs = _fancy_martingale(space, f)
+    for g in ((f, f[:, 0]) if d == 1 else (f,)):
+        mart = martingale_of(space, g)
+        assert _bits(mart.leaf_levels) == _bits(leaf_levels)
+        assert _bits(mart.diffs) == _bits(diffs)
+
+    y = rng.standard_normal((space.depth, n, d))
+    y[rng.random(y.shape) < 0.2] = -0.0
+    ref = _fancy_increment_adjoint(space, y)
+    assert _bits(increment_adjoint(space, y)) == _bits(ref)
+    if d == 1:
+        assert _bits(increment_adjoint(space, y[:, :, 0])) == _bits(ref[:, 0])
+
+    mag = np.sqrt(np.sum(f * f, axis=1))
+    for p in (1.5, 2.0, 3.0):
+        assert _lp_norm(space, f, p) == float(np.sum(
+            space.leaf_probs * mag ** p) ** (1.0 / p))
+        assert _lp_norm(space, f[:, 0], p) == float(np.sum(
+            space.leaf_probs * np.abs(f[:, 0]) ** p) ** (1.0 / p))
+    assert _bits(_leaf_l2(diffs)) == _bits(
+        np.sqrt(np.sum(diffs * diffs, axis=(0, -1))))
 
 
 @settings(max_examples=100, deadline=None)

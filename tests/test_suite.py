@@ -1,8 +1,10 @@
 """The suite's random trees and instances: the draw recursion against the
 Dirichlet recursion it replaced, and instance bytes against a recorded
-sample."""
+sample; a check whose bound is not finite fails."""
 
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,3 +110,33 @@ def test_random_instance_bytes_match_recorded_sample(key, d, depth, leaves,
     assert _digest(inst.space.leaf_probs) == probs
     assert _digest(inst.weight.mats) == weight
     assert _digest(inst.f) == f
+
+
+def test_check_with_infinite_bound_fails():
+    # at p = 200 the sparse operator T_p overflows, so the interpolation
+    # check's bound is inf: it fails, and its info names the bound
+    inst = suite.random_instance(0, seed=7, dims=(2,), ps=(200.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        results, _ = suite.instance_checks(inst)
+    infinite = [r for r in results if not math.isfinite(r.bound)]
+    assert [r.name for r in infinite] == ["sparse_interpolation"]
+    (r,) = infinite
+    assert not r.passed and r.measured <= 0.0
+    assert r.info.endswith("; bound inf is not finite")
+    assert all(r.passed for r in results if math.isfinite(r.bound))
+
+
+def test_finite_bounds_keeps_finite_checks_and_fails_the_rest():
+    kept = [suite.CheckResult("a", True, -math.inf, 1.0),
+            suite.CheckResult("b", False, 2.0, 1.0, "why")]
+    out = suite._finite_bounds(kept + [
+        suite.CheckResult("c", True, 0.0, math.inf),
+        suite.CheckResult("d", True, 0.0, math.nan, "", "lower"),
+        suite.CheckResult("e", True, 0.0, -math.inf, "note")])
+    assert out[:2] == kept
+    assert [(r.passed, r.info) for r in out[2:]] == [
+        (False, "bound inf is not finite"),
+        (False, "bound nan is not finite"),
+        (False, "note; bound -inf is not finite")]
+    assert out[3].side == "lower"
