@@ -9,7 +9,8 @@ first time it is asked for, so that the checks share them. The fluctuation
 tables of all base levels come from one ``fluctuation_tables`` call, and
 the table of one base is a view of its row. The per-set terms of the
 sparse operator read these averages and the pair's table of
-||W^{1/p} dual_n||, which is built once per pair.
+||W^{1/p} dual_n||, which is built once per pair, and each sparse operator
+T_{W,r} of a family is built once per r.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .filtration import level_means, martingale_of
 from .linalg import ValidationError, _squared_norms, matvec
-from .operators import _leaf_l2
+from .operators import _leaf_l2, sparse_operator
 from .principal import fluctuation_table, fluctuation_tables
 
 
@@ -98,6 +99,15 @@ class Analysis:
         """(D, L) array of ||W^{1/p}(l) d_k g(l)|| for k = 1..D."""
         return self._cached("increment_norms", lambda: np.linalg.norm(
             self.conjugated(), axis=2))
+
+    def sparse(self, family, r):
+        """``sparse_operator(self, family, r)``, built once per family and
+        r; families are told apart by identity, and each is held with its
+        operator."""
+        key = ("sparse", id(family), r)
+        if key not in self._cache:
+            self._cache[key] = family, sparse_operator(self, family, r)
+        return self._cache[key][1]
 
     def set_term(self, kappa2, leaves):
         """Per entry of ``leaves`` (a union of level-kappa2 atoms) the sparse

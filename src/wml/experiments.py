@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import (_lp_norm, build_dyadic, increment_adjoint,
-                         martingale_of)
-from .linalg import EllipsoidError, ValidationError, _eig_compose, matvec
+from .filtration import (_check_finite, _increment_adjoint, _lp_norm,
+                         _martingale, build_dyadic)
+from .linalg import (EllipsoidError, ValidationError, _columns, _eig_compose,
+                     _matvec)
 from .operators import _leaf_l2
 from .weights import (MatrixWeight, ap_characteristic, as_weight,
                       build_reducing_pair, check_exponent)
@@ -112,38 +113,53 @@ class AscentResult:
     converged: bool
 
 
-def _ascent_point(space, wp, wm, f):
-    """(increments of g = W^{-1/p} f, S_W f) for the leaf powers wp = W^{1/p}
-    and wm = W^{-1/p}: what both the ratio and the gradient of the ascent
-    need at the (L, d) function f, as a (D, L, d) stack and (L,) values."""
-    diffs = martingale_of(space, matvec(wm, f)).diffs
-    return diffs, _leaf_l2(matvec(wp, diffs))
+class _Operator:
+    """T f = (W^{1/p} d_k W^{-1/p} f)_k on one space for the MatrixWeight
+    W, with the adjoint step of its gradient. ``opnorm_ascent`` builds one
+    a call, so W^{1/p}, W^{-1/p} and W^{2/p} = W^{1/p} W^{1/p} are formed
+    and their columns sliced once, and every iteration goes straight to
+    the array cores of ``filtration.martingale_of`` and
+    ``increment_adjoint``; the space keeps the adjoint's index.
 
+    Nothing here enters a numpy error state: the caller does, once.
+    """
 
-def _adjoint_step(space, w2p, wm, diffs, spow):
-    """W^{-1/p} T0* (spow W^{2/p} d) for the increments d of an ascent
-    point and per-leaf factors spow, with T0* the increment adjoint."""
-    return matvec(wm, increment_adjoint(
-        space, spow[:, None] * matvec(w2p, diffs)))
+    def __init__(self, space, W, p):
+        self.space, self.probs = space, space.leaf_probs
+        wp = W.power(1.0 / p)
+        # each leaf power as the column stacks that ``_matvec`` takes
+        self.wp, self.wm, self.w2p = (_columns(a) for a in (
+            wp, W.power(-1.0 / p), wp @ wp))
 
+    def point(self, f):
+        """(increments of g = W^{-1/p} f, S_W f): what both the ratio and
+        the gradient need at the (L, d) function f, as a (D, L, d) stack
+        and (L,) values. An f with a non-finite entry is refused."""
+        _check_finite(f)
+        diffs = _martingale(self.space, _matvec(self.wm, f))[1]
+        return diffs, _leaf_l2(_matvec(self.wp, diffs))
 
-def _sq_gradient(space, w2p, wm, p, point):
-    """Gradient (in the probability inner product) of ||S_W f||_p^p at the
-    ascent point ``_ascent_point(space, wp, wm, f)``: p T* J_p(T f) for
-    T f = (W^{1/p} d_k W^{-1/p} f)_k and J_p(y) = |y|^{p-2} y, together
-    with ||S_W f||_p^p. w2p = W^{2/p} = wp @ wp per leaf."""
-    diffs, s = point
-    with np.errstate(divide="ignore"):
-        # 0 ** (p - 2) is inf for p < 2, and the leaf takes 0 instead
+    def adjoint(self, diffs, spow):
+        """W^{-1/p} T0* (spow W^{2/p} d) for the increments d of a point
+        and per-leaf factors spow, with T0* the increment adjoint."""
+        return _matvec(self.wm, _increment_adjoint(
+            self.space, spow[:, None] * _matvec(self.w2p, diffs)))
+
+    def gradient(self, p, point):
+        """Gradient (in the probability inner product) of ||S_W f||_p^p at
+        ``point(f)``: p T* J_p(T f) with J_p(y) = |y|^{p-2} y, together
+        with ||S_W f||_p^p. A leaf where S_W f is 0 takes 0 for the
+        infinite 0 ** (p - 2) of p < 2."""
+        diffs, s = point
         spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
-    return (p * _adjoint_step(space, w2p, wm, diffs, spow),
-            float(np.add.reduce(space.leaf_probs * s ** p)))
+        return (p * self.adjoint(diffs, spow),
+                float(np.add.reduce(self.probs * s ** p)))
 
 
-def _boyd(space, wp, wm, w2p, p, f, max_iter):
-    """Boyd's p-norm power method for T f = (W^{1/p} d_k W^{-1/p} f)_k from
-    the (L, d) start f, within ``max_iter`` iterations (Boyd, Linear
-    Algebra Appl. 9, 1974; Higham, Numer. Math. 62, 1992).
+def _boyd(op, p, f, max_iter):
+    """Boyd's p-norm power method for the ``_Operator`` T from the (L, d)
+    start f, within ``max_iter`` iterations (Boyd, Linear Algebra Appl. 9,
+    1974; Higham, Numer. Math. 62, 1992).
 
     An iteration builds one martingale and one increment adjoint and maps
     f to J_{p'}(T* J_p(T f)) normalized in L^p. Hölder gives ratio(f) <=
@@ -155,10 +171,9 @@ def _boyd(space, wp, wm, w2p, p, f, max_iter):
     Returns (f, ratio of f, iterations, converged) for the last evaluated
     f; ``converged`` is False when the budget ran out first.
     """
-    q = p / (p - 1.0)
+    space, q = op.space, p / (p - 1.0)
     for iters in range(1, max_iter + 1):
-        grad, phi = _sq_gradient(space, w2p, wm, p,
-                                 _ascent_point(space, wp, wm, f))
+        grad, phi = op.gradient(p, op.point(f))
         norm = phi ** (1.0 / p)
         ratio = norm / _lp_norm(space, f, p)
         if norm == 0.0:
@@ -172,15 +187,15 @@ def _boyd(space, wp, wm, w2p, p, f, max_iter):
         f /= _lp_norm(space, f, p)
 
 
-def _lanczos_top(space, wp, wm, w2p, f, max_steps):
-    """L2 top right singular vector of T f = (W^{1/p} d_k W^{-1/p} f)_k:
-    the top eigenvector of A = T*T, which is self-adjoint in
+def _lanczos_top(op, f, max_steps):
+    """L2 top right singular vector of the ``_Operator`` T: the top
+    eigenvector of A = T*T, which is self-adjoint in
     <f, h> = sum_l P(l) f(l).h(l), by at most ``max_steps`` >= 1 Lanczos
     steps from the (L, d) start f (Kuczynski and Wozniakowski, SIAM J.
     Matrix Anal. Appl. 13, 1992).
 
-    A step applies A once through ``_ascent_point`` / ``_adjoint_step``,
-    one martingale and one increment adjoint on d columns, and takes
+    A step applies A once through ``op.point`` / ``op.adjoint``, one
+    martingale and one increment adjoint on d columns, and takes
     alpha = ||T q||^2 from the square function. The new vector is fully
     reorthogonalized against the basis, which grows by one row a step, in
     two products. The tridiagonal is filled in place, in a zero array of at
@@ -193,7 +208,7 @@ def _lanczos_top(space, wp, wm, w2p, f, max_steps):
     vector of the top Ritz value theta, unit in L2(P), as (L, d); steps
     taken).
     """
-    shape, probs = f.shape, space.leaf_probs
+    shape, probs = f.shape, op.probs
     weights = np.repeat(probs, shape[1])
     ones = np.ones(shape[0])
     tol = math.sqrt(2.0 * BOYD_TOL)
@@ -204,8 +219,8 @@ def _lanczos_top(space, wp, wm, w2p, f, max_steps):
     for steps in range(1, max_steps + 1):
         k = steps - 1
         q = basis[-1]
-        diffs, s = _ascent_point(space, wp, wm, q.reshape(shape))
-        v = _adjoint_step(space, w2p, wm, diffs, ones).ravel()
+        diffs, s = op.point(q.reshape(shape))
+        v = op.adjoint(diffs, ones).ravel()
         alpha = tri[k, k] = float(np.add.reduce(probs * s * s))
         v -= alpha * q
         if k:
@@ -224,7 +239,7 @@ def _lanczos_top(space, wp, wm, w2p, f, max_steps):
     return (top @ basis).reshape(shape), steps
 
 
-def _ascent_start(space, wp, wm, w2p, p, f, max_iter):
+def _ascent_start(op, p, f, max_iter):
     """One start of the projected ascent on the unit sphere of L_p along
     the normalized gradient of log ||S_W f||_p^p - log ||f||_p^p. It stops
     when S_W f vanishes, at a gradient norm <= 1e-12, or when no step
@@ -233,15 +248,15 @@ def _ascent_start(space, wp, wm, w2p, p, f, max_iter):
 
     def ratio_of(f):
         """||S_W f||_p / ||f||_p and the ascent point it was computed from."""
-        point = _ascent_point(space, wp, wm, f)
+        point = op.point(f)
         return _lp_norm(space, point[1], p) / _lp_norm(space, f, p), point
 
-    probs = space.leaf_probs
+    space, probs = op.space, op.probs
     f /= _lp_norm(space, f, p)
     cur, point = ratio_of(f)
     step = 0.5
     for iters in range(1, max_iter + 1):
-        grad_phi, phi = _sq_gradient(space, w2p, wm, p, point)
+        grad_phi, phi = op.gradient(p, point)
         fmag = np.linalg.norm(f, axis=1)
         grad_psi = p * np.where(fmag > 1e-300, fmag ** (p - 2.0), 0.0)[:, None] * f
         psi = float(np.sum(probs * fmag ** p))
@@ -289,6 +304,10 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     ascent (``_ascent_start``): from the same starts the power method ends
     lower there on most tested points.
 
+    Every start applies T through one ``_Operator``, built here, and the
+    whole call runs under one ``np.errstate`` that ignores overflow and
+    division by zero; a start with a non-finite entry is refused.
+
     Returns an AscentResult carrying the witness; recomputing the ratio
     from the witness reproduces the reported value. ``iterations`` counts
     the iterations of all starts, each at most ``max_iter``; at p <= 2 the
@@ -305,26 +324,27 @@ def opnorm_ascent(space, W, p, restarts=4, seed=0, max_iter=200):
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
     W = as_weight(W)
-    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
-    w2p = wp @ wp
+    op = _Operator(space, W, p)
     rng = np.random.default_rng(seed)
-    if p <= 2.0:
-        f, steps = rng.standard_normal((space.n_leaves, W.dim)), 0
-        if max_iter > 1:
-            f, steps = _lanczos_top(space, wp, wm, w2p, f, max_iter - 1)
-        f, ratio, iters, converged = _boyd(space, wp, wm, w2p, p, f,
-                                           max_iter - steps)
-        return AscentResult(ratio, f, steps + iters, 1, converged)
-    best = AscentResult(0.0, None, 0, restarts, True)
-    for _ in range(restarts):
-        f, ratio, iters, converged = _ascent_start(
-            space, wp, wm, w2p, p,
-            rng.standard_normal((space.n_leaves, W.dim)), max_iter)
-        best.iterations += iters
-        best.converged = best.converged and converged
-        if ratio > best.ratio:
-            best.ratio, best.witness = ratio, f
-    return best
+    # 0 ** (p - 2) divides by zero below p = 2, and at large p the norms'
+    # p-th powers overflow before they are rescaled: both are handled
+    with np.errstate(over="ignore", divide="ignore"):
+        if p <= 2.0:
+            f, steps = rng.standard_normal((space.n_leaves, W.dim)), 0
+            if max_iter > 1:
+                f, steps = _lanczos_top(op, f, max_iter - 1)
+            f, ratio, iters, converged = _boyd(op, p, f, max_iter - steps)
+            return AscentResult(ratio, f, steps + iters, 1, converged)
+        best = AscentResult(0.0, None, 0, restarts, True)
+        for _ in range(restarts):
+            f, ratio, iters, converged = _ascent_start(
+                op, p, rng.standard_normal((space.n_leaves, W.dim)),
+                max_iter)
+            best.iterations += iters
+            best.converged = best.converged and converged
+            if ratio > best.ratio:
+                best.ratio, best.witness = ratio, f
+        return best
 
 
 class DegenerateFitError(ValidationError):

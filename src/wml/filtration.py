@@ -23,18 +23,22 @@ A ``Martingale`` keeps the (D + 1, L, d) leaf levels f_n and the (D, L, d)
 increments d_k; the level-n atom values are ``leaf_levels[n]`` at the
 atom starts ``offsets[n][:-1]``.
 
-The norm estimators call ``martingale_of``, ``increment_adjoint`` and
-``_lp_norm`` hundreds of times a sweep point on arrays of at most a few
-thousand entries, where numpy's per-call overhead outweighs the
-arithmetic. So they gather with ``ndarray.take``, tile with ``np.repeat``
-and sum with ``np.add.reduce``: each gives the bytes of the fancy
-indexing, ``np.tile`` or ``np.sum`` it replaces, at a fraction of its
-cost (a sixth, for a depth-6, d = 2 gather).
+``martingale_of`` and ``increment_adjoint`` validate their argument and
+hand it to one array core each, ``_martingale`` and
+``_increment_adjoint``. The norm estimator (``experiments._Operator``)
+calls the cores, and ``_check_finite``, hundreds of times a sweep point
+on arrays of at most a few thousand entries, where numpy's per-call
+overhead outweighs the arithmetic; ``_lp_norm`` enters no error state,
+its caller does. So the kernels gather with ``ndarray.take``, tile with
+``np.repeat`` and sum with ``np.add.reduce``: each gives the bytes of the
+fancy indexing, ``np.tile`` or ``np.sum`` it replaces, at a fraction of
+its cost (a sixth, for a depth-6, d = 2 gather).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +76,8 @@ class FilteredSpace:
     def __post_init__(self):
         if self.depth < 1:
             raise ValidationError("depth must be >= 1")
-        probs = np.asarray(self.leaf_probs, dtype=float)
+        # copied, as the offsets are, so the caller's array stays writeable
+        probs = np.array(self.leaf_probs, dtype=float)
         n_leaves = probs.shape[0]
         if probs.ndim != 1 or n_leaves < 1:
             raise ValidationError("leaf_probs must be a 1-d array")
@@ -126,6 +131,23 @@ class FilteredSpace:
     def n_leaves(self):
         return self.leaf_probs.shape[0]
 
+    @cached_property
+    def adjoint_index(self):
+        """The read-only index of ``increment_adjoint``, built on first use:
+        for level k (upper) and level k - 1 (lower) on copy k - 1 of a
+        (D, L) stack, the atom starts, (atoms, 1) probabilities and (D, L)
+        atom positions."""
+        n_leaves = self.n_leaves
+        starts, probs = self.tiled_starts, self.tiled_atom_probs[:, None]
+        at = self.tiled_labels
+        # upper drops level 0, whose one atom starts copy 0; lower drops
+        # level D, whose atoms are the last L of the tiled index
+        upper_starts, upper_at = starts[1:] - n_leaves, at[1:] - 1
+        for a in (upper_starts, upper_at):
+            a.setflags(write=False)
+        return ((upper_starts, probs[1:], upper_at),
+                (starts[:-n_leaves], probs[:-n_leaves], at[:-1]))
+
     def expand(self, n, atom_values):
         """Broadcast per-atom values at level n back to the leaf axis."""
         return np.asarray(atom_values)[self.labels[n]]
@@ -136,9 +158,14 @@ def _leaf_array(space, f):
     if arr.shape[0] != space.n_leaves or arr.ndim > 2:
         raise ValidationError(
             f"leaf function has shape {arr.shape}, expected ({space.n_leaves}, d)")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("leaf function has non-finite entries")
+    _check_finite(arr)
     return arr
+
+
+def _check_finite(arr):
+    """Refuse a leaf function with a non-finite entry."""
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise ValidationError("leaf function has non-finite entries")
 
 
 # build_dyadic's spaces, by depth
@@ -324,16 +351,23 @@ def martingale_of(space, f):
     """Martingale generated by conditioning the leaf function f: the level
     means of f repeated on every level."""
     arr = _leaf_array(space, f)
-    flat = arr if arr.ndim == 2 else arr[:, None]
-    # f is weighted once; every level reads the same weighted copy
-    weighted = space.leaf_probs[:, None] * flat
-    atoms = _tiled_means(space, np.repeat(
-        weighted[None], space.depth + 1, axis=0).reshape(-1, flat.shape[1]))
-    leaf_levels = atoms.take(space.tiled_labels, axis=0)
-    diffs = leaf_levels[1:] - leaf_levels[:-1]
+    leaf_levels, diffs = _martingale(
+        space, arr if arr.ndim == 2 else arr[:, None])
     for a in (leaf_levels, diffs):
         a.setflags(write=False)
     return Martingale(leaf_levels=leaf_levels, diffs=diffs)
+
+
+def _martingale(space, f):
+    """(leaf levels, increments) of ``martingale_of`` for an (L, d) float
+    array that the caller vouches for, as writeable (D + 1, L, d) and
+    (D, L, d) arrays."""
+    # f is weighted once; every level reads the same weighted copy
+    weighted = space.leaf_probs[:, None] * f
+    atoms = _tiled_means(space, np.repeat(
+        weighted[None], space.depth + 1, axis=0).reshape(-1, f.shape[1]))
+    leaf_levels = atoms.take(space.tiled_labels, axis=0)
+    return leaf_levels, leaf_levels[1:] - leaf_levels[:-1]
 
 
 def increment_adjoint(space, y):
@@ -349,26 +383,28 @@ def increment_adjoint(space, y):
         raise ValidationError(
             f"increment stack has shape {arr.shape}, "
             f"expected ({depth}, {n_leaves}[, d])")
-    stack = arr if arr.ndim == 3 else arr[..., None]
-    weighted = (space.leaf_probs[:, None] * stack).reshape(
-        depth * n_leaves, -1)
-    starts, probs = space.tiled_starts, space.tiled_atom_probs[:, None]
-    # level k on copy k - 1: drop level 0, whose one atom starts copy 0
-    upper = np.add.reduceat(weighted, starts[1:] - n_leaves, axis=0) \
-        / probs[1:]
-    lower = np.add.reduceat(weighted, starts[:-n_leaves], axis=0) \
-        / probs[:-n_leaves]
-    at = space.tiled_labels
-    terms = upper.take(at[1:] - 1, axis=0) - lower.take(at[:-1], axis=0)
-    out = np.add.reduce(terms, axis=0, initial=0.0)
+    out = _increment_adjoint(space, arr if arr.ndim == 3 else arr[..., None])
     return out if arr.ndim == 3 else out[:, 0]
+
+
+def _increment_adjoint(space, y):
+    """``increment_adjoint`` of a (D, L, d) float stack that the caller
+    vouches for, from the space's ``adjoint_index``."""
+    weighted = (space.leaf_probs[:, None] * y).reshape(-1, y.shape[2])
+    # E_k y_k, then E_{k-1} y_k, on every (copy, leaf)
+    upper, lower = ((np.add.reduceat(weighted, starts, axis=0) / probs)
+                    .take(at, axis=0)
+                    for starts, probs, at in space.adjoint_index)
+    return np.add.reduce(upper - lower, axis=0, initial=0.0)
 
 
 def lp_norm(space, f, p):
     """(sum_leaves P(l) |f(l)|^p)^(1/p) with the euclidean vector norm."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    return _lp_norm(space, _leaf_array(space, f), p)
+    arr = _leaf_array(space, f)
+    with np.errstate(over="ignore"):
+        return _lp_norm(space, arr, p)
 
 
 def _lp_norm(space, f, p):
@@ -377,10 +413,11 @@ def _lp_norm(space, f, p):
     ``np.linalg.norm(axis=1)`` sums it, so the values are bitwise equal.
     Where the direct sum of P(l) |f(l)|^p overflows, or is 0 for an f
     that is not, the magnitudes are divided by the largest one first;
-    every other value is the direct sum's."""
+    every other value is the direct sum's. The overflow warns unless the
+    caller ignores it, as ``lp_norm`` and ``experiments.opnorm_ascent``
+    do."""
     mag = np.abs(f) if f.ndim == 1 else np.sqrt(np.add.reduce(f * f, axis=1))
-    with np.errstate(over="ignore"):
-        total = np.add.reduce(space.leaf_probs * mag ** p)
+    total = np.add.reduce(space.leaf_probs * mag ** p)
     top = mag.max() if not 0.0 < total < np.inf else 0.0
     if not 0.0 < top < np.inf:
         return float(total ** (1.0 / p))

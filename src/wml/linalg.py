@@ -37,7 +37,9 @@ which ``np.trace`` takes 8 to 10 times as long to do. The same idiom runs
 the norm estimator's inner loop (``filtration``, ``operators._leaf_l2``,
 ``experiments``): ``ndarray.take`` for fancy indexing and
 ``np.add.reduce`` for ``np.sum``, whose wrapper adds about 2 us a call,
-each with the bytes of the expression it replaced.
+each with the bytes of the expression it replaced. The estimator's
+operator takes the ``_columns`` of its leaf powers once a call and
+multiplies through ``_matvec``, the core of ``matvec``.
 """
 
 from __future__ import annotations
@@ -325,8 +327,18 @@ def matvec(mats, vecs):
     broadcast, such as (L, d, d) against (K, L, d): the column products
     mats[..., i, j] vecs[..., j] added in ``_column_sum``'s order, at a
     fraction of einsum's cost on small broadcast stacks."""
-    return _column_sum(lambda j: mats[..., :, j] * vecs[..., j, None],
-                       vecs.shape[-1])
+    return _matvec(_columns(mats), vecs)
+
+
+def _columns(mats):
+    """The column views mats[..., :, j] of stacked (..., d, d) matrices,
+    as ``_matvec`` takes them."""
+    return tuple(mats[..., :, j] for j in range(mats.shape[-1]))
+
+
+def _matvec(cols, vecs):
+    """``matvec`` of the matrices whose ``_columns`` are ``cols``."""
+    return _column_sum(lambda j: cols[j] * vecs[..., j, None], len(cols))
 
 
 def _squared_norms(mats, vecs):

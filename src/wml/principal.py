@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ValidationError, _squared_norms
-from .operators import sparse_operator
 
 ZERO_SPARSE = 1e-14
 POSITIVITY = 1e-12
@@ -400,10 +399,11 @@ def sparse_domination_check(an, family):
     constant domination_constant(family.threshold). Returns a dict with the
     max ratio, the bound, and the pass flag; a leaf where the square
     function exceeds 1e-10 while the sparse operator is below 1e-14 is a
-    hard fail.
+    hard fail. The operator is ``an``'s (``Analysis.sparse``), which the
+    battery's Hölder check reads as well.
     """
     s_fn = an.square("first_value")
-    t_fn = sparse_operator(an, family, 2.0)
+    t_fn = an.sparse(family, 2.0)
     dead = t_fn <= ZERO_SPARSE
     hard_fail = bool(np.any(dead & (s_fn > 1e-10)))
     ratio = np.where(dead, 0.0, s_fn / np.where(dead, 1.0, t_fn))

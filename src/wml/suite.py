@@ -26,8 +26,8 @@ from .analysis import Analysis
 from .filtration import (build_from_preorder, cond_expect, level_means,
                          lp_norm, martingale_of, nest_preorder)
 from .linalg import EllipsoidError, ValidationError, _eig_compose
-from .operators import (sparse_operator, square_fn, weighted_cond_expect,
-                        weighted_square_fn, lp_weighted_norm)
+from .operators import (square_fn, weighted_cond_expect, weighted_square_fn,
+                        lp_weighted_norm)
 from .principal import (CHECK_TOL, build_principal_family,
                         check_properties, default_threshold, iteration_check,
                         sparse_domination_check, vanish_checks)
@@ -186,16 +186,17 @@ def _halving_check_all_atoms(an, threshold):
 def _holder_check(an, family):
     """Pointwise comparison of the r = 2 sparse operator against r = 1 and
     r = p: interpolation for p > 2, plain embedding for p <= 2. Both sides
-    are homogeneous in f, so the gap is held to CHECK_TOL * max(1, max T_p)."""
+    are homogeneous in f, so the gap is held to CHECK_TOL * max(1, max T_p).
+    The operators are ``an``'s, T_2 the one the domination check read."""
     p = an.p
-    t2 = sparse_operator(an, family, 2.0)
-    tp = sparse_operator(an, family, p)
+    t2 = an.sparse(family, 2.0)
+    tp = an.sparse(family, p)
     bound = CHECK_TOL * max(1.0, float(np.max(tp, initial=0.0)))
     if p <= 2.0:
         gap = float(np.max(t2 - tp, initial=-np.inf))
         return CheckResult("sparse_embedding", gap <= bound, gap, bound,
                            "T_2 <= T_p pointwise")
-    t1 = sparse_operator(an, family, 1.0)
+    t1 = an.sparse(family, 1.0)
     theta = p / (2.0 * p - 2.0)
     rhs = t1 ** (1.0 - theta) * tp ** theta
     gap = float(np.max(t2 - rhs * (1.0 + 1e-12), initial=-np.inf))

@@ -133,14 +133,40 @@ def test_analysis_rejects_function_of_the_wrong_shape():
 def test_power_method_builds_one_martingale_per_round(monkeypatch):
     # one start runs: each of its Lanczos steps and each of its power
     # iterations builds one martingale and one increment adjoint on its d
-    # columns
+    # columns, from the array cores of the public functions, which it
+    # does not call
     space, W = rotating_weight(4, 2, 0.8, 0.0625)
-    marts = _count_calls(monkeypatch, filtration, "martingale_of")
-    adjoints = _count_calls(monkeypatch, filtration, "increment_adjoint")
-    norms = _count_calls(monkeypatch, filtration, "lp_norm")
+    marts = _count_calls(monkeypatch, filtration, "_martingale")
+    adjoints = _count_calls(monkeypatch, filtration, "_increment_adjoint")
+    public = [_count_calls(monkeypatch, filtration, name)
+              for name in ("martingale_of", "increment_adjoint", "lp_norm")]
+    public.append(_count_calls(monkeypatch, linalg, "matvec"))
     res = opnorm_ascent(space, W, 1.5, restarts=2, seed=0)
     assert res.converged and res.restarts == 1
     assert len(marts) == len(adjoints) == res.iterations
+    assert not any(public)
     assert all(np.shape(c["f"])[1] == W.dim for c in marts)
     assert all(np.shape(c["y"])[2] == W.dim for c in adjoints)
-    assert not norms                           # its own arrays: no validation
+
+
+def test_power_method_slices_the_weight_columns_once(monkeypatch):
+    # the operator takes the columns of W^{1/p}, W^{-1/p} and W^{2/p} once
+    # a call, however many iterations it runs
+    space, W = rotating_weight(4, 2, 0.8, 0.0625)
+    columns = _count_calls(monkeypatch, linalg, "_columns")
+    res = opnorm_ascent(space, W, 1.5, seed=0)
+    assert res.iterations > 3 and len(columns) == 3
+
+
+@pytest.mark.parametrize("index", (1, 4, 7, 10))
+def test_instance_checks_build_each_sparse_operator_once(monkeypatch, index):
+    # the domination check and the Hölder check share T_{W,2}; T_{W,p}
+    # and, for p > 2, T_{W,1} are built once each, and at p = 2 T_{W,p}
+    # is T_{W,2}
+    calls = _count_calls(monkeypatch, sys.modules["wml.operators"],
+                         "sparse_operator")
+    inst = random_instance(index, seed=7)
+    results, _ = instance_checks(inst)
+    assert all(r.passed for r in results)
+    want = {2.0, inst.p} | ({1.0} if inst.p > 2.0 else set())
+    assert sorted(c["r"] for c in calls) == sorted(want)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wml import experiments
-from wml.experiments import (SweepConfig, SweepRecord, _adjoint_step,
-                             _ascent_point, _boyd, _lanczos_top,
+from wml.experiments import (SweepConfig, SweepRecord, _ascent_start,
+                             _boyd, _lanczos_top, _Operator,
                              build_family_instance, exponent_fit,
                              matrix_target_exponent,
                              opnorm_ascent, power_weight, rotating_weight,
@@ -292,11 +292,33 @@ def test_power_method_null_space_start_converges_at_ratio_zero(d):
     sp = build_dyadic(3)
     W = MatrixWeight.identity(sp.n_leaves, d)
     p = 1.5
-    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     null = np.ones((sp.n_leaves, d))
-    f, ratio, iters, converged = _boyd(sp, wp, wm, wp @ wp, p, null, 50)
+    # the caller ignores 0 ** (p - 2), as opnorm_ascent does
+    with np.errstate(divide="ignore"):
+        f, ratio, iters, converged = _boyd(_Operator(sp, W, p), p, null, 50)
     assert (ratio, iters, converged) == (0.0, 1, True)
     assert f.tobytes() == null.tobytes()
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_estimators_refuse_a_non_finite_start(bad):
+    # the operator checks every iterate as martingale_of checks its
+    # argument: a start with one non-finite entry is refused by each
+    # estimator with martingale_of's error
+    sp, W = rotating_weight(3, 2, 0.6, 0.25)
+    f = np.random.default_rng(0).standard_normal((sp.n_leaves, 2))
+    f[3, 1] = bad
+    with pytest.raises(ValidationError, match="^leaf function has non-finite"):
+        martingale_of(sp, f)
+    for run in (lambda: _boyd(_Operator(sp, W, 1.5), 1.5, f.copy(), 10),
+                lambda: _lanczos_top(_Operator(sp, W, 1.5), f.copy(), 10),
+                lambda: _ascent_start(_Operator(sp, W, 3.0), 3.0, f.copy(),
+                                      10)):
+        # normalizing an infinite start divides inf by inf on the way
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValidationError,
+                match="^leaf function has non-finite entries$"):
+            run()
 
 
 def _serial_boyd(sp, wp, wm, w2p, p, f, max_iter):
@@ -349,14 +371,15 @@ def test_batched_power_method_matches_serial_starts(args, p, max_iter):
     res = opnorm_ascent(sp, W, p, restarts=4, seed=0, max_iter=max_iter)
     wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     draw = np.random.default_rng(0).standard_normal((sp.n_leaves, d))
-    f, steps = _lanczos_top(sp, wp, wm, wp @ wp, draw, max_iter - 1)
+    op = _Operator(sp, W, p)
+    f, steps = _lanczos_top(op, draw, max_iter - 1)
     f, ratio, iters, converged = _serial_boyd(sp, wp, wm, wp @ wp, p, f,
                                               max_iter - steps)
     assert (res.ratio, res.iterations, res.restarts, res.converged) == \
         (ratio, steps + iters, 1, converged)
     assert res.witness.tobytes() == f.tobytes()
     want = _serial_boyd(sp, wp, wm, wp @ wp, p, draw, 10)
-    got = _boyd(sp, wp, wm, wp @ wp, p, draw, 10)
+    got = _boyd(op, p, draw, 10)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:] and got[3] == (p == 1.2)
 
@@ -437,32 +460,34 @@ def test_lanczos_vector_matches_dense_top_eigenvalue(case):
         sp, W = rotating_weight(3, int(case[-1]), 0.8, 0.0625)
     dense = _dense_operator(sp, W, p)
     top = np.linalg.eigvalsh(dense.T @ dense)[-1]
-    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
-    y, steps = _lanczos_top(sp, wp, wm, wp @ wp,
-                            rng.standard_normal((sp.n_leaves, W.dim)), 200)
+    op = _Operator(sp, W, p)
+    y, steps = _lanczos_top(op, rng.standard_normal((sp.n_leaves, W.dim)),
+                            200)
     assert 1 <= steps <= sp.n_leaves * W.dim
     quotient = (lp_norm(sp, weighted_square_fn(sp, W, p, y), 2.0)
                 / lp_norm(sp, y, 2.0)) ** 2
     assert quotient == pytest.approx(top, rel=1e-10)
-    _, _, iters, converged = _boyd(sp, wp, wm, wp @ wp, 2.0, y, 200)
+    _, _, iters, converged = _boyd(op, 2.0, y, 200)
     assert converged and iters <= 2
 
 
 def _diag_lanczos_top(space, wp, wm, w2p, f, max_steps):
     """``_lanczos_top`` as it stood with its tridiagonal rebuilt from three
-    ``np.diag`` a step and its sums by ``np.sum``: the reference whose
-    bytes the in-place solve keeps."""
+    ``np.diag`` a step and its sums by ``np.sum``, applying T*T through
+    the public filtration primitives: the reference whose bytes the
+    in-place solve keeps."""
     shape, probs = f.shape, space.leaf_probs
     weights = np.repeat(probs, shape[1])
-    ones = np.ones(shape[0])
     tol = math.sqrt(2.0 * experiments.BOYD_TOL)
     q = f.ravel()
     basis = (q / math.sqrt(float(np.sum(weights * q * q))))[None]
     alphas, betas = [], []
     for steps in range(1, max_steps + 1):
         q = basis[-1]
-        diffs, s = _ascent_point(space, wp, wm, q.reshape(shape))
-        v = _adjoint_step(space, w2p, wm, diffs, ones).ravel()
+        diffs = martingale_of(space, matvec(wm, q.reshape(shape))).diffs
+        t = matvec(wp, diffs)
+        s = np.sqrt(np.sum(t * t, axis=(0, 2)))
+        v = matvec(wm, increment_adjoint(space, matvec(w2p, diffs))).ravel()
         alphas.append(float(np.sum(probs * s * s)))
         v -= alphas[-1] * q
         if betas:
@@ -493,7 +518,7 @@ def test_lanczos_solve_keeps_the_bytes_of_the_diag_build(p):
         seed = int(np.random.SeedSequence([cfg.seed, index])
                    .generate_state(1)[0])
         f = np.random.default_rng(seed).standard_normal((sp.n_leaves, 2))
-        y, steps = _lanczos_top(sp, wp, wm, wp @ wp, f.copy(), 199)
+        y, steps = _lanczos_top(_Operator(sp, W, p), f.copy(), 199)
         ref, ref_steps = _diag_lanczos_top(sp, wp, wm, wp @ wp, f, 199)
         assert steps == ref_steps, point
         assert y.tobytes() == ref.tobytes(), point
@@ -509,7 +534,7 @@ def test_lanczos_solve_keeps_its_bytes_past_the_first_block(monkeypatch,
     sp, W = rotating_weight(8, 3, 0.6, 0.25)
     wp, wm = W.power(1.0 / 1.5), W.power(-1.0 / 1.5)
     f = np.random.default_rng(3).standard_normal((sp.n_leaves, 3))
-    y, steps = _lanczos_top(sp, wp, wm, wp @ wp, f.copy(), max_steps)
+    y, steps = _lanczos_top(_Operator(sp, W, 1.5), f.copy(), max_steps)
     ref, ref_steps = _diag_lanczos_top(sp, wp, wm, wp @ wp, f, max_steps)
     assert steps == ref_steps
     assert steps == max_steps if max_steps == 20 else steps > 32
@@ -529,10 +554,8 @@ def test_lanczos_stops_at_an_invariant_start(start, d):
          "constant": np.ones((8, d))}[start]
     if start == "mean-zero":
         f -= f.mean(axis=0)
-    p = 1.5
-    wp, wm = W.power(1.0 / p), W.power(-1.0 / p)
     with np.errstate(all="raise"):
-        y, steps = _lanczos_top(sp, wp, wm, wp @ wp, f, 50)
+        y, steps = _lanczos_top(_Operator(sp, W, 1.5), f, 50)
     assert steps == 1 and np.all(np.isfinite(y))
     assert np.allclose(np.abs(y), np.abs(f) / lp_norm(sp, f, 2.0), rtol=1e-14)
     res = opnorm_ascent(sp, W, 2.0, restarts=2, seed=0)

@@ -28,13 +28,44 @@ def test_build_dyadic_shapes_and_probs():
     assert np.allclose(sp.leaf_probs, [0.3, 0.7])
 
 
+def test_space_copies_the_leaf_probabilities_it_freezes():
+    # the caller's array stays writeable; the space's copy is read-only
+    # with the same bytes
+    probs = np.array([0.3, 0.7])
+    sp = FilteredSpace(depth=1, leaf_probs=probs,
+                       offsets=build_dyadic(1).offsets)
+    assert probs.flags.writeable and not sp.leaf_probs.flags.writeable
+    assert sp.leaf_probs.tobytes() == probs.tobytes()
+    probs[0] = 0.5
+    assert sp.leaf_probs.tolist() == [0.3, 0.7]
+
+
+def test_adjoint_index_is_built_once_per_space():
+    # the shifted index of increment_adjoint, against the slices of the
+    # level index it stands for
+    sp = build_from_tree({"mass": 1.0, "children": [
+        {"mass": 0.25}, {"mass": 0.75, "children": [
+            {"mass": 0.5}, {"mass": 0.25}]}]})
+    assert "adjoint_index" not in vars(sp)
+    (up_starts, up_probs, up_at), (lo_starts, lo_probs, lo_at) = \
+        sp.adjoint_index
+    assert sp.adjoint_index is sp.adjoint_index
+    n, probs = sp.n_leaves, sp.tiled_atom_probs[:, None]
+    assert np.array_equal(up_starts, sp.tiled_starts[1:] - n)
+    assert np.array_equal(lo_starts, sp.tiled_starts[:-n])
+    assert np.array_equal(up_probs, probs[1:])
+    assert np.array_equal(lo_probs, probs[:-n])
+    assert np.array_equal(up_at, sp.tiled_labels[1:] - 1)
+    assert np.array_equal(lo_at, sp.tiled_labels[:-1])
+
+
 def test_build_dyadic_memo_is_safe():
     # one depth gives one space, and nothing in it can be written
     sp = build_dyadic(3)
     assert build_dyadic(3) is sp and build_dyadic(4) is not sp
     arrays = [sp.leaf_probs, *sp.offsets, sp.atom_base, sp.tiled_starts,
               sp.labels, sp.tiled_labels, sp.tiled_atom_probs,
-              *sp.atom_probs]
+              *sp.atom_probs, *sp.adjoint_index[0], *sp.adjoint_index[1]]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]

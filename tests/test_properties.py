@@ -4,7 +4,9 @@ leaf functions, and the d >= 2 battery reports every failure as a check;
 the one-pass martingale, adjoint, level-mean and reducer-norm kernels
 match conditioning one level at a time, their gathers and reductions keep
 the bytes of fancy indexing, np.tile and np.sum, and the fluctuation-table
-kernel matches building one base level at a time. At p = 2 the reducers of a
+kernel matches building one base level at a time. The norm estimator's
+operator gives the bytes of the public primitives it stands for, and its
+adjoint step is the adjoint of its forward map. At p = 2 the reducers of a
 matrix weight reproduce their norms exactly."""
 
 import math
@@ -15,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wml.analysis import Analysis
+from wml.experiments import _Operator
 from wml.filtration import (_lp_norm, build_dyadic, build_from_tree,
                             cond_expect, increment_adjoint, level_means,
                             martingale_of)
-from wml.linalg import matvec, spectral_norm
+from wml.linalg import _eig_compose, matvec, spectral_norm
 from wml.operators import _leaf_l2
 from wml.principal import fluctuation_tables
 from wml.suite import (SPLIT, Instance, instance_checks, random_instance,
@@ -200,6 +203,58 @@ def test_gathers_and_reductions_keep_their_bytes(dyadic, depth, d, seed):
             space.leaf_probs * np.abs(f[:, 0]) ** p) ** (1.0 / p))
     assert _bits(_leaf_l2(diffs)) == _bits(
         np.sqrt(np.sum(diffs * diffs, axis=(0, -1))))
+
+
+def _inner(space, a, b):
+    """<a, b> in L2(P) of two (..., L, d) stacks, summed over the leading
+    axis."""
+    return float(np.sum(space.leaf_probs[:, None] * a * b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.integers(1, MAX_DEPTH), st.integers(1, 3),
+       st.sampled_from((1.2, 1.5, 2.0, 3.0)), st.integers(0, 2 ** 32 - 1))
+def test_estimator_operator_matches_the_public_primitives(dyadic, depth, d,
+                                                          p, seed):
+    # T f = (W^{1/p} d_k W^{-1/p} f)_k and its adjoint step W^{-1/p} T0*
+    # (spow W^{2/p} d) give the bytes of matvec, martingale_of and
+    # increment_adjoint composed, and <T f, y> = <f, T* y> for
+    # y = spow W^{1/p} z, on suite and dyadic trees
+    rng = np.random.default_rng(seed)
+    space = (build_dyadic(depth) if dyadic
+             else random_space(rng, depth, *SPLIT[d]))
+    n = space.n_leaves
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    weight = MatrixWeight(_eig_compose(q, np.exp(rng.normal(0.0, 1.2,
+                                                            (n, d)))))
+    wp, wm = weight.power(1.0 / p), weight.power(-1.0 / p)
+    w2p = wp @ wp
+    op = _Operator(space, weight, p)
+    f = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, 2.0, (n, 1)))
+    f[rng.random(n) < 0.2] = 0.0
+
+    diffs, s = op.point(f)
+    ref = martingale_of(space, matvec(wm, f)).diffs
+    tf = matvec(wp, ref)
+    assert _bits(diffs) == _bits(ref)
+    assert _bits(s) == _bits(np.sqrt(np.sum(tf * tf, axis=(0, 2))))
+    with np.errstate(divide="ignore"):
+        grad, phi = op.gradient(p, (diffs, s))
+        spow = np.where(s > 1e-300, s ** (p - 2.0), 0.0)
+    assert _bits(grad) == _bits(p * matvec(wm, increment_adjoint(
+        space, spow[:, None] * matvec(w2p, ref))))
+    assert phi == float(np.sum(space.leaf_probs * s ** p))
+
+    z = rng.standard_normal((space.depth, n, d))
+    spow = np.exp(rng.normal(0.0, 1.0, n))
+    y = spow[:, None] * matvec(wp, z)
+    t_star = op.adjoint(z, spow)
+    assert _bits(t_star) == _bits(matvec(wm, increment_adjoint(
+        space, spow[:, None] * matvec(w2p, z))))
+    lhs, rhs = _inner(space, tf, y), _inner(space, f, t_star)
+    scale = max(math.sqrt(_inner(space, tf, tf) * _inner(space, y, y)),
+                math.sqrt(_inner(space, f, f) * _inner(space, t_star, t_star)))
+    assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs, scale)
 
 
 @settings(max_examples=100, deadline=None)
